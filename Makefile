@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint race check fuzz difftest chaos wal bench bench-rounds bench-registry bench-dispatch bench-wal bench-swarm bench-serve
+.PHONY: build test vet lint race check fuzz difftest chaos wal bench-module bench bench-rounds bench-registry bench-dispatch bench-wal bench-swarm bench-serve
 
 build:
 	$(GO) build ./...
@@ -43,17 +43,27 @@ difftest:
 # Durable-registry gate: the WAL differential suite under -race
 # (recovery vs a live alloc.Stream across 32 seeds and shard counts,
 # the kill-9 truncation fuzz at every byte offset of the log tail, the
-# concurrent journal ordering test), plus the append-path allocation
-# guard, which needs a non-race run because AllocsPerRun counts differ
+# concurrent journal ordering tests for serial and ApplyBatch writers,
+# the batched-vs-per-op byte-identical log differential, exact append
+# metrics), plus the append-path and ApplyBatch-with-WAL allocation
+# guards, which need a non-race run because AllocsPerRun counts differ
 # under the instrumented allocator.
 wal:
-	$(GO) test -race -run 'TestRecoveryMatchesLiveHistory|TestTruncationFuzzEveryTailOffset|TestConcurrentJournalRecovery|TestCompactionAndSnapshotFallback' -count=1 ./internal/wal
-	$(GO) test -run 'TestWALAppendAllocFree' -count=1 ./internal/wal
+	$(GO) test -race -run 'TestRecoveryMatchesLiveHistory|TestTruncationFuzzEveryTailOffset|TestConcurrentJournalRecovery|TestConcurrentBatchJournalRecovery|TestCompactionAndSnapshotFallback|TestBatchedLogByteIdentical|TestWALMetricsExactUnderBatching' -count=1 ./internal/wal
+	$(GO) test -run 'TestWALAppendAllocFree|TestApplyBatchWALAllocFree' -count=1 ./internal/wal
+
+# The serving benchmark (bench/, its own module built against this one
+# through a replace directive) compiles against the registry, wal and
+# server APIs; vet and test it so an API change cannot silently break
+# bash bench/run.sh.
+bench-module:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test -count=1 ./...
 
 # The acceptance gate: static analysis, the differential payment tests
-# under -race, the durable-registry suite, then the full suite (chaos
-# matrix included) under the race detector.
-check: lint difftest wal race
+# under -race, the durable-registry suite, the benchmark module, then
+# the full suite (chaos matrix included) under the race detector.
+check: lint difftest wal bench-module race
 
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzClassify -fuzztime=30s ./internal/supervise
@@ -138,8 +148,9 @@ bench-swarm:
 
 # Record the networked-serving baseline as stable JSON: frame
 # encode/decode (must hold 0 allocs/op), the server-side batch-drain
-# hot path, and the loopback pipelined headline at 1 and 2 connections
-# (the ops/s custom metric must hold ≥ 1M pipelined bid ops/s).
+# hot path at 8k and 1M agents with and without the WAL attached, and
+# the loopback pipelined headline at 1 and 2 connections (the ops/s
+# custom metric must hold ≥ 1M pipelined bid ops/s).
 # benchjson -check validates the committed file parses and records the
 # machine spec.
 bench-serve:

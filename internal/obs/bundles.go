@@ -557,8 +557,10 @@ type WALMetrics struct {
 	// Recoveries counts crash recoveries run; ReplayedRecords and
 	// ReplayedBytes size the log tails they replayed.
 	Recoveries, ReplayedRecords, ReplayedBytes *Counter
-	// AppendSeconds observes sampled append latencies (encode plus any
-	// flush the append triggered); CommitSeconds observes flush+fsync
+	// AppendSeconds observes sampled per-record append latencies
+	// (encode plus any flush the append triggered; a batched append
+	// observes its duration divided by its record count), one sample
+	// per 1024 mutation records; CommitSeconds observes flush+fsync
 	// latencies.
 	AppendSeconds, CommitSeconds *Histogram
 }
@@ -592,13 +594,14 @@ func NewWALMetrics(r *Registry) *WALMetrics {
 	}
 }
 
-// Appended records one journaled record of n encoded bytes.
-func (m *WALMetrics) Appended(n int) {
+// AppendedBatch records records journaled records totalling bytes
+// encoded bytes, with one add per counter.
+func (m *WALMetrics) AppendedBatch(records, bytes int) {
 	if m == nil {
 		return
 	}
-	m.Appends.Inc()
-	m.AppendedBytes.Add(int64(n))
+	m.Appends.Add(int64(records))
+	m.AppendedBytes.Add(int64(bytes))
 }
 
 // AppendSampled records one sampled append latency.

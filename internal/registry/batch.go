@@ -7,7 +7,14 @@ import "math"
 // round-trip and one journal interaction per op if it replayed them
 // through Add/Update/Remove. ApplyBatch amortizes all three: the ops
 // are grouped by shard up front, each touched shard's lock is taken
-// exactly once, and the instrumentation is reported once per batch.
+// exactly once, the instrumentation is reported once per batch, and
+// each shard group's applied ops reach the journal in one
+// BatchJournal.Mutations call, made under that shard's lock before it
+// is released. The journal call matters as much as the lock: a WAL
+// append takes the writer's own mutex, a full memory fence, so one
+// call per op would serialize the ops' cache-missing slot writes
+// instead of letting them overlap. A journal without Mutations gets
+// the group's per-op calls, in op order, at the same point.
 //
 // Semantics are exactly those of applying the ops one at a time in
 // slice order on a single goroutine: ids are assigned in op order by
@@ -80,9 +87,10 @@ type BatchResult struct {
 // it is not safe for concurrent use) keeps the batch path
 // allocation-free.
 type BatchScratch struct {
-	head, tail []int32 // per shard: first/last op index, -1 when empty
-	next       []int32 // per op: next op index on the same shard, -1 at tail
-	touched    []int32 // shard indices in first-touch order
+	head, tail []int32   // per shard: first/last op index, -1 when empty
+	next       []int32   // per op: next op index on the same shard, -1 at tail
+	touched    []int32   // shard indices in first-touch order
+	applied    []BatchOp // one shard group's applied ops, for the journal
 }
 
 // ApplyBatch applies ops in slice order with one lock acquisition per
@@ -166,14 +174,16 @@ func (r *Registry) ApplyBatch(ops []BatchOp, res []BatchResult, sc *BatchScratch
 
 	// Pass 2: per touched shard, lock once and apply that shard's ops
 	// in op order. The bodies mirror Add/Update/Remove exactly —
-	// including the journal calls under the shard lock and the
-	// coalesced-rebid stamp protocol — minus the per-op lock, metrics
-	// and error traffic.
+	// including the coalesced-rebid stamp protocol — minus the per-op
+	// lock, metrics and error traffic. With a journal attached, the
+	// applied ops collect in sc.applied and are journaled in one call
+	// before the shard lock is released.
 	var adds, updates, removes, coalesced int64
 	for _, s := range sc.touched {
 		sh := &r.shards[s]
 		sh.mu.Lock()
 		j := r.journal
+		sc.applied = sc.applied[:0]
 		for i := sc.head[s]; i >= 0; i = sc.next[i] {
 			op := &ops[i]
 			rr := &out[i]
@@ -203,7 +213,7 @@ func (r *Registry) ApplyBatch(ops []BatchOp, res []BatchResult, sc *BatchScratch
 				sh.live++
 				sh.bump(r.met)
 				if j != nil {
-					j.Added(id, op.T)
+					sc.applied = append(sc.applied, BatchOp{Kind: BatchAdd, ID: id, T: op.T})
 				}
 				adds++
 			case BatchRebid:
@@ -224,7 +234,7 @@ func (r *Registry) ApplyBatch(ops []BatchOp, res []BatchResult, sc *BatchScratch
 				sh.inv[slot] = v
 				sh.bump(r.met)
 				if j != nil {
-					j.Updated(op.ID, op.T)
+					sc.applied = append(sc.applied, *op)
 				}
 				updates++
 			case BatchLeave:
@@ -241,10 +251,13 @@ func (r *Registry) ApplyBatch(ops []BatchOp, res []BatchResult, sc *BatchScratch
 				sh.live--
 				sh.bump(r.met)
 				if j != nil {
-					j.Removed(op.ID)
+					sc.applied = append(sc.applied, *op)
 				}
 				removes++
 			}
+		}
+		if len(sc.applied) > 0 {
+			j.Mutations(sc.applied)
 		}
 		sh.mu.Unlock()
 	}

@@ -9,11 +9,15 @@ import "fmt"
 // on — is:
 //
 //   - Added/Updated/Removed are invoked while the mutated shard's lock
-//     is held, immediately after the mutation is applied. Calls for
-//     the same id therefore arrive in application order (same id ⇒
-//     same shard ⇒ same lock); calls for distinct ids may interleave
-//     arbitrarily across shards, which is harmless because mutations
-//     of distinct ids commute under the canonical seal reduction.
+//     is held, after the mutation is applied and before that lock is
+//     released. Calls for the same id therefore arrive in application
+//     order (same id ⇒ same shard ⇒ same lock); calls for distinct ids
+//     may interleave arbitrarily across shards, which is harmless
+//     because mutations of distinct ids commute under the canonical
+//     seal reduction. The serial Add/Update/Remove journal each
+//     mutation immediately; ApplyBatch journals a shard group's
+//     applied ops together, in op order, once the group is applied
+//     and still under the group's lock (see BatchJournal).
 //
 //   - Sealed is invoked while EVERY shard lock is held, after the
 //     population copy. It is therefore a barrier in the journal
@@ -49,6 +53,57 @@ type Journal interface {
 	Published(snap *Snapshot)
 }
 
+// BatchJournal is an optional Journal extension for ApplyBatch. A
+// journal that implements it receives each shard group's applied ops
+// in one Mutations call instead of one Added/Updated/Removed call per
+// op; a journal that does not keeps the per-op calls. The registry
+// resolves which path to take once, in New and AttachJournal.
+//
+// Mutations is invoked under the same guarantees as the per-op
+// methods: while the group's shard lock is held, after every op in
+// the group is applied, with ops in the batch's slice order (so
+// per-id application order holds) — it must record exactly what the
+// equivalent Added/Updated/Removed calls, made in that order, would.
+// Every op in the slice applied successfully: a BatchAdd carries its
+// assigned id in ID, and T is meaningless for a BatchLeave. The slice
+// is the registry's scratch, valid only during the call.
+type BatchJournal interface {
+	Journal
+	// Mutations records one shard group's applied ops, in op order.
+	Mutations(ops []BatchOp)
+}
+
+// perOpJournal adapts a Journal without Mutations to BatchJournal by
+// replaying each group through the per-op methods; every other call
+// goes straight to the wrapped Journal.
+type perOpJournal struct{ Journal }
+
+func (j perOpJournal) Mutations(ops []BatchOp) {
+	for i := range ops {
+		switch op := &ops[i]; op.Kind {
+		case BatchAdd:
+			j.Added(op.ID, op.T)
+		case BatchRebid:
+			j.Updated(op.ID, op.T)
+		case BatchLeave:
+			j.Removed(op.ID)
+		}
+	}
+}
+
+// batchJournal resolves j's batch path: j itself when it implements
+// BatchJournal, the per-op adapter otherwise, nil for no journal.
+func batchJournal(j Journal) BatchJournal {
+	switch bj := j.(type) {
+	case nil:
+		return nil
+	case BatchJournal:
+		return bj
+	default:
+		return perOpJournal{j}
+	}
+}
+
 // SealEvent is the journal's view of one epoch seal, captured at the
 // barrier point (all shard locks held, before any correction is
 // applied to the sealed copy).
@@ -82,7 +137,7 @@ func (r *Registry) AttachJournal(j Journal) {
 	for i := range r.shards {
 		r.shards[i].mu.Lock()
 	}
-	r.journal = j
+	r.journal = batchJournal(j)
 	for i := range r.shards {
 		r.shards[i].mu.Unlock()
 	}

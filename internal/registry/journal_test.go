@@ -3,6 +3,7 @@ package registry
 import (
 	"errors"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -118,15 +119,76 @@ func TestAttachJournalDetach(t *testing.T) {
 	j := newRecJournal()
 	r.AttachJournal(j)
 	id, _ := r.Add(2)
-	if j.adds[id] != 2 || len(j.adds) != 1 {
-		t.Fatalf("attached journal saw %v, want only id %d", j.adds, id)
+	batched := r.ApplyBatch([]BatchOp{{Kind: BatchAdd, T: 5}}, nil, nil)[0].ID
+	if j.adds[id] != 2 || j.adds[batched] != 5 || len(j.adds) != 2 {
+		t.Fatalf("attached journal saw %v, want only ids %d and %d", j.adds, id, batched)
 	}
 	r.AttachJournal(nil)
 	if _, err := r.Add(3); err != nil {
 		t.Fatal(err)
 	}
-	if len(j.adds) != 1 {
+	r.ApplyBatch([]BatchOp{{Kind: BatchAdd, T: 6}}, nil, nil)
+	if len(j.adds) != 2 {
 		t.Fatalf("detached journal still receiving mutations: %v", j.adds)
+	}
+}
+
+// recBatchJournal is a recJournal that also takes ApplyBatch's shard
+// groups through Mutations.
+type recBatchJournal struct {
+	*recJournal
+	groups [][]BatchOp
+}
+
+func (j *recBatchJournal) Mutations(ops []BatchOp) {
+	j.mu.Lock()
+	j.groups = append(j.groups, append([]BatchOp(nil), ops...))
+	j.mu.Unlock()
+}
+
+// TestApplyBatchJournalsShardGroups pins the BatchJournal path: a
+// journal with Mutations gets one call per touched shard, in
+// first-touch order, holding that shard's applied ops in slice order —
+// adds with their assigned ids, failed ops left out — and no per-op
+// calls, whether it came in through Config or AttachJournal.
+func TestApplyBatchJournalsShardGroups(t *testing.T) {
+	for _, attach := range []bool{false, true} {
+		j := &recBatchJournal{recJournal: newRecJournal()}
+		cfg := Config{Rate: 10, Shards: 4}
+		if !attach {
+			cfg.Journal = j
+		}
+		r, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if attach {
+			r.AttachJournal(j)
+		}
+		// Ids 0..3 land on shards 0..3.
+		r.ApplyBatch([]BatchOp{
+			{Kind: BatchAdd, T: 1},
+			{Kind: BatchAdd, T: 2},
+			{Kind: BatchAdd, T: -1}, // bad value
+			{Kind: BatchAdd, T: 3},
+			{Kind: BatchRebid, ID: 0, T: 4},
+			{Kind: BatchLeave, ID: 1},
+			{Kind: BatchRebid, ID: 9, T: 1}, // unknown id
+			{Kind: BatchAdd, T: 5},
+			{Kind: BatchLeave, ID: 0},
+		}, nil, nil)
+		want := [][]BatchOp{
+			{{Kind: BatchAdd, ID: 0, T: 1}, {Kind: BatchRebid, ID: 0, T: 4}, {Kind: BatchLeave, ID: 0}},
+			{{Kind: BatchAdd, ID: 1, T: 2}, {Kind: BatchLeave, ID: 1}},
+			{{Kind: BatchAdd, ID: 2, T: 3}},
+			{{Kind: BatchAdd, ID: 3, T: 5}},
+		}
+		if !reflect.DeepEqual(j.groups, want) {
+			t.Fatalf("attach=%v: Mutations groups %v, want %v", attach, j.groups, want)
+		}
+		if len(j.adds)+len(j.updates)+len(j.removes) != 0 {
+			t.Fatalf("attach=%v: batch ops also reached the per-op methods: %v %v %v", attach, j.adds, j.updates, j.removes)
+		}
 	}
 }
 

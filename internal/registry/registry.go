@@ -90,7 +90,9 @@ type Registry struct {
 	snap    atomic.Pointer[Snapshot]
 	sealMu  sync.Mutex
 	met     *obs.RegistryMetrics
-	journal Journal // read under a shard lock or sealMu; see AttachJournal
+	// journal is the configured Journal as resolved by batchJournal;
+	// read under a shard lock or sealMu, see AttachJournal.
+	journal BatchJournal
 }
 
 // shard is one lock stripe: a dense slot array of bids with a free
@@ -134,7 +136,7 @@ func New(cfg Config) (*Registry, error) {
 	for pow < n {
 		pow <<= 1
 	}
-	r := &Registry{shards: make([]shard, pow), mask: pow - 1, bits: shardBits(pow - 1), met: cfg.Metrics, journal: cfg.Journal}
+	r := &Registry{shards: make([]shard, pow), mask: pow - 1, bits: shardBits(pow - 1), met: cfg.Metrics, journal: batchJournal(cfg.Journal)}
 	r.rateBit.Store(math.Float64bits(cfg.Rate))
 	r.Seal()
 	return r, nil

@@ -2,30 +2,68 @@ package server
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"testing"
 
 	"repro/internal/lbclient"
 	"repro/internal/obs"
 	"repro/internal/registry"
+	"repro/internal/wal"
 	"repro/internal/wire"
 )
 
 // BenchmarkServeBatchDrain measures the server-side admission hot path
-// in isolation — decode-shaped bid ops pushed into the batcher and
-// drained through registry.ApplyBatch with responses encoded — per
-// bid op, no sockets. Must be 0 allocs/op.
+// in isolation — decode-shaped rebids of uniformly random agents pushed
+// into the batcher and drained through registry.ApplyBatch in windows
+// of 4096 with responses encoded — per bid op, no sockets. The
+// populations match the serving benchmark's rebid-hot (8k agents) and
+// seal-1m (1M agents, where every rebid misses cache) workloads, with
+// the registry at the default shard count either unjournaled or
+// journaling into a WAL writer (SyncNone, so no fsync sits in the
+// loop). Must be 0 allocs/op.
 func BenchmarkServeBatchDrain(b *testing.B) {
-	reg, err := registry.New(registry.Config{Rate: 1000, Shards: 64})
+	for _, pop := range []struct {
+		name   string
+		agents int
+	}{{"8k", 8 << 10}, {"1M", 1 << 20}} {
+		for _, journal := range []string{"none", "wal"} {
+			b.Run(fmt.Sprintf("agents=%s/journal=%s", pop.name, journal), func(b *testing.B) {
+				benchDrain(b, pop.agents, journal == "wal")
+			})
+		}
+	}
+}
+
+func benchDrain(b *testing.B, agents int, journaled bool) {
+	cfg := registry.Config{Rate: 1000}
+	var w *wal.Writer
+	if journaled {
+		var err error
+		if w, err = wal.Create(b.TempDir(), wal.Options{Sync: wal.SyncNone}); err != nil {
+			b.Fatal(err)
+		}
+		cfg.Journal = w
+	}
+	reg, err := registry.New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	met := obs.NewServerMetrics(obs.NewRegistry())
 	const window = 4096
-	ids := make([]int, window)
-	for i := range ids {
-		if ids[i], err = reg.Add(1 + float64(i%7)); err != nil {
-			b.Fatal(err)
-		}
+	ops := make([]registry.BatchOp, agents)
+	for i := range ops {
+		ops[i] = registry.BatchOp{Kind: registry.BatchAdd, T: 1 + float64(i%7)}
+	}
+	if res := reg.ApplyBatch(ops, nil, nil); len(res) != agents || res[agents-1].ID != agents-1 {
+		b.Fatalf("admitted %d agents, want %d", len(res), agents)
+	}
+	// A fixed random id sequence, long enough that the 1M-agent case
+	// keeps missing cache; generating it outside the loop keeps the RNG
+	// out of the measurement.
+	rng := rand.New(rand.NewPCG(1, 2))
+	seq := make([]uint32, 1<<20)
+	for i := range seq {
+		seq[i] = uint32(rng.IntN(agents))
 	}
 	var bt batcher
 	wbuf := make([]byte, 0, 1<<20)
@@ -40,13 +78,20 @@ func BenchmarkServeBatchDrain(b *testing.B) {
 		}
 		wbuf = wbuf[:0]
 		for i := 0; i < n; i++ {
-			q = wire.Request{Op: wire.OpRebid, Req: uint64(done + i + 1), ID: uint64(ids[i]), T: 1 + float64(done+i)/(1<<40)}
+			k := done + i
+			q = wire.Request{Op: wire.OpRebid, Req: uint64(k + 1), ID: uint64(seq[k&(len(seq)-1)]), T: 1 + float64(k)/(1<<40)}
 			bt.push(&q)
 		}
 		wbuf = bt.drain(reg, met, wbuf)
 		done += n
 	}
+	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/s")
+	if w != nil {
+		if err := w.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkServePipelined is the headline: sustained pipelined bid

@@ -17,9 +17,10 @@
 //   - Batched admission. Bid mutations (add/rebid/leave) decoded in a
 //     wakeup are not applied one at a time: they accumulate into a
 //     registry.ApplyBatch group that pays one shard-lock acquisition
-//     per touched shard and one metrics round-trip per batch. A
-//     non-bid request (seal, query, rate) forces a drain first, so
-//     per-connection effects always apply in request order.
+//     and one journal call per touched shard and one metrics
+//     round-trip per batch. A non-bid request (seal, query, rate)
+//     forces a drain first, so per-connection effects always apply in
+//     request order.
 //
 //   - Backpressure. A wakeup decodes at most Config.MaxInflight
 //     requests; anything beyond answers StatusOverloaded (a typed,

@@ -242,6 +242,14 @@ func TestRecoveryMatchesLiveHistory(t *testing.T) {
 	}
 }
 
+// workerOp is one applied mutation in a concurrent worker's log:
+// kind 'a' (add), 'u' (rebid) or 'r' (leave).
+type workerOp struct {
+	kind byte
+	id   int
+	t    float64
+}
+
 // TestConcurrentJournalRecovery hammers a journaled registry from
 // concurrent workers (with a sealer racing them), then recovers the
 // log at several shard counts: the recovered epoch must match the last
@@ -249,11 +257,6 @@ func TestRecoveryMatchesLiveHistory(t *testing.T) {
 // alloc.Stream replay of the merged worker logs. Run under -race this
 // is also the writer's race test.
 func TestConcurrentJournalRecovery(t *testing.T) {
-	type op struct {
-		kind byte
-		id   int
-		t    float64
-	}
 	dir := t.TempDir()
 	w, err := Create(dir, Options{Sync: SyncNone, SnapshotEvery: 4, SegmentBytes: 64 << 10})
 	if err != nil {
@@ -265,13 +268,13 @@ func TestConcurrentJournalRecovery(t *testing.T) {
 	}
 
 	const workers, opsPerWorker = 8, 1500
-	logs := make([][]op, workers)
+	logs := make([][]workerOp, workers)
 	done := make(chan int, workers)
 	for wk := 0; wk < workers; wk++ {
 		go func(wk int) {
 			rng := rand.New(rand.NewPCG(uint64(wk), 77))
 			var mine []int
-			log := make([]op, 0, opsPerWorker)
+			log := make([]workerOp, 0, opsPerWorker)
 			for i := 0; i < opsPerWorker; i++ {
 				p := rng.Float64()
 				switch {
@@ -283,7 +286,7 @@ func TestConcurrentJournalRecovery(t *testing.T) {
 						break
 					}
 					mine = append(mine, id)
-					log = append(log, op{'a', id, bid})
+					log = append(log, workerOp{'a', id, bid})
 				case p < 0.85:
 					id := mine[rng.IntN(len(mine))]
 					bid := 0.1 + 10*rng.Float64()
@@ -291,7 +294,7 @@ func TestConcurrentJournalRecovery(t *testing.T) {
 						t.Errorf("worker %d: %v", wk, err)
 						break
 					}
-					log = append(log, op{'u', id, bid})
+					log = append(log, workerOp{'u', id, bid})
 				default:
 					j := rng.IntN(len(mine))
 					id := mine[j]
@@ -301,7 +304,7 @@ func TestConcurrentJournalRecovery(t *testing.T) {
 					}
 					mine[j] = mine[len(mine)-1]
 					mine = mine[:len(mine)-1]
-					log = append(log, op{'r', id, 0})
+					log = append(log, workerOp{'r', id, 0})
 				}
 				if wk == 0 && i%250 == 249 {
 					r.Seal()
@@ -318,7 +321,15 @@ func TestConcurrentJournalRecovery(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
+	checkMergedRecovery(t, dir, 25, logs, final)
+}
 
+// checkMergedRecovery checks a concurrently written log against its
+// workers' logs: the last live seal must equal a serial alloc.Stream
+// replay of the merged logs, and recovery at shard counts {1,4,32}
+// must reproduce that seal bitwise.
+func checkMergedRecovery(t *testing.T, dir string, rate float64, logs [][]workerOp, final sealRec) {
+	t.Helper()
 	// Serial ground truth: per-id histories are total orders (each id
 	// is owned by one worker), so replaying id-by-id reproduces the
 	// final live set; the canonical S is order-independent beyond that.
@@ -330,13 +341,13 @@ func TestConcurrentJournalRecovery(t *testing.T) {
 			}
 		}
 	}
-	byID := make([][]op, maxID+1)
+	byID := make([][]workerOp, maxID+1)
 	for _, log := range logs {
 		for _, o := range log {
 			byID[o.id] = append(byID[o.id], o)
 		}
 	}
-	st, err := alloc.NewStream(25)
+	st, err := alloc.NewStream(rate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -704,7 +715,8 @@ func TestOpenTruncatesTornTail(t *testing.T) {
 	compareSnap(t, r3.Snapshot(), post)
 }
 
-// TestWALAppendAllocFree pins the zero-allocation append path.
+// TestWALAppendAllocFree pins the zero-allocation append path, per-op
+// and batched.
 func TestWALAppendAllocFree(t *testing.T) {
 	dir := t.TempDir()
 	w, err := Create(dir, Options{Sync: SyncNone})
@@ -712,12 +724,18 @@ func TestWALAppendAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
+	group := []registry.BatchOp{
+		{Kind: registry.BatchAdd, ID: 8, T: 1.5},
+		{Kind: registry.BatchRebid, ID: 8, T: 3},
+		{Kind: registry.BatchLeave, ID: 8},
+	}
 	w.Added(7, 1.25) // warm the buffer
 	avg := testing.AllocsPerRun(2000, func() {
 		w.Added(7, 1.25)
 		w.Updated(7, 2.5)
 		w.Removed(7)
 		w.RateChanged(3.5)
+		w.Mutations(group)
 	})
 	if avg != 0 {
 		t.Fatalf("append path allocates %.1f times per run, want 0", avg)

@@ -128,7 +128,9 @@ type pendingSnap struct {
 // mutation and seal into the append buffer under the caller's registry
 // locks (cheap: a bounds check, a CRC and a memcpy), group-commits
 // batches to segment files, and hands snapshot captures to a
-// background compactor. All methods are safe for concurrent use.
+// background compactor. It also implements registry.BatchJournal, so
+// ApplyBatch journals each shard group in one call. All methods are
+// safe for concurrent use.
 //
 // I/O errors are sticky: the first one latches, every later append
 // becomes a no-op, and Err/Close report it. A registry keeps serving
@@ -288,14 +290,59 @@ func (w *Writer) RateChanged(rate float64) {
 	w.mutation(kindRate, math.Float64bits(rate), 0, false)
 }
 
-// mutation encodes one fixed-size record: kind, a, and (when wide) b.
-// It allocates nothing in steady state; every 1024th append is timed
-// into the sampled latency histogram.
-func (w *Writer) mutation(kind byte, a, b uint64, wide bool) {
-	payload := 9
-	if wide {
-		payload = 17
+// Mutations implements registry.BatchJournal: it appends exactly the
+// records the ops' Added/Updated/Removed calls would, in op order and
+// at the same group-commit and rotation points, under one w.mu
+// acquisition and with one metrics update for the whole call.
+func (w *Writer) Mutations(ops []registry.BatchOp) {
+	w.mu.Lock()
+	if w.err != nil || w.closed {
+		w.mu.Unlock()
+		return
 	}
+	// Keep the per-op sampling cadence: one per-record latency sample
+	// (the call's duration over its record count) for every
+	// 1024-record boundary the call crosses.
+	prev := w.appends
+	w.appends += uint64(len(ops))
+	samples := w.appends>>10 - prev>>10
+	var t0 time.Time
+	if samples > 0 {
+		t0 = time.Now()
+	}
+	records, bytes := 0, 0
+	for i := range ops {
+		op := &ops[i]
+		switch op.Kind {
+		case registry.BatchAdd:
+			bytes += w.encodeMutation(kindAdd, uint64(op.ID), math.Float64bits(op.T), true)
+		case registry.BatchRebid:
+			bytes += w.encodeMutation(kindUpdate, uint64(op.ID), math.Float64bits(op.T), true)
+		case registry.BatchLeave:
+			bytes += w.encodeMutation(kindRemove, uint64(op.ID), 0, false)
+		default:
+			continue
+		}
+		records++
+		// A latched error ends the call where the per-op path would
+		// stop: after the record that raised it.
+		if w.err != nil {
+			break
+		}
+	}
+	w.mu.Unlock()
+	w.met.AppendedBatch(records, bytes)
+	if samples > 0 && records > 0 {
+		per := time.Since(t0).Seconds() / float64(records)
+		for ; samples > 0; samples-- {
+			w.met.AppendSampled(per)
+		}
+	}
+}
+
+// mutation appends one fixed-size record: kind, a, and (when wide) b.
+// Every 1024th append is timed into the sampled latency histogram.
+func (w *Writer) mutation(kind byte, a, b uint64, wide bool) {
 	w.mu.Lock()
 	if w.err != nil || w.closed {
 		w.mu.Unlock()
@@ -307,6 +354,23 @@ func (w *Writer) mutation(kind byte, a, b uint64, wide bool) {
 	if timed {
 		t0 = time.Now()
 	}
+	n := w.encodeMutation(kind, a, b, wide)
+	w.mu.Unlock()
+	w.met.AppendedBatch(1, n)
+	if timed {
+		w.met.AppendSampled(time.Since(t0).Seconds())
+	}
+}
+
+// encodeMutation encodes one fixed-size mutation record and
+// group-commits if the batch threshold is reached; it returns the
+// framed record size. Called with w.mu held; allocation-free in
+// steady state.
+func (w *Writer) encodeMutation(kind byte, a, b uint64, wide bool) int {
+	payload := 9
+	if wide {
+		payload = 17
+	}
 	start := w.beginRecord(payload)
 	w.buf = append(w.buf, kind)
 	w.buf = binary.LittleEndian.AppendUint64(w.buf, a)
@@ -315,11 +379,7 @@ func (w *Writer) mutation(kind byte, a, b uint64, wide bool) {
 	}
 	w.endRecord(start)
 	w.maybeFlush()
-	w.mu.Unlock()
-	w.met.Appended(frameLen + payload)
-	if timed {
-		w.met.AppendSampled(time.Since(t0).Seconds())
-	}
+	return frameLen + payload
 }
 
 // Sealed implements registry.Journal. It runs under every registry
@@ -375,7 +435,7 @@ func (w *Writer) Sealed(ev registry.SealEvent) {
 		}
 	}
 	w.endRecord(start)
-	w.met.Appended(frameLen + payload)
+	w.met.AppendedBatch(1, frameLen+payload)
 
 	if w.opts.SnapshotEvery > 0 {
 		w.sealsSince++
