@@ -26,7 +26,9 @@ race:
 # Differential payment tests (fast O(n) engine vs the O(n^2) naive
 # reference) under the race detector, plus the allocation guards, which
 # need a non-race run because AllocsPerRun counts differ under the
-# instrumented allocator.
+# instrumented allocator. The registry lines also pin the shard layout:
+# the batched-vs-serial and removed-id churn differentials, the
+# partial-sum rebuild cadence, and the 16-byte record size guard.
 difftest:
 	$(GO) test -race -run 'TestFast|TestFallback|TestEngine' -count=1 ./internal/mech
 	$(GO) test -run 'TestCompensationBonusAllocsO1|TestEngineSteadyStateZeroAllocs' -count=1 ./internal/mech
@@ -36,8 +38,8 @@ difftest:
 	$(GO) test -race -run 'TestForEachBlockSubstreamWorkerInvariance' -count=1 ./internal/parallel
 	$(GO) test -run 'TestSwarmRoundAllocFree|TestSwarmChurnSteadyStateAllocFree' -count=1 ./internal/swarm
 	$(GO) test -run 'TestSplitIntoAllocFree' -count=1 ./internal/numeric
-	$(GO) test -race -run 'TestApplyBatchDifferential|TestApplyBatchIntraBatchDependency' -count=1 ./internal/registry
-	$(GO) test -run 'TestApplyBatchAllocFree' -count=1 ./internal/registry
+	$(GO) test -race -run 'TestApplyBatchDifferential|TestApplyBatchIntraBatchDependency|TestPartialRebuildCadence|TestRemovedIDChurnDifferential' -count=1 ./internal/registry
+	$(GO) test -run 'TestApplyBatchAllocFree|TestRecordLayout' -count=1 ./internal/registry
 	$(GO) test -run 'TestBatchDrainAllocFree|TestWireEncodeAllocFree|TestWireDecodeAllocFree' -count=1 ./internal/server ./internal/wire
 
 # Durable-registry gate: the WAL differential suite under -race

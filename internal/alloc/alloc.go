@@ -44,9 +44,21 @@ func checkRate(rate float64) error {
 	return nil
 }
 
-// checkT validates a latency parameter: finite and positive.
+// ValidT reports whether t is an admissible linear latency parameter
+// (a bid): positive, with a positive finite reciprocal. Besides zero,
+// negatives and NaN that rules out +Inf (whose 1/t is 0) and the
+// subnormals below 1/MaxFloat64 (whose 1/t overflows to +Inf and
+// would turn every aggregate S = Σ 1/t they enter into Inf, and S
+// minus their term into NaN). It is the one bid predicate shared by
+// the allocators, Stream and the concurrent registry.
+func ValidT(t float64) bool {
+	inv := 1 / t
+	return t > 0 && inv > 0 && inv <= math.MaxFloat64
+}
+
+// checkT validates a latency parameter with ValidT.
 func checkT(i int, t float64) error {
-	if t <= 0 || math.IsNaN(t) || math.IsInf(t, 0) {
+	if !ValidT(t) {
 		return &ValueError{Field: fmt.Sprintf("t[%d]", i), Value: t}
 	}
 	return nil
@@ -59,7 +71,7 @@ func checkT(i int, t float64) error {
 //	x_i = (1/t_i) / sum_j (1/t_j) * rate.
 //
 // It returns a *ValueError if the rate is negative or non-finite or
-// any t_i is non-positive or non-finite.
+// ValidT rejects any t_i.
 func Proportional(ts []float64, rate float64) ([]float64, error) {
 	if err := checkRate(rate); err != nil {
 		return nil, err

@@ -70,6 +70,27 @@ func TestProportionalErrors(t *testing.T) {
 	if _, err := Proportional([]float64{math.NaN()}, 1); err == nil {
 		t.Error("expected error for NaN t")
 	}
+	if _, err := Proportional([]float64{1, 1e-310}, 1); err == nil {
+		t.Error("expected error for subnormal t (1/t overflows)")
+	}
+}
+
+// TestValidT pins the shared bid predicate: positive with a positive
+// finite reciprocal, so subnormals whose 1/t overflows are rejected
+// alongside zero, negatives, NaN and infinities.
+func TestValidT(t *testing.T) {
+	for _, ok := range []float64{1, 0.5, 1e300, math.MaxFloat64, 0x1p-1022} {
+		if !ValidT(ok) {
+			t.Errorf("ValidT(%g) = false, want true", ok)
+		}
+	}
+	bad := []float64{0, math.Copysign(0, -1), -1, math.NaN(), math.Inf(1), math.Inf(-1),
+		1e-310, 1 / math.MaxFloat64, math.SmallestNonzeroFloat64}
+	for _, b := range bad {
+		if ValidT(b) {
+			t.Errorf("ValidT(%g) = true, want false", b)
+		}
+	}
 }
 
 // Regression: a NaN or Inf arrival rate passed every `rate < 0` guard

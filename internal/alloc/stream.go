@@ -63,10 +63,10 @@ func (st *Stream) Reset(rate float64) error {
 }
 
 // Add registers a computer with latency parameter t and returns its
-// id. A non-positive or non-finite t is a *ValueError, the same
-// contract as Proportional.
+// id. A t that ValidT rejects is a *ValueError, the same contract as
+// Proportional.
 func (st *Stream) Add(t float64) (int, error) {
-	if t <= 0 || math.IsNaN(t) || math.IsInf(t, 0) {
+	if !ValidT(t) {
 		return 0, &ValueError{Field: "t", Value: t}
 	}
 	id := st.nextID
@@ -89,14 +89,14 @@ func (st *Stream) Remove(id int) error {
 	return nil
 }
 
-// Update changes a computer's latency parameter. A non-positive or
-// non-finite t is a *ValueError, the same contract as Proportional.
+// Update changes a computer's latency parameter. A t that ValidT
+// rejects is a *ValueError, the same contract as Proportional.
 func (st *Stream) Update(id int, t float64) error {
 	old, ok := st.values[id]
 	if !ok {
 		return fmt.Errorf("alloc: unknown computer id %d", id)
 	}
-	if t <= 0 || math.IsNaN(t) || math.IsInf(t, 0) {
+	if !ValidT(t) {
 		return &ValueError{Field: "t", Value: t}
 	}
 	st.values[id] = t

@@ -1,6 +1,7 @@
 package alloc
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -157,6 +158,12 @@ func TestStreamEdgeCases(t *testing.T) {
 	if _, err := st.Add(0); err == nil {
 		t.Error("expected error for t=0")
 	}
+	// A subnormal bid is positive and finite but 1/t is +Inf; admitting
+	// it would make every later Sealed S Inf or NaN.
+	var ve *ValueError
+	if _, err := st.Add(1e-310); !errors.As(err, &ve) {
+		t.Errorf("Add(1e-310) = %v, want *ValueError", err)
+	}
 	if err := st.Remove(99); err == nil {
 		t.Error("expected error for unknown id")
 	}
@@ -193,6 +200,9 @@ func TestStreamEdgeCases(t *testing.T) {
 	}
 	if !math.IsInf(lExcl, 1) {
 		t.Errorf("single-computer exclusion = %v, want +Inf", lExcl)
+	}
+	if err := st.Update(id, 1e-310); !errors.As(err, &ve) {
+		t.Errorf("Update(1e-310) = %v, want *ValueError", err)
 	}
 	if err := st.Update(id, 4); err != nil {
 		t.Fatal(err)

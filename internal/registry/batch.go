@@ -1,6 +1,6 @@
 package registry
 
-import "math"
+import "repro/internal/alloc"
 
 // Batched mutation. A networked front end that decodes thousands of
 // bid ops per wakeup would pay one lock acquisition, one metrics
@@ -57,7 +57,7 @@ type BatchCode uint8
 const (
 	// BatchOK: the op applied.
 	BatchOK BatchCode = 0
-	// BatchBadValue: the bid was non-positive or non-finite (the
+	// BatchBadValue: alloc.ValidT rejected the bid (the
 	// *alloc.ValueError condition of Add/Update).
 	BatchBadValue BatchCode = 1
 	// BatchUnknownID: the id was never assigned or is no longer live.
@@ -131,14 +131,14 @@ func (r *Registry) ApplyBatch(ops []BatchOp, res []BatchResult, sc *BatchScratch
 		rr := BatchResult{ID: op.ID}
 		switch op.Kind {
 		case BatchAdd:
-			if !(op.T > 0) || math.IsInf(op.T, 0) {
+			if !alloc.ValidT(op.T) {
 				rr.Code = BatchBadValue
 				res = append(res, rr)
 				continue
 			}
 			rr.ID = int(r.nextID.Add(1) - 1)
 		case BatchRebid:
-			if !(op.T > 0) || math.IsInf(op.T, 0) {
+			if !alloc.ValidT(op.T) {
 				rr.Code = BatchBadValue
 				res = append(res, rr)
 				continue
@@ -173,8 +173,8 @@ func (r *Registry) ApplyBatch(ops []BatchOp, res []BatchResult, sc *BatchScratch
 	out := res[len(base):]
 
 	// Pass 2: per touched shard, lock once and apply that shard's ops
-	// in op order. The bodies mirror Add/Update/Remove exactly —
-	// including the coalesced-rebid stamp protocol — minus the per-op
+	// in op order through the same shard mutators as Add/Update/Remove
+	// — including the coalesced-rebid stamp protocol — minus the per-op
 	// lock, metrics and error traffic. With a journal attached, the
 	// applied ops collect in sc.applied and are journaled in one call
 	// before the shard lock is released.
@@ -183,73 +183,40 @@ func (r *Registry) ApplyBatch(ops []BatchOp, res []BatchResult, sc *BatchScratch
 		sh := &r.shards[s]
 		sh.mu.Lock()
 		j := r.journal
+		// The epoch counter only advances with every shard lock held,
+		// so it is constant for the whole group.
+		now := r.epoch.Load()
 		sc.applied = sc.applied[:0]
 		for i := sc.head[s]; i >= 0; i = sc.next[i] {
 			op := &ops[i]
 			rr := &out[i]
 			switch op.Kind {
 			case BatchAdd:
-				id := rr.ID
-				local := id >> r.bits
-				v := 1 / op.T
-				for len(sh.slotOf) <= local {
-					sh.slotOf = append(sh.slotOf, -1)
-				}
-				var slot int32
-				if n := len(sh.free); n > 0 {
-					slot = sh.free[n-1]
-					sh.free = sh.free[:n-1]
-					sh.ts[slot] = op.T
-					sh.inv[slot] = v
-					sh.stamp[slot] = r.epoch.Load()
-				} else {
-					slot = int32(len(sh.ts))
-					sh.ts = append(sh.ts, op.T)
-					sh.inv = append(sh.inv, v)
-					sh.stamp = append(sh.stamp, r.epoch.Load())
-				}
-				sh.slotOf[local] = slot
-				sh.padd(v)
-				sh.live++
-				sh.bump(r.met)
+				sh.add(rr.ID>>r.bits, op.T, now, r.met)
 				if j != nil {
-					sc.applied = append(sc.applied, BatchOp{Kind: BatchAdd, ID: id, T: op.T})
+					sc.applied = append(sc.applied, BatchOp{Kind: BatchAdd, ID: rr.ID, T: op.T})
 				}
 				adds++
 			case BatchRebid:
-				slot := sh.slot(op.ID >> r.bits)
-				if slot < 0 {
+				rc := sh.get(op.ID >> r.bits)
+				if rc == nil {
 					rr.Code = BatchUnknownID
 					continue
 				}
-				v := 1 / op.T
-				now := r.epoch.Load()
-				if sh.stamp[slot] == now {
+				if sh.rebid(rc, op.T, now, r.met) {
 					coalesced++
 				}
-				sh.stamp[slot] = now
-				sh.padd(v)
-				sh.padd(-sh.inv[slot])
-				sh.ts[slot] = op.T
-				sh.inv[slot] = v
-				sh.bump(r.met)
 				if j != nil {
 					sc.applied = append(sc.applied, *op)
 				}
 				updates++
 			case BatchLeave:
-				slot := sh.slot(op.ID >> r.bits)
-				if slot < 0 {
+				rc := sh.get(op.ID >> r.bits)
+				if rc == nil {
 					rr.Code = BatchUnknownID
 					continue
 				}
-				sh.padd(-sh.inv[slot])
-				sh.slotOf[op.ID>>r.bits] = -1
-				sh.ts[slot] = 0
-				sh.inv[slot] = 0
-				sh.free = append(sh.free, slot)
-				sh.live--
-				sh.bump(r.met)
+				sh.remove(rc, r.met)
 				if j != nil {
 					sc.applied = append(sc.applied, *op)
 				}

@@ -408,10 +408,10 @@ func TestCorrectedSealMatchesSerialReplayExactly(t *testing.T) {
 }
 
 // TestRemovedIDsAreNeverReused pins the no-id-reuse contract the
-// health controller's eject path depends on: removing an agent frees
-// its slot but never its id, so a corrected epoch that drops id k can
-// never accidentally drop a later joiner, even when the later Add
-// recycles the same dense slot.
+// health controller's eject path depends on: removing an agent retires
+// its id for good, so a corrected epoch that drops id k can never
+// accidentally drop a later joiner, however much the population
+// churns.
 func TestRemovedIDsAreNeverReused(t *testing.T) {
 	r, err := New(Config{Rate: 10, Shards: 2})
 	if err != nil {
@@ -428,7 +428,7 @@ func TestRemovedIDsAreNeverReused(t *testing.T) {
 			t.Fatalf("id %d assigned twice", id)
 		}
 		seen[id] = true
-		if i%2 == 1 { // free every other slot to force slot recycling
+		if i%2 == 1 { // remove every other agent as soon as it joins
 			if err := r.Remove(id); err != nil {
 				t.Fatal(err)
 			}

@@ -147,8 +147,8 @@ func (r *Registry) AttachJournal(j Journal) {
 // RestoreAgent installs a live agent at an explicit id — the crash-
 // recovery replay path for journaled add records, which carry the ids
 // the original registry assigned. It raises the id counter past id, so
-// ids stay monotone and never recycled across restarts. A non-positive
-// or non-finite t is a *alloc.ValueError; restoring an id that is
+// ids stay monotone and never recycled across restarts. A t that
+// alloc.ValidT rejects is a *alloc.ValueError; restoring an id that is
 // already live is an error. Restore must finish before a Journal is
 // attached and concurrent traffic starts.
 func (r *Registry) RestoreAgent(id int, t float64) error {
@@ -169,33 +169,13 @@ func (r *Registry) RestoreAgent(id int, t float64) error {
 	}
 	sh := &r.shards[id&r.mask]
 	local := id >> r.bits
-	v := 1 / t
 
 	sh.mu.Lock()
-	for len(sh.slotOf) <= local {
-		sh.slotOf = append(sh.slotOf, -1)
-	}
-	if sh.slotOf[local] >= 0 {
+	if sh.get(local) != nil {
 		sh.mu.Unlock()
 		return fmt.Errorf("registry: restore of already-live id %d", id)
 	}
-	var slot int32
-	if n := len(sh.free); n > 0 {
-		slot = sh.free[n-1]
-		sh.free = sh.free[:n-1]
-		sh.ts[slot] = t
-		sh.inv[slot] = v
-		sh.stamp[slot] = r.epoch.Load()
-	} else {
-		slot = int32(len(sh.ts))
-		sh.ts = append(sh.ts, t)
-		sh.inv = append(sh.inv, v)
-		sh.stamp = append(sh.stamp, r.epoch.Load())
-	}
-	sh.slotOf[local] = slot
-	sh.padd(v)
-	sh.live++
-	sh.bump(r.met)
+	sh.add(local, t, r.epoch.Load(), r.met)
 	sh.mu.Unlock()
 	return nil
 }

@@ -7,12 +7,16 @@
 // across cores:
 //
 //   - Writes are lock-striped. Agents live in power-of-two many
-//     shards (shard = id mod nShards); each shard keeps a dense slot
-//     array of bids with a free list — id-to-slot resolution is two
-//     array reads, no map on the hot path — plus a compensated
-//     partial sum of 1/b_i maintained as a delta on every mutation
-//     and periodically rebuilt per shard to cancel drift. Concurrent
-//     mutations contend only when they hash to the same shard.
+//     shards (shard = id mod nShards); each shard keeps one record
+//     per local id (id / nShards) holding the bid and its write stamp,
+//     16 bytes, so a mutation touches one cache line of shard state and
+//     resolves the id with one array index, no map and no slot
+//     indirection. Each shard also keeps a compensated partial sum of
+//     1/b_i, maintained as a delta on every mutation and rebuilt from
+//     the records once per max(4096, records) mutations to cancel
+//     drift, which is O(1) amortized per mutation at any population.
+//     Concurrent mutations contend only when they hash to the same
+//     shard.
 //
 //   - Reads are lock-free. Seal freezes the current population into
 //     an immutable Snapshot — {S, R, epoch} plus the id-indexed bid
@@ -33,9 +37,11 @@
 // alloc.Stream. The differential tests pin this down.
 //
 // Ids are assigned by a global monotonic counter and never recycled,
-// matching alloc.Stream; the id-indexed structures therefore grow
-// with the total number of agents ever admitted (4-16 bytes per id),
-// which a long-lived coordinator bounds by recreating the registry at
+// matching alloc.Stream, so the shard records are indexed by every id
+// ever issued: 16 bytes per id, live or departed, on top of the 16
+// bytes per id each seal allocates for the snapshot's bid and inverse
+// arrays. A departed id keeps its record, so a long-lived coordinator
+// under heavy churn bounds the footprint by recreating the registry at
 // natural epochs (e.g. a mechanism round boundary).
 package registry
 
@@ -58,8 +64,10 @@ import (
 const DefaultShards = 32
 
 // rebuildEvery bounds the drift of a shard's running partial sum:
-// after this many mutations the partial is recomputed from the live
-// slots with compensated summation, mirroring alloc.Stream.
+// after max(rebuildEvery, len(recs)) mutations the partial is
+// recomputed from the live records with compensated summation. The
+// floor mirrors alloc.Stream; scaling the period with the records
+// keeps the rebuild scan O(1) amortized per mutation.
 const rebuildEvery = 4096
 
 // Config configures a Registry.
@@ -95,31 +103,35 @@ type Registry struct {
 	journal BatchJournal
 }
 
-// shard is one lock stripe: a dense slot array of bids with a free
-// list, an id-to-slot index, and the shard's compensated running
-// partial of Σ 1/b over its live slots.
+// rec is one id's state in its shard, 16 bytes, four to a cache line.
+// t is the bid, 0 when the id is absent (a live bid is always > 0 with
+// a finite 1/t, see checkT). stamp is the epoch counter at the last
+// write, for coalesced-rebid accounting. The inverse is not stored:
+// every reader computes 1/t, which is bitwise the value a stored
+// inverse would hold.
+type rec struct {
+	t     float64
+	stamp uint64
+}
+
+// shard is one lock stripe: the records of the ids it owns and the
+// shard's compensated running partial of Σ 1/t over its live records.
 type shard struct {
 	mu sync.Mutex
 
-	// slotOf maps the local id (id / nShards) to its slot, -1 when
-	// absent. Walking it in index order visits the shard's live ids
-	// in ascending global-id order.
-	slotOf []int32
-	// Dense slot arrays; a free slot has inv == 0 (a live bid always
-	// has inv > 0). stamp records the epoch counter at the slot's
-	// last write, for coalesced-rebid accounting.
-	ts    []float64
-	inv   []float64
-	stamp []uint64
-	free  []int32
+	// recs is indexed by local id (id >> bits), so walking it in index
+	// order visits the shard's live ids in ascending global-id order.
+	recs []rec
 
-	// Neumaier running partial of inv over live slots, maintained as
-	// a delta per mutation and rebuilt every rebuildEvery mutations.
+	// Neumaier running partial of 1/t over live records, maintained as
+	// a delta per mutation and rebuilt by bump.
 	psum, pcomp float64
 	muts        int
 	live        int
 
-	_ [32]byte // keep hot shard fields off shared cache lines
+	// The fields above fill 64 bytes; padding to 128 keeps one shard's
+	// hot line off its neighbours' lines at any slice alignment.
+	_ [64]byte
 }
 
 // New returns an empty registry. The zero-agent state is sealed
@@ -166,8 +178,8 @@ func (r *Registry) SetRate(rate float64) error {
 	return nil
 }
 
-// Add registers an agent bidding t and returns its id. A non-positive
-// or non-finite t is a *alloc.ValueError, the same contract as
+// Add registers an agent bidding t and returns its id. A t that
+// alloc.ValidT rejects is a *alloc.ValueError, the same contract as
 // alloc.Stream.Add. Ids are globally monotone: an Add never reuses
 // the id of a removed agent.
 func (r *Registry) Add(t float64) (int, error) {
@@ -176,30 +188,9 @@ func (r *Registry) Add(t float64) (int, error) {
 	}
 	id := int(r.nextID.Add(1) - 1)
 	sh := &r.shards[id&r.mask]
-	local := id >> r.bits
-	v := 1 / t
 
 	sh.mu.Lock()
-	for len(sh.slotOf) <= local {
-		sh.slotOf = append(sh.slotOf, -1)
-	}
-	var slot int32
-	if n := len(sh.free); n > 0 {
-		slot = sh.free[n-1]
-		sh.free = sh.free[:n-1]
-		sh.ts[slot] = t
-		sh.inv[slot] = v
-		sh.stamp[slot] = r.epoch.Load()
-	} else {
-		slot = int32(len(sh.ts))
-		sh.ts = append(sh.ts, t)
-		sh.inv = append(sh.inv, v)
-		sh.stamp = append(sh.stamp, r.epoch.Load())
-	}
-	sh.slotOf[local] = slot
-	sh.padd(v)
-	sh.live++
-	sh.bump(r.met)
+	sh.add(id>>r.bits, t, r.epoch.Load(), r.met)
 	if j := r.journal; j != nil {
 		j.Added(id, t)
 	}
@@ -216,18 +207,12 @@ func (r *Registry) Remove(id int) error {
 		return err
 	}
 	sh.mu.Lock()
-	slot := sh.slot(local)
-	if slot < 0 {
+	rc := sh.get(local)
+	if rc == nil {
 		sh.mu.Unlock()
 		return unknownID(id)
 	}
-	sh.padd(-sh.inv[slot])
-	sh.slotOf[local] = -1
-	sh.ts[slot] = 0
-	sh.inv[slot] = 0
-	sh.free = append(sh.free, slot)
-	sh.live--
-	sh.bump(r.met)
+	sh.remove(rc, r.met)
 	if j := r.journal; j != nil {
 		j.Removed(id)
 	}
@@ -237,7 +222,7 @@ func (r *Registry) Remove(id int) error {
 	return nil
 }
 
-// Update changes an agent's bid. A non-positive or non-finite t is a
+// Update changes an agent's bid. A t that alloc.ValidT rejects is a
 // *alloc.ValueError, the same contract as alloc.Stream.Update.
 func (r *Registry) Update(id int, t float64) error {
 	if err := checkT(t); err != nil {
@@ -247,26 +232,13 @@ func (r *Registry) Update(id int, t float64) error {
 	if err != nil {
 		return err
 	}
-	v := 1 / t
-
 	sh.mu.Lock()
-	slot := sh.slot(local)
-	if slot < 0 {
+	rc := sh.get(local)
+	if rc == nil {
 		sh.mu.Unlock()
 		return unknownID(id)
 	}
-	// A rebid whose predecessor was written after the last seal
-	// overwrites a value no epoch ever observed: the epoch protocol
-	// coalesced the two updates into one from every reader's point of
-	// view.
-	now := r.epoch.Load()
-	coalesced := sh.stamp[slot] == now
-	sh.stamp[slot] = now
-	sh.padd(v)
-	sh.padd(-sh.inv[slot])
-	sh.ts[slot] = t
-	sh.inv[slot] = v
-	sh.bump(r.met)
+	coalesced := sh.rebid(rc, t, r.epoch.Load(), r.met)
 	if j := r.journal; j != nil {
 		j.Updated(id, t)
 	}
@@ -285,11 +257,11 @@ func (r *Registry) Value(id int) (float64, bool) {
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	slot := sh.slot(local)
-	if slot < 0 {
+	rc := sh.get(local)
+	if rc == nil {
 		return 0, false
 	}
-	return sh.ts[slot], true
+	return rc.t, true
 }
 
 // Live returns the current live agent count (summing shard counters
@@ -409,13 +381,13 @@ func (r *Registry) SealCorrected(c *Correction) (*Snapshot, error) {
 	// plain loop.
 	parallel.ForEach(nShards, 0, func(k int) {
 		sh := &r.shards[k]
-		for local, slot := range sh.slotOf {
-			if slot < 0 {
+		for local, rc := range sh.recs {
+			if rc.t == 0 {
 				continue
 			}
 			id := local<<bits | k
-			t[id] = sh.ts[slot]
-			inv[id] = sh.inv[slot]
+			t[id] = rc.t
+			inv[id] = 1 / rc.t
 		}
 	})
 	for i := range r.shards {
@@ -489,13 +461,47 @@ func (r *Registry) locate(id int) (*shard, int, error) {
 	return &r.shards[id&r.mask], id >> r.bits, nil
 }
 
-// slot returns the local id's slot, or -1 when absent (including
-// local ids beyond the shard's index).
-func (sh *shard) slot(local int) int32 {
-	if local >= len(sh.slotOf) {
-		return -1
+// get returns the local id's record when the id is live, nil
+// otherwise (including local ids beyond the shard's records).
+func (sh *shard) get(local int) *rec {
+	if local < len(sh.recs) && sh.recs[local].t != 0 {
+		return &sh.recs[local]
 	}
-	return sh.slotOf[local]
+	return nil
+}
+
+// add installs a live bid t at the absent local id, growing the
+// records to reach it; stamp is the current epoch counter. Called with
+// the shard lock held, like every mutator below.
+func (sh *shard) add(local int, t float64, stamp uint64, met *obs.RegistryMetrics) {
+	if local >= len(sh.recs) {
+		sh.recs = append(sh.recs, make([]rec, local+1-len(sh.recs))...)
+	}
+	sh.recs[local] = rec{t: t, stamp: stamp}
+	sh.padd(1 / t)
+	sh.live++
+	sh.bump(met)
+}
+
+// rebid replaces live record rc's bid with t at epoch counter now. It
+// reports whether the rebid coalesced: a predecessor written after the
+// last seal is a value no epoch ever observed, so from every reader's
+// point of view the two updates were one.
+func (sh *shard) rebid(rc *rec, t float64, now uint64, met *obs.RegistryMetrics) bool {
+	coalesced := rc.stamp == now
+	sh.padd(1 / t)
+	sh.padd(-1 / rc.t)
+	*rc = rec{t: t, stamp: now}
+	sh.bump(met)
+	return coalesced
+}
+
+// remove retires live record rc.
+func (sh *shard) remove(rc *rec, met *obs.RegistryMetrics) {
+	sh.padd(-1 / rc.t)
+	*rc = rec{}
+	sh.live--
+	sh.bump(met)
 }
 
 // padd accumulates v into the shard's Neumaier partial.
@@ -510,18 +516,23 @@ func (sh *shard) padd(v float64) {
 }
 
 // bump counts a mutation and rebuilds the running partial from the
-// live slots when the drift budget is spent. Called with the shard
-// lock held.
+// live records once max(rebuildEvery, len(recs)) mutations have spent
+// the drift budget: the rebuild scans len(recs) records, so scaling
+// the period with them keeps its cost O(1) amortized per mutation.
 func (sh *shard) bump(met *obs.RegistryMetrics) {
 	sh.muts++
-	if sh.muts < rebuildEvery {
-		return
+	if sh.muts >= max(rebuildEvery, len(sh.recs)) {
+		sh.rebuild(met)
 	}
+}
+
+// rebuild recomputes the running partial from the live records.
+func (sh *shard) rebuild(met *obs.RegistryMetrics) {
 	sh.muts = 0
 	var k numeric.KahanSum
-	for _, v := range sh.inv {
-		if v != 0 {
-			k.Add(v)
+	for _, rc := range sh.recs {
+		if rc.t != 0 {
+			k.Add(1 / rc.t)
 		}
 	}
 	sh.psum, sh.pcomp = k.Value(), 0
@@ -548,9 +559,9 @@ func unknownID(id int) error {
 	return fmt.Errorf("registry: unknown agent id %d", id)
 }
 
-// checkT validates a bid with alloc.Stream's contract.
+// checkT validates a bid with alloc.Stream's contract (alloc.ValidT).
 func checkT(t float64) error {
-	if t <= 0 || math.IsNaN(t) || math.IsInf(t, 0) {
+	if !alloc.ValidT(t) {
 		return &alloc.ValueError{Field: "t", Value: t}
 	}
 	return nil

@@ -95,14 +95,36 @@ func TestRegistryErrorsMatchStreamContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ve *alloc.ValueError
-	for _, bad := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+	// 1e-310 is subnormal: positive and finite, but 1/t is +Inf, which
+	// would NaN-poison every later seal's S.
+	bads := []float64{0, -1, math.NaN(), math.Inf(1), 1e-310, math.SmallestNonzeroFloat64}
+	for _, bad := range bads {
 		if _, err := r.Add(bad); !errors.As(err, &ve) {
 			t.Errorf("Add(%g) error = %v, want *alloc.ValueError", bad, err)
 		}
 	}
 	id := mustAdd(t, r, 2)
-	if err := r.Update(id, math.NaN()); !errors.As(err, &ve) {
-		t.Errorf("Update NaN error = %v, want *alloc.ValueError", err)
+	for _, bad := range bads {
+		if err := r.Update(id, bad); !errors.As(err, &ve) {
+			t.Errorf("Update(%g) error = %v, want *alloc.ValueError", bad, err)
+		}
+		if err := r.RestoreAgent(id+1, bad); !errors.As(err, &ve) {
+			t.Errorf("RestoreAgent(%g) error = %v, want *alloc.ValueError", bad, err)
+		}
+		res := r.ApplyBatch([]BatchOp{{Kind: BatchAdd, T: bad}, {Kind: BatchRebid, ID: id, T: bad}}, nil, nil)
+		if res[0].Code != BatchBadValue || res[1].Code != BatchBadValue {
+			t.Errorf("ApplyBatch add/rebid of %g = %v/%v, want BatchBadValue", bad, res[0].Code, res[1].Code)
+		}
+	}
+	// The smallest normal float has a finite reciprocal: admissible.
+	if err := r.Update(id, 0x1p-1022); err != nil {
+		t.Errorf("Update(0x1p-1022) = %v, want nil", err)
+	}
+	if s := r.Seal().Sum(); math.IsNaN(s) || math.IsInf(s, 0) {
+		t.Errorf("sealed S = %v after rejected bids, want finite", s)
+	}
+	if err := r.Update(id, 2); err != nil {
+		t.Fatal(err)
 	}
 	if err := r.Update(id+7, 1); err == nil {
 		t.Error("Update of unassigned id succeeded")

@@ -54,6 +54,12 @@ const (
 	DefaultWriteBuf    = 256 << 10
 )
 
+// drainIdle is how long a draining connection's read may find the
+// socket empty before the connection counts as idle and closes. It only
+// has to outlast scheduling jitter: requests a client flushed before
+// the drain are already in the kernel's receive buffer.
+const drainIdle = 100 * time.Millisecond
+
 // Config configures a Server.
 type Config struct {
 	// Registry is the bid registry served; required.
@@ -83,6 +89,7 @@ type Server struct {
 	cfg      Config
 	sealGen  atomic.Uint64 // bumped on every sealed epoch; drives OpSealNotify
 	draining atomic.Bool
+	drainBy  atomic.Int64 // grace deadline (Unix ns), set before draining
 
 	mu    sync.Mutex
 	ln    net.Listener
@@ -199,9 +206,10 @@ func (s *Server) seal() *registry.Snapshot {
 
 // Shutdown stops accepting, then gives every open connection up to
 // grace to finish its in-flight requests: a connection that goes idle
-// (or whose client closes) within the grace exits after flushing all
-// pending responses. Connections still active when the grace expires
-// are cut off. Shutdown returns once every handler has exited.
+// (a read finds nothing for drainIdle) or whose client closes within
+// the grace exits after answering everything it read. Connections
+// still active when the grace expires are cut off. Shutdown returns
+// once every handler has exited.
 func (s *Server) Shutdown(grace time.Duration) error {
 	s.beginDrain(time.Now().Add(grace))
 	s.wg.Wait()
@@ -219,18 +227,31 @@ func (s *Server) Kill() {
 	s.stopSealer()
 }
 
-// beginDrain closes the listener and applies deadline to every open
-// connection.
+// beginDrain closes the listener, makes deadline every open
+// connection's write deadline and arms each one's next read to detect
+// idleness (see drainReadDeadline).
 func (s *Server) beginDrain(deadline time.Time) {
+	s.drainBy.Store(deadline.UnixNano())
 	s.draining.Store(true)
 	s.mu.Lock()
 	if s.ln != nil {
 		s.ln.Close()
 	}
 	for conn := range s.conns {
-		conn.SetDeadline(deadline)
+		conn.SetWriteDeadline(deadline)
+		conn.SetReadDeadline(s.drainReadDeadline())
 	}
 	s.mu.Unlock()
+}
+
+// drainReadDeadline is the deadline for a draining connection's next
+// read: drainIdle from now, capped at the grace deadline.
+func (s *Server) drainReadDeadline() time.Time {
+	d := time.Now().Add(drainIdle)
+	if by := time.Unix(0, s.drainBy.Load()); by.Before(d) {
+		return by
+	}
+	return d
 }
 
 func (s *Server) stopSealer() {
@@ -410,11 +431,14 @@ func (s *Server) handle(conn net.Conn) {
 		if readErr != nil {
 			return
 		}
-		// A draining server exits once everything read so far is
-		// answered and flushed; idle connections time out at the
-		// drain deadline inside Fill.
-		if s.draining.Load() && rd.Buffered() == 0 {
-			return
+		// A draining connection exits only when a read finds the socket
+		// idle (Fill times out with nothing read) or the grace deadline
+		// passes. An empty window is not enough: requests the client
+		// flushed before the drain may still sit unread in the kernel,
+		// and closing a socket with unread data resets the connection,
+		// losing their acks.
+		if s.draining.Load() {
+			conn.SetReadDeadline(s.drainReadDeadline())
 		}
 	}
 }

@@ -116,6 +116,43 @@ func TestSyncOps(t *testing.T) {
 	}
 }
 
+// TestSubnormalRebidRejected: a wire rebid whose bid is subnormal
+// (positive and finite, but 1/t is +Inf) is answered StatusBadValue
+// and leaves the registry untouched, so the next seal's S and every
+// read stay finite instead of turning NaN.
+func TestSubnormalRebidRejected(t *testing.T) {
+	_, addr := startServer(t, Config{})
+	c := dial(t, addr)
+	id, err := c.Add(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Add(4); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Rebid(id, 1e-310); !isStatus(err, wire.StatusBadValue) {
+		t.Fatalf("Rebid(1e-310): %v, want StatusBadValue", err)
+	}
+	if _, err := c.Add(1e-310); !isStatus(err, wire.StatusBadValue) {
+		t.Fatalf("Add(1e-310): %v, want StatusBadValue", err)
+	}
+	info, err := c.Seal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 1.0/2 + 1.0/4; info.N != 2 || info.Sum != want {
+		t.Fatalf("seal after rejected rebid: N=%d S=%v, want N=2 S=%v", info.N, info.Sum, want)
+	}
+	x, _, err := c.Load(id)
+	if err != nil || math.IsNaN(x) || math.IsInf(x, 0) {
+		t.Fatalf("Load(%d) = %v, %v; want a finite load", id, x, err)
+	}
+	comp, bonus, err := c.Payment(id)
+	if err != nil || math.IsNaN(comp+bonus) {
+		t.Fatalf("Payment(%d) = %v, %v, %v; want finite", id, comp, bonus, err)
+	}
+}
+
 func isStatus(err error, status byte) bool {
 	se, ok := err.(*wire.StatusError)
 	return ok && se.Status == status
@@ -333,6 +370,53 @@ func TestGracefulShutdownDrains(t *testing.T) {
 		}
 		cc.Close()
 	}
+}
+
+// TestGracefulShutdownDrainsKernelBacklog: with a read window of a
+// few whole rebid frames, most of a long pipeline flushed before
+// Shutdown is still unread in the kernel when the drain begins, and
+// the window is empty after every wakeup. Every request must still be
+// answered: a draining connection closes only once a read finds the
+// socket idle, since closing with unread data resets the connection.
+func TestGracefulShutdownDrainsKernelBacklog(t *testing.T) {
+	frame, err := wire.AppendRequest(nil, &wire.Request{Op: wire.OpRebid, Req: 1, ID: 0, T: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	window := (wire.MaxFrame + len(frame) - 1) / len(frame) * len(frame)
+	srv, addr := startServer(t, Config{ReadBuf: window})
+	c := dial(t, addr)
+	id, err := c.Add(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Small enough that requests and responses fit the loopback socket
+	// buffers while the client writes without reading.
+	const k = 20000
+	for i := 0; i < k; i++ {
+		c.QueueRebid(id, float64(i+1))
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		srv.Shutdown(5 * time.Second)
+		close(done)
+	}()
+	for i := 0; i < k; i++ {
+		p, err := c.Recv()
+		if err != nil {
+			t.Fatalf("response %d: %v", i, err)
+		}
+		if p.Status != wire.StatusOK {
+			t.Fatalf("response %d: status %s", i, wire.StatusString(p.Status))
+		}
+	}
+	if _, err := c.Recv(); err == nil {
+		t.Fatal("Recv succeeded after drain; want connection close")
+	}
+	<-done
 }
 
 // TestKill9Recovery is the multi-process chaos contract, in-process:

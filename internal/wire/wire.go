@@ -93,7 +93,7 @@ const (
 // Response statuses.
 const (
 	StatusOK         = byte(0)
-	StatusBadValue   = byte(1) // bid/rate rejected (non-positive or non-finite)
+	StatusBadValue   = byte(1) // bid/rate rejected by the registry's validation
 	StatusUnknownID  = byte(2) // id never assigned or no longer live
 	StatusOverloaded = byte(3) // per-connection inflight bound exceeded; retry
 	StatusBadRequest = byte(4) // op not servable in this context
