@@ -12,9 +12,24 @@ import "repro/internal/alloc"
 // BatchJournal.Mutations call, made under that shard's lock before it
 // is released. The journal call matters as much as the lock: a WAL
 // append takes the writer's own mutex, a full memory fence, so one
-// call per op would serialize the ops' cache-missing slot writes
+// call per op would serialize the ops' cache-missing record writes
 // instead of letting them overlap. A journal without Mutations gets
 // the group's per-op calls, in op order, at the same point.
+//
+// The records' cache misses are overlapped explicitly too. Applying a
+// group is a serial chain — every op's delta feeds the shard's
+// Neumaier partial sum before the next op's — so a miss on each op's
+// record would stall the chain once per op. Instead, once the registry
+// has issued gatherMinIDs ids (records beyond a core's L2), a gather
+// pass loads the record of every op in the group right after taking
+// the shard's lock; the loads are independent, so the CPU keeps many
+// of their misses in flight at once, and the apply loop then finds
+// each record in cache. The gather runs under the lock because an add
+// may regrow the shard's record array: outside it the loads would race
+// with that write. An id admitted earlier in the same batch has no
+// record yet, and its index usually lies past the array, so each load
+// is bounds-checked; an id the group touches twice is loaded twice,
+// which costs a cache hit.
 //
 // Semantics are exactly those of applying the ops one at a time in
 // slice order on a single goroutine: ids are assigned in op order by
@@ -32,10 +47,16 @@ import "repro/internal/alloc"
 // the hot path never allocates: with res and sc capacity reused across
 // calls, ApplyBatch is allocation-free (AllocsPerRun-pinned).
 //
-// A batch is not transactional: a concurrent Seal may observe a prefix
-// of it (never a torn single op), and later ops still apply after an
-// earlier op fails. This matches a pipelined connection's semantics —
-// each op is acknowledged independently.
+// A batch is not transactional, and a concurrent Seal need not observe
+// a prefix of it. Each shard group is applied under one hold of that
+// shard's lock, and groups go in first-touch order, so for each shard
+// a seal observes all of the batch's ops on that shard or none: per
+// shard a prefix of that shard's ops, never a torn op. Across shards
+// there is no such order: for ops [a on shard 0, b on shard 1, c on
+// shard 0], a seal between the two groups observes {a, c} without b.
+// Later ops still apply after an earlier op fails. This matches a
+// pipelined connection's semantics — each op is acknowledged
+// independently.
 
 // BatchKind selects the mutation a BatchOp applies.
 type BatchKind uint8
@@ -91,6 +112,7 @@ type BatchScratch struct {
 	next       []int32   // per op: next op index on the same shard, -1 at tail
 	touched    []int32   // shard indices in first-touch order
 	applied    []BatchOp // one shard group's applied ops, for the journal
+	gather     uint64    // sink of pass 2's record loads (see ApplyBatch)
 }
 
 // ApplyBatch applies ops in slice order with one lock acquisition per
@@ -179,9 +201,23 @@ func (r *Registry) ApplyBatch(ops []BatchOp, res []BatchResult, sc *BatchScratch
 	// applied ops collect in sc.applied and are journaled in one call
 	// before the shard lock is released.
 	var adds, updates, removes, coalesced int64
+	gather := int(r.nextID.Load()) >= r.gatherMin
 	for _, s := range sc.touched {
 		sh := &r.shards[s]
 		sh.mu.Lock()
+		if gather {
+			// The gather pass (see the comment above BatchKind): load
+			// every record the group references so their misses
+			// overlap. sc.gather keeps the compiler from dropping the
+			// loads.
+			g := sc.gather
+			for i := sc.head[s]; i >= 0; i = sc.next[i] {
+				if local := out[i].ID >> r.bits; local < len(sh.recs) {
+					g ^= sh.recs[local].stamp
+				}
+			}
+			sc.gather = g
+		}
 		j := r.journal
 		// The epoch counter only advances with every shard lock held,
 		// so it is constant for the whole group.

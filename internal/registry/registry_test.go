@@ -3,12 +3,14 @@ package registry
 import (
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/alloc"
 	"repro/internal/mech"
 	"repro/internal/numeric"
 	"repro/internal/obs"
+	"repro/internal/parallel"
 )
 
 func mustAdd(t *testing.T, r *Registry, v float64) int {
@@ -169,44 +171,67 @@ func TestRegistryEmptyAndRateEdgeCases(t *testing.T) {
 
 func TestSealedAggregateIndependentOfShardCount(t *testing.T) {
 	// The same serial event sequence must seal to bitwise-identical
-	// aggregates and allocations for every shard count: the canonical
-	// reduction is over ascending ids, which sharding does not touch.
-	apply := func(shards int) *Snapshot {
-		r, err := New(Config{Rate: 20, Shards: shards})
+	// aggregates and allocations for every shard count and GOMAXPROCS,
+	// equal to an alloc.Stream replay: the canonical reduction is over
+	// ascending ids, which neither sharding nor the block-parallel seal
+	// copy touches. The second population spans several copy blocks,
+	// retires its highest ids, and issues an id count that is a
+	// multiple of neither any shard count nor the copy block size.
+	type mutator interface {
+		Add(float64) (int, error)
+		Update(int, float64) error
+		Remove(int) error
+	}
+	apply := func(m mutator, n, retired int) {
+		for i := 0; i < n; i++ {
+			if _, err := m.Add(0.5 + float64(i%17)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < n; i++ {
+			var err error
+			switch {
+			case i%3 == 0 || i >= n-retired:
+				err = m.Remove(i)
+			case i%3 == 1:
+				err = m.Update(i, 1+float64(i%11))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, pop := range []struct{ n, retired int }{{300, 0}, {2*parallel.DefaultBlock + 777, 300}} {
+		st, err := alloc.NewStream(20)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 300; i++ {
-			mustAdd(t, r, 0.5+float64(i%17))
-		}
-		for i := 0; i < 300; i += 3 {
-			if err := r.Remove(i); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i := 1; i < 300; i += 3 {
-			if err := r.Update(i, 1+float64(i%11)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return r.Seal()
-	}
-	ref := apply(1)
-	var refSweep Sweep
-	refX := append([]float64(nil), refSweep.Alloc(ref, 1)...)
-	for _, shards := range []int{2, 8, 64} {
-		snap := apply(shards)
-		if snap.Sum() != ref.Sum() {
-			t.Errorf("shards=%d: S = %g, want %g", shards, snap.Sum(), ref.Sum())
-		}
-		if snap.N() != ref.N() {
-			t.Fatalf("shards=%d: N = %d, want %d", shards, snap.N(), ref.N())
-		}
-		var sw Sweep
-		x := sw.Alloc(snap, 1)
-		for j := range x {
-			if x[j] != refX[j] {
-				t.Fatalf("shards=%d: x[%d] = %g, want %g", shards, j, x[j], refX[j])
+		apply(st, pop.n, pop.retired)
+		wantIDs, wantX := st.SnapshotInto(nil, nil)
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			for _, shards := range []int{1, 2, 8, 64} {
+				r, err := New(Config{Rate: 20, Shards: shards})
+				if err != nil {
+					t.Fatal(err)
+				}
+				apply(r, pop.n, pop.retired)
+				snap := r.Seal()
+				if math.Float64bits(snap.Sum()) != math.Float64bits(st.Sealed()) {
+					t.Errorf("n=%d procs=%d shards=%d: S = %g, serial replay %g", pop.n, procs, shards, snap.Sum(), st.Sealed())
+				}
+				if snap.N() != st.N() {
+					t.Fatalf("n=%d procs=%d shards=%d: N = %d, serial replay %d", pop.n, procs, shards, snap.N(), st.N())
+				}
+				var sw Sweep
+				x := sw.Alloc(snap, 1)
+				for j, id := range snap.IDs() {
+					if id != wantIDs[j] || math.Float64bits(x[j]) != math.Float64bits(wantX[j]) {
+						t.Fatalf("n=%d procs=%d shards=%d: entry %d is (id %d, x %g), serial replay (id %d, x %g)",
+							pop.n, procs, shards, j, id, x[j], wantIDs[j], wantX[j])
+					}
+				}
 			}
 		}
 	}

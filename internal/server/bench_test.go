@@ -17,24 +17,41 @@ import (
 // into the batcher and drained through registry.ApplyBatch in windows
 // of 4096 with responses encoded — per bid op, no sockets. The
 // populations match the serving benchmark's rebid-hot (8k agents) and
-// seal-1m (1M agents, where every rebid misses cache) workloads, with
-// the registry at the default shard count either unjournaled or
-// journaling into a WAL writer (SyncNone, so no fsync sits in the
-// loop). Must be 0 allocs/op.
+// seal-1m (1M agents) workloads, with the registry at the default shard
+// count either unjournaled or journaling into a WAL writer (SyncNone,
+// so no fsync sits in the loop). Must be 0 allocs/op.
+//
+// A host whose last-level cache holds the 1M agents' 16 MiB of records
+// keeps them resident across windows, so the warm 1M case pays at most
+// an L2 miss per rebid. The cache=cold cases write every line of a
+// 64 MiB buffer, untimed, before each window, evicting the records
+// from the core's private caches and their pages from the TLB, as the
+// load generator sharing the server's CPU does between batches in the
+// served seal-1m workload; only there does every rebid miss cache.
 func BenchmarkServeBatchDrain(b *testing.B) {
-	for _, pop := range []struct {
+	for _, c := range []struct {
 		name   string
 		agents int
-	}{{"8k", 8 << 10}, {"1M", 1 << 20}} {
+		cold   bool
+	}{{"8k", 8 << 10, false}, {"1M", 1 << 20, false}, {"1M", 1 << 20, true}} {
 		for _, journal := range []string{"none", "wal"} {
-			b.Run(fmt.Sprintf("agents=%s/journal=%s", pop.name, journal), func(b *testing.B) {
-				benchDrain(b, pop.agents, journal == "wal")
+			name := fmt.Sprintf("agents=%s/journal=%s", c.name, journal)
+			if c.cold {
+				name += "/cache=cold"
+			}
+			b.Run(name, func(b *testing.B) {
+				benchDrain(b, c.agents, journal == "wal", c.cold)
 			})
 		}
 	}
 }
 
-func benchDrain(b *testing.B, agents int, journaled bool) {
+// evictBytes is the size of the buffer the cache=cold drain cases
+// write between windows: larger than any core's L2 and than the TLB's
+// reach.
+const evictBytes = 64 << 20
+
+func benchDrain(b *testing.B, agents int, journaled, cold bool) {
 	cfg := registry.Config{Rate: 1000}
 	var w *wal.Writer
 	if journaled {
@@ -65,6 +82,10 @@ func benchDrain(b *testing.B, agents int, journaled bool) {
 	for i := range seq {
 		seq[i] = uint32(rng.IntN(agents))
 	}
+	var evict []byte
+	if cold {
+		evict = make([]byte, evictBytes)
+	}
 	var bt batcher
 	wbuf := make([]byte, 0, 1<<20)
 	var q wire.Request
@@ -75,6 +96,13 @@ func benchDrain(b *testing.B, agents int, journaled bool) {
 		n := window
 		if left := b.N - done; left < n {
 			n = left
+		}
+		if cold {
+			b.StopTimer()
+			for i := 0; i < len(evict); i += 64 {
+				evict[i]++
+			}
+			b.StartTimer()
 		}
 		wbuf = wbuf[:0]
 		for i := 0; i < n; i++ {
