@@ -11,9 +11,13 @@ test:
 vet:
 	$(GO) vet ./...
 
-# Static analysis: vet always, staticcheck when installed (the CI
-# workflow installs it; locally it is optional).
+# Static analysis: vet and gofmt always, staticcheck when installed
+# (the CI workflow installs it; locally it is optional). gofmt -l
+# lists every unformatted file, so any output fails the target.
 lint: vet
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "lint: gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; \
+	fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \

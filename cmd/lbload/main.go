@@ -131,15 +131,16 @@ func main() {
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	total, errs, overloads := 0, 0, 0
+	total, connErrs, overloads, failed := 0, 0, 0, 0
 	var hist latHist
 	for w := range results {
 		if results[w].err != nil {
 			fmt.Fprintf(os.Stderr, "lbload: conn %d: %v\n", w, results[w].err)
-			errs++
+			connErrs++
 		}
 		total += results[w].ops
 		overloads += results[w].overload
+		failed += results[w].errs
 		hist.merge(&results[w].hist)
 	}
 
@@ -150,20 +151,21 @@ func main() {
 	tab := report.NewTable(
 		fmt.Sprintf("Networked serving load: %d conns x %d agents, window %d, %s, %s.",
 			*conns, *agents, *window, mode, elapsed.Round(time.Millisecond)),
-		"Conns", "Ops", "Ops/sec", "Overloaded", "p50", "p99", "p99.9")
+		"Conns", "Ops", "Ops/sec", "Overloaded", "Errors", "p50", "p99", "p99.9")
 	tab.AddRow(
 		fmt.Sprintf("%d", *conns),
 		fmt.Sprintf("%d", total),
 		fmt.Sprintf("%.0f", float64(total)/elapsed.Seconds()),
 		fmt.Sprintf("%d", overloads),
+		fmt.Sprintf("%d", failed),
 		hist.quantile(0.50).Round(time.Microsecond).String(),
 		hist.quantile(0.99).Round(time.Microsecond).String(),
 		hist.quantile(0.999).Round(time.Microsecond).String(),
 	)
 	tab.Render(os.Stdout)
 
-	if errs > 0 || total == 0 {
-		fmt.Fprintln(os.Stderr, "lbload: no throughput or connection errors")
+	if connErrs > 0 || failed > 0 || total == 0 {
+		fmt.Fprintln(os.Stderr, "lbload: no throughput, connection errors or error responses")
 		os.Exit(1)
 	}
 

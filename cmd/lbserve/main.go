@@ -1,37 +1,8 @@
-// Command lbserve drives the concurrent bid registry with mixed
-// read/rebid traffic and reports a worker-count throughput sweep — the
-// serving-path counterpart of lbrounds' simulation sweeps. Each run
-// populates a sharded registry, hammers it from W goroutines (reads
-// are lock-free snapshot queries, writes rebid the worker's own
-// agents, one worker seals epochs on a fixed cadence), then seals a
-// final epoch and settles payments for the whole population through
-// the engine's leave-one-out machinery.
+// Command lbserve serves the concurrent bid registry. It has two
+// modes, and exactly one must be given.
 //
-// Usage:
-//
-//	lbserve -agents 100000 -ops 2000000 -workers 1,2,4,8
-//	lbserve -agents 1000000 -shards 64 -read-frac 0.99 -metrics
-//	lbserve -ops 5000000 -cpuprofile cpu.out -memprofile mem.out
-//
-// With -health the command instead runs the self-healing chaos demo:
-// a small population under a deterministic fault plan, the
-// internal/health control loop verifying every tick, and the
-// degrade → eject → probe → slow-start story printed live:
-//
-//	lbserve -health
-//	lbserve -health -plan crash=1,flap=5@6:0.5 -ticks 80 -fault-until 45
-//
-// With -wal-dir the sweep journals every registry into a crash-
-// recoverable write-ahead log (one subdirectory per sweep point), and
-// with -wal-demo the command runs the restart-and-recover story
-// instead: serve, seal a corrected epoch, fsync, kill -9, recover, and
-// verify the recovered epoch is bit-for-bit the pre-crash one:
-//
-//	lbserve -wal-demo -wal-dir /tmp/lbwal -agents 50000 -ops 500000
-//	lbserve -wal-dir /tmp/lbwal -wal-sync seal -snapshot-every 4
-//
-// With -listen the command becomes the networked serving front end:
-// a framed TCP server (internal/server) accepting pipelined clients
+// With -listen the command is the networked serving front end: a
+// framed TCP server (internal/server) accepting pipelined clients
 // (internal/lbclient, cmd/lbload) until SIGINT/SIGTERM, optionally
 // journaling into a WAL so a killed server restarts from its last
 // sealed epoch bit-for-bit:
@@ -40,66 +11,108 @@
 //	lbserve -listen 127.0.0.1:9070 -wal-dir /tmp/lbwal -wal-sync seal
 //	lbserve -listen 127.0.0.1:9070 -seal-interval 100ms -metrics
 //
-// Throughput scales with worker count only up to the host's cores:
-// on a single-core box the sweep stays flat (see README, "Concurrent
-// serving").
+// With -health the command runs the self-healing chaos demo: a small
+// population under a deterministic fault plan, the internal/health
+// control loop verifying every tick, and the degrade → eject → probe →
+// slow-start story printed live:
+//
+//	lbserve -health
+//	lbserve -health -plan crash=1,flap=5@6:0.5 -ticks 80 -fault-until 45
+//
+// -rate, -shards, -metrics, -cpuprofile and -memprofile apply to both
+// modes; any flag the chosen mode does not read is a usage error
+// (exit 2). The profiles are written when the mode returns, so a
+// served process is profiled from start to SIGTERM:
+//
+//	lbserve -listen 127.0.0.1:9070 -cpuprofile cpu.out -memprofile mem.out
 package main
 
 import (
 	"flag"
 	"fmt"
-	"math/rand/v2"
 	"os"
-	"slices"
-	"strconv"
-	"strings"
-	"sync"
-	"time"
 
-	"path/filepath"
-
-	"repro/internal/mech"
 	"repro/internal/obs"
 	"repro/internal/profile"
 	"repro/internal/registry"
-	"repro/internal/report"
 	"repro/internal/wal"
 )
 
+// modeOf names the one mode that reads each mode-specific flag; the
+// flags missing here are read by both modes.
+var modeOf = map[string]string{
+	"listen":         "-listen",
+	"wal-dir":        "-listen",
+	"wal-sync":       "-listen",
+	"snapshot-every": "-listen",
+	"seal-interval":  "-listen",
+	"recovered-out":  "-listen",
+	"health":         "-health",
+	"computers":      "-health",
+	"ticks":          "-health",
+	"plan":           "-health",
+	"fault-from":     "-health",
+	"fault-until":    "-health",
+	"health-every":   "-health",
+	"seed":           "-health",
+}
+
 func main() {
-	agents := flag.Int("agents", 100_000, "number of live agents to populate")
 	shards := flag.Int("shards", registry.DefaultShards, "lock stripes (rounded up to a power of two)")
-	workersSpec := flag.String("workers", "1,2,4,8", "comma-separated worker counts to sweep")
-	ops := flag.Int("ops", 1_000_000, "total operations per sweep point")
-	readFrac := flag.Float64("read-frac", 0.9, "fraction of operations that are snapshot reads")
-	sealEvery := flag.Int("seal-every", 4096, "operations between epoch seals (worker 0; 0 = no mid-run seals)")
-	seed := flag.Uint64("seed", 1, "random seed")
+	seed := flag.Uint64("seed", 1, "random seed of the -health demo")
 	rate := flag.Float64("rate", 20, "total arrival rate R")
 	metrics := flag.Bool("metrics", false, "print a metrics snapshot (JSON then Prometheus text) after the run")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	healthMode := flag.Bool("health", false, "run the health control-loop chaos demo instead of the throughput sweep")
+	healthMode := flag.Bool("health", false, "run the health control-loop chaos demo")
 	computers := flag.Int("computers", 8, "population size of the -health demo")
 	ticks := flag.Int("ticks", 80, "control ticks the -health demo runs")
 	plan := flag.String("plan", "crash=1,stall=3@0.5:1,byz=5@1.6,flap=6@8:0.75", "fault plan of the -health demo (internal/faults spec)")
 	faultFrom := flag.Int("fault-from", 5, "first tick the -health fault plan is active")
 	faultUntil := flag.Int("fault-until", 45, "first tick the -health faults are repaired (0 = never)")
 	healthEvery := flag.Int("health-every", 20, "ticks between -health state tables (0 = final only)")
-	walDir := flag.String("wal-dir", "", "journal each registry into a crash-recoverable write-ahead log under this directory")
-	walSync := flag.String("wal-sync", "batch", "WAL fsync policy: batch, seal, interval or none")
-	snapshotEvery := flag.Int("snapshot-every", 8, "sealed epochs between WAL snapshot compactions (0 = never)")
-	walDemo := flag.Bool("wal-demo", false, "run the crash/restart recovery demo (needs -wal-dir pointing at a new directory)")
-	listen := flag.String("listen", "", "serve the registry over framed TCP on this address instead of the local sweep")
+	walDir := flag.String("wal-dir", "", "with -listen, journal the registry into a crash-recoverable write-ahead log under this directory")
+	walSync := flag.String("wal-sync", "batch", "WAL fsync policy: batch, seal, interval or none (needs -wal-dir)")
+	snapshotEvery := flag.Int("snapshot-every", 8, "sealed epochs between WAL snapshot compactions, 0 = never (needs -wal-dir)")
+	listen := flag.String("listen", "", "serve the registry over framed TCP on this address")
 	sealInterval := flag.Duration("seal-interval", 0, "with -listen, seal an epoch on this cadence in the background (0 = client-driven seals only)")
 	recoveredOut := flag.String("recovered-out", "", "with -listen, write the starting epoch/n/S-bits line to this file (comparable against lbload -seal-out)")
 	flag.Parse()
 
+	mode := "-listen"
+	if *healthMode == (*listen != "") {
+		usageError("give exactly one of -listen ADDR and -health")
+	}
 	if *healthMode {
-		var ob *obs.Observer
-		if *metrics {
-			ob = obs.New(0)
+		mode = "-health"
+	}
+	flag.Visit(func(f *flag.Flag) {
+		if m, ok := modeOf[f.Name]; ok && m != mode {
+			usageError(fmt.Sprintf("-%s is not read by %s", f.Name, mode))
 		}
-		code := runHealth(healthConfig{
+		if (f.Name == "wal-sync" || f.Name == "snapshot-every") && *walDir == "" {
+			usageError(fmt.Sprintf("-%s needs -wal-dir", f.Name))
+		}
+	})
+
+	syncPolicy, err := wal.ParseSyncPolicy(*walSync)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "lbserve:", err)
+		os.Exit(1)
+	}
+	var ob *obs.Observer
+	if *metrics {
+		ob = obs.New(0)
+	}
+	stopProfiles, err := profile.Start(*cpuprofile, *memprofile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "lbserve:", err)
+		os.Exit(1)
+	}
+
+	var code int
+	if *healthMode {
+		code = runHealth(healthConfig{
 			computers:  *computers,
 			ticks:      *ticks,
 			plan:       *plan,
@@ -111,30 +124,15 @@ func main() {
 			every:      *healthEvery,
 			ob:         ob,
 		}, os.Stdout)
-		if code == 0 && *metrics {
+		if code == 0 && ob != nil {
 			fmt.Println()
 			if err := ob.Dump(os.Stdout, true, false); err != nil {
 				fmt.Fprintln(os.Stderr, "lbserve:", err)
 				code = 1
 			}
 		}
-		os.Exit(code)
-	}
-
-	if *listen != "" {
-		var ob *obs.Observer
-		if *metrics {
-			ob = obs.New(0)
-		}
-		var syncPolicy wal.SyncPolicy
-		if *walDir != "" {
-			var err error
-			if syncPolicy, err = wal.ParseSyncPolicy(*walSync); err != nil {
-				fmt.Fprintln(os.Stderr, "lbserve:", err)
-				os.Exit(1)
-			}
-		}
-		os.Exit(runListen(listenConfig{
+	} else {
+		code = runListen(listenConfig{
 			addr:         *listen,
 			walDir:       *walDir,
 			sync:         syncPolicy,
@@ -144,301 +142,16 @@ func main() {
 			sealInterval: *sealInterval,
 			recoveredOut: *recoveredOut,
 			ob:           ob,
-		}, os.Stdout))
-	}
-
-	workers, err := parseWorkers(*workersSpec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "lbserve:", err)
-		os.Exit(1)
-	}
-	if *agents < 2 || *ops <= 0 || *readFrac < 0 || *readFrac > 1 {
-		fmt.Fprintln(os.Stderr, "lbserve: need -agents >= 2, -ops > 0 and -read-frac in [0,1]")
-		os.Exit(1)
-	}
-
-	var syncPolicy wal.SyncPolicy
-	if *walDir != "" || *walDemo {
-		if syncPolicy, err = wal.ParseSyncPolicy(*walSync); err != nil {
-			fmt.Fprintln(os.Stderr, "lbserve:", err)
-			os.Exit(1)
-		}
-	}
-	if *walDemo {
-		if *walDir == "" {
-			fmt.Fprintln(os.Stderr, "lbserve: -wal-demo needs -wal-dir")
-			os.Exit(1)
-		}
-		var ob *obs.Observer
-		if *metrics {
-			ob = obs.New(0)
-		}
-		code := runWALDemo(walDemoConfig{
-			dir:       *walDir,
-			sync:      syncPolicy,
-			snapEvery: *snapshotEvery,
-			agents:    *agents,
-			ops:       *ops,
-			workers:   workers[len(workers)-1],
-			seed:      *seed,
-			rate:      *rate,
-			shards:    *shards,
-			ob:        ob,
 		}, os.Stdout)
-		if code == 0 && *metrics {
-			fmt.Println()
-			if err := ob.Dump(os.Stdout, true, false); err != nil {
-				fmt.Fprintln(os.Stderr, "lbserve:", err)
-				code = 1
-			}
-		}
-		os.Exit(code)
 	}
-	stopProfiles, err := profile.Start(*cpuprofile, *memprofile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "lbserve:", err)
-		os.Exit(1)
-	}
-	defer stopProfiles()
-
-	var ob *obs.Observer
-	var met *obs.RegistryMetrics
-	var walMet *obs.WALMetrics
-	if *metrics {
-		ob = obs.New(0)
-		met = ob.RegistryMetrics()
-		if *walDir != "" {
-			walMet = ob.WALMetrics()
-		}
-	}
-
-	tab := report.NewTable(
-		fmt.Sprintf("Registry load: %d agents, %d shards, %d ops per point, %.0f%% reads, seal every %d ops.",
-			*agents, *shards, *ops, 100**readFrac, *sealEvery),
-		"Workers", "Elapsed", "Ops/sec", "Speedup", "Epochs", "Mean read", "p99 read")
-	var base float64
-	var last *registry.Registry
-	var lastWAL *wal.Writer
-	for i, w := range workers {
-		cfg := registry.Config{Rate: *rate, Shards: *shards, Metrics: met}
-		var ww *wal.Writer
-		if *walDir != "" {
-			ww, err = wal.Create(filepath.Join(*walDir, fmt.Sprintf("w%d", w)),
-				wal.Options{Sync: syncPolicy, SnapshotEvery: *snapshotEvery, Metrics: walMet})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "lbserve:", err)
-				os.Exit(1)
-			}
-			cfg.Journal = ww
-		}
-		r, err := registry.New(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "lbserve:", err)
-			os.Exit(1)
-		}
-		populate(r, *agents, *seed)
-		res := drive(r, driveConfig{
-			workers:   w,
-			ops:       *ops,
-			readFrac:  *readFrac,
-			sealEvery: *sealEvery,
-			seed:      *seed,
-			met:       met,
-		})
-		if base == 0 {
-			base = res.opsPerSec
-		}
-		tab.AddRow(
-			strconv.Itoa(w),
-			res.elapsed.Round(time.Millisecond).String(),
-			fmt.Sprintf("%.0f", res.opsPerSec),
-			fmt.Sprintf("%.2fx", res.opsPerSec/base),
-			strconv.FormatUint(res.epochs, 10),
-			fmt.Sprintf("%.0fns", res.meanRead*1e9),
-			fmt.Sprintf("%.0fns", res.p99Read*1e9),
-		)
-		last = r
-		if ww != nil {
-			if i == len(workers)-1 {
-				lastWAL = ww // stays open for the final settlement seal
-			} else if err := ww.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "lbserve:", err)
-				os.Exit(1)
-			}
-		}
-	}
-	tab.Render(os.Stdout)
-
-	// Settle the final epoch: one full payment sweep over the sealed
-	// population through the O(n) leave-one-out engine.
-	snap := last.Seal()
-	var sw registry.Sweep
-	start := time.Now()
-	out, err := sw.Payments(snap, mech.NewEngine(mech.CompensationBonus{}), workers[len(workers)-1])
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "lbserve:", err)
-		os.Exit(1)
-	}
-	settle := time.Since(start)
-	fmt.Printf("\nfinal epoch %d: %d agents, S=%.6g, L*=%.6g, total payment %.6g (settled in %s)\n",
-		snap.Epoch(), snap.N(), snap.Sum(), snap.OptimalLatency(),
-		out.TotalPayment(), settle.Round(time.Microsecond))
-	if lastWAL != nil {
-		if err := lastWAL.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "lbserve:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("write-ahead log committed under %s (sync=%s)\n", *walDir, syncPolicy)
-	}
-
-	if *metrics {
-		fmt.Println()
-		if err := ob.Dump(os.Stdout, true, false); err != nil {
-			fmt.Fprintln(os.Stderr, "lbserve:", err)
-			os.Exit(1)
-		}
-	}
+	stopProfiles()
+	os.Exit(code)
 }
 
-// populate fills a fresh registry with a deterministic bid population
-// and seals the starting epoch.
-func populate(r *registry.Registry, agents int, seed uint64) {
-	rng := rand.New(rand.NewPCG(seed, 0x6c62272e07bb0142))
-	for i := 0; i < agents; i++ {
-		if _, err := r.Add(0.1 + 10*rng.Float64()); err != nil {
-			panic(err) // bids are drawn positive; unreachable
-		}
-	}
-	r.Seal()
-}
-
-type driveConfig struct {
-	workers   int
-	ops       int
-	readFrac  float64
-	sealEvery int
-	seed      uint64
-	met       *obs.RegistryMetrics
-}
-
-type driveResult struct {
-	elapsed   time.Duration
-	opsPerSec float64
-	epochs    uint64
-	meanRead  float64 // seconds
-	p99Read   float64 // seconds
-}
-
-// drive hammers the registry with cfg.ops mixed operations split
-// across cfg.workers goroutines. Reads grab the current snapshot and
-// answer a load and an exclusion-latency query; writes rebid an agent
-// in the worker's own id stripe; worker 0 seals on the configured
-// cadence. Every 1024th read is timed into the sampled read-latency
-// pool (and the lb_registry_read_seconds histogram when -metrics).
-func drive(r *registry.Registry, cfg driveConfig) driveResult {
-	agents := r.Live()
-	epoch0 := r.Snapshot().Epoch()
-	// Scale worker 0's seal cadence by the worker count so every sweep
-	// point seals the same number of epochs per total operation.
-	sealEvery := cfg.sealEvery / cfg.workers
-	if cfg.sealEvery > 0 && sealEvery == 0 {
-		sealEvery = 1
-	}
-	samples := make([][]float64, cfg.workers)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < cfg.workers; w++ {
-		ops := cfg.ops / cfg.workers
-		if w == 0 {
-			ops += cfg.ops % cfg.workers
-		}
-		wg.Add(1)
-		go func(w, ops int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewPCG(cfg.seed, uint64(w)+1))
-			lo := w * agents / cfg.workers
-			hi := (w + 1) * agents / cfg.workers
-			var sink float64
-			var mine []float64
-			for i := 0; i < ops; i++ {
-				if rng.Float64() < cfg.readFrac {
-					timed := i%1024 == 0
-					var t0 time.Time
-					if timed {
-						t0 = time.Now()
-					}
-					snap := r.Snapshot()
-					id := rng.IntN(agents)
-					x, _ := snap.Load(id)
-					e, _ := snap.ExclusionLatency(id)
-					sink += x + e
-					if timed {
-						d := time.Since(t0).Seconds()
-						mine = append(mine, d)
-						cfg.met.ReadSampled(d)
-					}
-				} else {
-					id := lo + rng.IntN(hi-lo)
-					if err := r.Update(id, 0.1+10*rng.Float64()); err != nil {
-						panic(err) // own-stripe ids are always live; unreachable
-					}
-				}
-				if sealEvery > 0 && w == 0 && i%sealEvery == sealEvery-1 {
-					r.Seal()
-				}
-			}
-			_ = sink
-			samples[w] = mine
-		}(w, ops)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	var all []float64
-	for _, s := range samples {
-		all = append(all, s...)
-	}
-	return driveResult{
-		elapsed:   elapsed,
-		opsPerSec: float64(cfg.ops) / elapsed.Seconds(),
-		epochs:    r.Snapshot().Epoch() - epoch0,
-		meanRead:  mean(all),
-		p99Read:   quantile(all, 0.99),
-	}
-}
-
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-func quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	slices.Sort(sorted)
-	k := int(q * float64(len(sorted)-1))
-	return sorted[k]
-}
-
-func parseWorkers(spec string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(spec, ",") {
-		w, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || w <= 0 {
-			return nil, fmt.Errorf("bad -workers entry %q", part)
-		}
-		out = append(out, w)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty -workers list")
-	}
-	return out, nil
+// usageError reports a flag combination no mode accepts and exits 2,
+// as the flag package does for a malformed flag.
+func usageError(msg string) {
+	fmt.Fprintln(os.Stderr, "lbserve:", msg)
+	flag.Usage()
+	os.Exit(2)
 }

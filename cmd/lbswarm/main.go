@@ -171,8 +171,8 @@ func main() {
 }
 
 // epochConfig seals a registry epoch of n bids log-spaced across
-// [1, spread] and bridges it into a swarm config: the convergence
-// target is the sealed epoch's PR allocation.
+// [1, spread] and makes its sealed bids the swarm's machine slopes:
+// the convergence target is the sealed epoch's PR allocation.
 func epochConfig(tasks, n int, spread float64) (swarm.Config, error) {
 	reg, err := registry.New(registry.Config{})
 	if err != nil {
@@ -190,7 +190,7 @@ func epochConfig(tasks, n int, spread float64) (swarm.Config, error) {
 			return swarm.Config{}, err
 		}
 	}
-	return swarm.ConfigFromSnapshot(reg.Seal(), tasks)
+	return swarm.Config{Tasks: tasks, T: reg.Seal().Bids(nil)}, nil
 }
 
 // intList parses a comma-separated positive int list, or returns

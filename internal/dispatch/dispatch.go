@@ -103,16 +103,11 @@ func viewFromSnapshot(snap *registry.Snapshot) (*view, error) {
 	if snap == nil || snap.N() == 0 {
 		return nil, ErrNoInstances
 	}
-	ids := snap.IDs()
-	w := make([]float64, len(ids))
-	for i, id := range ids {
-		t, ok := snap.Value(id)
-		if !ok {
-			return nil, fmt.Errorf("dispatch: sealed id %d vanished from its own epoch", id)
-		}
+	w := snap.Bids(nil)
+	for i, t := range w {
 		w[i] = 1 / t
 	}
-	return &view{epoch: snap.Epoch(), ids: ids, w: w}, nil
+	return &view{epoch: snap.Epoch(), ids: snap.IDs(), w: w}, nil
 }
 
 // mix64 is the SplitMix64 finalizer: a cheap invertible mix with full

@@ -1,6 +1,5 @@
 package mech
 
-
 // VCG is the Vickrey-Clarke-Groves mechanism with the Clarke pivot
 // rule, computed on bids alone — the textbook baseline *without*
 // verification. VCG requires the objective to be the sum of the

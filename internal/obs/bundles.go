@@ -278,11 +278,8 @@ type RegistryMetrics struct {
 	Epochs *Counter
 	// Live gauges the live agent count as of the last seal.
 	Live *Gauge
-	// SealSeconds observes wall-clock seal latencies; ReadSeconds
-	// observes sampled snapshot-read latencies (load drivers sample a
-	// subset of reads — timing every lock-free read would cost more
-	// than the read).
-	SealSeconds, ReadSeconds *Histogram
+	// SealSeconds observes wall-clock seal latencies.
+	SealSeconds *Histogram
 }
 
 // NewRegistryMetrics registers the bid-registry bundle on r.
@@ -300,7 +297,6 @@ func NewRegistryMetrics(r *Registry) *RegistryMetrics {
 		Epochs:      r.Counter("lb_registry_epochs_sealed_total", "epochs sealed"),
 		Live:        r.Gauge("lb_registry_live_agents", "live agents as of the last sealed epoch"),
 		SealSeconds: r.Histogram("lb_registry_seal_seconds", "epoch seal wall-clock latency", nil),
-		ReadSeconds: r.Histogram("lb_registry_read_seconds", "sampled snapshot-read wall-clock latency", nil),
 	}
 }
 
@@ -356,14 +352,6 @@ func (m *RegistryMetrics) Sealed(n int, seconds float64) {
 	if seconds >= 0 {
 		m.SealSeconds.Observe(seconds)
 	}
-}
-
-// ReadSampled records one sampled snapshot-read latency.
-func (m *RegistryMetrics) ReadSampled(seconds float64) {
-	if m == nil {
-		return
-	}
-	m.ReadSeconds.Observe(seconds)
 }
 
 // HealthMetrics instruments the health controller's serving control

@@ -100,7 +100,6 @@ func TestNilSafety(t *testing.T) {
 	o.RegistryMetrics().Mutated("update", true)
 	o.RegistryMetrics().Rebuilt()
 	o.RegistryMetrics().Sealed(5, 0.01)
-	o.RegistryMetrics().ReadSampled(0.001)
 	o.Emit(Event{Kind: "x"})
 
 	var tr *Trace

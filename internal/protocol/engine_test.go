@@ -23,8 +23,8 @@ func TestEngineReuseMatchesFreshRuns(t *testing.T) {
 			Rate:       2, Jobs: 1500, Seed: 22, RobustEstimator: true,
 		},
 		{
-			Trues:         []float64{1, 1, 4, 4, 6},
-			Rate:          4, Jobs: 1800, Seed: 33,
+			Trues: []float64{1, 1, 4, 4, 6},
+			Rate:  4, Jobs: 1800, Seed: 33,
 			AllowDropouts: true,
 			Faults:        faults.New(7, faults.Drop(0.02), faults.Stall(500, 9, 2)),
 		},

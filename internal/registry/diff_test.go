@@ -172,37 +172,32 @@ func TestRegistryMatchesSerialStreamReplayExactly(t *testing.T) {
 					t.Errorf("registry running partial %g drifted from sealed %g", r.ApproxSum(), snap.Sum())
 				}
 
-				// Full allocation sweep: bitwise equal to the serial
-				// stream snapshot, element by element.
+				// Full allocation sweep: per-agent O(1) snapshot loads
+				// are bitwise equal to the serial stream snapshot,
+				// element by element, and so are the sealed bids.
 				sids, sx := st.SnapshotInto(nil, nil)
-				var sw Sweep
-				x := sw.Alloc(snap, workers)
-				if len(x) != len(sx) {
-					t.Fatalf("allocation sweep length %d, want %d", len(x), len(sx))
+				vals := snap.Bids(nil)
+				if len(vals) != len(sx) {
+					t.Fatalf("sealed population %d, want %d", len(vals), len(sx))
 				}
-				vals := sw.Values(snap, workers)
-				for j := range x {
-					if x[j] != sx[j] {
-						t.Fatalf("x[%d] = %v, want serial %v", j, x[j], sx[j])
+				for j, id := range snap.IDs() {
+					if x, ok := snap.Load(id); !ok || x != sx[j] {
+						t.Fatalf("Load(%d) = %v/%v, want serial x[%d] = %v", id, x, ok, j, sx[j])
 					}
 					sv, _ := st.Value(sids[j])
 					if vals[j] != sv {
 						t.Fatalf("bid[%d] = %v, want serial %v", j, vals[j], sv)
 					}
-					// Per-agent O(1) snapshot loads agree bitwise with
-					// the sweep (same S, same expression).
-					if lx, ok := snap.Load(snap.IDs()[j]); !ok || lx != x[j] {
-						t.Fatalf("Load(%d) = %v/%v, want %v", snap.IDs()[j], lx, ok, x[j])
-					}
 				}
 
-				// Payment sweep: bitwise equal to the serial engine
-				// run over the stream's population.
+				// Payment sweep: the engine over the sealed bids is
+				// bitwise equal to the serial engine run over the
+				// stream's population.
 				if snap.N() < 2 {
 					return
 				}
 				regEng := mech.NewEngine(mech.CompensationBonus{})
-				o, err := sw.Payments(snap, regEng, workers)
+				o, err := regEng.Run(mech.TruthfulInto(nil, vals), snap.Rate())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -366,11 +361,9 @@ func TestCorrectedSealMatchesSerialReplayExactly(t *testing.T) {
 					t.Fatalf("corrected N = %d, want serial %d", snap.N(), st.N())
 				}
 				_, sx := st.SnapshotInto(nil, nil)
-				var sw Sweep
-				x := sw.Alloc(snap, workers)
-				for j := range x {
-					if x[j] != sx[j] {
-						t.Fatalf("corrected x[%d] = %v, want serial %v", j, x[j], sx[j])
+				for j, id := range snap.IDs() {
+					if x, _ := snap.Load(id); x != sx[j] {
+						t.Fatalf("corrected x[%d] = %v, want serial %v", j, x, sx[j])
 					}
 				}
 

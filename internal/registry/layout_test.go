@@ -157,7 +157,10 @@ func TestPartialRebuildCadence(t *testing.T) {
 // and leaves (serial and batched) fail as unknown, Value reports it
 // absent, and RestoreAgent reinstalls it exactly once. Seals along the
 // way must match a serial alloc.Stream replay of the applied history
-// bitwise, for one shard and several.
+// bitwise, for one shard and several. Each check also pins the
+// Snapshot.Bids contract on that epoch and on a corrected epoch over
+// the same population: ascending id order parallel to IDs, bitwise
+// equal to Value, dst reused when it has the capacity.
 func TestRemovedIDChurnDifferential(t *testing.T) {
 	const rate = 20.0
 	for _, shards := range []int{1, 8} {
@@ -197,6 +200,29 @@ func TestRemovedIDChurnDifferential(t *testing.T) {
 				t.Fatalf("shards=%d: Value of departed id %d = %v, %v", shards, id, v, ok)
 			}
 		}
+		var bids []float64 // Bids' dst, reused across checks
+		checkBids := func(round int, snap *Snapshot) {
+			t.Helper()
+			prev := bids
+			bids = snap.Bids(bids)
+			if len(bids) != snap.N() {
+				t.Fatalf("shards=%d round=%d epoch %d: Bids has %d entries, N = %d",
+					shards, round, snap.Epoch(), len(bids), snap.N())
+			}
+			if cap(prev) >= snap.N() && snap.N() > 0 && &bids[0] != &prev[:1][0] {
+				t.Fatalf("shards=%d round=%d epoch %d: Bids reallocated a dst of capacity %d for %d bids",
+					shards, round, snap.Epoch(), cap(prev), snap.N())
+			}
+			for j, id := range snap.IDs() {
+				if j > 0 && id <= snap.IDs()[j-1] {
+					t.Fatalf("shards=%d round=%d epoch %d: ids not ascending at %d", shards, round, snap.Epoch(), j)
+				}
+				if v, ok := snap.Value(id); !ok || math.Float64bits(bids[j]) != math.Float64bits(v) {
+					t.Fatalf("shards=%d round=%d epoch %d: Bids[%d] = %v, Value(%d) = %v, %v",
+						shards, round, snap.Epoch(), j, bids[j], id, v, ok)
+				}
+			}
+		}
 		check := func(round int) {
 			t.Helper()
 			snap := r.Seal()
@@ -207,16 +233,33 @@ func TestRemovedIDChurnDifferential(t *testing.T) {
 			if snap.N() != st.N() {
 				t.Fatalf("shards=%d round=%d: sealed N %d, serial replay %d", shards, round, snap.N(), st.N())
 			}
+			checkBids(round, snap)
 			sids, sx := st.SnapshotInto(nil, nil)
-			var sw Sweep
-			x := sw.Alloc(snap, 1)
 			for j, id := range snap.IDs() {
-				v, _ := snap.Value(id)
 				sv, _ := st.Value(sids[j])
-				if math.Float64bits(v) != math.Float64bits(sv) || math.Float64bits(x[j]) != math.Float64bits(sx[j]) {
+				x, _ := snap.Load(id)
+				if math.Float64bits(bids[j]) != math.Float64bits(sv) || math.Float64bits(x) != math.Float64bits(sx[j]) {
 					t.Fatalf("shards=%d round=%d: id %d sealed (t=%v, x=%v), serial replay (t=%v, x=%v)",
-						shards, round, id, v, x[j], sv, sx[j])
+						shards, round, id, bids[j], x, sv, sx[j])
 				}
+			}
+
+			// A corrected epoch over the same population: the first
+			// live id dropped, the last one priced at twice its bid.
+			ids := snap.IDs()
+			drop, half := ids[0], ids[len(ids)-1]
+			bid, _ := snap.Value(half)
+			cs, err := r.SealCorrected(&Correction{Drop: map[int]bool{drop: true}, Weights: map[int]float64{half: 0.5}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dropped, discounted := cs.Correction(); dropped != 1 || discounted != 1 || cs.Contains(drop) {
+				t.Fatalf("shards=%d round=%d: corrected epoch dropped %d, discounted %d, contains %d: %v",
+					shards, round, dropped, discounted, drop, cs.Contains(drop))
+			}
+			checkBids(round, cs)
+			if got := bids[len(bids)-1]; math.Float64bits(got) != math.Float64bits(bid/0.5) {
+				t.Fatalf("shards=%d round=%d: corrected Bids of id %d = %v, want %v", shards, round, half, got, bid/0.5)
 			}
 		}
 

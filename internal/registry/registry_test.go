@@ -224,12 +224,10 @@ func TestSealedAggregateIndependentOfShardCount(t *testing.T) {
 				if snap.N() != st.N() {
 					t.Fatalf("n=%d procs=%d shards=%d: N = %d, serial replay %d", pop.n, procs, shards, snap.N(), st.N())
 				}
-				var sw Sweep
-				x := sw.Alloc(snap, 1)
 				for j, id := range snap.IDs() {
-					if id != wantIDs[j] || math.Float64bits(x[j]) != math.Float64bits(wantX[j]) {
+					if x, _ := snap.Load(id); id != wantIDs[j] || math.Float64bits(x) != math.Float64bits(wantX[j]) {
 						t.Fatalf("n=%d procs=%d shards=%d: entry %d is (id %d, x %g), serial replay (id %d, x %g)",
-							pop.n, procs, shards, j, id, x[j], wantIDs[j], wantX[j])
+							pop.n, procs, shards, j, id, x, wantIDs[j], wantX[j])
 					}
 				}
 			}
@@ -237,6 +235,9 @@ func TestSealedAggregateIndependentOfShardCount(t *testing.T) {
 	}
 }
 
+// TestSweepAllocMatchesProportionalExactly sweeps Load over every live
+// id of a sealed epoch and requires the allocation alloc.Proportional
+// computes for the epoch's Bids, exactly.
 func TestSweepAllocMatchesProportionalExactly(t *testing.T) {
 	r, err := New(Config{Rate: 20, Shards: 8})
 	if err != nil {
@@ -246,16 +247,13 @@ func TestSweepAllocMatchesProportionalExactly(t *testing.T) {
 		mustAdd(t, r, 0.25+float64(i%13))
 	}
 	snap := r.Seal()
-	var sw Sweep
-	vals := append([]float64(nil), sw.Values(snap, 2)...)
-	x := sw.Alloc(snap, 2)
-	want, err := alloc.Proportional(vals, snap.Rate())
+	want, err := alloc.Proportional(snap.Bids(nil), snap.Rate())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for j := range x {
-		if x[j] != want[j] {
-			t.Fatalf("x[%d] = %g, want exactly %g", j, x[j], want[j])
+	for j, id := range snap.IDs() {
+		if x, _ := snap.Load(id); x != want[j] {
+			t.Fatalf("Load(%d) = %g, want exactly %g", id, x, want[j])
 		}
 	}
 }
@@ -269,9 +267,8 @@ func TestSnapshotPaymentMatchesEngine(t *testing.T) {
 		mustAdd(t, r, v)
 	}
 	snap := r.Seal()
-	var sw Sweep
 	eng := mech.NewEngine(mech.CompensationBonus{})
-	o, err := sw.Payments(snap, eng, 2)
+	o, err := eng.Run(mech.TruthfulInto(nil, snap.Bids(nil)), snap.Rate())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,6 +40,21 @@ func (s *Snapshot) N() int { return len(s.ids) }
 // the snapshot and must not be modified.
 func (s *Snapshot) IDs() []int { return s.ids }
 
+// Bids returns the sealed bids in ascending id order, parallel to
+// IDs(): the population that alloc.ProportionalInto and the
+// mech.Engine price against this epoch's canonical S. dst is reused
+// when it has the capacity.
+func (s *Snapshot) Bids(dst []float64) []float64 {
+	if cap(dst) < len(s.ids) {
+		dst = make([]float64, len(s.ids))
+	}
+	dst = dst[:len(s.ids)]
+	for j, id := range s.ids {
+		dst[j] = s.t[id]
+	}
+	return dst
+}
+
 // Correction reports the health adjustment applied at seal time: how
 // many live agents the corrected epoch dropped (ejected) and how many
 // it discounted (degraded or slow-starting). Both are zero for an
@@ -111,7 +126,7 @@ func (s *Snapshot) ExclusionLatency(id int) (float64, bool) {
 // forms are algebraically equal to the mech.Engine payment run over
 // the sealed population, differing only in floating-point association
 // (the differential tests bound the gap); full sweeps that must match
-// the engine bitwise use Sweep.Payments instead.
+// the engine bitwise run it over Bids instead.
 func (s *Snapshot) Payment(id int) (compensation, bonus float64, ok bool) {
 	if !s.Contains(id) {
 		return 0, 0, false

@@ -5,14 +5,14 @@ import (
 )
 
 // RegistrySync mirrors a multi-round simulation's population into a
-// concurrent bid registry, sealing one epoch per round — the reverse
-// bridge of ComputersFromSnapshot. It is what connects the rounds
-// engine to the per-job dispatch layer: each round's Record describes
-// who is serving (joins applied, leavers gone, suspended computers
-// sitting out a ban), Apply replays that churn into the registry and
-// seals, and the returned snapshot is ready for Dispatcher.Rebuild —
-// so per-job routing follows round-level membership with one epoch of
-// lag, exactly the alias-table rebuild protocol.
+// concurrent bid registry, sealing one epoch per round. It is what
+// connects the rounds engine to the per-job dispatch layer: each
+// round's Record describes who is serving (joins applied, leavers
+// gone, suspended computers sitting out a ban), Apply replays that
+// churn into the registry and seals, and the returned snapshot is
+// ready for Dispatcher.Rebuild — so per-job routing follows
+// round-level membership with one epoch of lag, exactly the
+// alias-table rebuild protocol.
 //
 // Ids are registry-monotone: a computer that leaves and later rejoins
 // is re-admitted under a fresh id (the registry never recycles ids),

@@ -1,6 +1,6 @@
 // Package stats provides streaming summary statistics, quantiles,
-// histograms and bootstrap confidence intervals used by the simulation
-// and experiment harnesses.
+// autocorrelation, batch means and bootstrap confidence intervals used
+// by the simulation and experiment harnesses.
 package stats
 
 import (

@@ -16,7 +16,7 @@ func FuzzClassify(f *testing.F) {
 	f.Add(5, uint8(0), []byte{}, []byte{}, 0, true)
 	f.Add(8, uint8(1), []byte{2}, []byte{250}, 3, true)
 	f.Add(2, uint8(3), []byte{0, 0, 1}, []byte{1, 1}, -1, false)
-	f.Add(0, uint8(9), []byte{7}, []byte{7}, 1 << 30, true)
+	f.Add(0, uint8(9), []byte{7}, []byte{7}, 1<<30, true)
 	f.Fuzz(func(t *testing.T, n int, errCode uint8, flagged, missing []byte, claims int, hasRes bool) {
 		errs := []error{
 			nil,

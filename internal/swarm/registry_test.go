@@ -1,6 +1,7 @@
 package swarm
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -26,41 +27,39 @@ func sealPopulation(t *testing.T, bids []float64, rate float64) *registry.Snapsh
 	return r.Seal()
 }
 
-// TestConfigFromSnapshot checks the bridge carries the sealed bids
-// over in id order and that OptimumShares matches Snapshot.Load/R.
+// TestConfigFromSnapshot builds a swarm Config from a sealed epoch's
+// Bids, the way lbswarm does, and checks it carries the sealed bids
+// over in id order: the optimum share 1/(t_j·S) of machine j is
+// Snapshot.Load/R for the j-th live id. An empty epoch yields no
+// machines, which New rejects.
 func TestConfigFromSnapshot(t *testing.T) {
 	bids := []float64{2, 0.5, 1, 4, 0.25}
 	snap := sealPopulation(t, bids, 120)
-	cfg, err := ConfigFromSnapshot(snap, 50000)
+	cfg := Config{Tasks: 50000, T: snap.Bids(nil)}
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cfg.T) != len(bids) || cfg.Tasks != 50000 {
-		t.Fatalf("bridge produced %d machines / %d tasks", len(cfg.T), cfg.Tasks)
-	}
-	shares, err := OptimumShares(nil, snap)
-	if err != nil {
-		t.Fatal(err)
+	if s.Machines() != len(bids) || s.Tasks() != 50000 {
+		t.Fatalf("swarm has %d machines / %d tasks", s.Machines(), s.Tasks())
 	}
 	var sum float64
 	for j, id := range snap.IDs() {
+		share := 1 / (cfg.T[j] * snap.Sum())
 		load, _ := snap.Load(id)
-		if want := load / snap.Rate(); math.Abs(shares[j]-want) > 1e-15 {
-			t.Errorf("share[%d] = %g, snapshot load/R = %g", j, shares[j], want)
+		if want := load / snap.Rate(); math.Abs(share-want) > 1e-15 {
+			t.Errorf("share[%d] = %g, snapshot load/R = %g", j, share, want)
 		}
-		sum += shares[j]
+		sum += share
 	}
 	if math.Abs(sum-1) > 1e-12 {
 		t.Errorf("shares sum to %g, want 1", sum)
 	}
 
-	// Empty epoch: both bridges must refuse.
 	empty := sealPopulation(t, nil, 0)
-	if _, err := ConfigFromSnapshot(empty, 10); err == nil {
-		t.Error("ConfigFromSnapshot accepted an empty epoch")
-	}
-	if _, err := OptimumShares(nil, empty); err == nil {
-		t.Error("OptimumShares accepted an empty epoch")
+	var ce *ConfigError
+	if _, err := New(Config{Tasks: 10, T: empty.Bids(nil)}); !errors.As(err, &ce) {
+		t.Errorf("New over an empty epoch: err = %v, want a *ConfigError", err)
 	}
 }
 
@@ -70,13 +69,7 @@ func TestConfigFromSnapshot(t *testing.T) {
 func TestSwarmConvergesToSnapshotOptimum(t *testing.T) {
 	bids := []float64{1, 1.5, 2, 3, 5, 8, 0.75, 0.5}
 	snap := sealPopulation(t, bids, 500)
-	cfg, err := ConfigFromSnapshot(snap, 200000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Seed = 21
-	cfg.PlaceSingle = true
-	s, err := New(cfg)
+	s, err := New(Config{Tasks: 200000, T: snap.Bids(nil), Seed: 21, PlaceSingle: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,13 +81,10 @@ func TestSwarmConvergesToSnapshotOptimum(t *testing.T) {
 		t.Fatalf("TV to the sealed optimum %g > 0.01 after 150 rounds", last.TVOptimum)
 	}
 	shares := s.Shares(nil)
-	want, err := OptimumShares(nil, snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if math.Abs(shares[i]-want[i]) > 0.03*want[i]+1e-3 {
-			t.Errorf("machine %d: share %g, sealed optimum %g", i, shares[i], want[i])
+	for i, id := range snap.IDs() {
+		load, _ := snap.Load(id)
+		if want := load / snap.Rate(); math.Abs(shares[i]-want) > 0.03*want+1e-3 {
+			t.Errorf("machine %d: share %g, sealed optimum %g", i, shares[i], want)
 		}
 	}
 }

@@ -16,9 +16,9 @@
 // balanced fixed point — all ℓ_i equal — is exactly the mechanism's
 // one-shot optimum x*_i ∝ 1/t_i from alloc.Proportional. The swarm
 // therefore measures how fast selfish dynamics approach the optimum
-// the mechanism computes directly, and the registry bridge
-// (ConfigFromSnapshot) runs the dynamics over a sealed epoch's live
-// bid population.
+// the mechanism computes directly; a Config whose T is a sealed
+// registry epoch's Snapshot.Bids runs the dynamics over that epoch's
+// live bid population.
 //
 // # Layout and determinism
 //
@@ -54,7 +54,6 @@
 package swarm
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -516,6 +515,3 @@ func BoundUniform(m, n int) float64 {
 	}
 	return math.Log2(math.Log2(float64(m))) + float64(n)*float64(n)
 }
-
-// errEmpty is returned by bridges given an empty population.
-var errEmpty = errors.New("swarm: empty machine population")

@@ -478,7 +478,16 @@ func TestSyncPolicies(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		atSeal := recordSnap(r.Seal())
+		// The durable seal is a corrected one, as a health controller
+		// would publish: one agent ejected, one discounted.
+		sealed, err := r.SealCorrected(&registry.Correction{
+			Drop:    map[int]bool{3: true},
+			Weights: map[int]float64{7: 0.5},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		atSeal := recordSnap(sealed)
 		for i := 0; i < 20; i++ { // buffered after the seal: lost
 			if _, err := r.Add(1); err != nil {
 				t.Fatal(err)
@@ -489,7 +498,11 @@ func TestSyncPolicies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		compareSnap(t, r2.Snapshot(), atSeal)
+		got := r2.Snapshot()
+		compareSnap(t, got, atSeal)
+		if dropped, discounted := got.Correction(); dropped != 1 || discounted != 1 {
+			t.Fatalf("recovered Correction() = %d dropped, %d discounted; want 1, 1", dropped, discounted)
+		}
 		if info.TornTail {
 			t.Fatalf("clean fsync boundary reported a torn tail")
 		}

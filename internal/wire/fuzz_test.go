@@ -31,9 +31,9 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(stream)
 	one, _ := AppendRequest(nil, &Request{Op: OpRebid, Req: 7, ID: 3, T: 2.5})
 	f.Add(one)
-	f.Add(one[:len(one)-1])                  // truncated tail
-	f.Add(append([]byte(nil), one[1:]...))   // shifted start
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})    // zero-length payload
+	f.Add(one[:len(one)-1])                   // truncated tail
+	f.Add(append([]byte(nil), one[1:]...))    // shifted start
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})     // zero-length payload
 	f.Add([]byte{255, 255, 0, 0, 1, 2, 3, 4}) // oversized length prefix
 	corrupt := append([]byte(nil), one...)
 	corrupt[FrameLen] ^= 0x01
