@@ -309,27 +309,6 @@ func BenchmarkExtSizeSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkLearningDynamics measures 200 rounds of regret-matching
-// repeated play with full-information feedback on a 4-agent market.
-func BenchmarkLearningDynamics(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := game.Learn(game.LearnConfig{
-			Mechanism:  mech.CompensationBonus{},
-			Trues:      []float64{1, 2, 4, 8},
-			Rate:       6,
-			BidFactors: []float64{0.5, 1, 2, 4},
-			Rounds:     200,
-			Seed:       uint64(i + 1),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.MeanLatency <= 0 {
-			b.Fatal("bad result")
-		}
-	}
-}
-
 // BenchmarkMM1ProtocolRound measures a full M/M/1 protocol round with
 // real queueing simulation and sojourn-inversion verification (20k
 // jobs).

@@ -31,8 +31,7 @@ type listenConfig struct {
 // runListen serves the registry over TCP until SIGINT/SIGTERM, then
 // drains connections gracefully and commits the WAL. With -wal-dir it
 // first recovers whatever log the directory holds, so a kill -9 /
-// restart cycle resumes from bitwise-identical sealed epochs — the
-// multi-process version of the -wal-demo story.
+// restart cycle resumes from bitwise-identical sealed epochs.
 func runListen(cfg listenConfig, out io.Writer) int {
 	var (
 		reg *registry.Registry

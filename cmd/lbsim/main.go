@@ -18,11 +18,15 @@
 //	    {"true": 2, "bid_factor": 0.5, "exec_factor": 2}
 //	  ]
 //	}
+//
+// With -scenario, the -jobs, -seed, -faults and -dropouts flags that are
+// set on the command line override the file's values.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/experiments"
@@ -30,23 +34,33 @@ import (
 	"repro/internal/obs"
 	"repro/internal/protocol"
 	"repro/internal/report"
-	"repro/internal/scenario"
 )
 
 func main() {
-	expName := flag.String("experiment", "True1", "Table 2 experiment name (True1..Low2)")
-	scenarioPath := flag.String("scenario", "", "path to a JSON scenario file (overrides -experiment)")
-	jobs := flag.Int("jobs", 100000, "number of jobs to simulate")
-	seed := flag.Uint64("seed", 1, "random seed")
-	faultSpec := flag.String("faults", "", "fault plan, e.g. drop=0.1,silent=3,stall=2@500:10 (see package faults)")
-	dropouts := flag.Bool("dropouts", false, "tolerate agents whose bids never arrive instead of aborting")
-	metrics := flag.Bool("metrics", false, "print a metrics snapshot (JSON then Prometheus text) after the run")
-	trace := flag.Bool("trace", false, "print the event trace after the run")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "lbsim:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses the command line in args and writes the report to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	expName := fs.String("experiment", "True1", "Table 2 experiment name (True1..Low2)")
+	scenarioPath := fs.String("scenario", "", "path to a JSON scenario file (overrides -experiment)")
+	jobs := fs.Int("jobs", 100000, "number of jobs to simulate (overrides the scenario file's when set)")
+	seed := fs.Uint64("seed", 1, "random seed (overrides the scenario file's when set)")
+	faultSpec := fs.String("faults", "", "fault plan, e.g. drop=0.1,silent=3,stall=2@500:10 (see package faults)")
+	dropouts := fs.Bool("dropouts", false, "tolerate agents whose bids never arrive instead of aborting")
+	metrics := fs.Bool("metrics", false, "print a metrics snapshot (JSON then Prometheus text) after the run")
+	trace := fs.Bool("trace", false, "print the event trace after the run")
+	fs.Parse(args)
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
 	plan, err := faults.ParseSpec(*faultSpec)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	var inj faults.Injector
 	if *faultSpec != "" {
@@ -63,12 +77,18 @@ func main() {
 	if *scenarioPath != "" {
 		f, err := os.Open(*scenarioPath)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		s, err := scenario.Load(f)
+		s, err := loadScenario(f)
 		f.Close()
 		if err != nil {
-			fatal(err)
+			return err
+		}
+		if set["jobs"] {
+			s.Jobs = *jobs
+		}
+		if set["seed"] {
+			s.Seed = *seed
 		}
 		if inj != nil {
 			s.Faults = inj
@@ -77,15 +97,15 @@ func main() {
 			s.AllowDropouts = true
 		}
 		s.Obs = ob
-		res, err = s.Run()
+		res, err = s.run()
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		header = fmt.Sprintf("scenario %s (%s model, R=%g)", s.Name, s.Model, s.Rate)
 	} else {
 		exp, err := experiments.ExperimentByName(*expName)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		strategies := make([]protocol.Strategy, 16)
 		strategies[0] = protocol.FactorStrategy{BidFactor: exp.BidFactor, ExecFactor: exp.ExecFactor}
@@ -100,28 +120,27 @@ func main() {
 			Obs:           ob,
 		})
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		header = fmt.Sprintf("experiment %s: C1 bids %.3g*t1, executes at %.3g*t1",
 			exp.Name, exp.BidFactor, exp.ExecFactor)
 	}
-	printResult(header, res)
+	printResult(w, header, res)
 	if *metrics || *trace {
-		fmt.Println()
-		if err := ob.Dump(os.Stdout, *metrics, *trace); err != nil {
-			fatal(err)
-		}
+		fmt.Fprintln(w)
+		return ob.Dump(w, *metrics, *trace)
 	}
+	return nil
 }
 
-func printResult(header string, res *protocol.Result) {
-	fmt.Println(header)
-	fmt.Printf("protocol messages: %d\n", res.Messages)
+func printResult(w io.Writer, header string, res *protocol.Result) {
+	fmt.Fprintln(w, header)
+	fmt.Fprintf(w, "protocol messages: %d\n", res.Messages)
 	if res.Lost > 0 || len(res.Dropped) > 0 {
-		fmt.Printf("fault layer: %d messages lost, dropped agents: %s\n",
+		fmt.Fprintf(w, "fault layer: %d messages lost, dropped agents: %s\n",
 			res.Lost, joinOrNone(res.Dropped))
 	}
-	fmt.Printf("simulated %d jobs over %.1f s of virtual time\n\n",
+	fmt.Fprintf(w, "simulated %d jobs over %.1f s of virtual time\n\n",
 		totalJobs(res), res.Sim.Duration)
 
 	tab := report.NewTable("Per-computer results (payments from estimated execution values).",
@@ -146,11 +165,11 @@ func printResult(header string, res *protocol.Result) {
 			report.FormatFloat(res.Outcome.Utility[i]),
 		)
 	}
-	tab.Render(os.Stdout)
+	tab.Render(w)
 
-	fmt.Printf("\nrealized total latency (analytic): %s\n",
+	fmt.Fprintf(w, "\nrealized total latency (analytic): %s\n",
 		report.FormatFloat(res.Oracle.RealLatency))
-	fmt.Printf("realized total latency (simulated): %s\n",
+	fmt.Fprintf(w, "realized total latency (simulated): %s\n",
 		report.FormatFloat(res.Sim.TotalLatencyRate))
 }
 
@@ -171,9 +190,4 @@ func joinOrNone(names []string) string {
 		out += "," + n
 	}
 	return out
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "lbsim:", err)
-	os.Exit(1)
 }

@@ -1,7 +1,7 @@
 // Package alloc implements optimal job allocation across heterogeneous
 // computers: the paper's closed-form PR (proportional-to-rate)
 // algorithm for linear latency functions, and a general KKT
-// water-filling solver for arbitrary convex latency models.
+// water-filling solver for convex latency models (M/M/1).
 package alloc
 
 import (
@@ -153,12 +153,12 @@ func Exclude(ts []float64, i int) []float64 {
 }
 
 // Optimal computes the total-latency-minimizing feasible allocation for
-// arbitrary convex latency functions by solving the KKT conditions:
-// there is a Lagrange multiplier alpha such that every computer with
-// x_i > 0 has MarginalTotal_i(x_i) = alpha and every computer with
-// x_i = 0 has MarginalTotal_i(0) >= alpha. The aggregate assigned flow
-// is nondecreasing in alpha, so alpha is found by bisection, and each
-// per-computer inversion is a one-dimensional root find.
+// convex latency functions by solving the KKT conditions: there is a
+// Lagrange multiplier alpha such that every computer with x_i > 0 has
+// MarginalTotal_i(x_i) = alpha and every computer with x_i = 0 has
+// MarginalTotal_i(0) >= alpha. The aggregate assigned flow is
+// nondecreasing in alpha, so alpha is found by bisection, and each
+// per-computer load is the function's closed-form InverseMarginal.
 //
 // For linear models this agrees with Proportional (property-tested).
 // Returns ErrInfeasible when rate >= sum of capacities.
@@ -237,38 +237,7 @@ func invertMarginal(f latency.Function, alpha float64) float64 {
 	if f.MarginalTotal(0) >= alpha {
 		return 0
 	}
-	// Special-case the models with closed-form inverses for speed and
-	// accuracy; fall back to Brent otherwise.
-	switch m := f.(type) {
-	case latency.Linear:
-		return alpha / (2 * m.T)
-	case latency.MM1:
-		// mu/(mu-x)^2 = alpha => x = mu - sqrt(mu/alpha)
-		return m.Mu - math.Sqrt(m.Mu/alpha)
-	case latency.Affine:
-		return (alpha - m.A) / (2 * m.B)
-	case latency.Monomial:
-		return math.Pow(alpha/(m.C*(m.K+1)), 1/m.K)
-	}
-	hi := f.MaxRate()
-	if math.IsInf(hi, 1) {
-		hi = 1.0
-		for f.MarginalTotal(hi) < alpha {
-			hi *= 2
-			if hi > 1e18 {
-				return 0
-			}
-		}
-	} else {
-		hi *= 1 - 1e-12
-	}
-	x, err := numeric.Brent(func(x float64) float64 {
-		return f.MarginalTotal(x) - alpha
-	}, 0, hi, 1e-13*(1+hi))
-	if err != nil {
-		return 0
-	}
-	return x
+	return f.InverseMarginal(alpha)
 }
 
 // LinearFunctions converts a slice of latency parameters into Linear

@@ -184,36 +184,6 @@ func (g *CostGame) Efficiency() float64 {
 	return g.Cost(all)
 }
 
-// CompareWithMechanism relates the cooperative and noncooperative
-// views: the Shapley share averages computer i's marginal cost
-// contribution over all join positions, while the mechanism's bonus
-// L*(t_{-i}) - L* is exactly its (negated) *last-position* marginal
-// contribution. The returned slice holds lastMarginal/share ratios for
-// inspection; the test suite records how the two attributions relate
-// on the paper system.
-func (g *CostGame) CompareWithMechanism(shapley []float64) ([]float64, error) {
-	n := len(g.Ts)
-	if len(shapley) != n {
-		return nil, fmt.Errorf("coop: %d shares for %d players", len(shapley), n)
-	}
-	grand := g.Efficiency()
-	out := make([]float64, n)
-	for i := range g.Ts {
-		rest := make([]int, 0, n-1)
-		for j := 0; j < n; j++ {
-			if j != i {
-				rest = append(rest, j)
-			}
-		}
-		lastMarginal := grand - g.Cost(rest) // negative: joining last reduces cost
-		if shapley[i] == 0 {
-			return nil, errors.New("coop: zero Shapley share")
-		}
-		out[i] = lastMarginal / shapley[i]
-	}
-	return out, nil
-}
-
 // RelErrMax returns the largest relative disagreement between two
 // share vectors (test helper for exact-vs-sampled comparisons).
 func RelErrMax(a, b []float64) float64 {

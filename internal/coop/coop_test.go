@@ -148,43 +148,6 @@ func TestShapleyExactRefusesLargeN(t *testing.T) {
 	}
 }
 
-func TestCompareWithMechanism(t *testing.T) {
-	g, err := NewCostGame([]float64{1, 2, 5, 10}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shares, err := g.ShapleyExact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ratios, err := g.CompareWithMechanism(shares)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ratios) != 4 {
-		t.Fatalf("ratios = %v", ratios)
-	}
-	// The last-position marginal (the mechanism's negated bonus) is
-	// negative for every computer — joining a working system always
-	// helps it.
-	grand := g.Efficiency()
-	for i := range ratios {
-		rest := []int{}
-		for j := 0; j < 4; j++ {
-			if j != i {
-				rest = append(rest, j)
-			}
-		}
-		if grand-g.Cost(rest) >= 0 {
-			t.Errorf("computer %d last-position marginal not negative", i)
-		}
-	}
-	// Mismatched lengths error.
-	if _, err := g.CompareWithMechanism(shares[:2]); err == nil {
-		t.Error("expected length error")
-	}
-}
-
 func TestNewCostGameValidation(t *testing.T) {
 	if _, err := NewCostGame(nil, 5); err == nil {
 		t.Error("expected error for empty set")

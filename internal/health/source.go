@@ -88,9 +88,6 @@ func (s *Source) Add(id int, declared float64) {
 	s.declared[id] = declared
 }
 
-// IDs returns the registered ids in ascending order.
-func (s *Source) IDs() []int { return s.ids }
-
 // Active reports whether the fault plan applies at the given tick.
 func (s *Source) Active(tick int) bool {
 	if s.inj == nil {

@@ -6,9 +6,10 @@
 // repository (Grosu & Chronopoulos, "A Load Balancing Mechanism with
 // Verification", IPDPS 2003) models computers with linear functions
 // l(x) = t*x; the companion CLUSTER 2002 paper models them as M/M/1
-// queues with l(x) = 1/(mu-x). Both, plus affine, monomial and M/G/1
-// generalizations, are provided behind one interface so the allocation
-// and mechanism layers are model-agnostic.
+// queues with l(x) = 1/(mu-x). Both are provided behind one interface
+// so the allocation and mechanism layers are model-agnostic. MG1, the
+// Pollaczek-Khinchine M/G/1 sojourn time, is the analytic reference
+// the cluster simulator is checked against.
 package latency
 
 import (
@@ -31,6 +32,9 @@ type Function interface {
 	// MaxRate returns the supremum of feasible arrival rates
 	// (capacity), or +Inf if the function is defined for all x >= 0.
 	MaxRate() float64
+	// InverseMarginal returns the load x in (0, MaxRate()) with
+	// MarginalTotal(x) = alpha, for alpha > MarginalTotal(0).
+	InverseMarginal(alpha float64) float64
 	// String describes the model and its parameters.
 	String() string
 }
@@ -65,37 +69,10 @@ func (f Linear) MarginalTotal(x float64) float64 { return 2 * f.T * x }
 // MaxRate implements Function.
 func (f Linear) MaxRate() float64 { return math.Inf(1) }
 
+// InverseMarginal implements Function: 2*T*x = alpha.
+func (f Linear) InverseMarginal(alpha float64) float64 { return alpha / (2 * f.T) }
+
 func (f Linear) String() string { return fmt.Sprintf("linear(t=%g)", f.T) }
-
-// Affine models a fixed per-job overhead on top of a linear congestion
-// term: l(x) = A + B*x, A >= 0, B > 0.
-type Affine struct {
-	A, B float64
-}
-
-// Latency implements Function.
-func (f Affine) Latency(x float64) float64 {
-	if x < 0 {
-		return math.Inf(1)
-	}
-	return f.A + f.B*x
-}
-
-// Total implements Function.
-func (f Affine) Total(x float64) float64 {
-	if x < 0 {
-		return math.Inf(1)
-	}
-	return x * (f.A + f.B*x)
-}
-
-// MarginalTotal implements Function.
-func (f Affine) MarginalTotal(x float64) float64 { return f.A + 2*f.B*x }
-
-// MaxRate implements Function.
-func (f Affine) MaxRate() float64 { return math.Inf(1) }
-
-func (f Affine) String() string { return fmt.Sprintf("affine(a=%g, b=%g)", f.A, f.B) }
 
 // MM1 models the computer as an M/M/1 queue with service rate Mu:
 // l(x) = 1/(Mu - x) for x < Mu. This is the model of the companion
@@ -132,6 +109,9 @@ func (f MM1) MarginalTotal(x float64) float64 {
 // MaxRate implements Function.
 func (f MM1) MaxRate() float64 { return f.Mu }
 
+// InverseMarginal implements Function: Mu/(Mu-x)^2 = alpha.
+func (f MM1) InverseMarginal(alpha float64) float64 { return f.Mu - math.Sqrt(f.Mu/alpha) }
+
 func (f MM1) String() string { return fmt.Sprintf("mm1(mu=%g)", f.Mu) }
 
 // MG1 models the computer as an M/G/1 queue with service rate Mu and
@@ -140,100 +120,17 @@ func (f MM1) String() string { return fmt.Sprintf("mm1(mu=%g)", f.Mu) }
 //
 //	l(x) = 1/Mu + x*(1+CS2) / (2*Mu*(Mu-x))
 //
-// CS2 = 1 recovers M/M/1 sojourn; CS2 = 0 is M/D/1.
+// CS2 = 1 recovers M/M/1 sojourn; CS2 = 0 is M/D/1. It is not a
+// Function: no allocator routes load by it.
 type MG1 struct {
 	Mu  float64
 	CS2 float64
 }
 
-// Latency implements Function.
+// Latency returns l(x), +Inf outside [0, Mu).
 func (f MG1) Latency(x float64) float64 {
 	if x < 0 || x >= f.Mu {
 		return math.Inf(1)
 	}
 	return 1/f.Mu + x*(1+f.CS2)/(2*f.Mu*(f.Mu-x))
-}
-
-// Total implements Function.
-func (f MG1) Total(x float64) float64 {
-	if x < 0 || x >= f.Mu {
-		return math.Inf(1)
-	}
-	return x * f.Latency(x)
-}
-
-// MarginalTotal implements Function.
-func (f MG1) MarginalTotal(x float64) float64 {
-	if x < 0 || x >= f.Mu {
-		return math.Inf(1)
-	}
-	d := f.Mu - x
-	return 1/f.Mu + (1+f.CS2)*(2*x*f.Mu-x*x)/(2*f.Mu*d*d)
-}
-
-// MaxRate implements Function.
-func (f MG1) MaxRate() float64 { return f.Mu }
-
-func (f MG1) String() string { return fmt.Sprintf("mg1(mu=%g, cs2=%g)", f.Mu, f.CS2) }
-
-// Monomial is a polynomial congestion model l(x) = C*x^K with C > 0
-// and degree K >= 1 (K = 1 recovers Linear).
-type Monomial struct {
-	C float64
-	K float64
-}
-
-// Latency implements Function.
-func (f Monomial) Latency(x float64) float64 {
-	if x < 0 {
-		return math.Inf(1)
-	}
-	return f.C * math.Pow(x, f.K)
-}
-
-// Total implements Function.
-func (f Monomial) Total(x float64) float64 {
-	if x < 0 {
-		return math.Inf(1)
-	}
-	return f.C * math.Pow(x, f.K+1)
-}
-
-// MarginalTotal implements Function.
-func (f Monomial) MarginalTotal(x float64) float64 {
-	if x < 0 {
-		return math.Inf(1)
-	}
-	return f.C * (f.K + 1) * math.Pow(x, f.K)
-}
-
-// MaxRate implements Function.
-func (f Monomial) MaxRate() float64 { return math.Inf(1) }
-
-func (f Monomial) String() string { return fmt.Sprintf("monomial(c=%g, k=%g)", f.C, f.K) }
-
-// Validate reports whether f is a usable model: finite nonnegative
-// latency at 0 and strictly increasing marginal total latency on a
-// probe grid within its domain. It is a guard for user-supplied
-// parameters, not a proof of convexity.
-func Validate(f Function) error {
-	if l := f.Latency(0); math.IsNaN(l) || l < 0 || math.IsInf(l, 1) {
-		return fmt.Errorf("latency: %v has invalid l(0) = %v", f, l)
-	}
-	hi := f.MaxRate()
-	if math.IsInf(hi, 1) {
-		hi = 1e6
-	} else {
-		hi *= 0.999
-	}
-	prev := f.MarginalTotal(0)
-	for i := 1; i <= 8; i++ {
-		x := hi * float64(i) / 8
-		m := f.MarginalTotal(x)
-		if math.IsNaN(m) || m < prev-1e-12 {
-			return fmt.Errorf("latency: %v has non-increasing marginal total at x=%g", f, x)
-		}
-		prev = m
-	}
-	return nil
 }

@@ -73,29 +73,6 @@ func TestMG1MD1BelowMM1(t *testing.T) {
 	}
 }
 
-func TestMonomialReducesToLinear(t *testing.T) {
-	mono := Monomial{C: 3, K: 1}
-	lin := Linear{T: 3}
-	for _, x := range []float64{0, 0.5, 1, 2, 7} {
-		if !numeric.AlmostEqual(mono.Latency(x), lin.Latency(x), 1e-12, 0) {
-			t.Errorf("x=%v: monomial K=1 disagrees with linear", x)
-		}
-		if !numeric.AlmostEqual(mono.MarginalTotal(x), lin.MarginalTotal(x), 1e-12, 0) {
-			t.Errorf("x=%v: monomial marginal disagrees with linear", x)
-		}
-	}
-}
-
-func TestAffineReducesToLinearWhenAIsZero(t *testing.T) {
-	aff := Affine{A: 0, B: 2}
-	lin := Linear{T: 2}
-	for _, x := range []float64{0, 1, 3.5} {
-		if aff.Total(x) != lin.Total(x) {
-			t.Errorf("x=%v: affine(0,b) disagrees with linear", x)
-		}
-	}
-}
-
 // numericalMarginal estimates d/dx Total(x) by central differences.
 func numericalMarginal(f Function, x float64) float64 {
 	h := 1e-6 * (1 + math.Abs(x))
@@ -105,10 +82,7 @@ func numericalMarginal(f Function, x float64) float64 {
 func TestMarginalTotalMatchesNumericalDerivative(t *testing.T) {
 	fns := []Function{
 		Linear{T: 2.5},
-		Affine{A: 1, B: 0.7},
 		MM1{Mu: 6},
-		MG1{Mu: 6, CS2: 2.3},
-		Monomial{C: 0.9, K: 3},
 	}
 	for _, f := range fns {
 		hi := f.MaxRate()
@@ -123,6 +97,9 @@ func TestMarginalTotalMatchesNumericalDerivative(t *testing.T) {
 			want := numericalMarginal(f, x)
 			if !numeric.AlmostEqual(got, want, 1e-4, 1e-6) {
 				t.Errorf("%v at x=%v: MarginalTotal=%v, numeric=%v", f, x, got, want)
+			}
+			if inv := f.InverseMarginal(got); !numeric.AlmostEqual(inv, x, 1e-12, 1e-12) {
+				t.Errorf("%v: InverseMarginal(MarginalTotal(%v)) = %v", f, x, inv)
 			}
 		}
 	}
@@ -145,36 +122,8 @@ func TestLinearConvexityProperty(t *testing.T) {
 	}
 }
 
-func TestValidateAcceptsStandardModels(t *testing.T) {
-	for _, f := range []Function{
-		Linear{T: 1}, Affine{A: 0.5, B: 1}, MM1{Mu: 3},
-		MG1{Mu: 3, CS2: 0.5}, Monomial{C: 2, K: 2},
-	} {
-		if err := Validate(f); err != nil {
-			t.Errorf("Validate(%v) = %v, want nil", f, err)
-		}
-	}
-}
-
-type bogus struct{}
-
-func (bogus) Latency(x float64) float64       { return -1 }
-func (bogus) Total(x float64) float64         { return -x }
-func (bogus) MarginalTotal(x float64) float64 { return -1 }
-func (bogus) MaxRate() float64                { return math.Inf(1) }
-func (bogus) String() string                  { return "bogus" }
-
-func TestValidateRejectsBogus(t *testing.T) {
-	if err := Validate(bogus{}); err == nil {
-		t.Error("Validate accepted an invalid model")
-	}
-}
-
 func TestStringers(t *testing.T) {
-	for _, f := range []Function{
-		Linear{T: 1}, Affine{A: 1, B: 2}, MM1{Mu: 3},
-		MG1{Mu: 3, CS2: 1}, Monomial{C: 1, K: 2},
-	} {
+	for _, f := range []Function{Linear{T: 1}, MM1{Mu: 3}} {
 		if f.String() == "" {
 			t.Errorf("%T has empty String()", f)
 		}

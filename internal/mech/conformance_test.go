@@ -36,7 +36,6 @@ func conformanceCases() []conformanceCase {
 	return []conformanceCase{
 		{"verification/linear", CompensationBonus{}, true, true, true, linear, 8},
 		{"verification/mm1", CompensationBonus{Model: MM1Model{}}, true, true, true, mm1, 6},
-		{"verification/mg1", CompensationBonus{Model: MG1Model{CS2: 2}}, true, true, true, mm1, 6},
 		{"noverification/linear", BidCompensationBonus{}, false, true, true, linear, 8},
 		{"vcg/linear", VCG{}, true, true, true, linear, 8},
 		{"archertardos/linear", ArcherTardos{}, true, true, true, linear, 8},

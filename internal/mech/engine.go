@@ -43,9 +43,6 @@ func NewEngine(m Mechanism) *Engine {
 	return e
 }
 
-// Mechanism returns the mechanism this engine evaluates.
-func (e *Engine) Mechanism() Mechanism { return e.m }
-
 // Observe attaches an engine metrics bundle (nil detaches) and
 // returns the engine for chaining. Recording is allocation-free, so
 // the engine's zero-allocs-per-run steady state holds with metrics on
@@ -152,7 +149,7 @@ func (s *scratch) leaveOneOutOptima(mdl Model, values []float64, rate float64) e
 	s.excl = numeric.Resize(s.excl, n-1)
 	for i := range values {
 		sub := alloc.ExcludeInto(s.excl, values, i)
-		v, err := exclusionModel(mdl, i).OptimalTotal(sub, rate)
+		v, err := mdl.OptimalTotal(sub, rate)
 		if err != nil {
 			return fmt.Errorf("mech: exclusion optimum for agent %d: %w", i, err)
 		}

@@ -49,7 +49,7 @@ func (m NaiveCompensationBonus) Run(agents []Agent, rate float64) (*Outcome, err
 	}
 	o := newOutcome(m.Name(), mdl, ValuationPerJob, agents, rate, x)
 	for i, a := range agents {
-		lExcl, err := exclusionModel(mdl, i).OptimalTotal(alloc.Exclude(bids, i), rate)
+		lExcl, err := mdl.OptimalTotal(alloc.Exclude(bids, i), rate)
 		if err != nil {
 			return nil, fmt.Errorf("mech: exclusion optimum for agent %d: %w", i, err)
 		}
@@ -91,13 +91,4 @@ func (s strippedModel) TotalCost(value, x float64) float64 { return s.m.TotalCos
 
 func (s strippedModel) OptimalTotal(values []float64, rate float64) (float64, error) {
 	return s.m.OptimalTotal(values, rate)
-}
-
-// ExclusionModel forwards per-agent exclusion structure (e.g. cap
-// vectors) while keeping the exclusion models stripped too.
-func (s strippedModel) ExclusionModel(i int) Model {
-	if em, ok := s.m.(ExclusionModeler); ok {
-		return strippedModel{em.ExclusionModel(i)}
-	}
-	return s
 }

@@ -1,9 +1,6 @@
 package numeric
 
-import (
-	"errors"
-	"math"
-)
+import "errors"
 
 // ErrNoBracket is returned when a root finder is given an interval on
 // which the function does not change sign.
@@ -43,70 +40,4 @@ func Bisect(f func(float64) float64, a, b, tol float64) (float64, error) {
 		}
 	}
 	return a + (b-a)/2, nil
-}
-
-// Brent finds a root of f in [a, b] using Brent's method (inverse
-// quadratic interpolation with bisection fallback). f(a) and f(b) must
-// bracket a root.
-func Brent(f func(float64) float64, a, b, tol float64) (float64, error) {
-	fa, fb := f(a), f(b)
-	if fa == 0 {
-		return a, nil
-	}
-	if fb == 0 {
-		return b, nil
-	}
-	if (fa > 0) == (fb > 0) {
-		return 0, ErrNoBracket
-	}
-	if math.Abs(fa) < math.Abs(fb) {
-		a, b = b, a
-		fa, fb = fb, fa
-	}
-	c, fc := a, fa
-	mflag := true
-	var d float64
-	for i := 0; i < 200; i++ {
-		if fb == 0 || math.Abs(b-a) <= tol {
-			return b, nil
-		}
-		var s float64
-		if fa != fc && fb != fc {
-			// Inverse quadratic interpolation.
-			s = a*fb*fc/((fa-fb)*(fa-fc)) +
-				b*fa*fc/((fb-fa)*(fb-fc)) +
-				c*fa*fb/((fc-fa)*(fc-fb))
-		} else {
-			// Secant.
-			s = b - fb*(b-a)/(fb-fa)
-		}
-		lo, hi := (3*a+b)/4, b
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		cond := s < lo || s > hi ||
-			(mflag && math.Abs(s-b) >= math.Abs(b-c)/2) ||
-			(!mflag && math.Abs(s-b) >= math.Abs(c-d)/2) ||
-			(mflag && math.Abs(b-c) < tol) ||
-			(!mflag && math.Abs(c-d) < tol)
-		if cond {
-			s = a + (b-a)/2
-			mflag = true
-		} else {
-			mflag = false
-		}
-		fs := f(s)
-		d = c
-		c, fc = b, fb
-		if (fa > 0) != (fs > 0) {
-			b, fb = s, fs
-		} else {
-			a, fa = s, fs
-		}
-		if math.Abs(fa) < math.Abs(fb) {
-			a, b = b, a
-			fa, fb = fb, fa
-		}
-	}
-	return b, ErrNoConverge
 }

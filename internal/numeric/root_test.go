@@ -35,37 +35,8 @@ func TestBisectNoBracket(t *testing.T) {
 	}
 }
 
-func TestBrentSqrt2(t *testing.T) {
-	f := func(x float64) float64 { return x*x - 2 }
-	x, err := Brent(f, 0, 2, 1e-14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(x-math.Sqrt2) > 1e-10 {
-		t.Errorf("Brent root = %v, want sqrt(2)", x)
-	}
-}
-
-func TestBrentTranscendental(t *testing.T) {
-	f := func(x float64) float64 { return math.Cos(x) - x }
-	x, err := Brent(f, 0, 1, 1e-14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Dottie number.
-	if math.Abs(x-0.7390851332151607) > 1e-9 {
-		t.Errorf("Brent root = %v, want Dottie number", x)
-	}
-}
-
-func TestBrentNoBracket(t *testing.T) {
-	f := func(x float64) float64 { return 1 + x*x }
-	if _, err := Brent(f, -3, 3, 1e-9); err != ErrNoBracket {
-		t.Errorf("err = %v, want ErrNoBracket", err)
-	}
-}
-
-// Property: both root finders locate the root of a random monotone cubic.
+// Property: bisection agrees with Cardano's closed-form root of a
+// random monotone cubic.
 func TestRootFindersAgreeOnMonotoneCubic(t *testing.T) {
 	prop := func(seed uint64) bool {
 		r := NewRand(seed)
@@ -73,13 +44,16 @@ func TestRootFindersAgreeOnMonotoneCubic(t *testing.T) {
 		c := 0.1 + 5*r.Float64()  // positive linear coefficient => monotone
 		d := -10 + 20*r.Float64() // constant term
 		f := func(x float64) float64 { return a*x*x*x + c*x + d }
-		xb, err1 := Bisect(f, -100, 100, 1e-12)
-		xr, err2 := Brent(f, -100, 100, 1e-12)
-		if err1 != nil || err2 != nil {
+		xb, err := Bisect(f, -100, 100, 1e-12)
+		if err != nil {
 			return false
 		}
-		return math.Abs(f(xb)) < 1e-6 && math.Abs(f(xr)) < 1e-6 &&
-			math.Abs(xb-xr) < 1e-6
+		// x^3 + p*x + q = 0 with p > 0 has the one real root
+		// cbrt(-q/2 + s) + cbrt(-q/2 - s), s = sqrt(q^2/4 + p^3/27).
+		p, q := c/a, d/a
+		s := math.Sqrt(q*q/4 + p*p*p/27)
+		xc := math.Cbrt(-q/2+s) + math.Cbrt(-q/2-s)
+		return math.Abs(f(xb)) < 1e-6 && math.Abs(xb-xc) < 1e-6
 	}
 	if err := quick.Check(prop, quickCfg()); err != nil {
 		t.Error(err)

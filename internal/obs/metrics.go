@@ -130,16 +130,6 @@ func (h *Histogram) Count() int64 {
 	return h.count
 }
 
-// Sum returns the sum of observations.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
 // snapshot copies the histogram state under its lock.
 func (h *Histogram) snapshot() (bounds []float64, counts []int64, count int64, sum float64) {
 	h.mu.Lock()

@@ -109,12 +109,24 @@ func TestWorkers(t *testing.T) {
 }
 
 func TestMapErrFastFailAbandonsUnclaimedWork(t *testing.T) {
+	// Every index >= 2 waits until index 1 has started. Indices 0 and
+	// 1 share the first chunk (n/(4*16) = 1562 indices), so the worker
+	// that fails index 0 runs index 1 next, and MapErr stores the stop
+	// flag in between. Once index 1 has started, no worker can claim a
+	// new chunk: each finishes at most the chunk it holds, whatever
+	// the scheduling.
 	const n = 100000
 	var calls atomic.Int64
+	started1 := make(chan struct{})
 	_, err := MapErr(n, 4, func(i int) (int, error) {
 		calls.Add(1)
-		if i == 0 {
+		switch {
+		case i == 0:
 			return 0, errors.New("boom")
+		case i == 1:
+			close(started1)
+		default:
+			<-started1
 		}
 		return i, nil
 	})

@@ -19,9 +19,6 @@ type Event struct {
 	canceled bool
 }
 
-// Time returns the virtual time at which the event fires.
-func (ev *Event) Time() float64 { return ev.time }
-
 // Cancel prevents the event's action from running. Canceling an event
 // that already fired is a no-op — unless the engine has pooling
 // enabled, in which case an Event handle is valid only until the

@@ -111,3 +111,31 @@ func TestBatchMeansAutoBatching(t *testing.T) {
 		t.Errorf("mean = %v", mean)
 	}
 }
+
+func TestQueueSojournsAreCorrelated(t *testing.T) {
+	// The fact motivating batch means: consecutive M/M/1 sojourns have
+	// an integrated autocorrelation time tau substantially above 1 at
+	// moderate utilization. The squared ratio of the batch-means SE to
+	// the naive i.i.d. SE estimates tau.
+	// (Generated here via an AR-like queue recursion using Lindley's
+	// equation: W_{n+1} = max(0, W_n + S_n - A_n).)
+	rng := numeric.NewRand(7)
+	const mu, lambda = 1.0, 0.7
+	w := 0.0
+	sojourns := make([]float64, 60000)
+	for i := range sojourns {
+		s := rng.ExpFloat64() / mu
+		sojourns[i] = w + s
+		a := rng.ExpFloat64() / lambda
+		w = math.Max(0, w+s-a)
+	}
+	_, seBatch, err := BatchMeans(sojourns, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var s Summary
+	s.AddAll(sojourns)
+	if tau := math.Pow(seBatch/s.StdErr(), 2); tau < 3 {
+		t.Errorf("queue sojourn tau = %v, expected substantial correlation", tau)
+	}
+}

@@ -1,6 +1,5 @@
-// Package stats provides streaming summary statistics, quantiles,
-// autocorrelation, batch means and bootstrap confidence intervals used
-// by the simulation and experiment harnesses.
+// Package stats provides streaming summary statistics, quantiles and
+// batch means used by the simulation and experiment harnesses.
 package stats
 
 import (

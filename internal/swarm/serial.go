@@ -31,9 +31,6 @@ func NewReference(cfg Config) (*Reference, error) {
 	return &Reference{state: *st}, nil
 }
 
-// Tasks returns the live task count m.
-func (f *Reference) Tasks() int { return f.m }
-
 // Counts returns the canonical per-machine task counts (read-only).
 func (f *Reference) Counts() []int64 { return f.counts }
 

@@ -373,9 +373,6 @@ func (s *Swarm) Workers() int { return s.workers }
 // Tasks returns the live task count m.
 func (s *Swarm) Tasks() int { return s.m }
 
-// Rounds returns the number of completed rounds.
-func (s *Swarm) Rounds() int { return s.round }
-
 // Counts returns the canonical per-machine task counts. The slice is
 // owned by the swarm: read-only, valid until the next Round.
 func (s *Swarm) Counts() []int64 { return s.counts }

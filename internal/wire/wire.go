@@ -166,14 +166,6 @@ func (e *StatusError) Error() string {
 	return fmt.Sprintf("wire: op %d failed: %s", e.Op, StatusString(e.Status))
 }
 
-// IsOverloaded reports whether err is a StatusOverloaded response —
-// the server's typed backpressure signal; the request was not applied
-// and can be retried after draining.
-func IsOverloaded(err error) bool {
-	se, ok := err.(*StatusError)
-	return ok && se.Status == StatusOverloaded
-}
-
 // StatusString names a status byte.
 func StatusString(s byte) string {
 	switch s {
@@ -444,6 +436,3 @@ func (rd *Reader) Next() ([]byte, error) {
 	rd.r += n
 	return payload, nil
 }
-
-// Buffered reports the unconsumed bytes in the window.
-func (rd *Reader) Buffered() int { return rd.w - rd.r }

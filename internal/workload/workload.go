@@ -1,17 +1,12 @@
 // Package workload generates job arrival streams for the cluster
 // simulator: Poisson and deterministic arrival processes, pluggable
 // job-size distributions (constant, exponential, lognormal, Pareto —
-// all normalized to mean 1), and CSV trace record/replay so that
-// experiments can be rerun on identical inputs.
+// all normalized to mean 1), and Record, which materializes a stream.
 package workload
 
 import (
-	"encoding/csv"
-	"errors"
 	"fmt"
-	"io"
 	"math"
-	"strconv"
 
 	"repro/internal/numeric"
 )
@@ -173,14 +168,10 @@ func (d *Deterministic) Next() (Job, bool) {
 	return j, true
 }
 
-// Trace is a materialized job stream that can be saved, loaded and
-// replayed.
-type Trace []Job
-
-// Record drains up to n jobs from src into a Trace (all jobs if
+// Record drains up to n jobs from src into a slice (all jobs if
 // n <= 0).
-func Record(src Source, n int) Trace {
-	var t Trace
+func Record(src Source, n int) []Job {
+	var t []Job
 	for n <= 0 || len(t) < n {
 		j, ok := src.Next()
 		if !ok {
@@ -189,73 +180,4 @@ func Record(src Source, n int) Trace {
 		t = append(t, j)
 	}
 	return t
-}
-
-// Replay returns a Source that yields the trace's jobs in order.
-func (t Trace) Replay() Source { return &traceSource{trace: t} }
-
-type traceSource struct {
-	trace Trace
-	next  int
-}
-
-func (s *traceSource) Next() (Job, bool) {
-	if s.next >= len(s.trace) {
-		return Job{}, false
-	}
-	j := s.trace[s.next]
-	s.next++
-	return j, true
-}
-
-// Save writes the trace as CSV (id,arrival,size) with a header row.
-func (t Trace) Save(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"id", "arrival", "size"}); err != nil {
-		return err
-	}
-	for _, j := range t {
-		rec := []string{
-			strconv.FormatInt(j.ID, 10),
-			strconv.FormatFloat(j.Arrival, 'g', 17, 64),
-			strconv.FormatFloat(j.Size, 'g', 17, 64),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// LoadTrace parses a CSV trace written by Save.
-func LoadTrace(r io.Reader) (Trace, error) {
-	cr := csv.NewReader(r)
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	if len(rows) == 0 {
-		return nil, errors.New("workload: empty trace file")
-	}
-	var t Trace
-	for i, row := range rows[1:] {
-		if len(row) != 3 {
-			return nil, fmt.Errorf("workload: trace row %d has %d fields", i+2, len(row))
-		}
-		id, err := strconv.ParseInt(row[0], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("workload: trace row %d id: %w", i+2, err)
-		}
-		arr, err := strconv.ParseFloat(row[1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("workload: trace row %d arrival: %w", i+2, err)
-		}
-		size, err := strconv.ParseFloat(row[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("workload: trace row %d size: %w", i+2, err)
-		}
-		t = append(t, Job{ID: id, Arrival: arr, Size: size})
-	}
-	return t, nil
 }

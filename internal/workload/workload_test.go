@@ -1,9 +1,7 @@
 package workload
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/numeric"
@@ -127,54 +125,6 @@ func TestRecordLimit(t *testing.T) {
 	got := Record(src, 10)
 	if len(got) != 10 {
 		t.Errorf("Record(…, 10) returned %d jobs", len(got))
-	}
-}
-
-func TestTraceReplay(t *testing.T) {
-	orig := Record(NewPoisson(2, 50, ExpSize{}, numeric.NewRand(3)), 0)
-	replayed := Record(orig.Replay(), 0)
-	if len(replayed) != len(orig) {
-		t.Fatalf("lengths differ: %d vs %d", len(replayed), len(orig))
-	}
-	for i := range orig {
-		if orig[i] != replayed[i] {
-			t.Fatalf("job %d differs", i)
-		}
-	}
-}
-
-func TestTraceSaveLoadRoundTrip(t *testing.T) {
-	orig := Record(NewPoisson(2, 100, LognormalSize{Sigma: 1}, numeric.NewRand(5)), 0)
-	var buf bytes.Buffer
-	if err := orig.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(loaded) != len(orig) {
-		t.Fatalf("lengths differ: %d vs %d", len(loaded), len(orig))
-	}
-	for i := range orig {
-		if orig[i] != loaded[i] {
-			t.Fatalf("job %d differs after round trip: %+v vs %+v", i, orig[i], loaded[i])
-		}
-	}
-}
-
-func TestLoadTraceErrors(t *testing.T) {
-	if _, err := LoadTrace(strings.NewReader("")); err == nil {
-		t.Error("expected error for empty file")
-	}
-	if _, err := LoadTrace(strings.NewReader("id,arrival,size\nx,1,1\n")); err == nil {
-		t.Error("expected error for bad id")
-	}
-	if _, err := LoadTrace(strings.NewReader("id,arrival,size\n1,x,1\n")); err == nil {
-		t.Error("expected error for bad arrival")
-	}
-	if _, err := LoadTrace(strings.NewReader("id,arrival,size\n1,1,x\n")); err == nil {
-		t.Error("expected error for bad size")
 	}
 }
 

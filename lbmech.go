@@ -34,7 +34,6 @@ package lbmech
 
 import (
 	"repro/internal/coop"
-	"repro/internal/core"
 	"repro/internal/distmech"
 	"repro/internal/experiments"
 	"repro/internal/faults"
@@ -58,13 +57,6 @@ type Mechanism = mech.Mechanism
 // Model abstracts the latency family (linear or M/M/1).
 type Model = mech.Model
 
-// System is the high-level handle for configuring and running the
-// mechanism on a set of computers.
-type System = core.System
-
-// Option configures a System.
-type Option = core.Option
-
 // TruthfulnessReport is the outcome of a deviation grid search.
 type TruthfulnessReport = game.Report
 
@@ -74,22 +66,6 @@ type ProtocolResult = protocol.Result
 
 // Experiment is one of the paper's Table 2 scenarios.
 type Experiment = experiments.Experiment
-
-// NewSystem creates a system of computers with the given true latency
-// parameters (all initially truthful) facing the given total job
-// arrival rate. By default it uses the linear latency model and the
-// paper's compensation-and-bonus mechanism with verification.
-func NewSystem(trueValues []float64, rate float64, opts ...Option) (*System, error) {
-	return core.NewSystem(trueValues, rate, opts...)
-}
-
-// WithModel selects the latency model: LinearModel() (default) or
-// MM1Model().
-func WithModel(m Model) Option { return core.WithModel(m) }
-
-// WithMechanism overrides the mechanism, e.g. VCG() or Classical()
-// for baseline comparisons.
-func WithMechanism(m Mechanism) Option { return core.WithMechanism(m) }
 
 // LinearModel returns the paper's latency model l(x) = t*x.
 func LinearModel() Model { return mech.LinearModel{} }
@@ -127,7 +103,7 @@ func Truthful(trueValues []float64) []Agent { return mech.Truthful(trueValues) }
 // PaperSystem returns the paper's 16-computer configuration (Table 1)
 // at the paper's job arrival rate R = 20, ready to run.
 func PaperSystem() (*System, error) {
-	return core.NewSystem(experiments.PaperTrueValues(), experiments.PaperRate)
+	return NewSystem(experiments.PaperTrueValues(), experiments.PaperRate)
 }
 
 // PaperExperiments returns the paper's eight Table 2 scenarios.
@@ -195,7 +171,7 @@ func MechanismByName(name string, m Model) (Mechanism, error) {
 // ShapleyShares computes the cooperative-game attribution of the
 // system's optimal latency: each computer's Shapley cost share in the
 // game whose coalitions pay their own optimal total latency. Exact
-// enumeration for n <= 20, parallel permutation sampling otherwise.
+// enumeration for n <= 12, parallel permutation sampling otherwise.
 func ShapleyShares(trueValues []float64, rate float64, samples int, seed uint64) ([]float64, error) {
 	g, err := coop.NewCostGame(trueValues, rate)
 	if err != nil {

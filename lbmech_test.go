@@ -2,6 +2,7 @@ package lbmech
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -166,6 +167,32 @@ func TestShapleySharesFacade(t *testing.T) {
 	want := 64.0 / 1.8
 	if math.Abs(sum-want) > 1e-9 {
 		t.Errorf("shares sum to %v, want %v", sum, want)
+	}
+}
+
+// TestShapleySharesExactThreshold pins where ShapleyShares switches
+// from exact enumeration to sampling: at n = 12 the shares ignore
+// samples and seed, at n = 13 they depend on the seed.
+func TestShapleySharesExactThreshold(t *testing.T) {
+	values := func(n int) []float64 {
+		ts := make([]float64, n)
+		for i := range ts {
+			ts[i] = float64(1 + i%5)
+		}
+		return ts
+	}
+	shares := func(n, samples int, seed uint64) []float64 {
+		s, err := ShapleyShares(values(n), 10, samples, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	if a, b := shares(12, 50, 1), shares(12, 500, 2); !reflect.DeepEqual(a, b) {
+		t.Errorf("n=12 shares depend on samples/seed: %v vs %v", a, b)
+	}
+	if a, b := shares(13, 50, 1), shares(13, 50, 2); reflect.DeepEqual(a, b) {
+		t.Errorf("n=13 shares do not depend on the seed: %v", a)
 	}
 }
 
