@@ -33,7 +33,8 @@ race:
 # instrumented allocator. The registry lines also pin the shard layout:
 # the batched-vs-serial and removed-id churn differentials, the seal
 # copy's shard- and GOMAXPROCS-independence, the partial-sum rebuild
-# cadence, and the 16-byte record size guard.
+# cadence, the 16-byte record size guard and the seal's memory guard
+# (8 bytes per issued id, measured with TotalAlloc, so non-race too).
 difftest:
 	$(GO) test -race -run 'TestFast|TestFallback|TestEngine' -count=1 ./internal/mech
 	$(GO) test -run 'TestCompensationBonusAllocsO1|TestEngineSteadyStateZeroAllocs' -count=1 ./internal/mech
@@ -44,7 +45,7 @@ difftest:
 	$(GO) test -run 'TestSwarmRoundAllocFree|TestSwarmChurnSteadyStateAllocFree' -count=1 ./internal/swarm
 	$(GO) test -run 'TestSplitIntoAllocFree' -count=1 ./internal/numeric
 	$(GO) test -race -run 'TestApplyBatchDifferential|TestApplyBatchIntraBatchDependency|TestPartialRebuildCadence|TestRemovedIDChurnDifferential|TestSealedAggregateIndependentOfShardCount' -count=1 ./internal/registry
-	$(GO) test -run 'TestApplyBatchAllocFree|TestRecordLayout' -count=1 ./internal/registry
+	$(GO) test -run 'TestApplyBatchAllocFree|TestRecordLayout|TestSealAllocBound' -count=1 ./internal/registry
 	$(GO) test -run 'TestBatchDrainAllocFree|TestWireEncodeAllocFree|TestWireDecodeAllocFree' -count=1 ./internal/server ./internal/wire
 
 # Durable-registry gate: the WAL differential suite under -race
@@ -53,11 +54,13 @@ difftest:
 # concurrent journal ordering tests for serial and ApplyBatch writers,
 # the batched-vs-per-op byte-identical log differential, exact append
 # metrics), plus the append-path and ApplyBatch-with-WAL allocation
-# guards, which need a non-race run because AllocsPerRun counts differ
-# under the instrumented allocator.
+# guards, the snapshot-cadence seal's memory guard and the streamed
+# snapshot's byte-identity pin against the reference encoder, which
+# run without -race because allocation counts differ under the
+# instrumented allocator.
 wal:
 	$(GO) test -race -run 'TestRecoveryMatchesLiveHistory|TestTruncationFuzzEveryTailOffset|TestConcurrentJournalRecovery|TestConcurrentBatchJournalRecovery|TestCompactionAndSnapshotFallback|TestBatchedLogByteIdentical|TestWALMetricsExactUnderBatching' -count=1 ./internal/wal
-	$(GO) test -run 'TestWALAppendAllocFree|TestApplyBatchWALAllocFree' -count=1 ./internal/wal
+	$(GO) test -run 'TestWALAppendAllocFree|TestApplyBatchWALAllocFree|TestSnapshotSealAllocBound|TestStreamedSnapshotMatchesReference' -count=1 ./internal/wal
 
 # The serving benchmark (bench/, its own module built against this one
 # through a replace directive) compiles against the registry, wal and
@@ -127,12 +130,13 @@ bench-dispatch:
 	@cat BENCH_dispatch.json
 
 # Record the WAL baseline (zero-alloc append throughput, snapshot
-# serialization, and full crash recovery of 1M- and 10M-record logs) as
+# streaming, the 1M-agent seal with the WAL attached and its shard-lock
+# hold p50/max, and full crash recovery of 1M- and 10M-record logs) as
 # stable JSON. Commit BENCH_wal.json to track regressions; the recovery
 # benchmarks run once each because every iteration replays the whole
 # log.
 bench-wal:
-	$(GO) test -run '^$$' -bench 'BenchmarkWALAppend|BenchmarkWALSnapshot' -benchmem ./internal/wal > .bench_raw.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkWALAppend|BenchmarkWALSnapshot|BenchmarkWALSeal' -benchmem ./internal/wal > .bench_raw.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkWALRecover' -benchmem -benchtime 1x -timeout 20m ./internal/wal >> .bench_raw.txt
 	$(GO) run ./cmd/benchjson < .bench_raw.txt > BENCH_wal.json
 	@rm -f .bench_raw.txt

@@ -259,7 +259,7 @@ type model struct {
 // R/(rho·t_i·S), hence x_i*/mu_i = rho for every instance — the sealed
 // allocation loads all queues evenly.
 func newModel(name string, snap *registry.Snapshot, rho float64) (*model, error) {
-	ids := snap.IDs()
+	ids := snap.IDs(nil)
 	m := &model{name: name}
 	var opt numeric.KahanSum
 	for _, id := range ids {
@@ -319,8 +319,9 @@ func herdingSummary(snap *registry.Snapshot, mdl *model, accounts map[string]*di
 	}
 	if alias != nil {
 		worst := 0.0
+		ids := snap.IDs(nil)
 		for i, s := range alias.Shares {
-			x, _ := snap.Load(snap.IDs()[i])
+			x, _ := snap.Load(ids[i])
 			if d := math.Abs(s - x/snap.Rate()); d > worst {
 				worst = d
 			}

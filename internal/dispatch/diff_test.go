@@ -33,7 +33,7 @@ func checkFrequencies(t *testing.T, d *Alias, snap *registry.Snapshot, seed uint
 	for i := 0; i < draws; i++ {
 		counts[tab.Sample(rng.Uint64())]++
 	}
-	for i, id := range snap.IDs() {
+	for i, id := range snap.IDs(nil) {
 		x, ok := snap.Load(id)
 		if !ok {
 			t.Fatalf("sealed id %d unreadable", id)
@@ -125,7 +125,7 @@ func TestAccountingWorkerInvariance(t *testing.T) {
 	n := snap.N()
 	mus := make([]float64, n)
 	ts := make([]float64, n)
-	for i, id := range snap.IDs() {
+	for i, id := range snap.IDs(nil) {
 		v, _ := snap.Value(id)
 		ts[i] = v
 		mus[i] = 4 / v

@@ -98,7 +98,8 @@ type view struct {
 // viewFromSnapshot extracts the dense instance view of a sealed
 // epoch. The weights are the snapshot's inverse bids, so a
 // SealCorrected epoch's drops (absent ids) and weight discounts
-// (re-priced bids) flow straight into the dispatch distribution.
+// (re-priced bids) flow straight into the dispatch distribution. The
+// view owns its ids and weights: 16 bytes per instance per rebuild.
 func viewFromSnapshot(snap *registry.Snapshot) (*view, error) {
 	if snap == nil || snap.N() == 0 {
 		return nil, ErrNoInstances
@@ -107,7 +108,7 @@ func viewFromSnapshot(snap *registry.Snapshot) (*view, error) {
 	for i, t := range w {
 		w[i] = 1 / t
 	}
-	return &view{epoch: snap.Epoch(), ids: snap.IDs(), w: w}, nil
+	return &view{epoch: snap.Epoch(), ids: snap.IDs(nil), w: w}, nil
 }
 
 // mix64 is the SplitMix64 finalizer: a cheap invertible mix with full

@@ -78,7 +78,7 @@ func chaosRun(t *testing.T, seed uint64, shards int) (transcript, epochs string,
 		s := rep.Sealed
 		d, w := s.Correction()
 		fmt.Fprintf(&elog, "%d:%d:%016x:%d:%d:%d", rep.Tick, s.Epoch(), math.Float64bits(s.Sum()), s.N(), d, w)
-		for _, id := range s.IDs() {
+		for _, id := range s.IDs(nil) {
 			v, _ := s.Value(id)
 			l, _ := s.Load(id)
 			fmt.Fprintf(&elog, "|%d:%016x:%016x", id, math.Float64bits(v), math.Float64bits(l))

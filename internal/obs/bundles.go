@@ -278,8 +278,10 @@ type RegistryMetrics struct {
 	Epochs *Counter
 	// Live gauges the live agent count as of the last seal.
 	Live *Gauge
-	// SealSeconds observes wall-clock seal latencies.
-	SealSeconds *Histogram
+	// SealSeconds observes wall-clock seal latencies; SealHoldSeconds
+	// the part of each seal that holds every shard lock, the window in
+	// which all writers wait.
+	SealSeconds, SealHoldSeconds *Histogram
 }
 
 // NewRegistryMetrics registers the bid-registry bundle on r.
@@ -288,15 +290,16 @@ func NewRegistryMetrics(r *Registry) *RegistryMetrics {
 		return nil
 	}
 	return &RegistryMetrics{
-		Adds:        r.Counter("lb_registry_adds_total", "agents added to the bid registry"),
-		Removes:     r.Counter("lb_registry_removes_total", "agents removed from the bid registry"),
-		Updates:     r.Counter("lb_registry_updates_total", "bid updates applied"),
-		Coalesced:   r.Counter("lb_registry_coalesced_rebids_total", "rebids overwriting a bid no epoch had sealed"),
-		Rebuilds:    r.Counter("lb_registry_partial_rebuilds_total", "per-shard compensated partial-sum rebuilds"),
-		Batches:     r.Counter("lb_registry_batches_total", "grouped mutation batches applied"),
-		Epochs:      r.Counter("lb_registry_epochs_sealed_total", "epochs sealed"),
-		Live:        r.Gauge("lb_registry_live_agents", "live agents as of the last sealed epoch"),
-		SealSeconds: r.Histogram("lb_registry_seal_seconds", "epoch seal wall-clock latency", nil),
+		Adds:            r.Counter("lb_registry_adds_total", "agents added to the bid registry"),
+		Removes:         r.Counter("lb_registry_removes_total", "agents removed from the bid registry"),
+		Updates:         r.Counter("lb_registry_updates_total", "bid updates applied"),
+		Coalesced:       r.Counter("lb_registry_coalesced_rebids_total", "rebids overwriting a bid no epoch had sealed"),
+		Rebuilds:        r.Counter("lb_registry_partial_rebuilds_total", "per-shard compensated partial-sum rebuilds"),
+		Batches:         r.Counter("lb_registry_batches_total", "grouped mutation batches applied"),
+		Epochs:          r.Counter("lb_registry_epochs_sealed_total", "epochs sealed"),
+		Live:            r.Gauge("lb_registry_live_agents", "live agents as of the last sealed epoch"),
+		SealSeconds:     r.Histogram("lb_registry_seal_seconds", "epoch seal wall-clock latency", nil),
+		SealHoldSeconds: r.Histogram("lb_registry_seal_hold_seconds", "time each epoch seal held every shard lock", nil),
 	}
 }
 
@@ -341,9 +344,10 @@ func (m *RegistryMetrics) Rebuilt() {
 	m.Rebuilds.Inc()
 }
 
-// Sealed records one sealed epoch over n live agents and its
-// wall-clock latency (negative seconds are not observed).
-func (m *RegistryMetrics) Sealed(n int, seconds float64) {
+// Sealed records one sealed epoch over n live agents, its wall-clock
+// latency and the time it held every shard lock (negative durations
+// are not observed).
+func (m *RegistryMetrics) Sealed(n int, seconds, hold float64) {
 	if m == nil {
 		return
 	}
@@ -351,6 +355,9 @@ func (m *RegistryMetrics) Sealed(n int, seconds float64) {
 	m.Live.Set(float64(n))
 	if seconds >= 0 {
 		m.SealSeconds.Observe(seconds)
+	}
+	if hold >= 0 {
+		m.SealHoldSeconds.Observe(hold)
 	}
 }
 
@@ -540,8 +547,10 @@ type WALMetrics struct {
 	// Segments counts log segment files created; Compacted counts
 	// segment files deleted by snapshot compaction.
 	Segments, Compacted *Counter
-	// Snapshots counts snapshot sidecar files made durable.
-	Snapshots *Counter
+	// Snapshots counts snapshot sidecar files made durable;
+	// SnapshotsSkipped the captures dropped because the compactor was
+	// still writing the previous one.
+	Snapshots, SnapshotsSkipped *Counter
 	// Recoveries counts crash recoveries run; ReplayedRecords and
 	// ReplayedBytes size the log tails they replayed.
 	Recoveries, ReplayedRecords, ReplayedBytes *Counter
@@ -566,19 +575,20 @@ func NewWALMetrics(r *Registry) *WALMetrics {
 		return nil
 	}
 	return &WALMetrics{
-		Appends:         r.Counter("lb_wal_appends_total", "records appended to the write-ahead log"),
-		AppendedBytes:   r.Counter("lb_wal_appended_bytes_total", "encoded record bytes appended"),
-		Batches:         r.Counter("lb_wal_batches_total", "group-commit batches flushed to the segment file"),
-		Fsyncs:          r.Counter("lb_wal_fsyncs_total", "segment fsyncs issued"),
-		FlushedBytes:    r.Counter("lb_wal_flushed_bytes_total", "bytes written to segment files"),
-		Segments:        r.Counter("lb_wal_segments_created_total", "log segment files created"),
-		Compacted:       r.Counter("lb_wal_segments_compacted_total", "log segment files deleted by snapshot compaction"),
-		Snapshots:       r.Counter("lb_wal_snapshots_total", "snapshot sidecar files made durable"),
-		Recoveries:      r.Counter("lb_wal_recoveries_total", "crash recoveries run"),
-		ReplayedRecords: r.Counter("lb_wal_replayed_records_total", "log records replayed during recovery"),
-		ReplayedBytes:   r.Counter("lb_wal_replayed_bytes_total", "log bytes replayed during recovery"),
-		AppendSeconds:   r.Histogram("lb_wal_append_seconds", "sampled append latency", walLatencyBuckets),
-		CommitSeconds:   r.Histogram("lb_wal_commit_seconds", "flush+fsync latency", walLatencyBuckets),
+		Appends:          r.Counter("lb_wal_appends_total", "records appended to the write-ahead log"),
+		AppendedBytes:    r.Counter("lb_wal_appended_bytes_total", "encoded record bytes appended"),
+		Batches:          r.Counter("lb_wal_batches_total", "group-commit batches flushed to the segment file"),
+		Fsyncs:           r.Counter("lb_wal_fsyncs_total", "segment fsyncs issued"),
+		FlushedBytes:     r.Counter("lb_wal_flushed_bytes_total", "bytes written to segment files"),
+		Segments:         r.Counter("lb_wal_segments_created_total", "log segment files created"),
+		Compacted:        r.Counter("lb_wal_segments_compacted_total", "log segment files deleted by snapshot compaction"),
+		Snapshots:        r.Counter("lb_wal_snapshots_total", "snapshot sidecar files made durable"),
+		SnapshotsSkipped: r.Counter("lb_wal_snapshots_skipped_total", "snapshot captures dropped while the compactor wrote the previous one"),
+		Recoveries:       r.Counter("lb_wal_recoveries_total", "crash recoveries run"),
+		ReplayedRecords:  r.Counter("lb_wal_replayed_records_total", "log records replayed during recovery"),
+		ReplayedBytes:    r.Counter("lb_wal_replayed_bytes_total", "log bytes replayed during recovery"),
+		AppendSeconds:    r.Histogram("lb_wal_append_seconds", "sampled append latency", walLatencyBuckets),
+		CommitSeconds:    r.Histogram("lb_wal_commit_seconds", "flush+fsync latency", walLatencyBuckets),
 	}
 }
 
@@ -624,14 +634,23 @@ func (m *WALMetrics) SegmentCreated() {
 	m.Segments.Inc()
 }
 
-// Compacted records one durable snapshot and the n whole segment files
-// it retired.
+// CompactedSegments records one durable snapshot and the n whole
+// segment files it retired.
 func (m *WALMetrics) CompactedSegments(n int) {
 	if m == nil {
 		return
 	}
 	m.Snapshots.Inc()
 	m.Compacted.Add(int64(n))
+}
+
+// SnapshotSkipped records one snapshot capture dropped because the
+// compactor was still writing the previous one.
+func (m *WALMetrics) SnapshotSkipped() {
+	if m == nil {
+		return
+	}
+	m.SnapshotsSkipped.Inc()
 }
 
 // Recovered records one crash recovery that replayed records totalling

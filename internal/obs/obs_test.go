@@ -99,13 +99,35 @@ func TestNilSafety(t *testing.T) {
 	o.FaultMetrics().Injected("drop")
 	o.RegistryMetrics().Mutated("update", true)
 	o.RegistryMetrics().Rebuilt()
-	o.RegistryMetrics().Sealed(5, 0.01)
+	o.RegistryMetrics().Sealed(5, 0.01, 0.001)
 	o.Emit(Event{Kind: "x"})
 
 	var tr *Trace
 	tr.Emit(Event{})
 	if tr.Events() != nil || tr.Dropped() != 0 {
 		t.Error("nil trace misbehaved")
+	}
+}
+
+// TestRegistrySealedRecordsHold pins the seal bundle: each Sealed call
+// observes its latency and its lock hold in separate histograms, and a
+// negative duration is left out of its own histogram only.
+func TestRegistrySealedRecordsHold(t *testing.T) {
+	r := NewRegistry()
+	m := NewRegistryMetrics(r)
+	m.Sealed(3, 0.004, 0.001)
+	m.Sealed(5, 0.006, -1)
+	if m.Epochs.Value() != 2 || m.Live.Value() != 5 {
+		t.Fatalf("epochs %d, live %g; want 2, 5", m.Epochs.Value(), m.Live.Value())
+	}
+	if m.SealSeconds.Count() != 2 || m.SealHoldSeconds.Count() != 1 {
+		t.Fatalf("seal histogram has %d samples, hold histogram %d; want 2, 1",
+			m.SealSeconds.Count(), m.SealHoldSeconds.Count())
+	}
+	for _, s := range r.Snapshot() {
+		if s.Name == "lb_registry_seal_hold_seconds" && s.Sum != 0.001 {
+			t.Fatalf("hold histogram sum %g, want 0.001", s.Sum)
+		}
 	}
 }
 
@@ -251,6 +273,8 @@ func TestObserverSchemaComplete(t *testing.T) {
 		"lb_registry_epochs_sealed_total",
 		"lb_registry_coalesced_rebids_total",
 		"lb_registry_seal_seconds",
+		"lb_registry_seal_hold_seconds",
+		"lb_wal_snapshots_skipped_total",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("fresh observer export missing %s", want)

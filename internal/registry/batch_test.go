@@ -199,7 +199,7 @@ func TestApplyBatchDifferential(t *testing.T) {
 					t.Fatalf("shards=%d seed=%d round=%d: sealed N %d, generator tracks %d live ids",
 						shards, seed, round, sb.N(), len(live))
 				}
-				for _, id := range ss.IDs() {
+				for _, id := range ss.IDs(nil) {
 					vb, okb := sb.Value(id)
 					vs, _ := ss.Value(id)
 					if !okb || math.Float64bits(vb) != math.Float64bits(vs) {

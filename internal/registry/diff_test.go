@@ -43,6 +43,10 @@ func hammer(tb testing.TB, r *Registry, workers, opsPerWorker int, seals bool) [
 			rng := rand.New(rand.NewPCG(uint64(w), 0x9e3779b97f4a7c15))
 			var mine []int // ids this worker owns and has not removed
 			log := make([]op, 0, opsPerWorker)
+			// The live ids of the last snapshot read, refreshed once
+			// per epoch: IDs scans every issued id.
+			var ids []int
+			var idsEpoch uint64
 			for i := 0; i < opsPerWorker; i++ {
 				p := rng.Float64()
 				switch {
@@ -81,7 +85,9 @@ func hammer(tb testing.TB, r *Registry, workers, opsPerWorker int, seals bool) [
 					r.Seal()
 				}
 				if snap := r.Snapshot(); snap.N() > 0 {
-					ids := snap.IDs()
+					if snap.Epoch() != idsEpoch {
+						ids, idsEpoch = snap.IDs(ids), snap.Epoch()
+					}
 					if _, ok := snap.Load(ids[rng.IntN(len(ids))]); !ok {
 						tb.Errorf("worker %d: sealed id missing from its own snapshot", w)
 						return
@@ -180,7 +186,7 @@ func TestRegistryMatchesSerialStreamReplayExactly(t *testing.T) {
 				if len(vals) != len(sx) {
 					t.Fatalf("sealed population %d, want %d", len(vals), len(sx))
 				}
-				for j, id := range snap.IDs() {
+				for j, id := range snap.IDs(nil) {
 					if x, ok := snap.Load(id); !ok || x != sx[j] {
 						t.Fatalf("Load(%d) = %v/%v, want serial x[%d] = %v", id, x, ok, j, sx[j])
 					}
@@ -248,7 +254,7 @@ func TestConcurrentReadersSeeConsistentEpochs(t *testing.T) {
 				}
 				snap := r.Snapshot()
 				var k numeric.KahanSum
-				for _, id := range snap.IDs() {
+				for _, id := range snap.IDs(nil) {
 					v, ok := snap.Value(id)
 					if !ok {
 						t.Errorf("snapshot id %d does not resolve", id)
@@ -298,7 +304,7 @@ func TestCorrectedSealMatchesSerialReplayExactly(t *testing.T) {
 
 				// Build a deterministic correction over the live ids:
 				// every 5th live id is dropped, every 3rd discounted.
-				live := r.Seal().IDs()
+				live := r.Seal().IDs(nil)
 				corr := &Correction{Weights: map[int]float64{}, Drop: map[int]bool{}}
 				for j, id := range live {
 					switch {
@@ -361,7 +367,7 @@ func TestCorrectedSealMatchesSerialReplayExactly(t *testing.T) {
 					t.Fatalf("corrected N = %d, want serial %d", snap.N(), st.N())
 				}
 				_, sx := st.SnapshotInto(nil, nil)
-				for j, id := range snap.IDs() {
+				for j, id := range snap.IDs(nil) {
 					if x, _ := snap.Load(id); x != sx[j] {
 						t.Fatalf("corrected x[%d] = %v, want serial %v", j, x, sx[j])
 					}

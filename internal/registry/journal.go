@@ -23,14 +23,18 @@ import "fmt"
 //     population copy. It is therefore a barrier in the journal
 //     stream: every mutation journaled before it was observed by the
 //     sealed epoch, and every mutation journaled after it was not.
-//     Implementations must be fast — they stall all writers — and
-//     must not call back into the registry (the locks are held).
+//     Implementations must be fast — they stall all writers, and
+//     lb_registry_seal_hold_seconds counts their time — and must not
+//     call back into the registry (the locks are held). What they
+//     capture here should be O(1) in the population: the Snapshot
+//     that Published delivers carries the whole epoch.
 //
 //   - Published is invoked after the sealed snapshot is visible to
 //     readers, with the shard locks released (the seal mutex is still
 //     held, so Published calls are serialized in epoch order). This is
 //     where an implementation does deferred I/O: group-commit fsync,
-//     snapshot capture hand-off.
+//     snapshot capture hand-off. The snapshot is immutable, so an
+//     implementation may keep it and read it later, off the seal path.
 //
 //   - RateChanged is serialized against seals (SetRate holds the seal
 //     mutex while journaling), so rate records interleave with seal
@@ -46,10 +50,12 @@ type Journal interface {
 	Removed(id int)
 	// RateChanged records a change of the total arrival rate.
 	RateChanged(rate float64)
-	// Sealed records an epoch seal. See SealEvent for the view it
-	// carries; the event's slices are valid only during the call.
+	// Sealed records an epoch seal at the barrier. See SealEvent for
+	// the view it carries; the event's slices and maps are valid only
+	// during the call.
 	Sealed(ev SealEvent)
-	// Published delivers the sealed snapshot after publication.
+	// Published delivers the sealed (corrected) snapshot after
+	// publication; it stays valid for as long as it is referenced.
 	Published(snap *Snapshot)
 }
 
@@ -121,8 +127,12 @@ type SealEvent struct {
 	// sealer's caller: read them only during the call.
 	Correction *Correction
 	// T is the uncorrected live population, id-indexed (T[id] is the
-	// bid; 0 marks an absent id). The slice is the seal's working copy:
-	// it is valid only during the call and is mutated afterwards.
+	// bid; 0 marks an absent id), with len(T) == Next. The slice is the
+	// seal's working copy, valid only during the call: the seal then
+	// applies the correction to it in place and publishes it as the
+	// Snapshot's bid array. A journal that needs uncorrected bids later
+	// keeps only those of the correction's ids; the published Snapshot
+	// holds every other bid unchanged.
 	T []float64
 }
 

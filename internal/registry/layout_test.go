@@ -213,8 +213,9 @@ func TestRemovedIDChurnDifferential(t *testing.T) {
 				t.Fatalf("shards=%d round=%d epoch %d: Bids reallocated a dst of capacity %d for %d bids",
 					shards, round, snap.Epoch(), cap(prev), snap.N())
 			}
-			for j, id := range snap.IDs() {
-				if j > 0 && id <= snap.IDs()[j-1] {
+			ids := snap.IDs(nil)
+			for j, id := range ids {
+				if j > 0 && id <= ids[j-1] {
 					t.Fatalf("shards=%d round=%d epoch %d: ids not ascending at %d", shards, round, snap.Epoch(), j)
 				}
 				if v, ok := snap.Value(id); !ok || math.Float64bits(bids[j]) != math.Float64bits(v) {
@@ -235,7 +236,8 @@ func TestRemovedIDChurnDifferential(t *testing.T) {
 			}
 			checkBids(round, snap)
 			sids, sx := st.SnapshotInto(nil, nil)
-			for j, id := range snap.IDs() {
+			ids := snap.IDs(nil)
+			for j, id := range ids {
 				sv, _ := st.Value(sids[j])
 				x, _ := snap.Load(id)
 				if math.Float64bits(bids[j]) != math.Float64bits(sv) || math.Float64bits(x) != math.Float64bits(sx[j]) {
@@ -246,7 +248,6 @@ func TestRemovedIDChurnDifferential(t *testing.T) {
 
 			// A corrected epoch over the same population: the first
 			// live id dropped, the last one priced at twice its bid.
-			ids := snap.IDs()
 			drop, half := ids[0], ids[len(ids)-1]
 			bid, _ := snap.Value(half)
 			cs, err := r.SealCorrected(&Correction{Drop: map[int]bool{drop: true}, Weights: map[int]float64{half: 0.5}})

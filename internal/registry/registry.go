@@ -19,8 +19,8 @@
 //     shard.
 //
 //   - Reads are lock-free. Seal freezes the current population into
-//     an immutable Snapshot — {S, R, epoch} plus the id-indexed bid
-//     arrays — and publishes it through an atomic pointer. Readers
+//     an immutable Snapshot — {epoch, R, S, n} plus one id-indexed
+//     bid array — and publishes it through an atomic pointer. Readers
 //     answer x_i, L*, L_{-i} and per-agent payment queries against
 //     the snapshot in O(1) with zero allocations and no lock, while
 //     writers keep mutating the shards underneath.
@@ -38,9 +38,10 @@
 //
 // Ids are assigned by a global monotonic counter and never recycled,
 // matching alloc.Stream, so the shard records are indexed by every id
-// ever issued: 16 bytes per id, live or departed, on top of the 16
-// bytes per id each seal allocates for the snapshot's bid and inverse
-// arrays. A departed id keeps its record, so a long-lived coordinator
+// ever issued: 16 bytes per id, live or departed, on top of the 8
+// bytes per id each seal allocates for the snapshot's bid array (a
+// reader computes 1/b_i from it). A departed id keeps its record and
+// its slot in every later seal, so a long-lived coordinator
 // under heavy churn bounds the footprint by recreating the registry at
 // natural epochs (e.g. a mechanism round boundary).
 package registry
@@ -349,13 +350,16 @@ func (c *Correction) validate() error {
 }
 
 // Seal freezes the current population into a new immutable Snapshot,
-// publishes it, and returns it. The shard locks are all held for the
-// copy — writers queue behind a seal for the whole copy, O(population)
-// work spread across cores — and the canonical aggregate is computed
-// after they are released:
-// one Neumaier pass over the live bids in ascending id order, the
-// shard-count- and schedule-independent reduction shared with
-// alloc.Stream.Sealed. Concurrent Seal calls serialize.
+// publishes it, and returns it. The sealed bid array (8 bytes per
+// issued id) is allocated before any lock is taken; the shard locks
+// are then all held only for the copy of the bids into it and the
+// journal's seal record — writers queue behind a seal for that
+// window, O(ids issued) work spread across cores, which
+// lb_registry_seal_hold_seconds measures. The canonical aggregate is
+// computed after they are released: one Neumaier pass over the live
+// bids in ascending id order, the shard-count- and schedule-
+// independent reduction shared with alloc.Stream.Sealed. Concurrent
+// Seal calls serialize.
 func (r *Registry) Seal() *Snapshot {
 	snap, _ := r.SealCorrected(nil) // a nil correction cannot fail
 	return snap
@@ -379,29 +383,33 @@ func (r *Registry) SealCorrected(c *Correction) (*Snapshot, error) {
 	defer r.sealMu.Unlock()
 	start := time.Now()
 
+	// The sealed bid array is allocated (and zeroed) before the writers
+	// stop; ids issued in between extend it under the locks below.
+	t := make([]float64, r.nextID.Load())
+
+	held := time.Now()
 	for i := range r.shards {
 		r.shards[i].mu.Lock()
 	}
 	maxID := int(r.nextID.Load())
-	t := make([]float64, maxID)
-	inv := make([]float64, maxID)
+	if maxID > len(t) {
+		t = append(t, make([]float64, maxID-len(t))...)
+	}
 	live := 0
 	// The copy walks ids in ascending order, so each block writes t
-	// and inv sequentially and reads every shard's records as one
-	// sequential stream; per-shard passes would write both arrays at
-	// a stride of the shard count and return to each output line once
-	// per shard. With every shard lock held the blocks are
-	// independent, so they fan out across cores; a single block or a
-	// single-core host runs the plain loop. An id below maxID may
-	// still lack a record: its add is between taking its id and its
-	// shard lock.
+	// sequentially and reads every shard's records as one sequential
+	// stream; per-shard passes would write t at a stride of the shard
+	// count and return to each output line once per shard. With every
+	// shard lock held the blocks are independent, so they fan out
+	// across cores; a single block or a single-core host runs the
+	// plain loop. An id below maxID may still lack a record (its add
+	// is between taking its id and its shard lock), and an absent
+	// record holds t = 0, so the copy needs no liveness test.
 	shards, mask, bits := r.shards, r.mask, r.bits
 	parallel.ForEachBlock(maxID, 0, 0, func(lo, hi int) {
 		for id := lo; id < hi; id++ {
-			recs := shards[id&mask].recs
-			if local := id >> bits; local < len(recs) && recs[local].t != 0 {
+			if recs, local := shards[id&mask].recs, id>>bits; local < len(recs) {
 				t[id] = recs[local].t
-				inv[id] = 1 / recs[local].t
 			}
 		}
 	})
@@ -412,53 +420,52 @@ func (r *Registry) SealCorrected(c *Correction) (*Snapshot, error) {
 	epoch := r.epoch.Add(1)
 	// The journal barrier: with every shard lock still held, mutations
 	// journaled before this record are exactly those the copy above
-	// observed (see Journal). The t slice handed over is the seal's
-	// uncorrected working copy, valid only during the call.
+	// observed (see Journal). T is the uncorrected copy; the
+	// correction below turns it into the published epoch's bids.
 	if j := r.journal; j != nil {
 		j.Sealed(SealEvent{Epoch: epoch, Rate: rate, Next: maxID, Live: live, Correction: c, T: t})
 	}
 	for i := range r.shards {
 		r.shards[i].mu.Unlock()
 	}
+	hold := time.Since(held)
 
 	// Apply the correction to the sealed copy (never to the shards):
-	// drops zero the slot, discounts reprice it at t/weight with the
-	// inverse recomputed from the corrected bid — exactly what an
-	// alloc.Stream replay of the same adjustments produces. Map
-	// iteration order is irrelevant: each entry pokes an independent
-	// array slot, and the aggregate below is a single ascending-id
-	// pass.
+	// drops zero the slot, discounts reprice it at t/weight — exactly
+	// what an alloc.Stream replay of the same adjustments produces.
+	// Map iteration order is irrelevant: each entry pokes an
+	// independent array slot, and the aggregate below is a single
+	// ascending-id pass.
 	dropped, discounted := 0, 0
 	if !c.empty() {
 		for id := range c.Drop {
-			if id >= 0 && id < len(inv) && inv[id] != 0 {
-				t[id], inv[id] = 0, 0
+			if id >= 0 && id < len(t) && t[id] != 0 {
+				t[id] = 0
 				dropped++
 			}
 		}
 		for id, w := range c.Weights {
-			if id >= 0 && id < len(inv) && inv[id] != 0 && w != 1 {
-				tw := t[id] / w
-				t[id], inv[id] = tw, 1/tw
+			if id >= 0 && id < len(t) && t[id] != 0 && w != 1 {
+				t[id] /= w
 				discounted++
 			}
 		}
 	}
 
-	ids := make([]int, 0, live)
+	n := 0
 	var k numeric.KahanSum
-	for id, v := range inv {
+	for _, v := range t {
 		if v != 0 {
-			k.Add(v)
-			ids = append(ids, id)
+			k.Add(1 / v)
+			n++
 		}
 	}
 	snap := &Snapshot{
-		epoch: epoch, rate: rate, s: k.Value(), ids: ids, t: t, inv: inv,
+		epoch: epoch, rate: rate, s: k.Value(), n: n, t: t,
 		dropped: dropped, discounted: discounted,
 	}
 	r.snap.Store(snap)
-	r.met.Sealed(len(ids), time.Since(start).Seconds())
+	r.met.Sealed(n, time.Since(start).Seconds(), hold.Seconds())
 	// Deferred journal I/O happens here, outside the shard locks but
 	// still serialized by the seal mutex.
 	if j := r.journal; j != nil {

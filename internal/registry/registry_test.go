@@ -5,6 +5,7 @@ import (
 	"math"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/alloc"
 	"repro/internal/mech"
@@ -224,7 +225,7 @@ func TestSealedAggregateIndependentOfShardCount(t *testing.T) {
 				if snap.N() != st.N() {
 					t.Fatalf("n=%d procs=%d shards=%d: N = %d, serial replay %d", pop.n, procs, shards, snap.N(), st.N())
 				}
-				for j, id := range snap.IDs() {
+				for j, id := range snap.IDs(nil) {
 					if x, _ := snap.Load(id); id != wantIDs[j] || math.Float64bits(x) != math.Float64bits(wantX[j]) {
 						t.Fatalf("n=%d procs=%d shards=%d: entry %d is (id %d, x %g), serial replay (id %d, x %g)",
 							pop.n, procs, shards, j, id, x, wantIDs[j], wantX[j])
@@ -251,7 +252,7 @@ func TestSweepAllocMatchesProportionalExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for j, id := range snap.IDs() {
+	for j, id := range snap.IDs(nil) {
 		if x, _ := snap.Load(id); x != want[j] {
 			t.Fatalf("Load(%d) = %g, want exactly %g", id, x, want[j])
 		}
@@ -272,7 +273,7 @@ func TestSnapshotPaymentMatchesEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for j, id := range snap.IDs() {
+	for j, id := range snap.IDs(nil) {
 		comp, bonus, ok := snap.Payment(id)
 		if !ok {
 			t.Fatalf("Payment(%d) not ok", id)
@@ -321,6 +322,78 @@ func TestCoalescedRebidAccounting(t *testing.T) {
 	}
 	if got := met.Epochs.Value(); got != 2 { // New's seal + explicit
 		t.Errorf("epochs = %d, want 2", got)
+	}
+}
+
+// TestSealHoldObservedPerSeal checks the stop-the-world metric: every
+// seal, New's included, observes one lock hold, and the holds never
+// add up to more than the seals that contain them.
+func TestSealHoldObservedPerSeal(t *testing.T) {
+	reg := obs.NewRegistry()
+	met := obs.NewRegistryMetrics(reg)
+	r, err := New(Config{Rate: 5, Shards: 4, Metrics: met})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1000; i++ {
+		mustAdd(t, r, 1+float64(i%7))
+	}
+	for i := 0; i < 5; i++ {
+		r.Seal()
+	}
+	if seals, holds := met.SealSeconds.Count(), met.SealHoldSeconds.Count(); seals != 6 || holds != 6 {
+		t.Fatalf("%d seal and %d hold observations, want 6 each", seals, holds)
+	}
+	sums := map[string]float64{}
+	for _, m := range reg.Snapshot() {
+		sums[m.Name] = m.Sum
+	}
+	if hold, seal := sums["lb_registry_seal_hold_seconds"], sums["lb_registry_seal_seconds"]; !(hold > 0 && hold <= seal) {
+		t.Fatalf("hold seconds %g, seal seconds %g: want 0 < hold <= seal", hold, seal)
+	}
+}
+
+// TestSealGrowsForIDsIssuedWhileAllocating pins the seal's allocation
+// order: the bid array is sized before the shard locks are taken, so
+// an agent admitted in between must still be in the epoch. The test
+// holds shard 0's lock, so the seal allocates and then waits at its
+// first lock while an agent joins on shard 1.
+func TestSealGrowsForIDsIssuedWhileAllocating(t *testing.T) {
+	r, err := New(Config{Rate: 5, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bids := []float64{1, 2, 3, 4, 5} // ids 0..4; the next id, 5, is on shard 1
+	for _, v := range bids {
+		mustAdd(t, r, v)
+	}
+	r.shards[0].mu.Lock()
+	done := make(chan *Snapshot)
+	go func() { done <- r.Seal() }()
+	for r.sealMu.TryLock() { // wait for the seal to start
+		r.sealMu.Unlock()
+		runtime.Gosched()
+	}
+	time.Sleep(10 * time.Millisecond) // and to allocate
+	id := mustAdd(t, r, 7)
+	bids = append(bids, 7)
+	r.shards[0].mu.Unlock()
+	snap := <-done
+
+	st, err := alloc.NewStream(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range bids {
+		if _, err := st.Add(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if v, ok := snap.Value(id); !ok || v != 7 || snap.N() != len(bids) {
+		t.Fatalf("id %d sealed as (%v, %v) with N = %d; want (7, true), N = %d", id, v, ok, snap.N(), len(bids))
+	}
+	if got, want := snap.Sum(), st.Sealed(); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("sealed S %v, serial stream %v", got, want)
 	}
 }
 

@@ -4,17 +4,20 @@ import "math"
 
 // Snapshot is one sealed epoch: the immutable live population, its
 // canonical aggregate S = Σ 1/b_i and the rate R frozen at seal time.
-// Every query below is O(1), lock-free and allocation-free — a
-// snapshot is never mutated after publication, so readers touch it
-// without coordination, and a reader holding an old snapshot keeps a
-// consistent (if stale) view for as long as it likes.
+// It holds {epoch, R, S, n} and one id-indexed bid array, 8 bytes per
+// id issued before the seal; readers compute 1/b_i from the bid,
+// which is bitwise the inverse the seal summed. Every per-agent query
+// below is O(1), lock-free and allocation-free — a snapshot is never
+// mutated after publication, so readers touch it without
+// coordination, and a reader holding an old snapshot keeps a
+// consistent (if stale) view for as long as it likes. IDs and Bids
+// are the exceptions: they scan the whole array.
 type Snapshot struct {
 	epoch uint64
 	rate  float64
 	s     float64
-	ids   []int     // live ids, ascending
+	n     int       // live agents: the nonzero entries of t
 	t     []float64 // id-indexed bid; 0 = absent
-	inv   []float64 // id-indexed 1/bid; 0 = absent
 
 	// Health correction applied at seal time (see SealCorrected).
 	dropped    int
@@ -34,23 +37,43 @@ func (s *Snapshot) Rate() float64 { return s.rate }
 func (s *Snapshot) Sum() float64 { return s.s }
 
 // N returns the number of live agents in the sealed epoch.
-func (s *Snapshot) N() int { return len(s.ids) }
+func (s *Snapshot) N() int { return s.n }
 
-// IDs returns the live ids in ascending order. The slice is owned by
-// the snapshot and must not be modified.
-func (s *Snapshot) IDs() []int { return s.ids }
+// IDs returns the live ids in ascending order, parallel to Bids. It
+// scans every id issued before the seal — O(ids issued), not O(1) —
+// so call it once per snapshot, outside any per-agent loop. dst is
+// filled and returned when it has the capacity; otherwise a new slice
+// is allocated.
+func (s *Snapshot) IDs(dst []int) []int {
+	if cap(dst) < s.n {
+		dst = make([]int, s.n)
+	}
+	dst = dst[:s.n]
+	j := 0
+	for id, t := range s.t {
+		if t != 0 {
+			dst[j] = id
+			j++
+		}
+	}
+	return dst
+}
 
 // Bids returns the sealed bids in ascending id order, parallel to
-// IDs(): the population that alloc.ProportionalInto and the
-// mech.Engine price against this epoch's canonical S. dst is reused
-// when it has the capacity.
+// IDs: the population that alloc.ProportionalInto and the mech.Engine
+// price against this epoch's canonical S. Like IDs it scans every id
+// issued before the seal, and dst is reused when it has the capacity.
 func (s *Snapshot) Bids(dst []float64) []float64 {
-	if cap(dst) < len(s.ids) {
-		dst = make([]float64, len(s.ids))
+	if cap(dst) < s.n {
+		dst = make([]float64, s.n)
 	}
-	dst = dst[:len(s.ids)]
-	for j, id := range s.ids {
-		dst[j] = s.t[id]
+	dst = dst[:s.n]
+	j := 0
+	for _, t := range s.t {
+		if t != 0 {
+			dst[j] = t
+			j++
+		}
 	}
 	return dst
 }
@@ -65,7 +88,7 @@ func (s *Snapshot) Correction() (dropped, discounted int) {
 
 // Contains reports whether the agent was live in the sealed epoch.
 func (s *Snapshot) Contains(id int) bool {
-	return id >= 0 && id < len(s.inv) && s.inv[id] != 0
+	return id >= 0 && id < len(s.t) && s.t[id] != 0
 }
 
 // Value returns the agent's sealed bid.
@@ -109,7 +132,7 @@ func (s *Snapshot) ExclusionLatency(id int) (float64, bool) {
 	if !s.Contains(id) {
 		return 0, false
 	}
-	rest := s.s - s.inv[id]
+	rest := s.s - 1/s.t[id]
 	if rest <= 0 {
 		if s.rate == 0 {
 			return 0, true
@@ -133,7 +156,7 @@ func (s *Snapshot) Payment(id int) (compensation, bonus float64, ok bool) {
 	}
 	compensation = s.rate / s.s
 	lStar := s.rate * s.rate / s.s
-	rest := s.s - s.inv[id]
+	rest := s.s - 1/s.t[id]
 	if rest <= 0 {
 		if s.rate == 0 {
 			return compensation, 0, true

@@ -495,7 +495,7 @@ func TestKill9Recovery(t *testing.T) {
 			post.Epoch(), pre.Epoch(), post.N(), pre.N(),
 			math.Float64bits(post.Sum()), math.Float64bits(pre.Sum()))
 	}
-	for _, id := range pre.IDs() {
+	for _, id := range pre.IDs(nil) {
 		pv, _ := pre.Value(id)
 		rv, ok := post.Value(id)
 		if !ok || math.Float64bits(pv) != math.Float64bits(rv) {

@@ -44,7 +44,7 @@ func TestConfigFromSnapshot(t *testing.T) {
 		t.Fatalf("swarm has %d machines / %d tasks", s.Machines(), s.Tasks())
 	}
 	var sum float64
-	for j, id := range snap.IDs() {
+	for j, id := range snap.IDs(nil) {
 		share := 1 / (cfg.T[j] * snap.Sum())
 		load, _ := snap.Load(id)
 		if want := load / snap.Rate(); math.Abs(share-want) > 1e-15 {
@@ -81,7 +81,7 @@ func TestSwarmConvergesToSnapshotOptimum(t *testing.T) {
 		t.Fatalf("TV to the sealed optimum %g > 0.01 after 150 rounds", last.TVOptimum)
 	}
 	shares := s.Shares(nil)
-	for i, id := range snap.IDs() {
+	for i, id := range snap.IDs(nil) {
 		load, _ := snap.Load(id)
 		if want := load / snap.Rate(); math.Abs(shares[i]-want) > 0.03*want+1e-3 {
 			t.Errorf("machine %d: share %g, sealed optimum %g", i, shares[i], want)

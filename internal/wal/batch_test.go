@@ -35,7 +35,7 @@ func (j perOpOnly) Published(snap *registry.Snapshot) { j.w.Published(snap) }
 // compactor — which drops a capture while it is busy, so which
 // snapshots (and hence which compacted segments) exist would otherwise
 // depend on timing.
-func createManual(t *testing.T, dir string, opts Options) *Writer {
+func createManual(t testing.TB, dir string, opts Options) *Writer {
 	t.Helper()
 	w, err := newWriter(dir, opts)
 	if err != nil {

@@ -1,11 +1,15 @@
 package wal
 
 import (
+	"fmt"
+	"io"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/registry"
 )
 
@@ -100,22 +104,89 @@ func benchmarkRecover(b *testing.B, records int) {
 func BenchmarkWALRecover1M(b *testing.B)  { benchmarkRecover(b, 1_000_000) }
 func BenchmarkWALRecover10M(b *testing.B) { benchmarkRecover(b, 10_000_000) }
 
-// BenchmarkWALSnapshot measures serializing and fsyncing one snapshot
-// sidecar for a 100k-agent population.
+// BenchmarkWALSnapshot measures streaming and fsyncing one snapshot
+// sidecar for a 100k-agent population from its published epoch.
 func BenchmarkWALSnapshot(b *testing.B) {
 	dir := b.TempDir()
-	rng := rand.New(rand.NewPCG(3, 4))
-	p := &pendingSnap{epoch: 7, rate: 100, s: 1234.5, next: 100_000, seg: 1, off: segHeaderLen}
-	for i := 0; i < 100_000; i++ {
-		p.ids = append(p.ids, i)
-		p.ts = append(p.ts, 0.1+10*rng.Float64())
+	w := createManual(b, dir, Options{Sync: SyncNone, SnapshotEvery: 1})
+	defer w.Close()
+	r, err := registry.New(registry.Config{Rate: 100})
+	if err != nil {
+		b.Fatal(err)
 	}
-	data := encodeSnapshot(p)
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := writeDurable(filepath.Join(dir, "bench.snap"), encodeSnapshot(p)); err != nil {
+	rng := rand.New(rand.NewPCG(3, 4))
+	for i := 0; i < 100_000; i++ {
+		if _, err := r.Add(0.1 + 10*rng.Float64()); err != nil {
 			b.Fatal(err)
 		}
 	}
+	r.AttachJournal(w)
+	r.Seal()
+	p := <-w.snapCh
+	write := func(f io.Writer) error { return streamSnapshot(f, p) }
+	b.SetBytes(int64(len(snapMagic) + 64 + 16*p.live + 4))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := writeDurable(filepath.Join(dir, "bench.snap"), write); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWALSeal measures sealing 1M agents with the WAL attached
+// (SyncNone) and a snapshot captured every 1 or 8 seals, written by
+// the background compactor as when serving. Besides ns/op it reports
+// the time each seal held every shard lock — the window in which all
+// writers wait — as hold-p50-ms and hold-max-ms, read exactly per seal
+// from the running sum of lb_registry_seal_hold_seconds.
+func BenchmarkWALSeal(b *testing.B) {
+	const n = 1 << 20
+	for _, every := range []int{1, 8} {
+		b.Run(fmt.Sprintf("n=%d/snapshot-every=%d", n, every), func(b *testing.B) {
+			w, err := Create(b.TempDir(), Options{Sync: SyncNone, SnapshotEvery: every})
+			if err != nil {
+				b.Fatal(err)
+			}
+			reg := obs.NewRegistry()
+			r, err := registry.New(registry.Config{Rate: 20, Shards: 32, Metrics: obs.NewRegistryMetrics(reg)})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				if _, err := r.Add(0.5 + float64(i%31)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			r.AttachJournal(w)
+			holds := make([]float64, 0, b.N)
+			last := holdSum(reg)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r.Seal()
+				b.StopTimer()
+				sum := holdSum(reg)
+				holds = append(holds, sum-last)
+				last = sum
+				b.StartTimer()
+			}
+			b.StopTimer()
+			if err := w.Close(); err != nil {
+				b.Fatal(err)
+			}
+			slices.Sort(holds)
+			b.ReportMetric(1e3*holds[len(holds)/2], "hold-p50-ms")
+			b.ReportMetric(1e3*holds[len(holds)-1], "hold-max-ms")
+		})
+	}
+}
+
+// holdSum returns the running sum of lb_registry_seal_hold_seconds.
+func holdSum(reg *obs.Registry) float64 {
+	for _, m := range reg.Snapshot() {
+		if m.Name == "lb_registry_seal_hold_seconds" {
+			return m.Sum
+		}
+	}
+	return 0
 }

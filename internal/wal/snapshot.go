@@ -4,8 +4,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
+	"slices"
 )
 
 // snapData is a decoded snapshot sidecar: the uncorrected live
@@ -25,38 +27,113 @@ type snapData struct {
 	ts    []float64
 }
 
-// encodeSnapshot serializes a captured snapshot:
+// snapBufBytes is the compactor's write buffer: the largest piece of
+// a snapshot file held in memory at once.
+const snapBufBytes = 64 << 10
+
+// streamSnapshot writes a captured snapshot to w in the sidecar
+// format:
 //
 //	magic(8) | epoch u64 | next u64 | seg u64 | off u64 | rate f64 |
 //	s f64 | nDrop u32 | nWeight u32 | nLive u64 | drops… | weights… |
 //	(id u64, t f64)… | CRC32C u32
 //
 // little-endian throughout; the CRC covers everything after the magic.
-func encodeSnapshot(p *pendingSnap) []byte {
-	n := 8 + 48 + 16 + 8*len(p.drops) + 16*len(p.wts) + 16*len(p.ids) + 4
-	b := make([]byte, 0, n)
-	b = append(b, snapMagic...)
-	b = binary.LittleEndian.AppendUint64(b, p.epoch)
-	b = binary.LittleEndian.AppendUint64(b, uint64(p.next))
-	b = binary.LittleEndian.AppendUint64(b, p.seg)
-	b = binary.LittleEndian.AppendUint64(b, uint64(p.off))
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p.rate))
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p.s))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(p.drops)))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(p.wts)))
-	b = binary.LittleEndian.AppendUint64(b, uint64(len(p.ids)))
+// The entries are the uncorrected live population in ascending id
+// order: each id below p.next is read in place from the published
+// epoch, except that the correction's live ids take their
+// pre-correction bids from p.pre. The body goes through a
+// snapBufBytes buffer whose flushes fold into the running CRC, so the
+// file is never materialized; nLive comes from the seal's live count,
+// and a population that disagrees with it is an error.
+func streamSnapshot(w io.Writer, p *pendingSnap) error {
+	if _, err := io.WriteString(w, snapMagic); err != nil {
+		return err
+	}
+	sw := &snapWriter{w: w, buf: make([]byte, 0, snapBufBytes)}
+	sw.u64(p.epoch)
+	sw.u64(uint64(p.next))
+	sw.u64(p.seg)
+	sw.u64(uint64(p.off))
+	sw.u64(math.Float64bits(p.snap.Rate()))
+	sw.u64(math.Float64bits(p.snap.Sum()))
+	sw.u64(uint64(len(p.drops)) | uint64(len(p.wts))<<32) // nDrop u32 | nWeight u32
+	sw.u64(uint64(p.live))
 	for _, id := range p.drops {
-		b = binary.LittleEndian.AppendUint64(b, uint64(id))
+		sw.u64(uint64(id))
 	}
 	for _, e := range p.wts {
-		b = binary.LittleEndian.AppendUint64(b, uint64(e.id))
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(e.w))
+		sw.u64(uint64(e.id))
+		sw.u64(math.Float64bits(e.w))
 	}
-	for i, id := range p.ids {
-		b = binary.LittleEndian.AppendUint64(b, uint64(id))
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p.ts[i]))
+	live, k := 0, 0
+	for id := 0; id < p.next; id++ {
+		t, ok := p.snap.Value(id)
+		if k < len(p.pre) && p.pre[k].id == id {
+			t, ok = p.pre[k].t, true
+			k++
+		}
+		if ok {
+			sw.u64(uint64(id))
+			sw.u64(math.Float64bits(t))
+			live++
+		}
 	}
-	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b[8:], crcTable))
+	sw.flush()
+	if sw.err != nil {
+		return sw.err
+	}
+	if live != p.live {
+		return fmt.Errorf("snapshot of epoch %d has %d live entries, its seal counted %d", p.epoch, live, p.live)
+	}
+	_, err := w.Write(binary.LittleEndian.AppendUint32(sw.buf[:0], sw.crc))
+	return err
+}
+
+// snapWriter is the snapshot body's buffered writer: it collects
+// little-endian words and, whenever the buffer fills, folds it into
+// the running CRC32C and writes it out. The first write error sticks.
+type snapWriter struct {
+	w   io.Writer
+	buf []byte
+	crc uint32
+	err error
+}
+
+// u64 appends one little-endian word.
+func (s *snapWriter) u64(v uint64) {
+	s.buf = binary.LittleEndian.AppendUint64(s.buf, v)
+	if len(s.buf) == cap(s.buf) {
+		s.flush()
+	}
+}
+
+// flush writes out the buffered bytes.
+func (s *snapWriter) flush() {
+	if s.err == nil && len(s.buf) > 0 {
+		s.crc = crc32.Update(s.crc, crcTable, s.buf)
+		_, s.err = s.w.Write(s.buf)
+	}
+	s.buf = s.buf[:0]
+}
+
+// preCorrection returns the bids in t of the correction's ids that are
+// live there, in ascending id order: with the published (corrected)
+// epoch, all a snapshot needs to restore the uncorrected population.
+// An id both dropped and weighted appears once.
+func preCorrection(t []float64, drops []int, wts []weightEntry) []bidEntry {
+	ids := append([]int(nil), drops...)
+	for _, e := range wts {
+		ids = append(ids, e.id)
+	}
+	slices.Sort(ids)
+	var pre []bidEntry
+	for _, id := range slices.Compact(ids) {
+		if id >= 0 && id < len(t) && t[id] != 0 {
+			pre = append(pre, bidEntry{id: id, t: t[id]})
+		}
+	}
+	return pre
 }
 
 // decodeSnapshot parses and verifies a snapshot sidecar.

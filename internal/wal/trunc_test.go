@@ -229,7 +229,7 @@ func TestTruncationFuzzEveryTailOffset(t *testing.T) {
 					t.Fatalf("cut=%d shards=%d: resealed S diverged from shadow", cut, shards)
 				}
 				ids, _ := st.Snapshot()
-				gids := got.IDs()
+				gids := got.IDs(nil)
 				if len(gids) != len(ids) {
 					t.Fatalf("cut=%d: recovered %d live, shadow %d", cut, len(gids), len(ids))
 				}

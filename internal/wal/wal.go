@@ -32,7 +32,12 @@
 // epoch's source state — the uncorrected live population, the id
 // counter, the rate, the correction, and the canonical S of the
 // covered epoch for a recovery self-check — plus the log position just
-// after the covering seal record. Compaction keeps the two newest
+// after the covering seal record. At the seal barrier the writer
+// captures only the log position and the pre-correction bids of the
+// correction's live ids; after publication a background compactor
+// streams the file from the immutable registry.Snapshot, reading every
+// other bid in place, so no per-agent copy is made under the
+// registry's locks or for the file image. Compaction keeps the two newest
 // snapshots and deletes every segment older than the one the previous
 // snapshot points into, so recovery always has a valid snapshot-plus-
 // tail even if the newest snapshot is damaged. Recovery loads the

@@ -34,7 +34,7 @@ func recordSnap(s *registry.Snapshot) sealRec {
 		epoch: s.Epoch(),
 		rate:  math.Float64bits(s.Rate()),
 		sum:   math.Float64bits(s.Sum()),
-		ids:   append([]int(nil), s.IDs()...),
+		ids:   s.IDs(nil),
 	}
 	rec.vals = make([]uint64, len(rec.ids))
 	for i, id := range rec.ids {
@@ -59,7 +59,7 @@ func compareSnap(tb testing.TB, got *registry.Snapshot, want sealRec) {
 		tb.Fatalf("canonical S: got %x, want %x (diff %g)",
 			math.Float64bits(got.Sum()), want.sum, got.Sum()-math.Float64frombits(want.sum))
 	}
-	ids := got.IDs()
+	ids := got.IDs(nil)
 	if len(ids) != len(want.ids) {
 		tb.Fatalf("live count: got %d, want %d", len(ids), len(want.ids))
 	}

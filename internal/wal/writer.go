@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -108,29 +109,40 @@ type snapRef struct {
 	seg   uint64
 }
 
-// pendingSnap is a snapshot captured at the seal barrier, completed
-// with the canonical S at publication, and serialized by the
-// background compactor.
+// pendingSnap is a snapshot capture. Sealed takes the part that only
+// the seal barrier knows — the log position after the seal record,
+// the id counter and live count, the sorted correction and the
+// pre-correction bids of its live ids — in O(correction) time;
+// Published attaches the immutable epoch it covers; the background
+// compactor streams the file from both (see streamSnapshot).
 type pendingSnap struct {
 	epoch uint64
-	rate  float64
-	s     float64
 	next  int
+	live  int    // uncorrected live count: the file's entry count
 	seg   uint64 // replay position: first byte after the covering seal record
 	off   int64
-	ids   []int
-	ts    []float64
 	drops []int
 	wts   []weightEntry
+	pre   []bidEntry         // uncorrected bids of the correction's live ids, ascending id
+	snap  *registry.Snapshot // the published (corrected) epoch
+}
+
+// bidEntry is one (id, bid) pair.
+type bidEntry struct {
+	id int
+	t  float64
 }
 
 // Writer is the registry.Journal implementation: it encodes every
 // mutation and seal into the append buffer under the caller's registry
 // locks (cheap: a bounds check, a CRC and a memcpy), group-commits
 // batches to segment files, and hands snapshot captures to a
-// background compactor. It also implements registry.BatchJournal, so
-// ApplyBatch journals each shard group in one call. All methods are
-// safe for concurrent use.
+// background compactor. A capture copies nothing per agent: at the
+// seal barrier it records the log position and the correction's
+// pre-correction bids, and the compactor reads every other bid from
+// the published Snapshot, which is immutable. It also implements
+// registry.BatchJournal, so ApplyBatch journals each shard group in
+// one call. All methods are safe for concurrent use.
 //
 // I/O errors are sticky: the first one latches, every later append
 // becomes a no-op, and Err/Close report it. A registry keeps serving
@@ -385,9 +397,11 @@ func (w *Writer) encodeMutation(kind byte, a, b uint64, wide bool) int {
 // Sealed implements registry.Journal. It runs under every registry
 // shard lock — the barrier that makes the log replayable — so it only
 // encodes: a plain seal is 17 payload bytes, a corrected seal inlines
-// the sorted correction, and on the snapshot cadence the live
-// population is copied out for the background compactor. No fsync
-// happens here; SyncSeal defers it to Published, outside the locks.
+// the sorted correction, and on the snapshot cadence it captures the
+// log position plus the pre-correction bids of the correction's live
+// ids, read from ev.T; Published supplies the rest of the population.
+// No fsync happens here; SyncSeal defers it to Published, outside the
+// locks.
 func (w *Writer) Sealed(ev registry.SealEvent) {
 	var drops []int
 	var wts []weightEntry
@@ -441,24 +455,16 @@ func (w *Writer) Sealed(ev registry.SealEvent) {
 		w.sealsSince++
 		if w.sealsSince >= w.opts.SnapshotEvery {
 			w.sealsSince = 0
-			p := &pendingSnap{
+			w.pending = &pendingSnap{
 				epoch: ev.Epoch,
-				rate:  ev.Rate,
 				next:  ev.Next,
+				live:  ev.Live,
 				seg:   w.seg,
 				off:   w.segOff + int64(len(w.buf)),
-				ids:   make([]int, 0, ev.Live),
-				ts:    make([]float64, 0, ev.Live),
 				drops: drops,
 				wts:   wts,
+				pre:   preCorrection(ev.T, drops, wts),
 			}
-			for id, t := range ev.T {
-				if t != 0 {
-					p.ids = append(p.ids, id)
-					p.ts = append(p.ts, t)
-				}
-			}
-			w.pending = p
 		}
 	}
 	w.maybeFlush()
@@ -466,14 +472,16 @@ func (w *Writer) Sealed(ev registry.SealEvent) {
 
 // Published implements registry.Journal: the deferred I/O half of a
 // seal, outside the registry's shard locks. SyncSeal commits here, and
-// a snapshot captured by Sealed is completed with the published
-// epoch's canonical S and handed to the background compactor.
+// a snapshot captured by Sealed gets the published epoch attached and
+// goes to the background compactor — or, when the compactor is still
+// writing the previous one, is dropped and counted in
+// lb_wal_snapshots_skipped_total.
 func (w *Writer) Published(snap *registry.Snapshot) {
 	w.mu.Lock()
 	var p *pendingSnap
 	if w.pending != nil && w.pending.epoch == snap.Epoch() {
 		p, w.pending = w.pending, nil
-		p.s = snap.Sum()
+		p.snap = snap
 	}
 	if w.opts.Sync == SyncSeal && w.err == nil && !w.closed {
 		w.flushLocked(true)
@@ -485,6 +493,7 @@ func (w *Writer) Published(snap *registry.Snapshot) {
 		default:
 			// The compactor is still writing the previous snapshot;
 			// drop this capture and let the next cadence retry.
+			w.met.SnapshotSkipped()
 		}
 	}
 }
@@ -681,9 +690,8 @@ func (w *Writer) writeSnapshot(p *pendingSnap) {
 	if err := w.Sync(); err != nil {
 		return // already latched
 	}
-	data := encodeSnapshot(p)
 	tmp := filepath.Join(w.dir, snapName(p.epoch)+".tmp")
-	if err := writeDurable(tmp, data); err != nil {
+	if err := writeDurable(tmp, func(f io.Writer) error { return streamSnapshot(f, p) }); err != nil {
 		w.latch(err)
 		return
 	}
@@ -749,13 +757,13 @@ func (w *Writer) latch(err error) {
 	w.mu.Unlock()
 }
 
-// writeDurable writes data to path and fsyncs it.
-func writeDurable(path string, data []byte) error {
+// writeDurable creates path, fills it with write and fsyncs it.
+func writeDurable(path string, write func(io.Writer) error) error {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	if _, err := f.Write(data); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return fmt.Errorf("wal: %w", err)
 	}
