@@ -2,6 +2,7 @@ package lbmech
 
 import (
 	"repro/internal/alloc"
+	"repro/internal/mech"
 	"repro/internal/protocol"
 )
 
@@ -20,7 +21,8 @@ func allocNewStream(rate float64) (*alloc.Stream, error) {
 // runMM1Protocol runs one M/M/1 protocol round on a 4-queue system,
 // used by BenchmarkMM1ProtocolRound.
 func runMM1Protocol(jobs int, seed uint64) (*protocol.Result, error) {
-	return protocol.RunMM1(protocol.Config{
+	return protocol.Run(protocol.Config{
+		Model: mech.MM1Model{},
 		Trues: []float64{0.1, 0.2, 0.4, 0.5},
 		Rate:  6,
 		Jobs:  jobs,

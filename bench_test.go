@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/distmech"
 	"repro/internal/experiments"
+	"repro/internal/faults"
 	"repro/internal/game"
 	"repro/internal/mech"
 	"repro/internal/stats"
@@ -269,10 +270,10 @@ func BenchmarkDistributedRoundWithCrash(b *testing.B) {
 	agents := mech.Truthful(ts)
 	for i := 0; i < b.N; i++ {
 		res, err := distmech.Run(distmech.Config{
-			Tree:    BinaryTree(64),
-			Agents:  agents,
-			Rate:    60,
-			Crashed: []int{5},
+			Tree:   BinaryTree(64),
+			Agents: agents,
+			Rate:   60,
+			Faults: faults.New(0, faults.Crash(5)),
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"io"
 
 	"repro/internal/faults"
+	"repro/internal/mech"
 	"repro/internal/obs"
 	"repro/internal/protocol"
 )
@@ -56,6 +57,10 @@ type scenario struct {
 	Obs *obs.Observer `json:"-"`
 }
 
+// models maps a scenario's model name to the protocol round's latency
+// model.
+var models = map[string]mech.Model{"linear": mech.LinearModel{}, "mm1": mech.MM1Model{}}
+
 // loadScenario parses and validates a scenario from JSON.
 func loadScenario(r io.Reader) (*scenario, error) {
 	dec := json.NewDecoder(r)
@@ -73,11 +78,10 @@ func loadScenario(r io.Reader) (*scenario, error) {
 // validate checks the scenario's internal consistency and fills
 // defaults.
 func (s *scenario) validate() error {
-	switch s.Model {
-	case "":
+	if s.Model == "" {
 		s.Model = "linear"
-	case "linear", "mm1":
-	default:
+	}
+	if models[s.Model] == nil {
 		return fmt.Errorf("scenario: unknown model %q (want linear or mm1)", s.Model)
 	}
 	if s.Rate <= 0 {
@@ -138,6 +142,7 @@ func (s *scenario) run() (*protocol.Result, error) {
 		inj = plan
 	}
 	cfg := protocol.Config{
+		Model:         models[s.Model],
 		Trues:         s.trues(),
 		Strategies:    s.strategies(),
 		Rate:          s.Rate,
@@ -146,9 +151,6 @@ func (s *scenario) run() (*protocol.Result, error) {
 		Faults:        inj,
 		AllowDropouts: s.AllowDropouts,
 		Obs:           s.Obs,
-	}
-	if s.Model == "mm1" {
-		return protocol.RunMM1(cfg)
 	}
 	return protocol.Run(cfg)
 }

@@ -132,3 +132,25 @@ func TestScenarioFlagsOverrideFile(t *testing.T) {
 		t.Error("-seed 99 ignored: output identical to the file's seed 3")
 	}
 }
+
+// TestScenarioMM1HonoursFaults pins that an mm1 scenario runs the same
+// protocol round as a linear one: a silent computer aborts the round,
+// and with -dropouts it is dropped (3 bid requests plus 4 messages for
+// each of the 2 responders).
+func TestScenarioMM1HonoursFaults(t *testing.T) {
+	const path = "testdata/mm1.json"
+	var out bytes.Buffer
+	err := run([]string{"-scenario", path, "-faults", "silent=2"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "agent C3 failed to bid") {
+		t.Fatalf("silent C3 without -dropouts: err = %v, want agent C3 failed to bid", err)
+	}
+	out.Reset()
+	if err := run([]string{"-scenario", path, "-faults", "silent=2", "-dropouts"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"(mm1 model, R=4)\n", "protocol messages: 11\n", "dropped agents: C3\n"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output lacks %q:\n%s", want, out.String())
+		}
+	}
+}

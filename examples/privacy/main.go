@@ -10,6 +10,7 @@ import (
 	"log"
 
 	"repro/internal/distmech"
+	"repro/internal/faults"
 	"repro/internal/mech"
 	"repro/internal/numeric"
 	"repro/internal/payproto"
@@ -51,10 +52,10 @@ func main() {
 	fmt.Println("3) distributed round on a binary tree (node 3 over-claims its payment)")
 	agents := mech.Truthful(trues)
 	res, err := distmech.Run(distmech.Config{
-		Tree:          distmech.Binary(len(trues)),
-		Agents:        agents,
-		Rate:          rate,
-		CheatPayments: []int{3},
+		Tree:   distmech.Binary(len(trues)),
+		Agents: agents,
+		Rate:   rate,
+		Faults: faults.New(0, faults.Byzantine(0, 3)),
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/mech"
 	"repro/internal/numeric"
 )
@@ -184,7 +185,7 @@ func TestPaymentCheatIsFlagged(t *testing.T) {
 	agents := mech.Truthful(ladder(8))
 	res, err := Run(Config{
 		Tree: Binary(8), Agents: agents, Rate: 8,
-		CheatPayments: []int{3, 5},
+		Faults: faults.New(0, faults.Byzantine(0, 3, 5)),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -212,7 +213,7 @@ func TestPaymentCheatIsFlagged(t *testing.T) {
 
 func TestRootCheatFlagged(t *testing.T) {
 	agents := mech.Truthful(ladder(4))
-	res, err := Run(Config{Tree: Star(4), Agents: agents, Rate: 4, CheatPayments: []int{0}})
+	res, err := Run(Config{Tree: Star(4), Agents: agents, Rate: 4, Faults: faults.New(0, faults.Byzantine(0, 0))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,10 +225,10 @@ func TestRootCheatFlagged(t *testing.T) {
 func TestCrashedLeafIsCutOff(t *testing.T) {
 	agents := mech.Truthful(ladder(8))
 	res, err := Run(Config{
-		Tree:    Binary(8),
-		Agents:  agents,
-		Rate:    8,
-		Crashed: []int{7}, // a leaf
+		Tree:   Binary(8),
+		Agents: agents,
+		Rate:   8,
+		Faults: faults.New(0, faults.Crash(7)), // a leaf
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -268,10 +269,10 @@ func TestCrashedInternalNodeCutsSubtree(t *testing.T) {
 	// orphans all of it while {0, 2, 5, 6} complete the round.
 	agents := mech.Truthful(ladder(8))
 	res, err := Run(Config{
-		Tree:    Binary(8),
-		Agents:  agents,
-		Rate:    4,
-		Crashed: []int{1},
+		Tree:   Binary(8),
+		Agents: agents,
+		Rate:   4,
+		Faults: faults.New(0, faults.Crash(1)),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -298,10 +299,10 @@ func TestCrashLeavingOneSurvivorErrors(t *testing.T) {
 	// Chain 0-1-2-3: crashing node 1 leaves only the root reachable.
 	agents := mech.Truthful([]float64{1, 2, 4, 8})
 	if _, err := Run(Config{
-		Tree:    Chain(4),
-		Agents:  agents,
-		Rate:    2,
-		Crashed: []int{1},
+		Tree:   Chain(4),
+		Agents: agents,
+		Rate:   2,
+		Faults: faults.New(0, faults.Crash(1)),
 	}); err == nil {
 		t.Error("expected error with a single reachable node")
 	}
@@ -315,7 +316,7 @@ func TestCrashCompletionIncludesTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	crashed, err := Run(Config{
-		Tree: Star(8), Agents: agents, Rate: 8, HopDelay: hop, Crashed: []int{3},
+		Tree: Star(8), Agents: agents, Rate: 8, HopDelay: hop, Faults: faults.New(0, faults.Crash(3)),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -331,10 +332,10 @@ func TestCrashCompletionIncludesTimeout(t *testing.T) {
 
 func TestCrashValidation(t *testing.T) {
 	agents := mech.Truthful([]float64{1, 2})
-	if _, err := Run(Config{Tree: Star(2), Agents: agents, Rate: 1, Crashed: []int{0}}); err == nil {
+	if _, err := Run(Config{Tree: Star(2), Agents: agents, Rate: 1, Faults: faults.New(0, faults.Crash(0))}); err == nil {
 		t.Error("root crash accepted")
 	}
-	if _, err := Run(Config{Tree: Star(2), Agents: agents, Rate: 1, Crashed: []int{5}}); err == nil {
+	if _, err := Run(Config{Tree: Star(2), Agents: agents, Rate: 1, Faults: faults.New(0, faults.Crash(5))}); err == nil {
 		t.Error("out-of-range crash accepted")
 	}
 }
@@ -355,7 +356,7 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(Config{Tree: Star(2), Agents: bad, Rate: 1}); err == nil {
 		t.Error("expected bid error")
 	}
-	if _, err := Run(Config{Tree: Star(2), Agents: agents, Rate: 1, CheatPayments: []int{9}}); err == nil {
+	if _, err := Run(Config{Tree: Star(2), Agents: agents, Rate: 1, Faults: faults.New(0, faults.Byzantine(0, 9))}); err == nil {
 		t.Error("expected cheater index error")
 	}
 }

@@ -34,19 +34,6 @@ var (
 	ErrConservation = errors.New("distmech: allocation failed conservation")
 )
 
-// IndexError reports a node index outside [0, n) in a Config field.
-type IndexError struct {
-	// Field names the offending Config field.
-	Field string
-	// Index is the bad value; N is the node count.
-	Index, N int
-}
-
-// Error implements error.
-func (e *IndexError) Error() string {
-	return fmt.Sprintf("distmech: %s index %d out of range [0, %d)", e.Field, e.Index, e.N)
-}
-
 // ValueError reports an out-of-domain numeric Config field.
 type ValueError struct {
 	// Field names the offending Config field.
@@ -61,10 +48,10 @@ func (e *ValueError) Error() string {
 }
 
 // Validate checks a Config before any simulation work: tree shape,
-// agent count and parameters, numeric field domains, and the legacy
-// fault knobs. It returns typed errors (IndexError, ValueError,
-// ErrRootCrashed, mech.ErrNeedTwoAgents or a topology error) rather
-// than panicking or silently ignoring bad entries.
+// agent count and parameters, numeric field domains, and the nodes a
+// fault plan names. It returns typed errors (ValueError,
+// *faults.RangeError, mech.ErrNeedTwoAgents or a topology error)
+// rather than panicking or silently ignoring bad entries.
 func (cfg Config) Validate() error {
 	if err := cfg.Tree.Validate(); err != nil {
 		return err
@@ -96,36 +83,5 @@ func (cfg Config) Validate() error {
 	if cfg.Deadline < 0 || math.IsNaN(cfg.Deadline) {
 		return &ValueError{Field: "deadline", Value: cfg.Deadline}
 	}
-	for _, i := range cfg.CheatPayments {
-		if i < 0 || i >= n {
-			return &IndexError{Field: "CheatPayments", Index: i, N: n}
-		}
-	}
-	for _, i := range cfg.Crashed {
-		if i < 0 || i >= n {
-			return &IndexError{Field: "Crashed", Index: i, N: n}
-		}
-		if i == 0 {
-			return ErrRootCrashed
-		}
-	}
-	return nil
-}
-
-// FaultInjector returns the effective injector a Run of cfg uses: the
-// explicit Faults field merged with adapters for the deprecated
-// Crashed and CheatPayments knobs, which keep working but now share
-// the faults layer as the single source of truth.
-func (cfg Config) FaultInjector() faults.Injector {
-	var opts []faults.Option
-	if len(cfg.Crashed) > 0 {
-		opts = append(opts, faults.Crash(cfg.Crashed...))
-	}
-	if len(cfg.CheatPayments) > 0 {
-		opts = append(opts, faults.Byzantine(0, cfg.CheatPayments...))
-	}
-	if len(opts) == 0 {
-		return faults.Merge(cfg.Faults)
-	}
-	return faults.Merge(cfg.Faults, faults.New(0, opts...))
+	return faults.CheckNodes(cfg.Faults, n)
 }

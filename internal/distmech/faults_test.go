@@ -16,7 +16,7 @@ func TestConfigValidateTypedErrors(t *testing.T) {
 	base := Config{Tree: Star(3), Agents: agents, Rate: 3}
 
 	var ve *ValueError
-	var ie *IndexError
+	var re *faults.RangeError
 
 	cfg := base
 	cfg.HopDelay = -0.5
@@ -39,22 +39,22 @@ func TestConfigValidateTypedErrors(t *testing.T) {
 		t.Errorf("zero rate: %v", err)
 	}
 	cfg = base
-	cfg.Crashed = []int{7}
-	if _, err := Run(cfg); !errors.As(err, &ie) || ie.Field != "Crashed" || ie.Index != 7 {
+	cfg.Faults = faults.New(0, faults.Crash(7))
+	if _, err := Run(cfg); !errors.As(err, &re) || re.Node != 7 || re.N != 3 {
 		t.Errorf("out-of-range crash: %v", err)
 	}
 	cfg = base
-	cfg.Crashed = []int{-1}
-	if _, err := Run(cfg); !errors.As(err, &ie) {
+	cfg.Faults = faults.New(0, faults.Crash(-1))
+	if _, err := Run(cfg); !errors.As(err, &re) {
 		t.Errorf("negative crash index: %v", err)
 	}
 	cfg = base
-	cfg.CheatPayments = []int{3}
-	if _, err := Run(cfg); !errors.As(err, &ie) || ie.Field != "CheatPayments" {
+	cfg.Faults = faults.New(0, faults.Byzantine(0, 3))
+	if _, err := Run(cfg); !errors.As(err, &re) || re.Node != 3 {
 		t.Errorf("out-of-range cheater: %v", err)
 	}
 	cfg = base
-	cfg.Crashed = []int{0}
+	cfg.Faults = faults.New(0, faults.Crash(0))
 	if _, err := Run(cfg); !errors.Is(err, ErrRootCrashed) {
 		t.Errorf("root crash: %v", err)
 	}
@@ -96,7 +96,7 @@ func TestCascadeBudgetDeepChainCrashedMiddle(t *testing.T) {
 	agents := mech.Truthful(ladder(n))
 	res, err := Run(Config{
 		Tree: Chain(n), Agents: agents, Rate: 8,
-		Crashed: []int{8},
+		Faults: faults.New(0, faults.Crash(8)),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +117,7 @@ func TestCascadeBudgetSingleNodeSubtree(t *testing.T) {
 	// though node 1's timeout budget is the smallest possible (4 hops).
 	tree := Topology{Parent: []int{-1, 0, 0, 1}}
 	agents := mech.Truthful([]float64{1, 2, 4, 8})
-	res, err := Run(Config{Tree: tree, Agents: agents, Rate: 4, Crashed: []int{3}})
+	res, err := Run(Config{Tree: tree, Agents: agents, Rate: 4, Faults: faults.New(0, faults.Crash(3))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,72 +167,6 @@ func TestExplicitTimeoutLongEnoughCompletes(t *testing.T) {
 }
 
 // Fault-plan integration.
-
-func TestPlanCrashAndByzantineMatchLegacyKnobs(t *testing.T) {
-	agents := mech.Truthful(ladder(8))
-	legacy, err := Run(Config{
-		Tree: Binary(8), Agents: agents, Rate: 8,
-		Crashed: []int{7}, CheatPayments: []int{3},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := Run(Config{
-		Tree: Binary(8), Agents: agents, Rate: 8,
-		Faults: faults.New(0, faults.Crash(7), faults.Byzantine(0, 3)),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprintf("%+v", legacy) != fmt.Sprintf("%+v", plan) {
-		t.Errorf("legacy knobs and fault plan diverged:\nlegacy: %+v\nplan:   %+v", legacy, plan)
-	}
-	if len(plan.Flagged) != 1 || plan.Flagged[0] != 3 {
-		t.Errorf("flagged = %v", plan.Flagged)
-	}
-}
-
-// Regression: composing the deprecated Crashed/CheatPayments knobs
-// with an explicit Faults plan targeting the same nodes must not
-// double-inject. Merge applies one fault per node, with the explicit
-// plan (listed first in FaultInjector) supplying the parameters.
-func TestLegacyKnobsComposeWithPlanWithoutDoubleInjection(t *testing.T) {
-	agents := mech.Truthful(ladder(8))
-	base := Config{Tree: Binary(8), Agents: agents, Rate: 8}
-
-	// A crash declared through both knobs is the same single crash.
-	alone := base
-	alone.Crashed = []int{7}
-	want, err := Run(alone)
-	if err != nil {
-		t.Fatal(err)
-	}
-	both := alone
-	both.Faults = faults.New(0, faults.Crash(7))
-	got, err := Run(both)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
-		t.Errorf("crash declared twice diverged from once:\nboth: %+v\nonce: %+v", got, want)
-	}
-
-	// A cheater declared through both knobs is flagged exactly once,
-	// and the explicit plan's claim factor beats the legacy default.
-	cheat := base
-	cheat.CheatPayments = []int{5}
-	cheat.Faults = faults.New(0, faults.Byzantine(1.2, 5))
-	if f := cheat.FaultInjector().ClaimFactor(5); f != 1.2 {
-		t.Errorf("claim factor = %v, want the explicit plan's 1.2", f)
-	}
-	res, err := Run(cheat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Flagged) != 1 || res.Flagged[0] != 5 {
-		t.Errorf("flagged = %v, want exactly [5]", res.Flagged)
-	}
-}
 
 func TestDuplicatedMessagesAreHarmless(t *testing.T) {
 	// Duplicate every message: the receivers are idempotent, so the

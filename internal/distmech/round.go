@@ -26,23 +26,14 @@ type Config struct {
 	// seconds (default 0.001).
 	HopDelay float64
 	// Faults injects message- and node-level faults into the round
-	// (see package faults). Nil injects nothing.
+	// (see package faults). A crashed node never responds, cutting off
+	// its whole subtree: parents time out waiting for it and proceed
+	// with partial aggregates, and the round completes over the
+	// reachable nodes. A Byzantine node over-claims its payment, which
+	// its parent's audit flags. The root (node 0) cannot crash, and a
+	// *faults.Plan naming a node outside the tree is a
+	// *faults.RangeError. Nil injects nothing.
 	Faults faults.Injector
-	// CheatPayments marks nodes that over-claim their self-computed
-	// payment by 10% — the fault the parent audit must catch.
-	//
-	// Deprecated: a thin adapter over faults.Byzantine; prefer
-	// composing a fault plan in Faults.
-	CheatPayments []int
-	// Crashed marks fail-stop nodes: they never respond, cutting off
-	// their whole subtree. Parents time out waiting for them and
-	// proceed with partial aggregates; the coordinator learns the
-	// missing set from the convergecast and the round completes over
-	// the reachable nodes. The root (node 0) cannot crash.
-	//
-	// Deprecated: a thin adapter over faults.Crash; prefer composing
-	// a fault plan in Faults.
-	Crashed []int
 	// Timeout is how long a parent waits for a child's aggregate
 	// before giving up, in simulated seconds. The default is a
 	// cascading depth-aware budget (4 hops beyond the largest child
@@ -103,19 +94,21 @@ type Result struct {
 //     its child's payment from the child's disclosed (b, ť) and
 //     flagging mismatches.
 //
-// All messages travel through the fault layer (Config.Faults plus the
-// deprecated knob adapters): drops, duplicates, jitter, reordering,
-// sender stalls, fail-stop crashes and Byzantine payment claims all
-// act on this one path, and the receivers are duplicate- and
-// late-message-safe. In a fault-free round the message count is
-// exactly 4(n-1) and the completion time ~ (4*depth)*HopDelay, both
-// properties the tests pin down.
+// All messages travel through the fault layer (Config.Faults): drops,
+// duplicates, jitter, reordering, sender stalls, fail-stop crashes and
+// Byzantine payment claims all act on this one path, and the receivers
+// are duplicate- and late-message-safe. In a fault-free round the
+// message count is exactly 4(n-1) and the completion time
+// ~ (4*depth)*HopDelay, both properties the tests pin down.
 func Run(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	n := cfg.Tree.N()
-	inj := cfg.FaultInjector()
+	inj := cfg.Faults
+	if inj == nil {
+		inj = faults.None
+	}
 	dead := func(i int) bool {
 		c := inj.Class(i)
 		return c == faults.NodeCrashed || c == faults.NodeSilent

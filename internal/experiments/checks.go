@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/report"
@@ -202,17 +201,4 @@ func ChecksTable() (*report.Table, error) {
 		t.AddRow(c.ID, c.Paper, c.Measured, pass, c.Note)
 	}
 	return t, nil
-}
-
-// Summary formats one line per check for logs.
-func Summary(checks []Check) string {
-	out := ""
-	for _, c := range checks {
-		status := "ok  "
-		if !c.Pass {
-			status = "FAIL"
-		}
-		out += fmt.Sprintf("%s %-28s paper=%-12s measured=%s\n", status, c.ID, c.Paper, c.Measured)
-	}
-	return out
 }

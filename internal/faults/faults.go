@@ -206,8 +206,7 @@ func Silent(nodes ...int) Option {
 
 // Stall marks nodes as transiently stalled: every k-th outbound
 // message (or observed job) suffers delay extra seconds. every <= 0
-// defaults to 1 (every message); delay <= 0 defaults to 1000s, the
-// legacy monitoring-stall magnitude.
+// defaults to 1 (every message); delay <= 0 defaults to 1000s.
 func Stall(delay float64, every int, nodes ...int) Option {
 	if delay <= 0 {
 		delay = 1000
@@ -227,11 +226,11 @@ func Stall(delay float64, every int, nodes ...int) Option {
 }
 
 // Flap marks nodes that alternate healthy/stalled deterministically:
-// within each period of `period` ticks the node is stalled — with the
-// legacy stall magnitude every send — for the first duty·period
-// ticks. period <= 0 defaults to 4 ticks; duty is clamped to (0, 1)
-// and defaults to 0.5. The phase is resolved against a consumer-
-// supplied tick via FlapPhase.
+// within each period of `period` ticks the node is stalled — by
+// 1000s on every send — for the first duty·period ticks. period <= 0
+// defaults to 4 ticks; duty is clamped to (0, 1) and defaults to 0.5.
+// The phase is resolved against a consumer-supplied tick via
+// FlapPhase.
 func Flap(period int, duty float64, nodes ...int) Option {
 	if period <= 0 {
 		period = 4
@@ -253,7 +252,7 @@ func Flap(period int, duty float64, nodes ...int) Option {
 }
 
 // Byzantine marks nodes that over-claim their self-computed payment
-// by the given factor (<= 0 or 1 defaults to the legacy 1.1).
+// by the given factor (<= 0 or 1 defaults to 1.1).
 func Byzantine(factor float64, nodes ...int) Option {
 	if factor <= 0 || factor == 1 {
 		factor = 1.1
@@ -559,85 +558,40 @@ func joinNodes(ns []int) string {
 // None is the injector that injects nothing.
 var None Injector = (*Plan)(nil)
 
-// Merge combines injectors: a message is dropped/duplicated/delayed
-// if any constituent says so (delays add), and node faults come from
-// the first constituent that reports a non-healthy class. Nil
-// constituents are skipped; Merge of nothing returns None.
-func Merge(injs ...Injector) Injector {
-	var live []Injector
-	for _, in := range injs {
-		if in == nil || in == Injector(nil) {
-			continue
-		}
-		if p, ok := in.(*Plan); ok && p.Empty() {
-			continue
-		}
-		live = append(live, in)
-	}
-	switch len(live) {
-	case 0:
-		return None
-	case 1:
-		return live[0]
-	}
-	return merged(live)
+// RangeError reports a fault plan that names a node outside a round's
+// population.
+type RangeError struct {
+	// Node is the smallest out-of-range node the plan names.
+	Node int
+	// N is the population size: valid nodes are 0..N-1.
+	N int
 }
 
-type merged []Injector
-
-func (m merged) Deliver(msg Message) Decision {
-	var d Decision
-	for _, in := range m {
-		di := in.Deliver(msg)
-		d.Drop = d.Drop || di.Drop
-		d.Duplicate = d.Duplicate || di.Duplicate
-		d.ExtraDelay += di.ExtraDelay
-	}
-	return d
+// Error implements error.
+func (e *RangeError) Error() string {
+	return fmt.Sprintf("faults: plan names node %d, outside [0, %d)", e.Node, e.N)
 }
 
-func (m merged) Class(node int) NodeClass {
-	for _, in := range m {
-		if c := in.Class(node); c != NodeHealthy {
-			return c
+// CheckNodes returns a *RangeError when inj is a *Plan that gives a
+// fault to a node outside [0, n), naming the smallest such node. A
+// plan speaks population node ids, so round engines check it once on
+// entry; other injectors (the Remap, Reseed and FlapPhase views a
+// supervisor derives per attempt) are not checked.
+func CheckNodes(inj Injector, n int) error {
+	p, ok := inj.(*Plan)
+	if !ok || p == nil {
+		return nil
+	}
+	var bad *RangeError
+	for node := range p.nodes {
+		if (node < 0 || node >= n) && (bad == nil || node < bad.Node) {
+			bad = &RangeError{Node: node, N: n}
 		}
 	}
-	return NodeHealthy
-}
-
-func (m merged) Stall(node int) (float64, int) {
-	for _, in := range m {
-		if d, k := in.Stall(node); k > 0 {
-			return d, k
-		}
+	if bad == nil {
+		return nil
 	}
-	return 0, 0
-}
-
-func (m merged) ClaimFactor(node int) float64 {
-	for _, in := range m {
-		if f := in.ClaimFactor(node); f != 1 {
-			return f
-		}
-	}
-	return 1
-}
-
-func (m merged) FlapSpec(node int) (int, float64, float64) {
-	for _, in := range m {
-		if p, d, s := FlapSpec(in, node); p > 0 {
-			return p, d, s
-		}
-	}
-	return 0, 0, 0
-}
-
-func (m merged) Reseed(salt uint64) Injector {
-	out := make(merged, len(m))
-	for i, in := range m {
-		out[i] = Reseed(in, salt)
-	}
-	return out
+	return bad
 }
 
 // Reseed re-keys an injector's message decisions when it supports it

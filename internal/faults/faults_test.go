@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -124,21 +125,24 @@ func TestRemapTranslatesNodeIDs(t *testing.T) {
 	}
 }
 
-func TestMergeCombines(t *testing.T) {
-	a := New(1, Crash(1))
-	b := New(2, Byzantine(1.1, 2), Drop(1))
-	m := Merge(nil, a, New(9), b)
-	if m.Class(1) != NodeCrashed || m.Class(2) != NodeByzantine {
-		t.Error("merge lost node faults")
+func TestCheckNodesReportsSmallestOutOfRange(t *testing.T) {
+	p := New(1, Crash(12, 3), Silent(40), Byzantine(1.2, 15))
+	var re *RangeError
+	if err := CheckNodes(p, 12); !errors.As(err, &re) || re.Node != 12 || re.N != 12 {
+		t.Fatalf("CheckNodes(n=12) = %v, want node 12 of [0, 12)", err)
 	}
-	if !m.Deliver(Message{Seq: 0}).Drop {
-		t.Error("merge lost the drop-all plan")
+	if err := CheckNodes(p, 41); err != nil {
+		t.Fatalf("CheckNodes(n=41) = %v, want nil", err)
 	}
-	if Merge() != None {
-		t.Error("empty merge should be None")
+	if err := CheckNodes(New(1, Stall(0, 2, -3, 5)), 4); !errors.As(err, &re) || re.Node != -3 {
+		t.Fatalf("negative node: %v", err)
 	}
-	if Merge(a) != Injector(a) {
-		t.Error("single merge should be the injector itself")
+	// Message-level faults name no node; nil plans and derived views
+	// are not checked.
+	for _, inj := range []Injector{nil, None, New(1, Drop(0.5)), Remap(p, []int{3})} {
+		if err := CheckNodes(inj, 2); err != nil {
+			t.Errorf("CheckNodes(%v) = %v, want nil", inj, err)
+		}
 	}
 }
 
@@ -285,12 +289,8 @@ func TestFlapSpecAndPhase(t *testing.T) {
 
 func TestFlapSurvivesMergeRemapReseed(t *testing.T) {
 	p := New(1, Flap(4, 0.25, 7))
-	m := Merge(p, New(2, Drop(0.1)))
-	if period, duty, _ := FlapSpec(m, 7); period != 4 || duty != 0.25 {
-		t.Fatalf("merged FlapSpec = %d,%g", period, duty)
-	}
 	// Remap: local node 0 is original node 7.
-	r := Remap(m, []int{7})
+	r := Remap(p, []int{7})
 	if period, _, _ := FlapSpec(r, 0); period != 4 {
 		t.Fatalf("remapped FlapSpec lost the schedule")
 	}

@@ -319,12 +319,11 @@ func (c *Controller) Tracked() []int { return c.ids }
 // ErrUntracked reports audit feedback for an untracked computer.
 var ErrUntracked = errors.New("health: untracked computer")
 
-// Audit feeds one supervised-round audit strike for a computer — the
-// two-strike policy of the tentpole, sharing supervise.Classify's
-// verdict semantics: an audit flag is definitive evidence (a payment
-// over-claim caught red-handed), so AuditStrikes of them eject
-// immediately from any state at the next Tick, bypassing the
-// statistical max_fails path.
+// Audit feeds one supervised-round audit strike for a computer,
+// sharing supervise.Classify's verdict semantics: an audit flag is
+// definitive evidence (a payment over-claim caught red-handed), so
+// AuditStrikes of them eject immediately from any state at the next
+// Tick, bypassing the statistical max_fails path.
 func (c *Controller) Audit(id int) error {
 	m, ok := c.byID[id]
 	if !ok {

@@ -27,21 +27,6 @@ func GoldenSection(f func(float64) float64, a, b, tol float64) (x, fx float64) {
 	return x, f(x)
 }
 
-// ArgMin returns the index of the smallest element of xs, or -1 for an
-// empty slice. Ties break toward the lowest index.
-func ArgMin(xs []float64) int {
-	if len(xs) == 0 {
-		return -1
-	}
-	best := 0
-	for i, v := range xs {
-		if v < xs[best] {
-			best = i
-		}
-	}
-	return best
-}
-
 // ArgMax returns the index of the largest element of xs, or -1 for an
 // empty slice. Ties break toward the lowest index.
 func ArgMax(xs []float64) int {
@@ -69,15 +54,4 @@ func AlmostEqual(a, b, rtol, atol float64) bool {
 	}
 	scale := math.Max(math.Abs(a), math.Abs(b))
 	return diff <= rtol*scale
-}
-
-// Clamp limits x to the interval [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
 }

@@ -39,16 +39,10 @@ func TestGoldenSectionFindsRandomVertex(t *testing.T) {
 	}
 }
 
-func TestArgMinArgMax(t *testing.T) {
-	xs := []float64{3, 1, 4, 1, 5}
-	if got := ArgMin(xs); got != 1 {
-		t.Errorf("ArgMin = %d, want 1 (first of ties)", got)
-	}
-	if got := ArgMax(xs); got != 4 {
-		t.Errorf("ArgMax = %d, want 4", got)
-	}
-	if got := ArgMin(nil); got != -1 {
-		t.Errorf("ArgMin(nil) = %d, want -1", got)
+func TestArgMax(t *testing.T) {
+	xs := []float64{3, 1, 5, 4, 5}
+	if got := ArgMax(xs); got != 2 {
+		t.Errorf("ArgMax = %d, want 2 (first of ties)", got)
 	}
 	if got := ArgMax(nil); got != -1 {
 		t.Errorf("ArgMax(nil) = %d, want -1", got)
@@ -72,17 +66,5 @@ func TestAlmostEqual(t *testing.T) {
 			t.Errorf("AlmostEqual(%v, %v, %v, %v) = %v, want %v",
 				c.a, c.b, c.rtol, c.atol, got, c.want)
 		}
-	}
-}
-
-func TestClamp(t *testing.T) {
-	if got := Clamp(5, 0, 1); got != 1 {
-		t.Errorf("Clamp(5,0,1) = %v", got)
-	}
-	if got := Clamp(-5, 0, 1); got != 0 {
-		t.Errorf("Clamp(-5,0,1) = %v", got)
-	}
-	if got := Clamp(0.5, 0, 1); got != 0.5 {
-		t.Errorf("Clamp(0.5,0,1) = %v", got)
 	}
 }

@@ -169,23 +169,6 @@ func TestMul64MatchesBigMultiplication(t *testing.T) {
 	}
 }
 
-func TestShuffleKeepsMultiset(t *testing.T) {
-	r := NewRand(23)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, v := range xs {
-		sum += v
-	}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	got := 0
-	for _, v := range xs {
-		got += v
-	}
-	if got != sum {
-		t.Errorf("shuffle changed multiset: sum %d != %d", got, sum)
-	}
-}
-
 // TestSplitIntoAllocFree pins the reuse contract the swarm's round
 // loop depends on: deriving a child substream into preallocated
 // storage allocates nothing, so deriving thousands of per-block

@@ -38,28 +38,6 @@ func Sum(xs []float64) float64 {
 	return k.Value()
 }
 
-// Dot returns the compensated dot product of a and b. It panics if the
-// slices have different lengths.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("numeric: Dot of slices with different lengths")
-	}
-	var k KahanSum
-	for i := range a {
-		k.Add(a[i] * b[i])
-	}
-	return k.Value()
-}
-
-// Mean returns the compensated arithmetic mean of xs, or 0 for an
-// empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	return Sum(xs) / float64(len(xs))
-}
-
 // SumFunc returns the compensated sum of f(i) for i in [0, n).
 func SumFunc(n int, f func(i int) float64) float64 {
 	var k KahanSum

@@ -49,32 +49,6 @@ func TestSumMatchesNaiveOnBenignInputs(t *testing.T) {
 	}
 }
 
-func TestDot(t *testing.T) {
-	a := []float64{1, 2, 3}
-	b := []float64{4, 5, 6}
-	if got := Dot(a, b); got != 32 {
-		t.Errorf("Dot = %v, want 32", got)
-	}
-}
-
-func TestDotPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Dot with mismatched lengths did not panic")
-		}
-	}()
-	Dot([]float64{1}, []float64{1, 2})
-}
-
-func TestMean(t *testing.T) {
-	if got := Mean([]float64{2, 4, 6}); got != 4 {
-		t.Errorf("Mean = %v, want 4", got)
-	}
-	if got := Mean(nil); got != 0 {
-		t.Errorf("Mean(nil) = %v, want 0", got)
-	}
-}
-
 func TestSumFunc(t *testing.T) {
 	got := SumFunc(5, func(i int) float64 { return float64(i) })
 	if got != 10 {

@@ -1,13 +1,15 @@
 package protocol
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/faults"
+)
 
 func TestDropoutsExcludedAndRoundProceeds(t *testing.T) {
-	strategies := make([]Strategy, 4)
-	strategies[2] = SilentStrategy{}
 	res, err := Run(Config{
 		Trues:         []float64{1, 2, 4, 8},
-		Strategies:    strategies,
+		Faults:        faults.New(0, faults.Silent(2)),
 		Rate:          6,
 		Jobs:          5000,
 		Seed:          4,
@@ -45,12 +47,10 @@ func TestDropoutsExcludedAndRoundProceeds(t *testing.T) {
 }
 
 func TestDropoutsDisabledStillAborts(t *testing.T) {
-	strategies := make([]Strategy, 3)
-	strategies[0] = SilentStrategy{}
 	_, err := Run(Config{
-		Trues:      []float64{1, 2, 4},
-		Strategies: strategies,
-		Rate:       5,
+		Trues:  []float64{1, 2, 4},
+		Faults: faults.New(0, faults.Silent(0)),
+		Rate:   5,
 	})
 	if err == nil {
 		t.Fatal("expected abort without AllowDropouts")
@@ -58,10 +58,9 @@ func TestDropoutsDisabledStillAborts(t *testing.T) {
 }
 
 func TestTooManyDropouts(t *testing.T) {
-	strategies := []Strategy{SilentStrategy{}, SilentStrategy{}, nil}
 	_, err := Run(Config{
 		Trues:         []float64{1, 2, 4},
-		Strategies:    strategies,
+		Faults:        faults.New(0, faults.Silent(0, 1)),
 		Rate:          5,
 		AllowDropouts: true,
 	})

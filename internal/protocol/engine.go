@@ -14,12 +14,12 @@ import (
 )
 
 // Engine amortizes a protocol round's working state across many runs:
-// the transport, the agent and estimate buffers, the simulated flow
-// nodes with their RNG streams, the job source and the cluster
-// scratch (whose discrete-event engine pools its events), plus the
-// two payment engines (estimated and oracle). A long-running
-// coordinator that executes a round per epoch reuses one Engine so
-// that a steady-state round does near-zero heap allocation.
+// the transport, the agent and estimate buffers, the simulated nodes
+// (flow nodes with their RNG streams, or FCFS queues), the job source
+// and the cluster scratch (whose discrete-event engine pools its
+// events), plus the two payment engines (estimated and oracle). A
+// long-running coordinator that executes a round per epoch reuses one
+// Engine so that a steady-state round does near-zero heap allocation.
 //
 // The Result returned by Run is owned by the engine and is valid only
 // until the next Run call; Run produces byte-identical results to the
@@ -33,11 +33,11 @@ type Engine struct {
 	clRNG      numeric.Rand
 	src        workload.Poisson
 	cl         cluster.Scratch
+	model      mech.Model // the model payEng and oracleEng price with
 	payEng     *mech.Engine
 	oracleEng  *mech.Engine
 
 	names      []string // cached "C%d" labels, by index
-	stratBuf   []Strategy
 	agentNames []string
 	agents     []mech.Agent
 	estimated  []mech.Agent
@@ -49,6 +49,7 @@ type Engine struct {
 	estimates  []estimate.Estimate
 	verdicts   []estimate.Verdict
 	flow       []cluster.FlowNode
+	queue      []cluster.QueueNode
 	nodeRNG    []numeric.Rand
 	nodes      []cluster.Node
 	samples    []float64
@@ -57,13 +58,27 @@ type Engine struct {
 
 var errNeedTwoAgents = errors.New("protocol: need at least two agents")
 
-// NewEngine returns a reusable protocol round engine.
-func NewEngine() *Engine {
-	return &Engine{
-		payEng:    mech.NewEngine(mech.CompensationBonus{}),
-		oracleEng: mech.NewEngine(mech.CompensationBonus{}),
-	}
+// ModelError reports a Config.Model the round cannot run: the round
+// simulates linear flow nodes and M/M/1 queues only, and it has a
+// robust estimator for the linear model only.
+type ModelError struct {
+	// Model names the rejected model.
+	Model string
+	// Robust is set when the model is supported but RobustEstimator
+	// was requested with it.
+	Robust bool
 }
+
+// Error implements error.
+func (e *ModelError) Error() string {
+	if e.Robust {
+		return fmt.Sprintf("protocol: no robust estimator for the %s model", e.Model)
+	}
+	return fmt.Sprintf("protocol: unsupported model %s (want linear or mm1)", e.Model)
+}
+
+// NewEngine returns a reusable protocol round engine.
+func NewEngine() *Engine { return &Engine{} }
 
 // nameOf returns the cached label "C<i+1>".
 func (e *Engine) nameOf(i int) string {
@@ -83,9 +98,26 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 	if cfg.Rate <= 0 {
 		return nil, fmt.Errorf("protocol: invalid rate %g", cfg.Rate)
 	}
+	model := cfg.Model
+	if model == nil {
+		model = mech.LinearModel{}
+	}
+	_, mm1 := model.(mech.MM1Model)
+	if _, linear := model.(mech.LinearModel); !linear && !mm1 {
+		return nil, &ModelError{Model: model.Name()}
+	}
+	if mm1 && cfg.RobustEstimator {
+		return nil, &ModelError{Model: model.Name(), Robust: true}
+	}
+	if err := faults.CheckNodes(cfg.Faults, n); err != nil {
+		return nil, err
+	}
 	jobs := cfg.Jobs
 	if jobs <= 0 {
 		jobs = 20000
+		if mm1 {
+			jobs = 50000
+		}
 	}
 	zth := cfg.ZThreshold
 	if zth <= 0 {
@@ -95,31 +127,17 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 	if margin <= 0 {
 		margin = 0.05
 	}
-	strategies := cfg.Strategies
-	if strategies == nil {
-		e.stratBuf = resizeStrategies(e.stratBuf, n)
-		strategies = e.stratBuf
+	if cfg.Strategies != nil && len(cfg.Strategies) != n {
+		return nil, fmt.Errorf("protocol: %d strategies for %d agents", len(cfg.Strategies), n)
 	}
-	if len(strategies) != n {
-		return nil, fmt.Errorf("protocol: %d strategies for %d agents", len(strategies), n)
+	inj := cfg.Faults
+	if inj == nil {
+		inj = faults.None
 	}
-
-	// Fold the deprecated fault knobs (SilentStrategy, StallEvery)
-	// into the unified injector: the round consults only inj.
-	var legacy []faults.Option
-	for i, s := range strategies {
-		if _, ok := s.(SilentStrategy); ok {
-			legacy = append(legacy, faults.Silent(i))
-		}
-	}
-	for i, k := range cfg.StallEvery {
-		legacy = append(legacy, faults.Stall(cfg.StallDelay, k, i))
-	}
-	var inj faults.Injector = faults.None
-	if len(legacy) > 0 {
-		inj = faults.Merge(cfg.Faults, faults.New(0, legacy...))
-	} else if cfg.Faults != nil {
-		inj = faults.Merge(cfg.Faults)
+	if e.model != model {
+		e.model = model
+		e.payEng = mech.NewEngine(mech.CompensationBonus{Model: model})
+		e.oracleEng = mech.NewEngine(mech.CompensationBonus{Model: model})
 	}
 
 	met := cfg.Obs.RoundMetrics()
@@ -138,9 +156,9 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 	for i, tv := range cfg.Trues {
 		name := e.nameOf(i)
 		reqArrived := net.Send(Message{From: coordinator, To: name, Kind: MsgRequestBid})
-		s := strategies[i]
-		if s == nil {
-			s = TruthfulStrategy{}
+		var s Strategy = TruthfulStrategy{}
+		if cfg.Strategies != nil && cfg.Strategies[i] != nil {
+			s = cfg.Strategies[i]
 		}
 		bid := 0.0
 		if cls := inj.Class(i); reqArrived && cls != faults.NodeCrashed && cls != faults.NodeSilent {
@@ -178,12 +196,17 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 	n = len(agents)
 
 	// Phase 3: allocation.
-	model := mech.LinearModel{}
-	e.bids = numeric.Resize(e.bids, n)
+	e.bids = resize(e.bids, n)
 	for i := range agents {
 		e.bids[i] = agents[i].Bid
 	}
-	x, err := model.AllocInto(e.bids, cfg.Rate, e.x)
+	var x []float64
+	var err error
+	if ip, ok := model.(mech.InPlaceAllocator); ok {
+		x, err = ip.AllocInto(e.bids, cfg.Rate, e.x)
+	} else {
+		x, err = model.Alloc(e.bids, cfg.Rate)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("protocol: allocation: %w", err)
 	}
@@ -193,26 +216,39 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 	}
 
 	// Phase 4: execution on the simulated cluster, with observation.
-	// The RNG split order (nodes, then source, then routing) matches
-	// the historical one-shot path draw for draw.
-	e.flow = resizeFlow(e.flow, n)
-	e.nodeRNG = resizeRands(e.nodeRNG, n)
-	e.nodes = resizeNodes(e.nodes, n)
-	e.root.SplitInto(&e.nodeParent)
-	for i := range e.flow {
-		e.nodeParent.SplitInto(&e.nodeRNG[i])
-		e.flow[i] = cluster.FlowNode{
-			ID:   e.nameOf(i),
-			T:    agents[i].Exec,
-			Rate: x[i],
-			RNG:  &e.nodeRNG[i],
+	// Linear agents run as flow nodes, each with its own RNG stream
+	// split off the root before the source and routing streams. M/M/1
+	// agents run as FCFS queues at their actual service rates
+	// mu = 1/exec, serving exponential job sizes; they draw nothing, so
+	// the source and routing streams are the root's first two splits.
+	e.nodes = resize(e.nodes, n)
+	var sizes workload.SizeDist
+	if mm1 {
+		e.queue = resize(e.queue, n)
+		for i := range e.queue {
+			e.queue[i] = cluster.QueueNode{ID: e.nameOf(i), Mu: 1 / agents[i].Exec}
+			e.nodes[i] = &e.queue[i]
 		}
-		e.nodes[i] = &e.flow[i]
+		sizes = workload.ExpSize{}
+	} else {
+		e.flow = resize(e.flow, n)
+		e.nodeRNG = resize(e.nodeRNG, n)
+		e.root.SplitInto(&e.nodeParent)
+		for i := range e.flow {
+			e.nodeParent.SplitInto(&e.nodeRNG[i])
+			e.flow[i] = cluster.FlowNode{
+				ID:   e.nameOf(i),
+				T:    agents[i].Exec,
+				Rate: x[i],
+				RNG:  &e.nodeRNG[i],
+			}
+			e.nodes[i] = &e.flow[i]
+		}
 	}
 	e.root.SplitInto(&e.srcRNG)
-	e.src.Reset(cfg.Rate, jobs, nil, &e.srcRNG)
+	e.src.Reset(cfg.Rate, jobs, sizes, &e.srcRNG)
 	e.root.SplitInto(&e.clRNG)
-	e.probs = numeric.Resize(e.probs, n)
+	e.probs = resize(e.probs, n)
 	for i, v := range x {
 		e.probs[i] = v / cfg.Rate
 	}
@@ -227,8 +263,8 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("protocol: execution simulation: %w", err)
 	}
 
-	e.estimates = resizeEstimates(e.estimates, n)
-	e.verdicts = resizeVerdicts(e.verdicts, n)
+	e.estimates = resize(e.estimates, n)
+	e.verdicts = resize(e.verdicts, n)
 	estimates, verdicts := e.estimates, e.verdicts
 	estimated := append(e.estimated[:0], agents...)
 	e.estimated = estimated
@@ -262,7 +298,10 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 			estimates[i] = estimate.Estimate{Value: agents[i].Bid, N: 0}
 		} else {
 			estFn := estimate.FromFlowDelays
-			if cfg.RobustEstimator {
+			switch {
+			case mm1:
+				estFn = estimate.FromMM1Sojourns
+			case cfg.RobustEstimator:
 				estFn = estimate.FromFlowDelaysRobust
 			}
 			est, err := estFn(samples, x[i])
@@ -334,52 +373,10 @@ func (e *Engine) stash(names []string, agents []mech.Agent, active []int, droppe
 	e.agentNames, e.agents, e.active, e.dropped = names, agents, active, dropped
 }
 
-// resizeStrategies returns s with length n and every element nil.
-func resizeStrategies(s []Strategy, n int) []Strategy {
+// resize returns s with length n, reusing its capacity.
+func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]Strategy, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
-}
-
-// resizeFlow returns s with length n, reusing capacity.
-func resizeFlow(s []cluster.FlowNode, n int) []cluster.FlowNode {
-	if cap(s) < n {
-		return make([]cluster.FlowNode, n)
-	}
-	return s[:n]
-}
-
-// resizeRands returns s with length n, reusing capacity.
-func resizeRands(s []numeric.Rand, n int) []numeric.Rand {
-	if cap(s) < n {
-		return make([]numeric.Rand, n)
-	}
-	return s[:n]
-}
-
-// resizeNodes returns s with length n, reusing capacity.
-func resizeNodes(s []cluster.Node, n int) []cluster.Node {
-	if cap(s) < n {
-		return make([]cluster.Node, n)
-	}
-	return s[:n]
-}
-
-// resizeEstimates returns s with length n, reusing capacity.
-func resizeEstimates(s []estimate.Estimate, n int) []estimate.Estimate {
-	if cap(s) < n {
-		return make([]estimate.Estimate, n)
-	}
-	return s[:n]
-}
-
-// resizeVerdicts returns s with length n, reusing capacity.
-func resizeVerdicts(s []estimate.Verdict, n int) []estimate.Verdict {
-	if cap(s) < n {
-		return make([]estimate.Verdict, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }

@@ -1,86 +1,12 @@
 package protocol
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
 	"repro/internal/faults"
 )
-
-// TestSilentPlanMatchesSilentStrategy pins the satellite requirement
-// that the legacy SilentStrategy knob and a faults.Silent plan are
-// the same fault: both must produce identical rounds.
-func TestSilentPlanMatchesSilentStrategy(t *testing.T) {
-	trues := []float64{1, 2, 3, 4}
-	legacy := Config{
-		Trues:         trues,
-		Strategies:    []Strategy{nil, nil, SilentStrategy{}, nil},
-		Rate:          8,
-		Jobs:          2000,
-		Seed:          11,
-		AllowDropouts: true,
-	}
-	plan := legacy
-	plan.Strategies = nil
-	plan.Faults = faults.New(1, faults.Silent(2))
-
-	a, err := Run(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(a.Dropped) != fmt.Sprint(b.Dropped) {
-		t.Fatalf("dropped: legacy %v vs plan %v", a.Dropped, b.Dropped)
-	}
-	if fmt.Sprint(a.Active) != fmt.Sprint(b.Active) {
-		t.Fatalf("active: legacy %v vs plan %v", a.Active, b.Active)
-	}
-	if a.Messages != b.Messages {
-		t.Fatalf("messages: legacy %d vs plan %d", a.Messages, b.Messages)
-	}
-	for i := range a.Outcome.Payment {
-		if a.Outcome.Payment[i] != b.Outcome.Payment[i] {
-			t.Fatalf("payment %d: legacy %v vs plan %v", i, a.Outcome.Payment[i], b.Outcome.Payment[i])
-		}
-	}
-}
-
-// TestStallPlanMatchesStallEvery pins the same for the StallEvery
-// measurement-fault knob.
-func TestStallPlanMatchesStallEvery(t *testing.T) {
-	trues := []float64{1, 1.5, 2}
-	legacy := Config{
-		Trues:           trues,
-		Rate:            6,
-		Jobs:            4000,
-		Seed:            7,
-		RobustEstimator: true,
-		StallEvery:      map[int]int{0: 50},
-	}
-	plan := legacy
-	plan.StallEvery = nil
-	plan.Faults = faults.New(1, faults.Stall(0, 50, 0))
-
-	a, err := Run(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Estimates {
-		if a.Estimates[i] != b.Estimates[i] {
-			t.Fatalf("estimate %d: legacy %+v vs plan %+v", i, a.Estimates[i], b.Estimates[i])
-		}
-		if a.Verdicts[i].Deviating != b.Verdicts[i].Deviating {
-			t.Fatalf("verdict %d differs", i)
-		}
-	}
-}
 
 func TestLostBidsBecomeDropouts(t *testing.T) {
 	cfg := Config{
@@ -170,4 +96,17 @@ func (d completedDropper) Deliver(m faults.Message) faults.Decision {
 		return faults.Decision{Drop: true}
 	}
 	return d.Injector.Deliver(m)
+}
+
+// TestFaultPlanOutsidePopulationRejected: a plan naming an agent the
+// round does not have is a typed error, not a fault-free round.
+func TestFaultPlanOutsidePopulationRejected(t *testing.T) {
+	var re *faults.RangeError
+	_, err := Run(Config{
+		Trues: []float64{1, 2, 3}, Rate: 6, Jobs: 500,
+		Faults: faults.New(0, faults.Crash(7), faults.Silent(3)),
+	})
+	if !errors.As(err, &re) || re.Node != 3 || re.N != 3 {
+		t.Fatalf("err = %v, want node 3 outside [0, 3)", err)
+	}
 }

@@ -1,9 +1,13 @@
 package protocol
 
 import (
+	"errors"
 	"math"
 	"testing"
 
+	"repro/internal/faults"
+	"repro/internal/mech"
+	"repro/internal/obs"
 	"repro/internal/stats"
 )
 
@@ -13,7 +17,7 @@ import (
 func mm1Trues() []float64 { return []float64{0.1, 0.2, 0.4, 0.5} }
 
 func TestRunMM1TruthfulRound(t *testing.T) {
-	res, err := RunMM1(Config{Trues: mm1Trues(), Rate: 6, Jobs: 200000, Seed: 1})
+	res, err := Run(Config{Model: mech.MM1Model{}, Trues: mm1Trues(), Rate: 6, Jobs: 200000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,8 +53,8 @@ func TestRunMM1SlowServerCaught(t *testing.T) {
 	// C1 claims service time 0.1 but actually serves at 0.15 (i.e. it
 	// runs at 2/3 of its declared rate).
 	strategies[0] = FactorStrategy{BidFactor: 1, ExecFactor: 1.5}
-	res, err := RunMM1(Config{
-		Trues: mm1Trues(), Strategies: strategies,
+	res, err := Run(Config{
+		Model: mech.MM1Model{}, Trues: mm1Trues(), Strategies: strategies,
 		Rate: 6, Jobs: 200000, Seed: 2,
 	})
 	if err != nil {
@@ -60,7 +64,7 @@ func TestRunMM1SlowServerCaught(t *testing.T) {
 		t.Errorf("slow M/M/1 server not flagged: %+v", res.Verdicts[0])
 	}
 	// And the verification payments punish it relative to truthful play.
-	truth, err := RunMM1(Config{Trues: mm1Trues(), Rate: 6, Jobs: 200000, Seed: 2})
+	truth, err := Run(Config{Model: mech.MM1Model{}, Trues: mm1Trues(), Rate: 6, Jobs: 200000, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,14 +75,14 @@ func TestRunMM1SlowServerCaught(t *testing.T) {
 }
 
 func TestRunMM1Validation(t *testing.T) {
-	if _, err := RunMM1(Config{Trues: []float64{0.1}, Rate: 1}); err == nil {
+	if _, err := Run(Config{Model: mech.MM1Model{}, Trues: []float64{0.1}, Rate: 1}); err == nil {
 		t.Error("expected error for single agent")
 	}
-	if _, err := RunMM1(Config{Trues: mm1Trues(), Rate: 0}); err == nil {
+	if _, err := Run(Config{Model: mech.MM1Model{}, Trues: mm1Trues(), Rate: 0}); err == nil {
 		t.Error("expected error for zero rate")
 	}
 	// Infeasible rate (capacity 19.5).
-	if _, err := RunMM1(Config{Trues: mm1Trues(), Rate: 25, Jobs: 100}); err == nil {
+	if _, err := Run(Config{Model: mech.MM1Model{}, Trues: mm1Trues(), Rate: 25, Jobs: 100}); err == nil {
 		t.Error("expected error for infeasible rate")
 	}
 }
@@ -86,7 +90,7 @@ func TestRunMM1Validation(t *testing.T) {
 func TestRunMM1QueueingNoiseWiderThanFlow(t *testing.T) {
 	// Sanity on the estimator: sojourn-inversion has finite standard
 	// errors and the reported CI covers the truth for most agents.
-	res, err := RunMM1(Config{Trues: mm1Trues(), Rate: 6, Jobs: 100000, Seed: 3})
+	res, err := Run(Config{Model: mech.MM1Model{}, Trues: mm1Trues(), Rate: 6, Jobs: 100000, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,5 +109,84 @@ func TestRunMM1QueueingNoiseWiderThanFlow(t *testing.T) {
 	}
 	if covered < 3 {
 		t.Errorf("only %d/4 CIs cover the truth", covered)
+	}
+}
+
+// TestMM1RoundHonoursFaultPlan: the M/M/1 round runs the same bid
+// phase as the linear one, so a drop plan loses messages there too.
+func TestMM1RoundHonoursFaultPlan(t *testing.T) {
+	res, err := Run(Config{
+		Model: mech.MM1Model{}, Trues: mm1Trues(), Rate: 6, Jobs: 20000, Seed: 4,
+		AllowDropouts: true, Faults: faults.New(2, faults.Drop(0.15)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Lost == 0 {
+		t.Fatalf("drop plan lost nothing: %d messages", res.Messages)
+	}
+	if len(res.Active)+len(res.Dropped) != 4 {
+		t.Fatalf("active %v + dropped %v != 4 agents", res.Active, res.Dropped)
+	}
+}
+
+// TestMM1MarginUnflagsDeviator: the practical-significance margin
+// applies to M/M/1 verdicts. C1 serves 1.5x slower than it bid: the
+// default 5% margin flags it, a 60% margin does not.
+func TestMM1MarginUnflagsDeviator(t *testing.T) {
+	strategies := make([]Strategy, 4)
+	strategies[0] = FactorStrategy{BidFactor: 1, ExecFactor: 1.5}
+	cfg := Config{
+		Model: mech.MM1Model{}, Trues: mm1Trues(), Strategies: strategies,
+		Rate: 6, Jobs: 50000, Seed: 2,
+	}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Verdicts[0].Deviating {
+		t.Fatalf("default margin: slow server not flagged: %+v", res.Verdicts[0])
+	}
+	cfg.MarginFrac = 0.6
+	if res, err = Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if res.Verdicts[0].Deviating {
+		t.Errorf("60%% margin still flags a 50%% slowdown: %+v", res.Verdicts[0])
+	}
+}
+
+// TestMM1RoundReportsToObserver: an M/M/1 round emits the same
+// round-ok trace event as a linear one.
+func TestMM1RoundReportsToObserver(t *testing.T) {
+	ob := obs.New(0)
+	if _, err := Run(Config{Model: mech.MM1Model{}, Trues: mm1Trues(), Rate: 6, Jobs: 5000, Seed: 1, Obs: ob}); err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range ob.Trace.Events() {
+		if ev.Layer == "protocol" && ev.Kind == "round-ok" {
+			return
+		}
+	}
+	t.Fatalf("no round-ok event in %+v", ob.Trace.Events())
+}
+
+// quadModel is a latency model the round has no simulated computer
+// for.
+type quadModel struct{ mech.LinearModel }
+
+func (quadModel) Name() string { return "quad" }
+
+// TestModelErrors: the round runs the linear and M/M/1 models only,
+// and has no robust estimator for M/M/1.
+func TestModelErrors(t *testing.T) {
+	var me *ModelError
+	_, err := Run(Config{Model: quadModel{}, Trues: mm1Trues(), Rate: 6})
+	if !errors.As(err, &me) || me.Robust || me.Model != "quad" {
+		t.Errorf("unsupported model: %v", err)
+	}
+	_, err = Run(Config{Model: mech.MM1Model{}, Trues: mm1Trues(), Rate: 6, RobustEstimator: true})
+	if !errors.As(err, &me) || !me.Robust || me.Model != "mm1" {
+		t.Errorf("robust mm1: %v", err)
 	}
 }

@@ -11,10 +11,14 @@
 //  5. the coordinator computes compensation-and-bonus payments from
 //     the estimates and delivers them.
 //
-// The message complexity is exactly 5n = O(n), matching the paper's
-// bound, and the package asserts it in tests. Fault injection (agents
-// that refuse to bid) exercises the error paths a deployment would
-// face.
+// One round serves both latency models: Config.Model selects the
+// paper's linear flow model (the default) or M/M/1 queues, and only
+// the allocation, the simulated computers, the estimator and the
+// payment model change with it. The message complexity is exactly
+// 5n = O(n), matching the paper's bound, and the package asserts it
+// in tests. A fault plan (package faults) exercises the error paths a
+// deployment would face: silent or crashed agents, lost messages and
+// stalled observations.
 package protocol
 
 import (
@@ -180,18 +184,15 @@ func (s FactorStrategy) Bid(trueValue float64) float64 { return s.BidFactor * tr
 // Exec implements Strategy.
 func (s FactorStrategy) Exec(trueValue, _ float64) float64 { return s.ExecFactor * trueValue }
 
-// SilentStrategy refuses to bid (fault injection); the coordinator
-// aborts the round with an error.
-type SilentStrategy struct{}
-
-// Bid implements Strategy by returning a non-positive sentinel.
-func (SilentStrategy) Bid(float64) float64 { return 0 }
-
-// Exec implements Strategy.
-func (SilentStrategy) Exec(trueValue, _ float64) float64 { return trueValue }
-
 // Config parameterizes a protocol round.
 type Config struct {
+	// Model is the latency model: nil or mech.LinearModel runs the
+	// paper's linear flow model, where the agents' values are
+	// per-unit latencies; mech.MM1Model runs FCFS M/M/1 queues, where
+	// they are mean service times 1/mu and the coordinator estimates
+	// each ť from observed sojourn times. Any other model is a
+	// *ModelError.
+	Model mech.Model
 	// Trues are the agents' private values.
 	Trues []float64
 	// Strategies decide each agent's play; nil entries (or a nil
@@ -200,7 +201,7 @@ type Config struct {
 	// Rate is the total job arrival rate R.
 	Rate float64
 	// Jobs is the number of jobs simulated for the execution phase
-	// (default 20000).
+	// (default 20000, or 50000 under mech.MM1Model).
 	Jobs int
 	// Seed drives all randomness in the round.
 	Seed uint64
@@ -217,7 +218,7 @@ type Config struct {
 	// RobustEstimator switches the verification step from the
 	// mean-based estimator to the median-based one, which resists
 	// contaminated observations (e.g. nodes that occasionally stall)
-	// at ~25% statistical efficiency cost.
+	// at ~25% statistical efficiency cost. Linear model only.
 	RobustEstimator bool
 	// MarginFrac is the practical-significance margin of the
 	// verification test: an agent is flagged only when its estimated
@@ -226,27 +227,14 @@ type Config struct {
 	// flag operationally meaningless excesses such as the small bias
 	// robust estimators carry under contamination.
 	MarginFrac float64
-	// StallEvery injects a measurement fault at node i (0-indexed) of
-	// the map: every k-th observed delay is replaced by a stall of
-	// StallDelay seconds before the coordinator sees it. It models
-	// monitoring glitches rather than agent behaviour.
-	//
-	// Deprecated: a thin adapter over faults.Stall; prefer composing a
-	// fault plan in Faults.
-	StallEvery map[int]int
-	// StallDelay is the injected stall duration (default 1000s).
-	//
-	// Deprecated: rides along with StallEvery; prefer faults.Stall.
-	StallDelay float64
 	// Faults injects faults into the round (see package faults): nodes
 	// marked crashed or silent never bid, stalled nodes corrupt the
 	// coordinator's latency observations, and the unreliable message
 	// phases (bid request, bid, completion report) may lose messages —
 	// a lost bid looks exactly like a silent agent, a lost completion
 	// report forces the coordinator to trust that agent's bid
-	// unaudited. Nil injects nothing. The deprecated SilentStrategy and
-	// StallEvery knobs are folded into this injector, which is the one
-	// source of truth during the round.
+	// unaudited. Nil injects nothing. A *faults.Plan naming a node
+	// outside [0, len(Trues)) is a *faults.RangeError.
 	Faults faults.Injector
 	// Obs receives metrics and trace events from the round; nil
 	// disables instrumentation at no cost.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/stats"
 )
 
@@ -130,9 +131,7 @@ func TestLow2RoundGoesNegative(t *testing.T) {
 }
 
 func TestSilentAgentAborts(t *testing.T) {
-	strategies := make([]Strategy, 3)
-	strategies[1] = SilentStrategy{}
-	_, err := Run(Config{Trues: []float64{1, 2, 3}, Strategies: strategies, Rate: 5, Seed: 6})
+	_, err := Run(Config{Trues: []float64{1, 2, 3}, Faults: faults.New(0, faults.Silent(1)), Rate: 5, Seed: 6})
 	if err == nil {
 		t.Fatal("expected error for silent agent")
 	}

@@ -3,6 +3,7 @@ package protocol
 import (
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/stats"
 )
 
@@ -11,12 +12,11 @@ func TestRobustEstimatorSurvivesStalls(t *testing.T) {
 	// estimator inflates its execution-value estimate (wrongly flags
 	// an honest agent and mis-pays it); the median estimator shrugs.
 	base := Config{
-		Trues:      []float64{1, 2, 4, 8},
-		Rate:       8,
-		Jobs:       80000,
-		Seed:       21,
-		StallEvery: map[int]int{0: 50},
-		StallDelay: 500,
+		Trues:  []float64{1, 2, 4, 8},
+		Rate:   8,
+		Jobs:   80000,
+		Seed:   21,
+		Faults: faults.New(0, faults.Stall(500, 50, 0)),
 	}
 
 	meanCfg := base

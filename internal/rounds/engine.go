@@ -89,6 +89,9 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("rounds: computer %d has negative join round", i)
 		}
 	}
+	if err := faults.CheckNodes(cfg.Faults, n); err != nil {
+		return nil, err
+	}
 	pol := cfg.Policy.withDefaults()
 	jobs := cfg.JobsPerRound
 	if jobs <= 0 {

@@ -121,7 +121,7 @@ func TestStreamOptimaMatchScratch(t *testing.T) {
 	}
 }
 
-// TestSteadyStateRoundsDoNotAllocate pins the scratch-reuse tentpole:
+// TestSteadyStateRoundsDoNotAllocate pins the engine's scratch reuse:
 // after warm-up, a full steady-state simulation through a reused
 // engine must do (near-)zero heap allocation per round.
 func TestSteadyStateRoundsDoNotAllocate(t *testing.T) {

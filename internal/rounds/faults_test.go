@@ -1,6 +1,7 @@
 package rounds
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -21,13 +22,12 @@ func population(n int) []ComputerSpec {
 // the round degrades to the responsive computers instead of aborting
 // the simulation.
 func TestRetryRecoversSilentComputer(t *testing.T) {
-	pop := population(4)
-	pop[1].Strategy = protocol.SilentStrategy{}
 	res, err := Run(Config{
-		Computers:  pop,
+		Computers:  population(4),
 		Rate:       8,
 		Rounds:     2,
 		Seed:       3,
+		Faults:     faults.New(0, faults.Silent(1)),
 		MaxRetries: 1,
 	})
 	if err != nil {
@@ -48,7 +48,6 @@ func TestRetryRecoversSilentComputer(t *testing.T) {
 // under its population index.
 func TestVerdictMappingSurvivesDropouts(t *testing.T) {
 	pop := population(4)
-	pop[1].Strategy = protocol.SilentStrategy{}
 	pop[3].Strategy = protocol.FactorStrategy{BidFactor: 1, ExecFactor: 2}
 	res, err := Run(Config{
 		Computers:    pop,
@@ -56,6 +55,7 @@ func TestVerdictMappingSurvivesDropouts(t *testing.T) {
 		Rounds:       3,
 		JobsPerRound: 4000,
 		Seed:         5,
+		Faults:       faults.New(0, faults.Silent(1)),
 		MaxRetries:   1,
 	})
 	if err != nil {
@@ -186,5 +186,19 @@ func TestFlapPlanCyclesSuspensionAndReturn(t *testing.T) {
 		if res.Suspensions[i] != 0 {
 			t.Errorf("honest computer %d suspended %d times", i, res.Suspensions[i])
 		}
+	}
+}
+
+// TestFaultPlanOutsidePopulationRejected: plan node ids are population
+// indices, so a plan naming a computer the population does not have
+// is a typed error rather than a fault-free simulation.
+func TestFaultPlanOutsidePopulationRejected(t *testing.T) {
+	var re *faults.RangeError
+	_, err := Run(Config{
+		Computers: population(4), Rate: 8, Rounds: 2, Seed: 3,
+		Faults: faults.New(0, faults.Crash(9), faults.Byzantine(0, 4)),
+	})
+	if !errors.As(err, &re) || re.Node != 4 || re.N != 4 {
+		t.Fatalf("err = %v, want node 4 outside [0, 4)", err)
 	}
 }

@@ -75,16 +75,18 @@ type Config struct {
 	// Policy is the reputation policy.
 	Policy Policy
 	// Faults injects faults into every round's protocol execution (see
-	// package faults). Node indices refer to Computers; the injector is
-	// remapped onto each round's active set and re-keyed per round and
-	// per retry, so the fault schedule is deterministic but never
-	// repeats between attempts. Nil injects nothing.
+	// package faults). Node indices refer to Computers, and a
+	// *faults.Plan naming a node outside them is a *faults.RangeError;
+	// the injector is remapped onto each round's active set and
+	// re-keyed per round and per retry, so the fault schedule is
+	// deterministic but never repeats between attempts. Nil injects
+	// nothing.
 	Faults faults.Injector
 	// MaxRetries is how many times a failed round is retried with a
 	// re-keyed fault schedule before the simulation gives up; the
 	// final attempt tolerates dropouts, degrading the round to the
-	// responsive agents instead of failing it. 0 means fail fast
-	// (legacy behaviour).
+	// responsive agents instead of failing it. 0 means the first
+	// failed attempt fails the simulation.
 	MaxRetries int
 	// Obs receives metrics and trace events from every round and from
 	// the retry loop; nil disables instrumentation at no cost.

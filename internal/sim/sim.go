@@ -89,7 +89,6 @@ type Engine struct {
 	now     float64
 	events  eventHeap
 	seq     uint64
-	stopped bool
 	pooling bool
 	free    []*Event
 }
@@ -109,9 +108,9 @@ func New() *Engine { return &Engine{} }
 func (e *Engine) SetPooling(on bool) { e.pooling = on }
 
 // Reset returns the clock to 0, discards all pending events
-// (recycling them when pooling is enabled), clears a Stop and resets
-// the sequence counter, so the engine replays identically to a fresh
-// one while keeping its heap and free-list capacity.
+// (recycling them when pooling is enabled) and resets the sequence
+// counter, so the engine replays identically to a fresh one while
+// keeping its heap and free-list capacity.
 func (e *Engine) Reset() {
 	if e.pooling {
 		for _, ev := range e.events {
@@ -124,7 +123,6 @@ func (e *Engine) Reset() {
 	e.events = e.events[:0]
 	e.now = 0
 	e.seq = 0
-	e.stopped = false
 }
 
 // Now returns the current virtual time.
@@ -207,10 +205,10 @@ func (e *Engine) recycle(ev *Event) {
 }
 
 // Step fires the next event, advancing the clock to its timestamp. It
-// returns false when no events remain or the engine is stopped.
-// Canceled events are skipped silently.
+// returns false when no events remain. Canceled events are skipped
+// silently.
 func (e *Engine) Step() bool {
-	for !e.stopped && len(e.events) > 0 {
+	for len(e.events) > 0 {
 		ev := e.events.pop()
 		if ev.canceled {
 			e.recycle(ev)
@@ -231,7 +229,7 @@ func (e *Engine) Step() bool {
 	return false
 }
 
-// Run fires events until none remain or Stop is called.
+// Run fires events until none remain.
 func (e *Engine) Run() {
 	for e.Step() {
 	}
@@ -244,22 +242,12 @@ func (e *Engine) RunUntil(t float64) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: RunUntil(%v) before now %v", t, e.now))
 	}
-	for !e.stopped && len(e.events) > 0 && e.events[0].time <= t {
+	for len(e.events) > 0 && e.events[0].time <= t {
 		if !e.Step() {
 			break
 		}
 	}
-	if !e.stopped && e.now < t {
+	if e.now < t {
 		e.now = t
 	}
 }
-
-// Stop halts Run/RunUntil after the current event. Scheduling remains
-// possible; Resume re-enables stepping.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Resume clears a Stop.
-func (e *Engine) Resume() { e.stopped = false }
-
-// Stopped reports whether the engine is stopped.
-func (e *Engine) Stopped() bool { return e.stopped }

@@ -114,31 +114,6 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-func TestStopAndResume(t *testing.T) {
-	e := New()
-	count := 0
-	for i := 1; i <= 5; i++ {
-		e.Schedule(float64(i), func() {
-			count++
-			if count == 2 {
-				e.Stop()
-			}
-		})
-	}
-	e.Run()
-	if count != 2 {
-		t.Errorf("count = %d, want 2 after Stop", count)
-	}
-	if !e.Stopped() {
-		t.Error("engine should report stopped")
-	}
-	e.Resume()
-	e.Run()
-	if count != 5 {
-		t.Errorf("count = %d, want 5 after Resume", count)
-	}
-}
-
 func TestAtAbsoluteTime(t *testing.T) {
 	e := New()
 	var at float64
@@ -260,15 +235,6 @@ func TestResetDiscardsPending(t *testing.T) {
 	e.Run()
 	if fired {
 		t.Error("event survived Reset")
-	}
-}
-
-func TestResetClearsStop(t *testing.T) {
-	e := New()
-	e.Stop()
-	e.Reset()
-	if e.Stopped() {
-		t.Error("Reset did not clear Stop")
 	}
 }
 

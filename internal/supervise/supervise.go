@@ -405,12 +405,11 @@ func (e *AbortError) Error() string {
 // Unwrap exposes the cause to errors.Is/As.
 func (e *AbortError) Unwrap() error { return e.Err }
 
-// Run executes a supervised round over cfg's population. The legacy
-// fault knobs and the Faults injector are honored through the unified
-// fault layer; each retry re-keys the message-level fault schedule
-// (deterministically) and rebuilds the spanning tree over the
-// non-excluded survivors, reparenting orphaned subtrees to their
-// nearest surviving ancestor.
+// Run executes a supervised round over cfg's population under
+// cfg.Faults, whose node ids are the population's. Each retry re-keys
+// the message-level fault schedule (deterministically) and rebuilds
+// the spanning tree over the non-excluded survivors, reparenting
+// orphaned subtrees to their nearest surviving ancestor.
 //
 // It returns the report together with nil on acceptance, or with a
 // typed error (*QuorumError, *ExhaustedError, *AbortError) naming the
@@ -423,11 +422,12 @@ func Run(cfg distmech.Config, opts Options) (*Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return report, &AbortError{Class: ClassConfig, Err: err}
 	}
-	inj := cfg.FaultInjector()
+	inj := cfg.Faults
+	if inj == nil {
+		inj = faults.None
+	}
 
 	base := cfg
-	base.Crashed = nil
-	base.CheatPayments = nil
 	base.Faults = nil
 	base.Deadline = opts.Deadline
 	base.Obs = opts.Obs

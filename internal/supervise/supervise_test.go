@@ -93,7 +93,7 @@ func TestCrashedSubtreeIsReparentedNotDropped(t *testing.T) {
 	// Chain 0-1-2-3-4-5-6-7 with node 3 fail-stop: static exclusion
 	// reparents 4 onto 2 so nodes 4..7 are still served.
 	cfg := baseConfig(distmech.Chain(8))
-	cfg.Crashed = []int{3}
+	cfg.Faults = faults.New(0, faults.Crash(3))
 	rep, err := Run(cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
