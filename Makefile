@@ -35,6 +35,11 @@ race:
 # copy's shard- and GOMAXPROCS-independence, the partial-sum rebuild
 # cadence, the 16-byte record size guard and the seal's memory guard
 # (8 bytes per issued id, measured with TotalAlloc, so non-race too).
+# The serving line pins run framing: encode/decode and the client's
+# queue/flush/receive cycle at zero allocations, frames split at
+# MaxPayload, a Reader over mixed single and run frames (malformed
+# runs rejected), and the framing a client gets back — one response
+# per frame for one request per frame, run frames for run frames.
 difftest:
 	$(GO) test -race -run 'TestFast|TestFallback|TestEngine' -count=1 ./internal/mech
 	$(GO) test -run 'TestCompensationBonusAllocsO1|TestEngineSteadyStateZeroAllocs' -count=1 ./internal/mech
@@ -46,20 +51,22 @@ difftest:
 	$(GO) test -run 'TestSplitIntoAllocFree' -count=1 ./internal/numeric
 	$(GO) test -race -run 'TestApplyBatchDifferential|TestApplyBatchIntraBatchDependency|TestPartialRebuildCadence|TestRemovedIDChurnDifferential|TestSealedAggregateIndependentOfShardCount' -count=1 ./internal/registry
 	$(GO) test -run 'TestApplyBatchAllocFree|TestRecordLayout|TestSealAllocBound' -count=1 ./internal/registry
-	$(GO) test -run 'TestBatchDrainAllocFree|TestWireEncodeAllocFree|TestWireDecodeAllocFree' -count=1 ./internal/server ./internal/wire
+	$(GO) test -run 'TestBatchDrainAllocFree|TestWireEncodeAllocFree|TestWireDecodeAllocFree|TestFramerSplitsAtMaxPayload|TestReaderRuns|TestReaderRejectsMalformedRun|TestSingleFrameClientGetsSingleFrames|TestRunClientGetsRunFrames|TestPipelineCycleAllocFree' -count=1 ./internal/server ./internal/wire ./internal/lbclient
 
 # Durable-registry gate: the WAL differential suite under -race
 # (recovery vs a live alloc.Stream across 32 seeds and shard counts,
 # the kill-9 truncation fuzz at every byte offset of the log tail, the
 # concurrent journal ordering tests for serial and ApplyBatch writers,
 # the batched-vs-per-op byte-identical log differential, exact append
-# metrics), plus the append-path and ApplyBatch-with-WAL allocation
+# metrics, bitwise recovery of a log in the run-less LBWAL001 format,
+# and a CRC-valid record that does not decode refused as corruption,
+# never truncated), plus the append-path and ApplyBatch-with-WAL allocation
 # guards, the snapshot-cadence seal's memory guard and the streamed
 # snapshot's byte-identity pin against the reference encoder, which
 # run without -race because allocation counts differ under the
 # instrumented allocator.
 wal:
-	$(GO) test -race -run 'TestRecoveryMatchesLiveHistory|TestTruncationFuzzEveryTailOffset|TestConcurrentJournalRecovery|TestConcurrentBatchJournalRecovery|TestCompactionAndSnapshotFallback|TestBatchedLogByteIdentical|TestWALMetricsExactUnderBatching' -count=1 ./internal/wal
+	$(GO) test -race -run 'TestRecoveryMatchesLiveHistory|TestTruncationFuzzEveryTailOffset|TestConcurrentJournalRecovery|TestConcurrentBatchJournalRecovery|TestCompactionAndSnapshotFallback|TestBatchedLogByteIdentical|TestWALMetricsExactUnderBatching|TestParentFormatLogRecovers|TestUndecodableRecordIsCorruption' -count=1 ./internal/wal
 	$(GO) test -run 'TestWALAppendAllocFree|TestApplyBatchWALAllocFree|TestSnapshotSealAllocBound|TestStreamedSnapshotMatchesReference' -count=1 ./internal/wal
 
 # The serving benchmark (bench/, its own module built against this one

@@ -1,11 +1,12 @@
 // Package lbclient is the client side of the internal/wire protocol:
 // a connection to the internal/server front end with explicit
 // pipelining. Queue* methods encode requests into an outgoing buffer
-// without writing; Flush writes the buffer in one syscall; Recv
-// returns responses in request order, verifying the server's
-// monotone-request-id contract as it goes. Synchronous helpers (Add,
-// Rebid, Seal, ...) wrap queue+flush+recv for callers that want one
-// round trip per call.
+// without writing, packed into run frames (one CRC32C frame carries up
+// to wire.MaxPayload bytes of requests); Flush writes the buffer in
+// one syscall; Recv returns responses in request order, verifying the
+// server's monotone-request-id contract as it goes. Synchronous
+// helpers (Add, Rebid, Seal, ...) wrap queue+flush+recv for callers
+// that want one round trip per call.
 //
 // A Conn is not safe for concurrent use; drive one per goroutine (the
 // load driver opens many). Pipelined and synchronous styles can be
@@ -57,6 +58,7 @@ type Conn struct {
 	c    net.Conn
 	rd   *wire.Reader
 	wbuf []byte
+	fr   wire.Framer // packs queued requests into the open run frame
 
 	nextReq  uint64 // last assigned request id (ids start at 1)
 	lastRecv uint64 // last response id received
@@ -78,7 +80,16 @@ func Dial(addr string, bufSize int) (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Conn{c: c, rd: wire.NewReader(bufSize), wbuf: make([]byte, 0, bufSize)}, nil
+	return newConn(c, bufSize), nil
+}
+
+// newConn wraps an open stream with a bufSize-byte read window and
+// write buffer.
+func newConn(c net.Conn, bufSize int) *Conn {
+	return &Conn{
+		c: c, rd: wire.NewReader(bufSize), wbuf: make([]byte, 0, bufSize),
+		fr: wire.Framer{Runs: true},
+	}
 }
 
 // Close closes the connection.
@@ -87,7 +98,8 @@ func (c *Conn) Close() error { return c.c.Close() }
 // SetDeadline bounds subsequent reads and writes.
 func (c *Conn) SetDeadline(t time.Time) error { return c.c.SetDeadline(t) }
 
-// Pending reports queued-but-unflushed request bytes.
+// Pending reports queued-but-unflushed request bytes, framing
+// included.
 func (c *Conn) Pending() int { return len(c.wbuf) }
 
 // Outstanding reports requests sent or queued but not yet answered.
@@ -97,7 +109,7 @@ func (c *Conn) Outstanding() uint64 { return c.nextReq - c.lastRecv }
 func (c *Conn) queue(op byte, id uint64, t float64) uint64 {
 	c.nextReq++
 	q := wire.Request{Op: op, Req: c.nextReq, ID: id, T: t}
-	c.wbuf, _ = wire.AppendRequest(c.wbuf, &q)
+	c.wbuf, _ = c.fr.AppendRequest(c.wbuf, &q)
 	return c.nextReq
 }
 
@@ -138,11 +150,13 @@ func (c *Conn) QueueSubscribe() uint64 { return c.queue(wire.OpSubscribe, 0, 0) 
 // for tests that need to put malformed frames on the wire.
 func (c *Conn) WriteRaw(b []byte) (int, error) { return c.c.Write(b) }
 
-// Flush writes every queued request in one syscall.
+// Flush closes the open run frame and writes every queued request in
+// one syscall.
 func (c *Conn) Flush() error {
 	if len(c.wbuf) == 0 {
 		return nil
 	}
+	c.wbuf = c.fr.Close(c.wbuf)
 	_, err := c.c.Write(c.wbuf)
 	c.wbuf = c.wbuf[:0]
 	return err
@@ -154,19 +168,16 @@ func (c *Conn) Flush() error {
 // Recv. A response out of request order is an *ErrOutOfOrder.
 func (c *Conn) Recv() (*wire.Response, error) {
 	for {
-		payload, err := c.rd.Next()
+		ok, err := c.rd.NextResponse(&c.resp)
 		if err != nil {
 			return nil, err
 		}
-		if payload == nil {
+		if !ok {
 			n, err := c.rd.Fill(c.c)
 			if n == 0 && err != nil {
 				return nil, err
 			}
 			continue
-		}
-		if err := wire.DecodeResponse(payload, &c.resp); err != nil {
-			return nil, err
 		}
 		if c.resp.Op == wire.OpSealNotify && c.resp.Req == 0 {
 			if c.OnNotify != nil {

@@ -537,8 +537,9 @@ func (m *DispatchMetrics) Accounted(maxShare float64, unstable int) {
 // timed on a sample (every 1024th), so the WAL's zero-allocation
 // append guarantee holds with metrics on or off.
 type WALMetrics struct {
-	// Appends counts journaled records; AppendedBytes the encoded
-	// bytes they contributed.
+	// Appends counts journaled mutations, rate changes and seals (a
+	// run record counts once per mutation in it); AppendedBytes the
+	// bytes they contributed to the log, framing included.
 	Appends, AppendedBytes *Counter
 	// Batches counts group-commit flushes (buffer writes to the
 	// segment file); Fsyncs the flushes that were made durable;
@@ -554,11 +555,10 @@ type WALMetrics struct {
 	// Recoveries counts crash recoveries run; ReplayedRecords and
 	// ReplayedBytes size the log tails they replayed.
 	Recoveries, ReplayedRecords, ReplayedBytes *Counter
-	// AppendSeconds observes sampled per-record append latencies
-	// (encode plus any flush the append triggered; a batched append
-	// observes its duration divided by its record count), one sample
-	// per 1024 mutation records; CommitSeconds observes flush+fsync
-	// latencies.
+	// AppendSeconds observes sampled per-append latencies (encode
+	// plus any flush the append triggered; a batched append observes
+	// its duration divided by its mutation count), one sample per 1024
+	// mutations; CommitSeconds observes flush+fsync latencies.
 	AppendSeconds, CommitSeconds *Histogram
 }
 
@@ -575,8 +575,8 @@ func NewWALMetrics(r *Registry) *WALMetrics {
 		return nil
 	}
 	return &WALMetrics{
-		Appends:          r.Counter("lb_wal_appends_total", "records appended to the write-ahead log"),
-		AppendedBytes:    r.Counter("lb_wal_appended_bytes_total", "encoded record bytes appended"),
+		Appends:          r.Counter("lb_wal_appends_total", "mutations, rate changes and seals appended to the write-ahead log"),
+		AppendedBytes:    r.Counter("lb_wal_appended_bytes_total", "log bytes appended, framing included"),
 		Batches:          r.Counter("lb_wal_batches_total", "group-commit batches flushed to the segment file"),
 		Fsyncs:           r.Counter("lb_wal_fsyncs_total", "segment fsyncs issued"),
 		FlushedBytes:     r.Counter("lb_wal_flushed_bytes_total", "bytes written to segment files"),
@@ -592,13 +592,13 @@ func NewWALMetrics(r *Registry) *WALMetrics {
 	}
 }
 
-// AppendedBatch records records journaled records totalling bytes
-// encoded bytes, with one add per counter.
-func (m *WALMetrics) AppendedBatch(records, bytes int) {
+// AppendedBatch records appends journaled mutations, rate changes or
+// seals totalling bytes log bytes, with one add per counter.
+func (m *WALMetrics) AppendedBatch(appends, bytes int) {
 	if m == nil {
 		return
 	}
-	m.Appends.Add(int64(records))
+	m.Appends.Add(int64(appends))
 	m.AppendedBytes.Add(int64(bytes))
 }
 

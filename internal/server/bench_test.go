@@ -15,8 +15,8 @@ import (
 // BenchmarkServeBatchDrain measures the server-side admission hot path
 // in isolation — decode-shaped rebids of uniformly random agents pushed
 // into the batcher and drained through registry.ApplyBatch in windows
-// of 4096 with responses encoded — per bid op, no sockets. The
-// populations match the serving benchmark's rebid-hot (8k agents) and
+// of 4096 with responses encoded into run frames — per bid op, no
+// sockets. The populations match the serving benchmark's rebid-hot (8k agents) and
 // seal-1m (1M agents) workloads, with the registry at the default shard
 // count either unjournaled or journaling into a WAL writer (SyncNone,
 // so no fsync sits in the loop). Must be 0 allocs/op.
@@ -87,6 +87,7 @@ func benchDrain(b *testing.B, agents int, journaled, cold bool) {
 		evict = make([]byte, evictBytes)
 	}
 	var bt batcher
+	fr := wire.Framer{Runs: true}
 	wbuf := make([]byte, 0, 1<<20)
 	var q wire.Request
 	b.ReportAllocs()
@@ -110,7 +111,7 @@ func benchDrain(b *testing.B, agents int, journaled, cold bool) {
 			q = wire.Request{Op: wire.OpRebid, Req: uint64(k + 1), ID: uint64(seq[k&(len(seq)-1)]), T: 1 + float64(k)/(1<<40)}
 			bt.push(&q)
 		}
-		wbuf = bt.drain(reg, met, wbuf)
+		wbuf = fr.Close(bt.drain(reg, met, &fr, wbuf))
 		done += n
 	}
 	b.StopTimer()

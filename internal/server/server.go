@@ -12,7 +12,10 @@
 //     client verifies monotonicity). One reader wakeup therefore
 //     drains every frame the kernel buffered — hundreds of KB of
 //     requests per read(2) under load — and one write(2) answers all
-//     of them.
+//     of them. Once a client sends run frames (several requests under
+//     one CRC32C), the wakeup's responses go back in run frames too; a
+//     client that frames every request alone gets every response
+//     framed alone.
 //
 //   - Batched admission. Bid mutations (add/rebid/leave) decoded in a
 //     wakeup are not applied one at a time: they accumulate into a
@@ -304,9 +307,9 @@ func opOf(k registry.BatchKind) byte {
 	}
 }
 
-// drain applies the pending ops as one batch and appends their framed
-// responses, in request order, to wbuf.
-func (b *batcher) drain(reg *registry.Registry, met *obs.ServerMetrics, wbuf []byte) []byte {
+// drain applies the pending ops as one batch and appends their
+// responses, in request order, to wbuf through fr.
+func (b *batcher) drain(reg *registry.Registry, met *obs.ServerMetrics, fr *wire.Framer, wbuf []byte) []byte {
 	if len(b.ops) == 0 {
 		return wbuf
 	}
@@ -328,7 +331,7 @@ func (b *batcher) drain(reg *registry.Registry, met *obs.ServerMetrics, wbuf []b
 		default:
 			p.Status = wire.StatusBadRequest
 		}
-		wbuf, _ = wire.AppendResponse(wbuf, &p)
+		wbuf, _ = fr.AppendResponse(wbuf, &p)
 		switch b.ops[i].Kind {
 		case registry.BatchAdd:
 			adds++
@@ -353,6 +356,9 @@ func (s *Server) handle(conn net.Conn) {
 	reg, met := s.cfg.Registry, s.cfg.Metrics
 	rd := wire.NewReader(s.cfg.ReadBuf)
 	wbuf := make([]byte, 0, s.cfg.WriteBuf)
+	// Responses are framed one per frame until the client sends a
+	// frame holding several requests.
+	var fr wire.Framer
 	var bt batcher
 	var q wire.Request
 	subscribed := false
@@ -360,11 +366,13 @@ func (s *Server) handle(conn net.Conn) {
 	protoErr := false
 
 	defer func() {
+		// Count the close first: a peer that sees the connection end
+		// then finds it (and any protocol error) in the metrics.
+		met.ConnClosed(protoErr)
 		conn.Close()
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
-		met.ConnClosed(protoErr)
 	}()
 
 	for {
@@ -378,31 +386,28 @@ func (s *Server) handle(conn net.Conn) {
 		if subscribed {
 			if g := s.sealGen.Load(); g != seenSeal {
 				seenSeal = g
-				wbuf = appendEpoch(wbuf, wire.OpSealNotify, 0, reg.Snapshot())
+				wbuf = appendEpoch(&fr, wbuf, wire.OpSealNotify, 0, reg.Snapshot())
 				met.Served(wire.OpSealNotify, 1)
 			}
 		}
 		decoded := 0
 		for {
-			payload, err := rd.Next()
+			ok, err := rd.NextRequest(&q)
 			if err != nil {
 				protoErr = true
 				return
 			}
-			if payload == nil {
+			if !ok {
 				break
 			}
-			if err := wire.DecodeRequest(payload, &q); err != nil {
-				protoErr = true
-				return
-			}
+			fr.Runs = rd.Runs()
 			decoded++
 			if decoded > s.cfg.MaxInflight {
 				// Over the inflight bound: reject without registry
 				// work, draining first so the rejection stays in
 				// request order.
-				wbuf = bt.drain(reg, met, wbuf)
-				wbuf = appendStatus(wbuf, q.Op, q.Req, wire.StatusOverloaded)
+				wbuf = bt.drain(reg, met, &fr, wbuf)
+				wbuf = appendStatus(&fr, wbuf, q.Op, q.Req, wire.StatusOverloaded)
 				met.Overloaded()
 				continue
 			}
@@ -410,17 +415,17 @@ func (s *Server) handle(conn net.Conn) {
 			case wire.OpAdd, wire.OpRebid, wire.OpLeave:
 				bt.push(&q)
 				if len(bt.ops) >= s.cfg.MaxBatch {
-					wbuf = bt.drain(reg, met, wbuf)
+					wbuf = bt.drain(reg, met, &fr, wbuf)
 				}
 			default:
 				// Non-bid requests observe every bid op queued before
 				// them on this connection.
-				wbuf = bt.drain(reg, met, wbuf)
-				wbuf = s.serve(&q, wbuf, &subscribed, &seenSeal)
+				wbuf = bt.drain(reg, met, &fr, wbuf)
+				wbuf = s.serve(&q, &fr, wbuf, &subscribed, &seenSeal)
 				met.Served(q.Op, 1)
 			}
 		}
-		wbuf = bt.drain(reg, met, wbuf)
+		wbuf = fr.Close(bt.drain(reg, met, &fr, wbuf))
 		met.Wakeup(decoded)
 		if len(wbuf) > 0 {
 			if _, err := conn.Write(wbuf); err != nil {
@@ -444,7 +449,7 @@ func (s *Server) handle(conn net.Conn) {
 }
 
 // serve answers one non-bid request.
-func (s *Server) serve(q *wire.Request, wbuf []byte, subscribed *bool, seenSeal *uint64) []byte {
+func (s *Server) serve(q *wire.Request, fr *wire.Framer, wbuf []byte, subscribed *bool, seenSeal *uint64) []byte {
 	reg := s.cfg.Registry
 	switch q.Op {
 	case wire.OpSeal:
@@ -452,60 +457,60 @@ func (s *Server) serve(q *wire.Request, wbuf []byte, subscribed *bool, seenSeal 
 		// The requester's own seal is answered inline; don't notify it
 		// again on the next wakeup.
 		*seenSeal = s.sealGen.Load()
-		return appendEpoch(wbuf, wire.OpSeal, q.Req, snap)
+		return appendEpoch(fr, wbuf, wire.OpSeal, q.Req, snap)
 	case wire.OpEpoch:
-		return appendEpoch(wbuf, wire.OpEpoch, q.Req, reg.Snapshot())
+		return appendEpoch(fr, wbuf, wire.OpEpoch, q.Req, reg.Snapshot())
 	case wire.OpLoad:
 		snap := reg.Snapshot()
 		x, ok := snap.Load(int(q.ID))
 		if !ok {
-			return appendStatus(wbuf, wire.OpLoad, q.Req, wire.StatusUnknownID)
+			return appendStatus(fr, wbuf, wire.OpLoad, q.Req, wire.StatusUnknownID)
 		}
 		p := wire.Response{Op: wire.OpLoad, Req: q.Req, Epoch: snap.Epoch(), Value: x}
-		wbuf, _ = wire.AppendResponse(wbuf, &p)
+		wbuf, _ = fr.AppendResponse(wbuf, &p)
 		return wbuf
 	case wire.OpPayment:
 		comp, bonus, ok := reg.Snapshot().Payment(int(q.ID))
 		if !ok {
-			return appendStatus(wbuf, wire.OpPayment, q.Req, wire.StatusUnknownID)
+			return appendStatus(fr, wbuf, wire.OpPayment, q.Req, wire.StatusUnknownID)
 		}
 		p := wire.Response{Op: wire.OpPayment, Req: q.Req, Value: comp, Value2: bonus}
-		wbuf, _ = wire.AppendResponse(wbuf, &p)
+		wbuf, _ = fr.AppendResponse(wbuf, &p)
 		return wbuf
 	case wire.OpRate:
 		if err := reg.SetRate(q.T); err != nil {
-			return appendStatus(wbuf, wire.OpRate, q.Req, wire.StatusBadValue)
+			return appendStatus(fr, wbuf, wire.OpRate, q.Req, wire.StatusBadValue)
 		}
-		return appendStatus(wbuf, wire.OpRate, q.Req, wire.StatusOK)
+		return appendStatus(fr, wbuf, wire.OpRate, q.Req, wire.StatusOK)
 	case wire.OpPing:
-		return appendStatus(wbuf, wire.OpPing, q.Req, wire.StatusOK)
+		return appendStatus(fr, wbuf, wire.OpPing, q.Req, wire.StatusOK)
 	case wire.OpSubscribe:
 		*subscribed = true
 		*seenSeal = s.sealGen.Load()
-		return appendStatus(wbuf, wire.OpSubscribe, q.Req, wire.StatusOK)
+		return appendStatus(fr, wbuf, wire.OpSubscribe, q.Req, wire.StatusOK)
 	}
-	return appendStatus(wbuf, q.Op, q.Req, wire.StatusBadRequest)
+	return appendStatus(fr, wbuf, q.Op, q.Req, wire.StatusBadRequest)
 }
 
 // appendEpoch appends a sealed-epoch response (seal, epoch, notify).
-func appendEpoch(wbuf []byte, op byte, req uint64, snap *registry.Snapshot) []byte {
+func appendEpoch(fr *wire.Framer, wbuf []byte, op byte, req uint64, snap *registry.Snapshot) []byte {
 	p := wire.Response{
 		Op: op, Req: req,
 		Epoch: snap.Epoch(), N: uint64(snap.N()),
 		Rate: snap.Rate(), Sum: snap.Sum(), Value: snap.OptimalLatency(),
 	}
-	wbuf, _ = wire.AppendResponse(wbuf, &p)
+	wbuf, _ = fr.AppendResponse(wbuf, &p)
 	return wbuf
 }
 
 // appendStatus appends a body-less response.
-func appendStatus(wbuf []byte, op byte, req uint64, status byte) []byte {
+func appendStatus(fr *wire.Framer, wbuf []byte, op byte, req uint64, status byte) []byte {
 	p := wire.Response{Op: op, Req: req, Status: status}
-	out, err := wire.AppendResponse(wbuf, &p)
+	out, err := fr.AppendResponse(wbuf, &p)
 	if err != nil {
-		// The op came off the wire via DecodeRequest, so it encodes.
+		// The op came off the wire as a request, so it encodes.
 		// Unreachable; keep the frame stream well-formed regardless.
-		out, _ = wire.AppendResponse(wbuf, &wire.Response{Op: wire.OpPing, Req: req, Status: status})
+		out, _ = fr.AppendResponse(wbuf, &wire.Response{Op: wire.OpPing, Req: req, Status: status})
 	}
 	return out
 }

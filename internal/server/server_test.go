@@ -611,6 +611,7 @@ func TestBatchDrainAllocFree(t *testing.T) {
 		}
 	}
 	var bt batcher
+	fr := wire.Framer{Runs: true}
 	wbuf := make([]byte, 0, 64<<10)
 	var q wire.Request
 	// Warm the batcher's slices.
@@ -618,7 +619,7 @@ func TestBatchDrainAllocFree(t *testing.T) {
 		q = wire.Request{Op: wire.OpRebid, Req: uint64(i + 1), ID: uint64(ids[i]), T: 2}
 		bt.push(&q)
 	}
-	wbuf = bt.drain(reg, met, wbuf)
+	wbuf = fr.Close(bt.drain(reg, met, &fr, wbuf))
 
 	if a := testing.AllocsPerRun(100, func() {
 		wbuf = wbuf[:0]
@@ -626,7 +627,7 @@ func TestBatchDrainAllocFree(t *testing.T) {
 			q = wire.Request{Op: wire.OpRebid, Req: uint64(i + 1), ID: uint64(ids[i]), T: 3}
 			bt.push(&q)
 		}
-		wbuf = bt.drain(reg, met, wbuf)
+		wbuf = fr.Close(bt.drain(reg, met, &fr, wbuf))
 	}); a != 0 {
 		t.Fatalf("batch drain allocates %.1f/op, want 0", a)
 	}

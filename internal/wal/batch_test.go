@@ -317,13 +317,15 @@ func TestConcurrentBatchJournalRecovery(t *testing.T) {
 
 // TestWALMetricsExactUnderBatching checks the lb_wal_* append counters
 // after a seeded ApplyBatch run: lb_wal_appends_total must equal the
-// journaled record count and lb_wal_appended_bytes_total its framed
-// bytes — 8+17 per add or rebid, 8+9 per leave, 8+17 per plain seal —
-// which must also be exactly what reached the segment file; the
-// sampled latency histogram must hold one observation per 1024
-// mutation records. At one shard every batch is one Mutations call,
-// and batches of up to 3000 ops cross several sampling boundaries in
-// one call.
+// journaled mutation entries plus seal records, and
+// lb_wal_appended_bytes_total the bytes appended — 17 per add or rebid
+// entry, 9 per leave entry, 8+1 per run record holding them, 8+17 per
+// plain seal — which must also be exactly what reached the segment
+// file, whose run records must hold every mutation and fill up to the
+// run cap without passing it; the sampled
+// latency histogram must hold one observation per 1024 mutation
+// entries. At one shard every batch is one Mutations call, and batches
+// of up to 3000 ops cross several sampling boundaries in one call.
 func TestWALMetricsExactUnderBatching(t *testing.T) {
 	for _, shards := range []int{1, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -362,19 +364,33 @@ func TestWALMetricsExactUnderBatching(t *testing.T) {
 			if err := w.Close(); err != nil {
 				t.Fatal(err)
 			}
+			data, err := os.ReadFile(filepath.Join(dir, segName(1)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs, entries, largest := 0, 0, 0
+			for _, r := range segmentRecords(t, data) {
+				if r.kind == kindRun {
+					runs++
+					entries += r.entries
+					largest = max(largest, r.payload)
+				}
+			}
+			if entries != mutations {
+				t.Fatalf("run records hold %d entries, want %d mutations", entries, mutations)
+			}
+			if largest > runCap || largest <= runCap-17 {
+				t.Fatalf("largest run payload %d bytes, want the %d-byte cap reached, never passed", largest, runCap)
+			}
 			records := mutations + seals
-			wantBytes := (mutations-leaves)*(8+17) + leaves*(8+9) + seals*(8+17)
+			wantBytes := (mutations-leaves)*17 + leaves*9 + runs*(8+1) + seals*(8+17)
 			if got := met.Appends.Value(); got != int64(records) {
-				t.Fatalf("lb_wal_appends_total = %d, want %d records", got, records)
+				t.Fatalf("lb_wal_appends_total = %d, want %d entries and seals", got, records)
 			}
 			if got := met.AppendedBytes.Value(); got != int64(wantBytes) {
 				t.Fatalf("lb_wal_appended_bytes_total = %d, want %d", got, wantBytes)
 			}
-			st, err := os.Stat(filepath.Join(dir, segName(1)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if onDisk := st.Size() - segHeaderLen; onDisk != int64(wantBytes) {
+			if onDisk := len(data) - segHeaderLen; onDisk != wantBytes {
 				t.Fatalf("segment holds %d record bytes, want %d", onDisk, wantBytes)
 			}
 			if got, want := met.AppendSeconds.Count(), int64(mutations/1024); got != want {

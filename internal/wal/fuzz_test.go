@@ -4,8 +4,10 @@ package wal
 // as the single segment of a log and recovered. Recovery may refuse
 // (corruption) or succeed on a durable prefix; it must never panic,
 // hang, or allocate absurdly. The committed corpus under
-// testdata/fuzz/FuzzRecoverSegment pins the interesting shapes: a real
-// log, a truncated one, a bit-flipped one, and degenerate headers.
+// testdata/fuzz/FuzzRecoverSegment pins the interesting shapes: real
+// logs in the LBWAL001 format (standalone mutation records) and the
+// LBWAL002 format (run records), a truncated one, a bit-flipped one,
+// and degenerate headers.
 
 import (
 	"os"
@@ -71,6 +73,7 @@ func FuzzRecoverSegment(f *testing.F) {
 	f.Add(seed[:segHeaderLen]) // header only
 	f.Add([]byte{})
 	f.Add([]byte("LBWAL001garbage"))
+	f.Add([]byte("LBWAL002garbage"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()

@@ -23,7 +23,8 @@ type Info struct {
 	SnapshotEpoch uint64
 	// Segments is the number of segment files the replay read.
 	Segments int
-	// Records and Bytes count the log records replayed from the tail.
+	// Records and Bytes count the log records replayed from the tail
+	// (a run record counts once, however many mutations it holds).
 	Records int
 	Bytes   int64
 	// Seals is the number of seal records among them.
@@ -90,15 +91,25 @@ func Recover(dir string, cfg registry.Config) (*registry.Registry, *Info, error)
 	if len(segs) == 0 && len(snaps) == 0 {
 		return nil, nil, fmt.Errorf("wal: %s holds no log", dir)
 	}
-	r, info, _, _, _, _, err := replayLog(cfg, segs, snaps)
+	r, info, _, _, _, err := replayLog(cfg, segs, snaps)
 	return r, info, err
+}
+
+// tailPos is where appending resumes after a replay: the last
+// segment's sequence, the end of its last whole record, and whether
+// the segment is in the run-less LBWAL001 format.
+type tailPos struct {
+	seg    uint64
+	off    int64
+	legacy bool
 }
 
 // Open recovers the log in dir (or starts a fresh one if the directory
 // is empty) and returns the rebuilt registry with a Writer already
 // attached as its journal, ready to serve. A torn final record is
 // truncated away so appending resumes at the last whole-record
-// boundary.
+// boundary — in a fresh segment when the tail segment is an LBWAL001
+// one, which must not hold runs.
 func Open(dir string, opts Options, cfg registry.Config) (*registry.Registry, *Writer, *Info, error) {
 	w, err := newWriter(dir, opts)
 	if err != nil {
@@ -127,21 +138,26 @@ func Open(dir string, opts Options, cfg registry.Config) (*registry.Registry, *W
 		return r, w, &Info{Fresh: true, Epoch: 1}, nil
 	}
 
-	r, info, tailSeg, tailOff, last, prev, err := replayLog(cfg, segs, snaps)
+	r, info, tail, last, prev, err := replayLog(cfg, segs, snaps)
 	if err != nil {
 		return fail(err)
 	}
-	if tailOff < segHeaderLen {
+	if tail.off < segHeaderLen {
 		// The crash tore the tail segment inside its own header;
 		// recreate it empty.
-		if err := os.Remove(filepath.Join(dir, segName(tailSeg))); err != nil {
+		if err := os.Remove(filepath.Join(dir, segName(tail.seg))); err != nil {
 			return fail(fmt.Errorf("wal: %w", err))
 		}
-		if err := w.createSegment(tailSeg); err != nil {
+		if err := w.createSegment(tail.seg); err != nil {
 			return fail(err)
 		}
-	} else if err := w.continueSegment(tailSeg, tailOff); err != nil {
+	} else if err := w.continueSegment(tail.seg, tail.off); err != nil {
 		return fail(err)
+	} else if tail.legacy {
+		if err := w.createSegment(tail.seg + 1); err != nil {
+			w.f.Close()
+			return fail(err)
+		}
 	}
 	w.lastSnap, w.prevSnap = last, prev
 	w.start()
@@ -155,14 +171,14 @@ func Open(dir string, opts Options, cfg registry.Config) (*registry.Registry, *W
 // and replays the tail. It returns the rebuilt registry, the replay
 // report, the position appending should resume at, and the snapshot
 // refs the writer's compactor should retain.
-func replayLog(cfg registry.Config, segs []segFile, snaps []snapFile) (*registry.Registry, *Info, uint64, int64, snapRef, snapRef, error) {
+func replayLog(cfg registry.Config, segs []segFile, snaps []snapFile) (*registry.Registry, *Info, tailPos, snapRef, snapRef, error) {
 	var none snapRef
 	if len(segs) == 0 {
-		return nil, nil, 0, 0, none, none, fmt.Errorf("wal: snapshots present but no segment files")
+		return nil, nil, tailPos{}, none, none, fmt.Errorf("wal: snapshots present but no segment files")
 	}
 	for i := 1; i < len(segs); i++ {
 		if segs[i].seq != segs[0].seq+uint64(i) {
-			return nil, nil, 0, 0, none, none, fmt.Errorf("wal: segment gap: %d follows %d", segs[i].seq, segs[i-1].seq)
+			return nil, nil, tailPos{}, none, none, fmt.Errorf("wal: segment gap: %d follows %d", segs[i].seq, segs[i-1].seq)
 		}
 	}
 	var firstErr error
@@ -177,7 +193,7 @@ func replayLog(cfg registry.Config, segs []segFile, snaps []snapFile) (*registry
 			keep(err)
 			continue
 		}
-		r, info, seg, off, err := tryReplay(cfg, segs, sd)
+		r, info, tail, err := tryReplay(cfg, segs, sd)
 		if err != nil {
 			keep(err)
 			continue
@@ -189,19 +205,19 @@ func replayLog(cfg registry.Config, segs []segFile, snaps []snapFile) (*registry
 				prev = snapRef{epoch: psd.epoch, seg: psd.seg}
 			}
 		}
-		return r, info, seg, off, last, prev, nil
+		return r, info, tail, last, prev, nil
 	}
 	if segs[0].seq == 1 {
-		r, info, seg, off, err := tryReplay(cfg, segs, nil)
+		r, info, tail, err := tryReplay(cfg, segs, nil)
 		if err != nil {
 			keep(err)
 		} else {
-			return r, info, seg, off, none, none, nil
+			return r, info, tail, none, none, nil
 		}
 	} else {
 		keep(fmt.Errorf("wal: no usable snapshot and the log prefix is compacted (first segment %d)", segs[0].seq))
 	}
-	return nil, nil, 0, 0, none, none, firstErr
+	return nil, nil, tailPos{}, none, none, firstErr
 }
 
 // tryReplay rebuilds one registry: restore the snapshot (when given),
@@ -209,7 +225,8 @@ func replayLog(cfg registry.Config, segs []segFile, snaps []snapFile) (*registry
 // value, then replay every record from the snapshot's position to the
 // end of the log. A torn final record stops the replay cleanly; any
 // other inconsistency is an error.
-func tryReplay(cfg registry.Config, segs []segFile, sd *snapData) (*registry.Registry, *Info, uint64, int64, error) {
+func tryReplay(cfg registry.Config, segs []segFile, sd *snapData) (*registry.Registry, *Info, tailPos, error) {
+	var none tailPos
 	c := cfg
 	c.Journal = nil
 	if sd != nil {
@@ -217,30 +234,30 @@ func tryReplay(cfg registry.Config, segs []segFile, sd *snapData) (*registry.Reg
 	}
 	r, err := registry.New(c)
 	if err != nil {
-		return nil, nil, 0, 0, err
+		return nil, nil, none, err
 	}
 	info := &Info{Epoch: 1}
 	startSeg, startOff := segs[0].seq, int64(segHeaderLen)
 	if sd != nil {
 		if sd.next < 0 || sd.next > maxReplayID {
-			return nil, nil, 0, 0, fmt.Errorf("wal: snapshot %d: implausible id counter %d", sd.epoch, sd.next)
+			return nil, nil, none, fmt.Errorf("wal: snapshot %d: implausible id counter %d", sd.epoch, sd.next)
 		}
 		for i, id := range sd.ids {
 			if id < 0 || id > maxReplayID {
-				return nil, nil, 0, 0, fmt.Errorf("wal: snapshot %d: implausible agent id %d", sd.epoch, id)
+				return nil, nil, none, fmt.Errorf("wal: snapshot %d: implausible agent id %d", sd.epoch, id)
 			}
 			if err := r.RestoreAgent(id, sd.ts[i]); err != nil {
-				return nil, nil, 0, 0, fmt.Errorf("wal: snapshot %d: %w", sd.epoch, err)
+				return nil, nil, none, fmt.Errorf("wal: snapshot %d: %w", sd.epoch, err)
 			}
 		}
 		r.RestoreNext(sd.next)
 		r.RestoreEpoch(sd.epoch - 1)
 		snap, err := r.SealCorrected(correction(sd.drops, sd.wts))
 		if err != nil {
-			return nil, nil, 0, 0, fmt.Errorf("wal: snapshot %d: %w", sd.epoch, err)
+			return nil, nil, none, fmt.Errorf("wal: snapshot %d: %w", sd.epoch, err)
 		}
 		if math.Float64bits(snap.Sum()) != math.Float64bits(sd.s) {
-			return nil, nil, 0, 0, fmt.Errorf("wal: snapshot %d self-check failed: resealed S %x, stored %x",
+			return nil, nil, none, fmt.Errorf("wal: snapshot %d self-check failed: resealed S %x, stored %x",
 				sd.epoch, math.Float64bits(snap.Sum()), math.Float64bits(sd.s))
 		}
 		info.SnapshotEpoch, info.Epoch = sd.epoch, sd.epoch
@@ -248,10 +265,10 @@ func tryReplay(cfg registry.Config, segs []segFile, sd *snapData) (*registry.Reg
 	}
 
 	if startSeg < segs[0].seq || startSeg > segs[len(segs)-1].seq {
-		return nil, nil, 0, 0, fmt.Errorf("wal: snapshot %d replay position in missing segment %d", sd.epoch, startSeg)
+		return nil, nil, none, fmt.Errorf("wal: snapshot %d replay position in missing segment %d", sd.epoch, startSeg)
 	}
 	idx := int(startSeg - segs[0].seq)
-	apply := func(rec record) error {
+	mutate := func(rec record) error {
 		switch rec.kind {
 		case kindAdd:
 			if rec.id < 0 || rec.id > maxReplayID {
@@ -260,8 +277,21 @@ func tryReplay(cfg registry.Config, segs []segFile, sd *snapData) (*registry.Reg
 			return r.RestoreAgent(rec.id, rec.t)
 		case kindUpdate:
 			return r.Update(rec.id, rec.t)
-		case kindRemove:
-			return r.Remove(rec.id)
+		}
+		return r.Remove(rec.id)
+	}
+	apply := func(rec record) error {
+		switch rec.kind {
+		case kindAdd, kindUpdate, kindRemove:
+			return mutate(rec)
+		case kindRun:
+			// decodeRecord has checked every entry, so a torn or
+			// malformed run never applies in part.
+			for p := rec.run; len(p) > 0; p = p[entryLen(p[0]):] {
+				if err := mutate(decodeEntry(p)); err != nil {
+					return err
+				}
+			}
 		case kindRate:
 			return r.SetRate(rec.t)
 		case kindSeal, kindSealC:
@@ -283,67 +313,70 @@ func tryReplay(cfg registry.Config, segs []segFile, sd *snapData) (*registry.Reg
 		return nil
 	}
 
-	tailSeg, tailOff := startSeg, startOff
+	tail := tailPos{seg: startSeg, off: startOff}
 	for i := idx; i < len(segs); i++ {
 		sf := segs[i]
 		last := i == len(segs)-1
 		data, err := os.ReadFile(sf.path)
 		if err != nil {
-			return nil, nil, 0, 0, fmt.Errorf("wal: %w", err)
+			return nil, nil, none, fmt.Errorf("wal: %w", err)
 		}
 		if len(data) < segHeaderLen {
 			// Only a crash during segment creation leaves a short
 			// header, and that can only be the final file.
 			if !last {
-				return nil, nil, 0, 0, fmt.Errorf("wal: %s: truncated header in non-final segment", sf.path)
+				return nil, nil, none, fmt.Errorf("wal: %s: truncated header in non-final segment", sf.path)
 			}
 			if sd != nil && i == idx {
 				// The snapshot's replay position is unreachable; let
 				// the caller fall back to an older recovery point.
-				return nil, nil, 0, 0, fmt.Errorf("wal: snapshot %d replay position %d past end of %s (%d bytes)",
+				return nil, nil, none, fmt.Errorf("wal: snapshot %d replay position %d past end of %s (%d bytes)",
 					sd.epoch, startOff, sf.path, len(data))
 			}
 			info.TornTail = true
-			tailSeg, tailOff = sf.seq, int64(len(data))
+			tail = tailPos{seg: sf.seq, off: int64(len(data))}
 			break
 		}
-		if string(data[:8]) != segMagic {
-			return nil, nil, 0, 0, fmt.Errorf("wal: %s: bad segment magic", sf.path)
+		magic := string(data[:8])
+		if magic != segMagic && magic != segMagicV1 {
+			return nil, nil, none, fmt.Errorf("wal: %s: bad segment magic", sf.path)
 		}
 		if got := binary.LittleEndian.Uint64(data[8:]); got != sf.seq {
-			return nil, nil, 0, 0, fmt.Errorf("wal: %s: header sequence %d does not match name", sf.path, got)
+			return nil, nil, none, fmt.Errorf("wal: %s: header sequence %d does not match name", sf.path, got)
 		}
 		off := int64(segHeaderLen)
 		if i == idx {
 			off = startOff
 			if off > int64(len(data)) {
-				return nil, nil, 0, 0, fmt.Errorf("wal: snapshot %d replay position %d past end of %s (%d bytes)",
+				return nil, nil, none, fmt.Errorf("wal: snapshot %d replay position %d past end of %s (%d bytes)",
 					sd.epoch, off, sf.path, len(data))
 			}
 		}
 		off, torn, err := replayRecords(data, off, apply, info)
 		if err != nil {
-			// A CRC-valid record that fails to apply is corruption, not
-			// a torn write: a crash cannot forge a checksum.
-			return nil, nil, 0, 0, fmt.Errorf("wal: %s: %w", sf.path, err)
+			// A CRC-valid record that fails to decode or apply is
+			// corruption, not a torn write: a crash cannot forge a
+			// checksum.
+			return nil, nil, none, fmt.Errorf("wal: %s: %w", sf.path, err)
 		}
-		tailSeg, tailOff = sf.seq, off
+		tail = tailPos{seg: sf.seq, off: off, legacy: magic == segMagicV1}
 		if torn {
 			if !last {
-				return nil, nil, 0, 0, fmt.Errorf("wal: %s: torn record in non-final segment", sf.path)
+				return nil, nil, none, fmt.Errorf("wal: %s: torn record in non-final segment", sf.path)
 			}
 			info.TornTail = true
 		}
 		info.Segments++
 	}
-	return r, info, tailSeg, tailOff, nil
+	return r, info, tail, nil
 }
 
 // replayRecords walks whole records from off, applying each, and
 // returns the offset of the first byte it could not use. A structurally
 // incomplete or checksum-failing record reports torn=true (the caller
-// decides whether that is a legal torn tail or corruption); an apply
-// failure is always an error.
+// decides whether that is a legal torn tail or corruption); a record
+// whose checksum holds but which fails to decode or apply is always
+// an error naming its offset and kind.
 func replayRecords(data []byte, off int64, apply func(record) error, info *Info) (int64, bool, error) {
 	for {
 		rem := data[off:]
@@ -365,11 +398,11 @@ func replayRecords(data []byte, off int64, apply func(record) error, info *Info)
 			return off, true, nil
 		}
 		rec, err := decodeRecord(payload)
-		if err != nil {
-			return off, true, nil
+		if err == nil {
+			err = apply(rec)
 		}
-		if err := apply(rec); err != nil {
-			return off, false, fmt.Errorf("record at offset %d: %w", off, err)
+		if err != nil {
+			return off, false, fmt.Errorf("record at offset %d (kind %d): %w", off, payload[0], err)
 		}
 		off += int64(frameLen + plen)
 		info.Records++

@@ -6,10 +6,14 @@ package wal
 // epoch whose record fits in the durable prefix — bitwise identical to
 // the snapshot recorded live — and (c) hold exactly the mutations whose
 // records fit, verified by resealing against a serial alloc.Stream
-// replay of that prefix. Run for a plain log and for one with snapshot
-// sidecars, rotating the recovery shard count through {1, 4, 32}.
+// replay of that prefix. Mutations share run records, so a mutation
+// counts as durable once the run holding it is whole: cuts inside a
+// multi-entry run must drop the whole run. Run for a plain log and for
+// one with snapshot sidecars, rotating the recovery shard count
+// through {1, 4, 32}.
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand/v2"
 	"os"
@@ -29,8 +33,10 @@ type modelOp struct {
 
 // truncHistory drives a deterministic scripted history through a
 // journaled registry and returns the model ops, the (offset, ops,
-// epoch) mark after every journaled record, and the recorded snapshot
-// of every sealed epoch.
+// epoch) mark after every journaled mutation or seal, and the recorded
+// snapshot of every sealed epoch. A mark taken inside a run that was
+// still open is not a record boundary; the test keeps only the marks
+// that segmentRecords finds at one.
 func truncHistory(t *testing.T, dir string, snapshotEvery int) ([]modelOp, []truncMark, map[uint64]sealRec) {
 	t.Helper()
 	w, err := Create(dir, Options{Sync: SyncNone, SnapshotEvery: snapshotEvery})
@@ -115,6 +121,36 @@ type truncMark struct {
 	epoch uint64
 }
 
+// segRecord is one whole record of a segment image: its kind, its
+// payload length, the offset just past it, and for a run the entries
+// it holds.
+type segRecord struct {
+	kind    byte
+	payload int
+	end     int64
+	entries int
+}
+
+// segmentRecords decodes every record of a segment image.
+func segmentRecords(t *testing.T, data []byte) []segRecord {
+	t.Helper()
+	var recs []segRecord
+	for off := segHeaderLen; off < len(data); {
+		plen := int(binary.LittleEndian.Uint32(data[off:]))
+		rec, err := decodeRecord(data[off+frameLen : off+frameLen+plen])
+		if err != nil {
+			t.Fatalf("record at offset %d: %v", off, err)
+		}
+		sr := segRecord{kind: rec.kind, payload: plen, end: int64(off + frameLen + plen)}
+		for p := rec.run; len(p) > 0; p = p[entryLen(p[0]):] {
+			sr.entries++
+		}
+		recs = append(recs, sr)
+		off = int(sr.end)
+	}
+	return recs
+}
+
 // shadowReplay rebuilds the serial ground truth from a prefix of the
 // model ops.
 func shadowReplay(t *testing.T, mops []modelOp) *alloc.Stream {
@@ -172,6 +208,22 @@ func TestTruncationFuzzEveryTailOffset(t *testing.T) {
 			if marks[len(marks)-1].off != int64(len(data)) {
 				t.Fatalf("final mark %d != segment length %d", marks[len(marks)-1].off, len(data))
 			}
+			recs := segmentRecords(t, data)
+			ends, maxRun := map[int64]bool{segHeaderLen: true}, 0
+			for _, r := range recs {
+				ends[r.end] = true
+				maxRun = max(maxRun, r.entries)
+			}
+			if maxRun < 2 {
+				t.Fatalf("no run holds more than %d entries; the cuts never split a run", maxRun)
+			}
+			closed := marks[:0:0]
+			for _, m := range marks {
+				if ends[m.off] {
+					closed = append(closed, m)
+				}
+			}
+			marks = closed
 
 			shardCases := []int{1, 4, 32}
 			scratch := filepath.Join(t.TempDir(), "cut")
@@ -195,7 +247,7 @@ func TestTruncationFuzzEveryTailOffset(t *testing.T) {
 					}
 				}
 
-				// Expected state: the last mark whose record boundary
+				// Expected state: the last record-boundary mark that
 				// fits in the durable prefix.
 				m := truncMark{epoch: 1}
 				for _, cand := range marks {
@@ -244,8 +296,8 @@ func TestTruncationFuzzEveryTailOffset(t *testing.T) {
 					}
 				}
 			}
-			t.Logf("%s: %d byte offsets fuzzed over a %d-record history (%d seals)",
-				tc.name, len(data)+1, len(marks)-1, len(seals))
+			t.Logf("%s: %d byte offsets fuzzed over %d records (%d seals, runs of up to %d entries)",
+				tc.name, len(data)+1, len(recs), len(seals), maxRun)
 		})
 	}
 }

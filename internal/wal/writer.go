@@ -135,9 +135,10 @@ type bidEntry struct {
 
 // Writer is the registry.Journal implementation: it encodes every
 // mutation and seal into the append buffer under the caller's registry
-// locks (cheap: a bounds check, a CRC and a memcpy), group-commits
-// batches to segment files, and hands snapshot captures to a
-// background compactor. A capture copies nothing per agent: at the
+// locks (cheap: a bounds check and a memcpy; consecutive mutations
+// share one run record, whose CRC is paid once when it closes),
+// group-commits batches to segment files, and hands snapshot captures
+// to a background compactor. A capture copies nothing per agent: at the
 // seal barrier it records the log position and the correction's
 // pre-correction bids, and the compactor reads every other bid from
 // the published Snapshot, which is immutable. It also implements
@@ -158,6 +159,7 @@ type Writer struct {
 	seg        uint64
 	segOff     int64 // flushed bytes in the current segment
 	buf        []byte
+	run        int // offset in buf of the open run record, -1 when none
 	appends    uint64
 	sealsSince int
 	pending    *pendingSnap
@@ -211,6 +213,7 @@ func newWriter(dir string, opts Options) (*Writer, error) {
 		met:    opts.Metrics,
 		dirf:   dirf,
 		buf:    make([]byte, 0, opts.BatchBytes+4096),
+		run:    -1,
 		snapCh: make(chan *pendingSnap, 1),
 		stop:   make(chan struct{}),
 	}, nil
@@ -284,37 +287,37 @@ func (w *Writer) continueSegment(seq uint64, off int64) error {
 
 // Added implements registry.Journal.
 func (w *Writer) Added(id int, t float64) {
-	w.mutation(kindAdd, uint64(id), math.Float64bits(t), true)
+	w.mutation(kindAdd, uint64(id), math.Float64bits(t))
 }
 
 // Updated implements registry.Journal.
 func (w *Writer) Updated(id int, t float64) {
-	w.mutation(kindUpdate, uint64(id), math.Float64bits(t), true)
+	w.mutation(kindUpdate, uint64(id), math.Float64bits(t))
 }
 
 // Removed implements registry.Journal.
 func (w *Writer) Removed(id int) {
-	w.mutation(kindRemove, uint64(id), 0, false)
+	w.mutation(kindRemove, uint64(id), 0)
 }
 
 // RateChanged implements registry.Journal.
 func (w *Writer) RateChanged(rate float64) {
-	w.mutation(kindRate, math.Float64bits(rate), 0, false)
+	w.mutation(kindRate, math.Float64bits(rate), 0)
 }
 
 // Mutations implements registry.BatchJournal: it appends exactly the
-// records the ops' Added/Updated/Removed calls would, in op order and
-// at the same group-commit and rotation points, under one w.mu
-// acquisition and with one metrics update for the whole call.
+// entries the ops' Added/Updated/Removed calls would, in op order and
+// with the same run, group-commit and rotation boundaries, under one
+// w.mu acquisition and with one metrics update for the whole call.
 func (w *Writer) Mutations(ops []registry.BatchOp) {
 	w.mu.Lock()
 	if w.err != nil || w.closed {
 		w.mu.Unlock()
 		return
 	}
-	// Keep the per-op sampling cadence: one per-record latency sample
-	// (the call's duration over its record count) for every
-	// 1024-record boundary the call crosses.
+	// Keep the per-op sampling cadence: one per-entry latency sample
+	// (the call's duration over its entry count) for every 1024-entry
+	// boundary the call crosses.
 	prev := w.appends
 	w.appends += uint64(len(ops))
 	samples := w.appends>>10 - prev>>10
@@ -327,17 +330,17 @@ func (w *Writer) Mutations(ops []registry.BatchOp) {
 		op := &ops[i]
 		switch op.Kind {
 		case registry.BatchAdd:
-			bytes += w.encodeMutation(kindAdd, uint64(op.ID), math.Float64bits(op.T), true)
+			bytes += w.appendEntry(kindAdd, uint64(op.ID), math.Float64bits(op.T))
 		case registry.BatchRebid:
-			bytes += w.encodeMutation(kindUpdate, uint64(op.ID), math.Float64bits(op.T), true)
+			bytes += w.appendEntry(kindUpdate, uint64(op.ID), math.Float64bits(op.T))
 		case registry.BatchLeave:
-			bytes += w.encodeMutation(kindRemove, uint64(op.ID), 0, false)
+			bytes += w.appendEntry(kindRemove, uint64(op.ID), 0)
 		default:
 			continue
 		}
 		records++
 		// A latched error ends the call where the per-op path would
-		// stop: after the record that raised it.
+		// stop: after the entry that raised it.
 		if w.err != nil {
 			break
 		}
@@ -352,9 +355,10 @@ func (w *Writer) Mutations(ops []registry.BatchOp) {
 	}
 }
 
-// mutation appends one fixed-size record: kind, a, and (when wide) b.
-// Every 1024th append is timed into the sampled latency histogram.
-func (w *Writer) mutation(kind byte, a, b uint64, wide bool) {
+// mutation appends one mutation entry, or for kindRate a standalone
+// rate record. Every 1024th append is timed into the sampled latency
+// histogram.
+func (w *Writer) mutation(kind byte, a, b uint64) {
 	w.mu.Lock()
 	if w.err != nil || w.closed {
 		w.mu.Unlock()
@@ -366,7 +370,12 @@ func (w *Writer) mutation(kind byte, a, b uint64, wide bool) {
 	if timed {
 		t0 = time.Now()
 	}
-	n := w.encodeMutation(kind, a, b, wide)
+	var n int
+	if kind == kindRate {
+		n = w.appendRate(a)
+	} else {
+		n = w.appendEntry(kind, a, b)
+	}
 	w.mu.Unlock()
 	w.met.AppendedBatch(1, n)
 	if timed {
@@ -374,34 +383,67 @@ func (w *Writer) mutation(kind byte, a, b uint64, wide bool) {
 	}
 }
 
-// encodeMutation encodes one fixed-size mutation record and
-// group-commits if the batch threshold is reached; it returns the
-// framed record size. Called with w.mu held; allocation-free in
-// steady state.
-func (w *Writer) encodeMutation(kind byte, a, b uint64, wide bool) int {
-	payload := 9
-	if wide {
-		payload = 17
+// appendEntry appends one mutation entry — kind, id a and, for an add
+// or update, bid bits b — to the open run record, and group-commits if
+// the batch threshold is reached. A run opens with the first entry and
+// closes early when the entry would take its payload past runCap or
+// the segment past SegmentBytes. It returns the bytes appended: the
+// entry, plus the run's frame header and kind byte when it opened one.
+// Called with w.mu held; allocation-free in steady state.
+func (w *Writer) appendEntry(kind byte, a, b uint64) int {
+	size := entryLen(kind)
+	n := size
+	if w.run >= 0 {
+		payload := len(w.buf) - w.run - frameLen
+		if payload+size > runCap || w.segOff+int64(len(w.buf)+size) > w.opts.SegmentBytes {
+			w.closeRun()
+		}
 	}
-	start := w.beginRecord(payload)
+	if w.run < 0 {
+		w.run = w.beginRecord(1 + size)
+		w.buf = append(w.buf, kindRun)
+		n += frameLen + 1
+	}
 	w.buf = append(w.buf, kind)
 	w.buf = binary.LittleEndian.AppendUint64(w.buf, a)
-	if wide {
+	if kind != kindRemove {
 		w.buf = binary.LittleEndian.AppendUint64(w.buf, b)
 	}
+	w.maybeFlush()
+	return n
+}
+
+// appendRate closes the open run and appends a standalone rate record
+// holding the rate bits; it returns the framed record size. Called
+// with w.mu held.
+func (w *Writer) appendRate(bits uint64) int {
+	w.closeRun()
+	start := w.beginRecord(9)
+	w.buf = append(w.buf, kindRate)
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, bits)
 	w.endRecord(start)
 	w.maybeFlush()
-	return frameLen + payload
+	return frameLen + 9
+}
+
+// closeRun seals the open run record, if any: length and CRC32C over
+// all its entries at once. Called with w.mu held.
+func (w *Writer) closeRun() {
+	if w.run >= 0 {
+		w.endRecord(w.run)
+		w.run = -1
+	}
 }
 
 // Sealed implements registry.Journal. It runs under every registry
 // shard lock — the barrier that makes the log replayable — so it only
-// encodes: a plain seal is 17 payload bytes, a corrected seal inlines
-// the sorted correction, and on the snapshot cadence it captures the
-// log position plus the pre-correction bids of the correction's live
-// ids, read from ev.T; Published supplies the rest of the population.
-// No fsync happens here; SyncSeal defers it to Published, outside the
-// locks.
+// encodes: it closes the open run (a checksum over at most runCap
+// bytes), then appends the seal record — a plain seal is 17 payload
+// bytes, a corrected seal inlines the sorted correction — and on the
+// snapshot cadence it captures the log position plus the
+// pre-correction bids of the correction's live ids, read from ev.T;
+// Published supplies the rest of the population. No fsync happens
+// here; SyncSeal defers it to Published, outside the locks.
 func (w *Writer) Sealed(ev registry.SealEvent) {
 	var drops []int
 	var wts []weightEntry
@@ -429,6 +471,7 @@ func (w *Writer) Sealed(ev registry.SealEvent) {
 	if corrected {
 		payload = 25 + 8*len(drops) + 16*len(wts)
 	}
+	w.closeRun()
 	start := w.beginRecord(payload)
 	if corrected {
 		w.buf = append(w.buf, kindSealC)
@@ -529,9 +572,11 @@ func (w *Writer) maybeFlush() {
 	}
 }
 
-// flushLocked writes the append buffer to the segment file and
-// optionally fsyncs. Called with w.mu held; errors latch into w.err.
+// flushLocked closes the open run, writes the append buffer to the
+// segment file and optionally fsyncs. Called with w.mu held; errors
+// latch into w.err.
 func (w *Writer) flushLocked(sync bool) {
+	w.closeRun()
 	if w.err != nil || len(w.buf) == 0 {
 		if sync && w.err == nil && w.f != nil {
 			if err := w.f.Sync(); err != nil {
@@ -577,7 +622,9 @@ func (w *Writer) Err() error {
 }
 
 // Tell returns the current log position — the segment sequence and the
-// offset the next record would land at (buffered bytes included).
+// offset just past the last appended byte (buffered bytes included).
+// It leaves the open run open, so the offset may fall inside a run
+// record: a mutation survives a crash only once its run has closed.
 func (w *Writer) Tell() (seg uint64, off int64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -624,6 +671,7 @@ func (w *Writer) Abandon() {
 	}
 	w.closed = true
 	w.buf = w.buf[:0]
+	w.run = -1
 	w.pending = nil
 	if w.f != nil {
 		w.f.Close()

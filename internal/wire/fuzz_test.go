@@ -6,7 +6,7 @@ import (
 )
 
 // FuzzWireDecode throws arbitrary bytes at the frame scanner and both
-// payload decoders. Invariants pinned:
+// message decoders. Invariants pinned:
 //
 //   - no panic, and no read outside the handed slice (the fuzzer's
 //     address sanitizer would catch one);
@@ -14,11 +14,14 @@ import (
 //     sentinels;
 //   - the scanner's progress claim is consistent: n > 0 only with a
 //     non-nil payload that lies inside the consumed frame;
-//   - any payload that decodes successfully re-encodes to the exact
-//     frame bytes just consumed (canonical encoding, both directions).
+//   - every message of a frame is decoded, as requests and as
+//     responses, and a run that decodes to its last byte re-encodes
+//     to the exact frame bytes just consumed (canonical encoding, both
+//     directions): through a run Framer always, and through the
+//     single-message encoder when the run holds one message.
 func FuzzWireDecode(f *testing.F) {
-	// Well-formed frames of every op/status shape, plus structural
-	// mutants, seed the corpus.
+	// Well-formed frames of every op/status shape, single and in runs,
+	// plus structural mutants, seed the corpus.
 	var seed []byte
 	for _, q := range sampleRequests() {
 		seed, _ = AppendRequest(seed, &q)
@@ -39,6 +42,12 @@ func FuzzWireDecode(f *testing.F) {
 	corrupt[FrameLen] ^= 0x01
 	f.Add(corrupt) // CRC mismatch
 	f.Add([]byte{})
+	reqRun, respRun := requestRun(), responseRun()
+	f.Add(reqRun)
+	f.Add(respRun)
+	msg := one[FrameLen:]
+	f.Add(rawFrame(append(append([]byte(nil), reqRun[FrameLen:]...), msg[:len(msg)-5]...))) // run cut mid-message
+	f.Add(rawFrame(append(append(append([]byte(nil), msg...), 200, 7, 0, 0, 0, 0, 0, 0, 0), msg...)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b := data
@@ -63,28 +72,100 @@ func FuzzWireDecode(f *testing.F) {
 				t.Fatalf("inconsistent scan: n=%d len(payload)=%d len(b)=%d", n, len(payload), len(b))
 			}
 			frame := b[:n]
-
-			var q Request
-			if derr := DecodeRequest(payload, &q); derr == nil {
-				re, rerr := AppendRequest(nil, &q)
-				if rerr != nil || !bytes.Equal(re, frame) {
-					t.Fatalf("request re-encode diverged: %x vs %x (err %v)", re, frame, rerr)
-				}
-			} else if _, ok := derr.(*ProtocolError); !ok {
-				t.Fatalf("DecodeRequest returned untyped error %T: %v", derr, derr)
-			}
-
-			var p Response
-			if derr := DecodeResponse(payload, &p); derr == nil {
-				re, rerr := AppendResponse(nil, &p)
-				if rerr != nil || !bytes.Equal(re, frame) {
-					t.Fatalf("response re-encode diverged: %x vs %x (err %v)", re, frame, rerr)
-				}
-			} else if _, ok := derr.(*ProtocolError); !ok {
-				t.Fatalf("DecodeResponse returned untyped error %T: %v", derr, derr)
-			}
-
+			checkRequestRun(t, payload, frame)
+			checkResponseRun(t, payload, frame)
 			b = b[n:]
 		}
 	})
+}
+
+// checkRequestRun decodes every request message of a frame's payload
+// and, when the whole run decodes, re-encodes it.
+func checkRequestRun(t *testing.T, payload, frame []byte) {
+	var msgs []Request
+	for p := payload; len(p) > 0; {
+		var q Request
+		m, err := decodeRequest(p, &q)
+		if err != nil {
+			if _, ok := err.(*ProtocolError); !ok {
+				t.Fatalf("request decode returned untyped error %T: %v", err, err)
+			}
+			return
+		}
+		if m <= 0 || m > len(p) {
+			t.Fatalf("request decode consumed %d of %d bytes", m, len(p))
+		}
+		msgs, p = append(msgs, q), p[m:]
+	}
+	f := Framer{Runs: true}
+	var re []byte
+	for i := range msgs {
+		var err error
+		if re, err = f.AppendRequest(re, &msgs[i]); err != nil {
+			t.Fatalf("re-encode request %+v: %v", msgs[i], err)
+		}
+	}
+	if re = f.Close(re); !bytes.Equal(re, frame) {
+		t.Fatalf("request run re-encode diverged: %x vs %x", re, frame)
+	}
+	if len(msgs) == 1 {
+		if re, err := AppendRequest(nil, &msgs[0]); err != nil || !bytes.Equal(re, frame) {
+			t.Fatalf("request re-encode diverged: %x vs %x (err %v)", re, frame, err)
+		}
+	}
+}
+
+// checkResponseRun is checkRequestRun for responses.
+func checkResponseRun(t *testing.T, payload, frame []byte) {
+	var msgs []Response
+	for p := payload; len(p) > 0; {
+		var r Response
+		m, err := decodeResponse(p, &r)
+		if err != nil {
+			if _, ok := err.(*ProtocolError); !ok {
+				t.Fatalf("response decode returned untyped error %T: %v", err, err)
+			}
+			return
+		}
+		if m <= 0 || m > len(p) {
+			t.Fatalf("response decode consumed %d of %d bytes", m, len(p))
+		}
+		msgs, p = append(msgs, r), p[m:]
+	}
+	f := Framer{Runs: true}
+	var re []byte
+	for i := range msgs {
+		var err error
+		if re, err = f.AppendResponse(re, &msgs[i]); err != nil {
+			t.Fatalf("re-encode response %+v: %v", msgs[i], err)
+		}
+	}
+	if re = f.Close(re); !bytes.Equal(re, frame) {
+		t.Fatalf("response run re-encode diverged: %x vs %x", re, frame)
+	}
+	if len(msgs) == 1 {
+		if re, err := AppendResponse(nil, &msgs[0]); err != nil || !bytes.Equal(re, frame) {
+			t.Fatalf("response re-encode diverged: %x vs %x (err %v)", re, frame, err)
+		}
+	}
+}
+
+// requestRun and responseRun are every sample request or response as
+// one run frame.
+func requestRun() []byte {
+	f := Framer{Runs: true}
+	var b []byte
+	for _, q := range sampleRequests() {
+		b, _ = f.AppendRequest(b, &q)
+	}
+	return f.Close(b)
+}
+
+func responseRun() []byte {
+	f := Framer{Runs: true}
+	var b []byte
+	for _, p := range sampleResponses() {
+		b, _ = f.AppendResponse(b, &p)
+	}
+	return f.Close(b)
 }

@@ -5,15 +5,19 @@
 // payment settlement) and epoch-seal notifications, over any byte
 // stream — in practice a TCP connection.
 //
-// Framing reuses the WAL's idiom. Every message is
+// Framing reuses the WAL's idiom. Every frame is
 //
 //	[u32 payload length][u32 CRC32C(payload)][payload]
 //
 // with little-endian integers throughout and payload length in
-// (0, MaxPayload]. The payload starts with a one-byte op, then the
-// u64 request id, then op-specific fields:
+// (0, MaxPayload], MaxPayload = 8 KiB. A payload is a run of one or
+// more messages laid end to end, so the header and the checksum are
+// paid once per run rather than once per message. A message starts
+// with a one-byte op, then the u64 request id, then op-specific
+// fields; its length follows from its op (and, for a response, its
+// status), and a run must end exactly on a message boundary:
 //
-//	request            payload after [op][req u64]
+//	request            message after [op][req u64]
 //	OpAdd              f64 bid t
 //	OpRebid            u64 id, f64 bid t
 //	OpLeave            u64 id
@@ -25,7 +29,7 @@
 //	OpPing             —
 //	OpSubscribe        —
 //
-//	response           payload after [op][req u64][status]
+//	response           message after [op][req u64][status]
 //	OpAdd              u64 id                      (StatusOK only)
 //	OpRebid/OpLeave    —
 //	OpRate/OpPing      —
@@ -42,12 +46,20 @@
 // request id it answers, and responses on one connection arrive in
 // request order (the pipelining contract).
 //
+// A client packs its queued requests into run frames (a Framer with
+// Runs set). The server answers in runs only once the connection has
+// sent a frame holding more than one message. A client that sends one
+// message per frame gets one response per frame back, byte for byte
+// the single-message framing of earlier builds (MaxPayload 64), so
+// such clients keep working unchanged. Those builds reject any frame
+// over 64 bytes with ErrFrameTooBig: upgrade servers before clients.
+//
 // Encode appends to a caller-provided buffer and decode parses into a
 // caller-provided flat struct, so both directions are allocation-free
 // in steady state (pinned by AllocsPerRun guards). The decoder is
-// fuzzed against truncated, corrupt and oversized frames: it returns
-// typed *ProtocolError values and never panics or reads outside the
-// frame it was handed.
+// fuzzed against truncated, corrupt and oversized frames and runs: it
+// returns typed *ProtocolError values and never panics or reads
+// outside the frame it was handed.
 package wire
 
 import (
@@ -59,14 +71,15 @@ import (
 )
 
 const (
-	// FrameLen is the per-message framing overhead: u32 payload length
-	// plus u32 CRC32C of the payload.
+	// FrameLen is the per-frame overhead: u32 payload length plus u32
+	// CRC32C of the payload.
 	FrameLen = 8
-	// MaxPayload bounds a payload: every defined message fits well
-	// under it, so a larger length prefix is a corrupt or hostile
-	// stream, rejected before any allocation or over-read.
-	MaxPayload = 64
-	// MaxFrame is the largest whole message on the wire.
+	// MaxPayload bounds a frame's payload, one run of messages. It is
+	// a fixed bound checked before any read: a larger length prefix is
+	// a corrupt or hostile stream, rejected before any allocation or
+	// over-read.
+	MaxPayload = 8 << 10
+	// MaxFrame is the largest whole frame on the wire.
 	MaxFrame = FrameLen + MaxPayload
 )
 
@@ -86,7 +99,7 @@ const (
 
 	// OpSealNotify is response-only: the server pushes it (request id
 	// 0) to subscribed connections after an epoch seals. A request
-	// carrying this op is rejected by DecodeRequest.
+	// carrying this op is rejected by the request decoder.
 	OpSealNotify = byte(11)
 )
 
@@ -143,8 +156,8 @@ var (
 	ErrFrameTooBig = &ProtocolError{"frame payload length exceeds MaxPayload"}
 	// ErrFrameCRC rejects a payload whose CRC32C does not match.
 	ErrFrameCRC = &ProtocolError{"frame CRC mismatch"}
-	// ErrPayloadSize rejects a payload whose length does not match its
-	// op (truncated or trailing bytes).
+	// ErrPayloadSize rejects a message cut short by the end of its
+	// frame: a run must end exactly on a message boundary.
 	ErrPayloadSize = &ProtocolError{"payload size does not match its op"}
 	// ErrUnknownOp rejects an op byte neither side defines (including
 	// OpSealNotify in a request, which is response-only).
@@ -222,15 +235,52 @@ func responseBody(op, status byte) int {
 	return -1
 }
 
-// AppendRequest encodes q as one framed message appended to dst. It
+// Framer appends messages to a caller-owned buffer. With Runs set it
+// packs consecutive messages into one run frame, closing the frame
+// before the next message would take its payload past MaxPayload;
+// without it every message is a frame of its own. The zero value
+// frames each message alone. Close seals the open frame: call it
+// before the buffer is written, and before the caller reuses or
+// truncates it.
+type Framer struct {
+	Runs  bool
+	open  bool
+	start int // offset of the open frame's header in the buffer
+}
+
+// begin makes room for a size-byte message in the open frame, closing
+// a full one and reserving the header of a new one as needed.
+func (f *Framer) begin(dst []byte, size int) []byte {
+	if f.open && len(dst)-f.start-FrameLen+size > MaxPayload {
+		dst = f.Close(dst)
+	}
+	if !f.open {
+		f.open, f.start = true, len(dst)
+		dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0)
+	}
+	return dst
+}
+
+// Close seals the open frame, if any: payload length and CRC32C.
+func (f *Framer) Close(dst []byte) []byte {
+	if f.open {
+		payload := dst[f.start+FrameLen:]
+		binary.LittleEndian.PutUint32(dst[f.start:], uint32(len(payload)))
+		binary.LittleEndian.PutUint32(dst[f.start+4:], crc32.Checksum(payload, crcTable))
+		f.open = false
+	}
+	return dst
+}
+
+// AppendRequest encodes q as one message appended to dst. It
 // allocates only when dst lacks capacity; an op that is not a request
 // returns dst unchanged with ErrUnknownOp.
-func AppendRequest(dst []byte, q *Request) ([]byte, error) {
-	if requestBody(q.Op) < 0 {
+func (f *Framer) AppendRequest(dst []byte, q *Request) ([]byte, error) {
+	body := requestBody(q.Op)
+	if body < 0 {
 		return dst, ErrUnknownOp
 	}
-	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0)
+	dst = f.begin(dst, 9+body)
 	dst = append(dst, q.Op)
 	dst = binary.LittleEndian.AppendUint64(dst, q.Req)
 	switch q.Op {
@@ -242,17 +292,20 @@ func AppendRequest(dst []byte, q *Request) ([]byte, error) {
 	case OpLeave, OpLoad, OpPayment:
 		dst = binary.LittleEndian.AppendUint64(dst, q.ID)
 	}
-	return sealFrame(dst, start), nil
+	if !f.Runs {
+		dst = f.Close(dst)
+	}
+	return dst, nil
 }
 
-// AppendResponse encodes p as one framed message appended to dst. It
+// AppendResponse encodes p as one message appended to dst. It
 // allocates only when dst lacks capacity.
-func AppendResponse(dst []byte, p *Response) ([]byte, error) {
-	if responseBody(p.Op, p.Status) < 0 {
+func (f *Framer) AppendResponse(dst []byte, p *Response) ([]byte, error) {
+	body := responseBody(p.Op, p.Status)
+	if body < 0 {
 		return dst, ErrUnknownOp
 	}
-	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0)
+	dst = f.begin(dst, 10+body)
 	dst = append(dst, p.Op)
 	dst = binary.LittleEndian.AppendUint64(dst, p.Req)
 	dst = append(dst, p.Status)
@@ -274,19 +327,25 @@ func AppendResponse(dst []byte, p *Response) ([]byte, error) {
 			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(p.Value2))
 		}
 	}
-	return sealFrame(dst, start), nil
+	if !f.Runs {
+		dst = f.Close(dst)
+	}
+	return dst, nil
 }
 
-// sealFrame fills the reserved 8-byte header for the frame that
-// starts at start: payload length and CRC32C.
-func sealFrame(dst []byte, start int) []byte {
-	payload := dst[start+FrameLen:]
-	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(payload, crcTable))
-	return dst
+// AppendRequest encodes q as a frame of its own appended to dst.
+func AppendRequest(dst []byte, q *Request) ([]byte, error) {
+	var f Framer
+	return f.AppendRequest(dst, q)
 }
 
-// Frame scans one message from the front of b. It returns the
+// AppendResponse encodes p as a frame of its own appended to dst.
+func AppendResponse(dst []byte, p *Response) ([]byte, error) {
+	var f Framer
+	return f.AppendResponse(dst, p)
+}
+
+// Frame scans one frame from the front of b. It returns the
 // CRC-verified payload (a subslice of b — zero copy, valid while b
 // is) and the whole frame's byte count. n == 0 with a nil error means
 // b holds no complete frame yet: read more bytes. A structural error
@@ -313,20 +372,19 @@ func Frame(b []byte) (payload []byte, n int, err error) {
 	return payload, FrameLen + plen, nil
 }
 
-// DecodeRequest parses a CRC-verified payload into q. Malformed
-// payloads (wrong size for the op, unknown or response-only op) are
-// typed *ProtocolError values; the parse never reads outside p.
-func DecodeRequest(p []byte, q *Request) error {
+// decodeRequest parses the request message at the front of p into q
+// and returns its length.
+func decodeRequest(p []byte, q *Request) (int, error) {
 	if len(p) < 9 {
-		return ErrPayloadSize
+		return 0, ErrPayloadSize
 	}
 	op := p[0]
 	body := requestBody(op)
 	if body < 0 {
-		return ErrUnknownOp
+		return 0, ErrUnknownOp
 	}
-	if len(p) != 9+body {
-		return ErrPayloadSize
+	if len(p) < 9+body {
+		return 0, ErrPayloadSize
 	}
 	q.Op = op
 	q.Req = binary.LittleEndian.Uint64(p[1:])
@@ -341,27 +399,26 @@ func DecodeRequest(p []byte, q *Request) error {
 	case OpLeave, OpLoad, OpPayment:
 		q.ID = binary.LittleEndian.Uint64(rest)
 	}
-	return nil
+	return 9 + body, nil
 }
 
-// DecodeResponse parses a CRC-verified payload into r. Malformed
-// payloads are typed *ProtocolError values; the parse never reads
-// outside p.
-func DecodeResponse(p []byte, r *Response) error {
+// decodeResponse parses the response message at the front of p into r
+// and returns its length.
+func decodeResponse(p []byte, r *Response) (int, error) {
 	if len(p) < 10 {
-		return ErrPayloadSize
+		return 0, ErrPayloadSize
 	}
 	op, status := p[0], p[9]
 	body := responseBody(op, status)
 	if body < 0 {
-		return ErrUnknownOp
+		return 0, ErrUnknownOp
 	}
-	if len(p) != 10+body {
-		return ErrPayloadSize
+	if len(p) < 10+body {
+		return 0, ErrPayloadSize
 	}
 	*r = Response{Op: op, Req: binary.LittleEndian.Uint64(p[1:]), Status: status}
 	if status != StatusOK {
-		return nil
+		return 10, nil
 	}
 	rest := p[10:]
 	switch op {
@@ -380,18 +437,22 @@ func DecodeResponse(p []byte, r *Response) error {
 		r.Value = math.Float64frombits(binary.LittleEndian.Uint64(rest))
 		r.Value2 = math.Float64frombits(binary.LittleEndian.Uint64(rest[8:]))
 	}
-	return nil
+	return 10 + body, nil
 }
 
-// Reader scans whole frames out of a byte stream through a fixed
-// sliding window: Fill reads more bytes from the source, Next returns
-// the next CRC-verified payload as a zero-copy subslice of the window
-// (valid until the following Fill). The two-call shape lets a server
-// drain every complete frame a wakeup delivered before paying the
-// next read syscall.
+// Reader scans messages out of a byte stream through a fixed sliding
+// window: Fill reads more bytes from the source, and NextRequest or
+// NextResponse decodes the next message, checking each frame's CRC
+// once, when its first message is read. The two-call shape lets a
+// server drain every complete message a wakeup delivered before
+// paying the next read syscall.
 type Reader struct {
 	buf  []byte
 	r, w int
+	// end is the end of the current frame's payload: r < end while a
+	// run is partly read, and r then points at its next message.
+	end  int
+	runs bool
 }
 
 // NewReader returns a Reader with an n-byte window (minimum MaxFrame,
@@ -403,20 +464,22 @@ func NewReader(n int) *Reader {
 	return &Reader{buf: make([]byte, n)}
 }
 
-// Fill compacts the unconsumed tail to the front of the window and
-// reads once from src into the free space. It returns src.Read's
-// count and error verbatim: n may be positive alongside an error, in
-// which case the bytes are valid and the error repeats on the next
-// Fill.
+// Fill compacts the unread bytes to the front of the window and reads
+// once from src into the free space. A partly read run moves with its
+// cursor, so its unread messages survive the compaction. Fill returns
+// src.Read's count and error verbatim: n may be positive alongside an
+// error, in which case the bytes are valid and the error repeats on
+// the next Fill.
 func (rd *Reader) Fill(src io.Reader) (int, error) {
 	if rd.r > 0 {
 		rd.w = copy(rd.buf, rd.buf[rd.r:rd.w])
+		rd.end -= rd.r
 		rd.r = 0
 	}
 	if rd.w == len(rd.buf) {
 		// A full window without a whole frame means the peer sent a
-		// frame larger than the window; Next would have rejected any
-		// length over MaxPayload, so this needs window < MaxFrame,
+		// frame larger than the window; the scan would have rejected
+		// any length over MaxPayload, so this needs window < MaxFrame,
 		// which NewReader prevents.
 		return 0, ErrBufferFull
 	}
@@ -425,14 +488,62 @@ func (rd *Reader) Fill(src io.Reader) (int, error) {
 	return n, err
 }
 
-// Next returns the next complete payload, or (nil, nil) when the
-// window holds no whole frame (call Fill). The payload is valid only
-// until the next Fill.
-func (rd *Reader) Next() ([]byte, error) {
-	payload, n, err := Frame(rd.buf[rd.r:rd.w])
-	if err != nil || n == 0 {
-		return nil, err
+// Runs reports whether any frame read so far carried more than one
+// message.
+func (rd *Reader) Runs() bool { return rd.runs }
+
+// frame returns the unread part of the current run, scanning the next
+// frame once the current one is used up. An empty result with a nil
+// error means the window holds no whole frame (call Fill).
+func (rd *Reader) frame() ([]byte, error) {
+	if rd.r >= rd.end {
+		payload, n, err := Frame(rd.buf[rd.r:rd.w])
+		if err != nil || n == 0 {
+			return nil, err
+		}
+		rd.end = rd.r + n
+		rd.r = rd.end - len(payload)
 	}
+	return rd.buf[rd.r:rd.end], nil
+}
+
+// NextRequest decodes the next request message into q. It returns
+// false with a nil error when the window holds no further whole frame
+// (call Fill). A malformed message anywhere in a frame is a
+// *ProtocolError.
+func (rd *Reader) NextRequest(q *Request) (bool, error) {
+	run, err := rd.frame()
+	if len(run) == 0 {
+		return false, err
+	}
+	n, err := decodeRequest(run, q)
+	if err != nil {
+		return false, err
+	}
+	rd.advance(n, len(run))
+	return true, nil
+}
+
+// NextResponse decodes the next response message into p, as
+// NextRequest does for requests.
+func (rd *Reader) NextResponse(p *Response) (bool, error) {
+	run, err := rd.frame()
+	if len(run) == 0 {
+		return false, err
+	}
+	n, err := decodeResponse(run, p)
+	if err != nil {
+		return false, err
+	}
+	rd.advance(n, len(run))
+	return true, nil
+}
+
+// advance consumes an n-byte message from a run that had left bytes
+// unread.
+func (rd *Reader) advance(n, left int) {
 	rd.r += n
-	return payload, nil
+	if n < left {
+		rd.runs = true
+	}
 }

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"testing"
 )
@@ -56,8 +57,8 @@ func TestRequestRoundTrip(t *testing.T) {
 			t.Fatalf("Frame: n=%d err=%v (want %d, nil)", n, err, len(buf))
 		}
 		var got Request
-		if err := DecodeRequest(payload, &got); err != nil {
-			t.Fatalf("DecodeRequest(%+v): %v", q, err)
+		if m, err := decodeRequest(payload, &got); err != nil || m != len(payload) {
+			t.Fatalf("decodeRequest(%+v): %d of %d bytes, err=%v", q, m, len(payload), err)
 		}
 		if got != q {
 			t.Fatalf("round trip: got %+v want %+v", got, q)
@@ -69,6 +70,33 @@ func TestRequestRoundTrip(t *testing.T) {
 		if err != nil || !bytes.Equal(re, buf) {
 			t.Fatalf("re-encode diverged: %x vs %x (err %v)", re, buf, err)
 		}
+	}
+
+	// Every sample again, as one run frame.
+	reqs := sampleRequests()
+	f := Framer{Runs: true}
+	var run []byte
+	for i := range reqs {
+		var err error
+		if run, err = f.AppendRequest(run, &reqs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run = f.Close(run)
+	payload, n, err := Frame(run)
+	if err != nil || n != len(run) {
+		t.Fatalf("run Frame: n=%d err=%v (want %d, nil)", n, err, len(run))
+	}
+	for i, want := range reqs {
+		var got Request
+		m, err := decodeRequest(payload, &got)
+		if err != nil || got != want {
+			t.Fatalf("run message %d: got %+v err=%v, want %+v", i, got, err, want)
+		}
+		payload = payload[m:]
+	}
+	if len(payload) != 0 {
+		t.Fatalf("run has %d bytes after its last message", len(payload))
 	}
 }
 
@@ -83,8 +111,8 @@ func TestResponseRoundTrip(t *testing.T) {
 			t.Fatalf("Frame: n=%d err=%v", n, err)
 		}
 		var got Response
-		if err := DecodeResponse(payload, &got); err != nil {
-			t.Fatalf("DecodeResponse(%+v): %v", p, err)
+		if m, err := decodeResponse(payload, &got); err != nil || m != len(payload) {
+			t.Fatalf("decodeResponse(%+v): %d of %d bytes, err=%v", p, m, len(payload), err)
 		}
 		want := p
 		if p.Status != StatusOK {
@@ -99,6 +127,77 @@ func TestResponseRoundTrip(t *testing.T) {
 		if err != nil || !bytes.Equal(re, buf) {
 			t.Fatalf("re-encode diverged: %x vs %x (err %v)", re, buf, err)
 		}
+	}
+
+	// Every sample again, as one run frame.
+	resps := sampleResponses()
+	f := Framer{Runs: true}
+	var run []byte
+	for i := range resps {
+		var err error
+		if run, err = f.AppendResponse(run, &resps[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run = f.Close(run)
+	payload, n, err := Frame(run)
+	if err != nil || n != len(run) {
+		t.Fatalf("run Frame: n=%d err=%v (want %d, nil)", n, err, len(run))
+	}
+	for i, p := range resps {
+		want := p
+		if p.Status != StatusOK {
+			want = Response{Op: p.Op, Req: p.Req, Status: p.Status}
+		}
+		var got Response
+		m, err := decodeResponse(payload, &got)
+		if err != nil || got != want {
+			t.Fatalf("run message %d: got %+v err=%v, want %+v", i, got, err, want)
+		}
+		payload = payload[m:]
+	}
+	if len(payload) != 0 {
+		t.Fatalf("run has %d bytes after its last message", len(payload))
+	}
+}
+
+// TestFramerSplitsAtMaxPayload: a Framer with Runs set fills each frame
+// up to MaxPayload and opens the next only when a message would not
+// fit, so every frame but the last is within one message of the bound,
+// and the messages come back in order.
+func TestFramerSplitsAtMaxPayload(t *testing.T) {
+	const n = 4096
+	f := Framer{Runs: true}
+	var buf []byte
+	for i := 0; i < n; i++ {
+		q := Request{Op: OpRebid, Req: uint64(i + 1), ID: uint64(i), T: 1.5}
+		if i%3 == 0 {
+			q = Request{Op: OpPing, Req: uint64(i + 1)}
+		}
+		buf, _ = f.AppendRequest(buf, &q)
+	}
+	buf = f.Close(buf)
+	frames, next := 0, uint64(1)
+	for rest := buf; len(rest) > 0; {
+		payload, m, err := Frame(rest)
+		if err != nil || m == 0 {
+			t.Fatalf("frame %d: n=%d err=%v", frames, m, err)
+		}
+		if rest = rest[m:]; len(rest) > 0 && len(payload) <= MaxPayload-25 {
+			t.Fatalf("frame %d closed at %d payload bytes with room for another rebid", frames, len(payload))
+		}
+		for len(payload) > 0 {
+			var q Request
+			k, err := decodeRequest(payload, &q)
+			if err != nil || q.Req != next {
+				t.Fatalf("frame %d: request %d err=%v, want %d", frames, q.Req, err, next)
+			}
+			payload, next = payload[k:], next+1
+		}
+		frames++
+	}
+	if next != n+1 || frames < 2 {
+		t.Fatalf("decoded %d requests in %d frames, want %d in several", next-1, frames, n)
 	}
 }
 
@@ -119,11 +218,16 @@ func TestFrameErrors(t *testing.T) {
 		t.Fatalf("zero-length: err=%v", err)
 	}
 
-	// Oversized length prefix rejected before buffering.
+	// Oversized length prefix rejected before buffering; a prefix of
+	// exactly MaxPayload asks for more bytes.
 	big := append([]byte(nil), good...)
 	binary.LittleEndian.PutUint32(big, MaxPayload+1)
 	if _, _, err := Frame(big); err != ErrFrameTooBig {
 		t.Fatalf("oversized: err=%v", err)
+	}
+	binary.LittleEndian.PutUint32(big, MaxPayload)
+	if payload, n, err := Frame(big); payload != nil || n != 0 || err != nil {
+		t.Fatalf("MaxPayload prefix: got (%v,%d,%v), want incomplete", payload, n, err)
 	}
 
 	// Flipped payload bit fails the CRC.
@@ -144,27 +248,28 @@ func TestDecodeErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := DecodeRequest(payload, &q); err != ErrUnknownOp {
+	if _, err := decodeRequest(payload, &q); err != ErrUnknownOp {
 		t.Fatalf("OpSealNotify as request: err=%v", err)
 	}
 
-	// Wrong body size for the op.
+	// A message cut short; a trailing byte is left for the next
+	// message, which TestReaderRejectsMalformedRun rejects.
 	add, _ := AppendRequest(nil, &Request{Op: OpAdd, Req: 1, T: 1})
 	payload, _, _ = Frame(add)
-	if err := DecodeRequest(payload[:len(payload)-1], &q); err != ErrPayloadSize {
+	if _, err := decodeRequest(payload[:len(payload)-1], &q); err != ErrPayloadSize {
 		t.Fatalf("truncated add: err=%v", err)
 	}
-	if err := DecodeRequest(append(append([]byte(nil), payload...), 0), &q); err != ErrPayloadSize {
-		t.Fatalf("trailing byte: err=%v", err)
+	if m, err := decodeRequest(append(append([]byte(nil), payload...), 0), &q); err != nil || m != len(payload) {
+		t.Fatalf("trailing byte: consumed %d, err=%v; want %d, nil", m, err, len(payload))
 	}
-	if err := DecodeRequest(nil, &q); err != ErrPayloadSize {
+	if _, err := decodeRequest(nil, &q); err != ErrPayloadSize {
 		t.Fatalf("empty: err=%v", err)
 	}
 
-	if err := DecodeResponse([]byte{OpAdd}, &p); err != ErrPayloadSize {
+	if _, err := decodeResponse([]byte{OpAdd}, &p); err != ErrPayloadSize {
 		t.Fatalf("short response: err=%v", err)
 	}
-	if err := DecodeResponse([]byte{200, 0, 0, 0, 0, 0, 0, 0, 0, 0}, &p); err != ErrUnknownOp {
+	if _, err := decodeResponse([]byte{200, 0, 0, 0, 0, 0, 0, 0, 0, 0}, &p); err != ErrUnknownOp {
 		t.Fatalf("unknown response op: err=%v", err)
 	}
 	// AppendRequest refuses non-request ops.
@@ -191,20 +296,17 @@ func TestReaderStream(t *testing.T) {
 		src := &chunkReader{data: stream, chunk: chunk}
 		var got []Request
 		for {
-			payload, err := rd.Next()
+			var q Request
+			ok, err := rd.NextRequest(&q)
 			if err != nil {
-				t.Fatalf("chunk %d: Next: %v", chunk, err)
+				t.Fatalf("chunk %d: NextRequest: %v", chunk, err)
 			}
-			if payload == nil {
+			if !ok {
 				n, err := rd.Fill(src)
 				if n == 0 && err != nil {
 					break // EOF
 				}
 				continue
-			}
-			var q Request
-			if err := DecodeRequest(payload, &q); err != nil {
-				t.Fatalf("chunk %d: decode: %v", chunk, err)
 			}
 			got = append(got, q)
 		}
@@ -217,6 +319,100 @@ func TestReaderStream(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestReaderRuns reads a stream of single frames and run frames through
+// a Reader: every message comes out in order, Runs turns true at the
+// first frame holding several messages, and a Fill between two
+// messages of a run keeps the rest of the run readable.
+func TestReaderRuns(t *testing.T) {
+	reqs := sampleRequests()
+	var stream []byte
+	for i := 0; i < 3; i++ {
+		stream, _ = AppendRequest(stream, &reqs[i])
+	}
+	single := len(stream)
+	f := Framer{Runs: true}
+	for i := range reqs {
+		stream, _ = f.AppendRequest(stream, &reqs[i])
+	}
+	stream = f.Close(stream)
+	want := append(append([]Request(nil), reqs[:3]...), reqs...)
+
+	for _, chunk := range []int{1, 5, single, len(stream)} {
+		rd := NewReader(0)
+		src := &chunkReader{data: stream, chunk: chunk}
+		var got []Request
+		for {
+			var q Request
+			ok, err := rd.NextRequest(&q)
+			if err != nil {
+				t.Fatalf("chunk %d: NextRequest: %v", chunk, err)
+			}
+			if !ok {
+				n, err := rd.Fill(src)
+				if n == 0 && err != nil {
+					break
+				}
+				continue
+			}
+			got = append(got, q)
+			if rd.Runs() != (len(got) > 3) {
+				t.Fatalf("chunk %d: Runs() = %v after %d messages", chunk, rd.Runs(), len(got))
+			}
+			// Fill mid-run: the unread messages must survive it.
+			if len(got) == 5 {
+				rd.Fill(src)
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("chunk %d: got %d messages, want %d", chunk, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("chunk %d: message %d: got %+v want %+v", chunk, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestReaderRejectsMalformedRun: a CRC-valid run cut mid-message, or
+// holding an unknown op between good messages, is a *ProtocolError at
+// the bad message, after the good ones before it.
+func TestReaderRejectsMalformedRun(t *testing.T) {
+	good, _ := AppendRequest(nil, &Request{Op: OpRebid, Req: 1, ID: 2, T: 3})
+	msg := good[FrameLen:]
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		want    error
+	}{
+		{"cut-mid-message", append(append([]byte(nil), msg...), msg[:len(msg)-3]...), ErrPayloadSize},
+		{"unknown-op", append(append(append([]byte(nil), msg...), 200, 0, 0, 0, 0, 0, 0, 0, 0), msg...), ErrUnknownOp},
+		{"trailing-byte", append(append([]byte(nil), msg...), OpPing), ErrPayloadSize},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			frame := rawFrame(tc.payload)
+			rd := NewReader(0)
+			if _, err := rd.Fill(&chunkReader{data: frame, chunk: len(frame)}); err != nil {
+				t.Fatal(err)
+			}
+			var q Request
+			if ok, err := rd.NextRequest(&q); !ok || err != nil || q.Req != 1 {
+				t.Fatalf("first message: ok=%v err=%v q=%+v", ok, err, q)
+			}
+			if ok, err := rd.NextRequest(&q); ok || err != tc.want {
+				t.Fatalf("bad message: ok=%v err=%v, want %v", ok, err, tc.want)
+			}
+		})
+	}
+}
+
+// rawFrame frames an arbitrary payload with a valid header and CRC.
+func rawFrame(payload []byte) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(payload, crcTable))
+	return append(b, payload...)
 }
 
 type chunkReader struct {
@@ -243,11 +439,12 @@ func (c *chunkReader) Read(p []byte) (int, error) {
 
 var errEOF = &ProtocolError{"test EOF"}
 
-// TestWireEncodeAllocFree pins the encode hot path at zero
-// allocations once the destination buffer has capacity.
+// TestWireEncodeAllocFree pins the encode hot path, single frames and
+// runs, at zero allocations once the destination buffer has capacity.
 func TestWireEncodeAllocFree(t *testing.T) {
 	q := Request{Op: OpRebid, Req: 9, ID: 3, T: 1.25}
 	p := Response{Op: OpRebid, Req: 9, Status: StatusOK}
+	f := Framer{Runs: true}
 	buf := make([]byte, 0, 256)
 	if n := testing.AllocsPerRun(200, func() {
 		buf = buf[:0]
@@ -258,13 +455,22 @@ func TestWireEncodeAllocFree(t *testing.T) {
 		if buf, err = AppendResponse(buf, &p); err != nil {
 			t.Fatal(err)
 		}
+		for i := 0; i < 4; i++ {
+			if buf, err = f.AppendRequest(buf, &q); err != nil {
+				t.Fatal(err)
+			}
+			if buf, err = f.AppendResponse(buf, &p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		buf = f.Close(buf)
 	}); n != 0 {
 		t.Fatalf("encode allocates %.1f/op, want 0", n)
 	}
 }
 
-// TestWireDecodeAllocFree pins the frame-scan + decode hot path at
-// zero allocations.
+// TestWireDecodeAllocFree pins the frame-scan + decode hot path, and
+// a Reader draining a run, at zero allocations.
 func TestWireDecodeAllocFree(t *testing.T) {
 	var stream []byte
 	var err error
@@ -283,17 +489,39 @@ func TestWireDecodeAllocFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := DecodeRequest(payload, &q); err != nil {
+		if _, err := decodeRequest(payload, &q); err != nil {
 			t.Fatal(err)
 		}
 		payload, _, err = Frame(stream[n1:])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := DecodeResponse(payload, &p); err != nil {
+		if _, err := decodeResponse(payload, &p); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
 		t.Fatalf("decode allocates %.1f/op, want 0", n)
+	}
+
+	f := Framer{Runs: true}
+	var run []byte
+	for i := 0; i < 64; i++ {
+		run, _ = f.AppendRequest(run, &Request{Op: OpRebid, Req: uint64(i + 1), ID: 4, T: 2})
+	}
+	run = f.Close(run)
+	rd := NewReader(0)
+	src := &chunkReader{chunk: len(run)}
+	if n := testing.AllocsPerRun(200, func() {
+		src.data, src.off = run, 0
+		if _, err := rd.Fill(src); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 64; i++ {
+			if ok, err := rd.NextRequest(&q); !ok || err != nil {
+				t.Fatalf("run message %d: ok=%v err=%v", i, ok, err)
+			}
+		}
+	}); n != 0 {
+		t.Fatalf("run decode allocates %.1f/op, want 0", n)
 	}
 }
