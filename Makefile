@@ -58,15 +58,17 @@ difftest:
 # the kill-9 truncation fuzz at every byte offset of the log tail, the
 # concurrent journal ordering tests for serial and ApplyBatch writers,
 # the batched-vs-per-op byte-identical log differential, exact append
-# metrics, bitwise recovery of a log in the run-less LBWAL001 format,
-# and a CRC-valid record that does not decode refused as corruption,
-# never truncated), plus the append-path and ApplyBatch-with-WAL allocation
-# guards, the snapshot-cadence seal's memory guard and the streamed
-# snapshot's byte-identity pin against the reference encoder, which
-# run without -race because allocation counts differ under the
-# instrumented allocator.
+# metrics, bitwise recovery of logs in the run-less LBWAL001 format and
+# in the LBWAL002 format with LBSNAP01 sidecars, a CRC-valid record
+# that does not decode refused as corruption, never truncated, and a
+# CRC-valid sidecar with impossible counts refused, with Open falling
+# back to the previous one), plus the append-path and
+# ApplyBatch-with-WAL allocation guards, the snapshot-cadence seal's
+# memory guard and the streamed snapshot's byte-identity pin against
+# the reference encoder, which run without -race because allocation
+# counts differ under the instrumented allocator.
 wal:
-	$(GO) test -race -run 'TestRecoveryMatchesLiveHistory|TestTruncationFuzzEveryTailOffset|TestConcurrentJournalRecovery|TestConcurrentBatchJournalRecovery|TestCompactionAndSnapshotFallback|TestBatchedLogByteIdentical|TestWALMetricsExactUnderBatching|TestParentFormatLogRecovers|TestUndecodableRecordIsCorruption' -count=1 ./internal/wal
+	$(GO) test -race -run 'TestRecoveryMatchesLiveHistory|TestTruncationFuzzEveryTailOffset|TestConcurrentJournalRecovery|TestConcurrentBatchJournalRecovery|TestCompactionAndSnapshotFallback|TestBatchedLogByteIdentical|TestWALMetricsExactUnderBatching|TestParentFormatLogRecovers|TestV2FormatLogRecovers|TestUndecodableRecordIsCorruption|TestDecodeSnapshotRefusesImpossibleCounts|TestOpenFallsBackPastForgedSnapshot' -count=1 ./internal/wal
 	$(GO) test -run 'TestWALAppendAllocFree|TestApplyBatchWALAllocFree|TestSnapshotSealAllocBound|TestStreamedSnapshotMatchesReference' -count=1 ./internal/wal
 
 # The serving benchmark (bench/, its own module built against this one
@@ -87,6 +89,8 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzControllerInvariants -fuzztime=30s ./internal/health
 	$(GO) test -run=^$$ -fuzz=FuzzAliasTable -fuzztime=30s ./internal/dispatch
 	$(GO) test -run=^$$ -fuzz=FuzzWireDecode -fuzztime=30s ./internal/wire
+	$(GO) test -run=^$$ -fuzz=FuzzRecoverSegment -fuzztime=30s ./internal/wal
+	$(GO) test -run=^$$ -fuzz=FuzzDecodeSnapshot -fuzztime=30s ./internal/wal
 
 # Chaos gate: the supervise fault-plan matrix, the health controller's
 # 32-seed replication suite (ejection budgets, zero false positives,

@@ -8,6 +8,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -318,9 +319,10 @@ func TestConcurrentBatchJournalRecovery(t *testing.T) {
 // TestWALMetricsExactUnderBatching checks the lb_wal_* append counters
 // after a seeded ApplyBatch run: lb_wal_appends_total must equal the
 // journaled mutation entries plus seal records, and
-// lb_wal_appended_bytes_total the bytes appended — 17 per add or rebid
-// entry, 9 per leave entry, 8+1 per run record holding them, 8+17 per
-// plain seal — which must also be exactly what reached the segment
+// lb_wal_appended_bytes_total the bytes appended — 1+len(uvarint id)+8
+// per add or rebid entry, 1+len(uvarint id) per leave entry, 8+1 per
+// run record holding them, 8+17 per plain seal — which must also be
+// exactly what reached the segment
 // file, whose run records must hold every mutation and fill up to the
 // run cap without passing it; the sampled
 // latency histogram must hold one observation per 1024 mutation
@@ -343,7 +345,7 @@ func TestWALMetricsExactUnderBatching(t *testing.T) {
 			var live []int
 			var res []registry.BatchResult
 			sc := &registry.BatchScratch{}
-			mutations, leaves, seals := 0, 0, 1 // registry.New seals epoch 1
+			mutations, entryBytes, seals := 0, 0, 1 // registry.New seals epoch 1
 			for round := 0; round < 20; round++ {
 				ops := genOps(rng, &live, 1+rng.IntN(3000))
 				res = r.ApplyBatch(ops, res[:0], sc)
@@ -351,9 +353,14 @@ func TestWALMetricsExactUnderBatching(t *testing.T) {
 				for i, rr := range res {
 					if rr.Code == registry.BatchOK {
 						mutations++
-						if ops[i].Kind == registry.BatchLeave {
-							leaves++
+						id, bid := ops[i].ID, 8
+						switch ops[i].Kind {
+						case registry.BatchAdd:
+							id = rr.ID
+						case registry.BatchLeave:
+							bid = 0
 						}
+						entryBytes += 1 + len(binary.AppendUvarint(nil, uint64(id))) + bid
 					}
 				}
 				if round%5 == 4 {
@@ -383,7 +390,7 @@ func TestWALMetricsExactUnderBatching(t *testing.T) {
 				t.Fatalf("largest run payload %d bytes, want the %d-byte cap reached, never passed", largest, runCap)
 			}
 			records := mutations + seals
-			wantBytes := (mutations-leaves)*17 + leaves*9 + runs*(8+1) + seals*(8+17)
+			wantBytes := entryBytes + runs*(8+1) + seals*(8+17)
 			if got := met.Appends.Value(); got != int64(records) {
 				t.Fatalf("lb_wal_appends_total = %d, want %d entries and seals", got, records)
 			}

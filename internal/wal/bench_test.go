@@ -16,9 +16,11 @@ import (
 // BenchmarkWALAppend measures the journal fast path — encode, run CRC
 // and group-commit buffering, with batched writes reaching the file —
 // per update. MB/s and log-B/op count the record bytes the writer
-// actually wrote: a 17-byte entry per update plus each run record's
-// 9-byte header. SyncNone isolates the in-memory path; SyncBatch adds
-// one fsync per 256 KiB batch, the default serving configuration.
+// actually wrote: per update, a kind byte, the id's uvarint (ids
+// 0-1023 here, one or two bytes) and the 8-byte bid, plus each run
+// record's 9-byte header. SyncNone isolates the in-memory path;
+// SyncBatch adds one fsync per 256 KiB batch, the default serving
+// configuration.
 func BenchmarkWALAppend(b *testing.B) {
 	for _, pol := range []SyncPolicy{SyncNone, SyncBatch} {
 		b.Run(pol.String(), func(b *testing.B) {
@@ -126,7 +128,8 @@ func BenchmarkWALRecover1M(b *testing.B)  { benchmarkRecover(b, 1_000_000) }
 func BenchmarkWALRecover10M(b *testing.B) { benchmarkRecover(b, 10_000_000) }
 
 // BenchmarkWALSnapshot measures streaming and fsyncing one snapshot
-// sidecar for a 100k-agent population from its published epoch.
+// sidecar for a 100k-agent population from its published epoch. MB/s
+// and snap-B/agent count the bytes of the file it wrote.
 func BenchmarkWALSnapshot(b *testing.B) {
 	dir := b.TempDir()
 	w := createManual(b, dir, Options{Sync: SyncNone, SnapshotEvery: 1})
@@ -145,13 +148,20 @@ func BenchmarkWALSnapshot(b *testing.B) {
 	r.Seal()
 	p := <-w.snapCh
 	write := func(f io.Writer) error { return streamSnapshot(f, p) }
-	b.SetBytes(int64(len(snapMagic) + 64 + 16*p.live + 4))
+	path := filepath.Join(dir, "bench.snap")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := writeDurable(filepath.Join(dir, "bench.snap"), write); err != nil {
+		if err := writeDurable(path, write); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	st, err := os.Stat(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(st.Size())
+	b.ReportMetric(float64(st.Size())/float64(p.live), "snap-B/agent")
 }
 
 // BenchmarkWALSeal measures sealing 1M agents with the WAL attached

@@ -1,17 +1,21 @@
 package wal
 
-// Tests for the on-disk record format across versions and for the
-// line between a torn tail and corruption: a log in the run-less
-// LBWAL001 format recovers bitwise and is continued in a fresh LBWAL002
-// segment, and a record whose checksum holds but which does not decode
-// — an unknown kind, a run cut mid-entry or holding an entry of another
-// kind — is an error that leaves the log untouched, wherever it sits.
+// Tests for the on-disk formats across versions and for the line
+// between a torn tail and corruption: logs in the run-less LBWAL001
+// format, and in the LBWAL002 format (fixed-width run entries) with
+// LBSNAP01 sidecars, recover bitwise and are continued in a fresh
+// LBWAL003 segment; and a record whose checksum holds but which does
+// not decode — an unknown kind, a run cut mid-entry, holding an entry
+// of another kind or an id varint that is cut short, overflows, is not
+// minimal or names an id above maxReplayID — is an error that leaves
+// the log untouched, wherever it sits.
 
 import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"math/rand/v2"
 	"os"
@@ -23,71 +27,194 @@ import (
 	"repro/internal/registry"
 )
 
-// parentLog journals a registry in the LBWAL001 format, where every
-// mutation, rate change and seal is a standalone record. It is a
-// test-only copy of the encoder that wrote that format, kept so that
-// logs written that way stay pinned as recoverable.
-type parentLog struct{ buf []byte }
-
-func newParentLog() *parentLog {
-	return &parentLog{buf: binary.LittleEndian.AppendUint64([]byte(segMagicV1), 1)}
+// parentLog journals a registry in one of the two formats before
+// LBWAL003, with test-only copies of the encoders that wrote them, kept
+// so that logs written that way stay pinned as recoverable. In LBWAL001
+// every mutation, rate change and seal is a standalone record. In
+// LBWAL002 consecutive mutations share a run record whose entries carry
+// u64 ids, closed before any rate or seal record and at runCap payload
+// bytes, and every seal captures a sidecar that Published streams in
+// the LBSNAP01 format.
+type parentLog struct {
+	buf       []byte
+	runs      bool              // LBWAL002
+	run       int               // offset in buf of the open run, -1 when none
+	pending   *pendingSnap      // LBWAL002: the last seal's capture
+	sidecars  map[uint64][]byte // LBWAL002: LBSNAP01 file by epoch
+	corrected []uint64          // LBWAL002: epochs sealed with a correction
 }
 
-// record appends one framed record of the given kind and u64 fields.
+func newParentLog(magic string) *parentLog {
+	return &parentLog{
+		buf:      binary.LittleEndian.AppendUint64([]byte(magic), 1),
+		runs:     magic == segMagicV2,
+		run:      -1,
+		sidecars: map[uint64][]byte{},
+	}
+}
+
+// record appends one framed record of the given kind and u64 fields,
+// closing the open run first.
 func (l *parentLog) record(kind byte, words ...uint64) {
+	l.closeRun()
 	start := len(l.buf)
 	l.buf = append(l.buf, 0, 0, 0, 0, 0, 0, 0, 0, kind)
 	for _, w := range words {
 		l.buf = binary.LittleEndian.AppendUint64(l.buf, w)
 	}
+	l.frame(start)
+}
+
+// frame fills the frame header of the record starting at start.
+func (l *parentLog) frame(start int) {
 	payload := l.buf[start+frameLen:]
 	binary.LittleEndian.PutUint32(l.buf[start:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(l.buf[start+4:], crc32.Checksum(payload, crcTable))
 }
 
-func (l *parentLog) Added(id int, t float64) {
-	l.record(kindAdd, uint64(id), math.Float64bits(t))
-}
-func (l *parentLog) Updated(id int, t float64) {
-	l.record(kindUpdate, uint64(id), math.Float64bits(t))
-}
-func (l *parentLog) Removed(id int)               { l.record(kindRemove, uint64(id)) }
-func (l *parentLog) RateChanged(rate float64)     { l.record(kindRate, math.Float64bits(rate)) }
-func (l *parentLog) Published(*registry.Snapshot) {}
-func (l *parentLog) Sealed(ev registry.SealEvent) { l.sealed(ev.Epoch, ev.Rate, ev.Correction) }
-
-// sealed appends a plain seal record, or a corrected one inlining the
-// correction sorted by id.
-func (l *parentLog) sealed(epoch uint64, rate float64, c *registry.Correction) {
-	if c == nil || len(c.Drop)+len(c.Weights) == 0 {
-		l.record(kindSeal, epoch, math.Float64bits(rate))
+// mutation appends a mutation: a standalone record in LBWAL001, an
+// entry of the open run in LBWAL002.
+func (l *parentLog) mutation(kind byte, words ...uint64) {
+	if !l.runs {
+		l.record(kind, words...)
 		return
 	}
-	var drops, wts []int
+	size := 1 + 8*len(words)
+	if l.run >= 0 && len(l.buf)-l.run-frameLen+size > runCap {
+		l.closeRun()
+	}
+	if l.run < 0 {
+		l.run = len(l.buf)
+		l.buf = append(l.buf, 0, 0, 0, 0, 0, 0, 0, 0, kindRun)
+	}
+	l.buf = append(l.buf, kind)
+	for _, w := range words {
+		l.buf = binary.LittleEndian.AppendUint64(l.buf, w)
+	}
+}
+
+func (l *parentLog) closeRun() {
+	if l.run >= 0 {
+		l.frame(l.run)
+		l.run = -1
+	}
+}
+
+func (l *parentLog) Added(id int, t float64) {
+	l.mutation(kindAdd, uint64(id), math.Float64bits(t))
+}
+func (l *parentLog) Updated(id int, t float64) {
+	l.mutation(kindUpdate, uint64(id), math.Float64bits(t))
+}
+func (l *parentLog) Removed(id int)           { l.mutation(kindRemove, uint64(id)) }
+func (l *parentLog) RateChanged(rate float64) { l.record(kindRate, math.Float64bits(rate)) }
+
+func (l *parentLog) Sealed(ev registry.SealEvent) {
+	drops, wts := l.sealed(ev.Epoch, ev.Rate, ev.Correction)
+	if l.runs {
+		l.pending = &pendingSnap{
+			epoch: ev.Epoch, next: ev.Next, live: ev.Live, seg: 1, off: int64(len(l.buf)),
+			drops: drops, wts: wts, pre: preCorrection(ev.T, drops, wts),
+		}
+		if len(drops)+len(wts) > 0 {
+			l.corrected = append(l.corrected, ev.Epoch)
+		}
+	}
+}
+
+func (l *parentLog) Published(snap *registry.Snapshot) {
+	if p := l.pending; p != nil && p.epoch == snap.Epoch() {
+		p.snap = snap
+		var b bytes.Buffer
+		if err := streamSnapshotV1(&b, p); err != nil {
+			panic(err)
+		}
+		l.sidecars[p.epoch] = b.Bytes()
+		l.pending = nil
+	}
+}
+
+// sealed appends a plain seal record, or a corrected one inlining the
+// correction sorted by id, and returns the sorted correction.
+func (l *parentLog) sealed(epoch uint64, rate float64, c *registry.Correction) ([]int, []weightEntry) {
+	if c == nil || len(c.Drop)+len(c.Weights) == 0 {
+		l.record(kindSeal, epoch, math.Float64bits(rate))
+		return nil, nil
+	}
+	var drops []int
+	var wts []weightEntry
 	for id := range c.Drop {
 		drops = append(drops, id)
 	}
-	for id := range c.Weights {
-		wts = append(wts, id)
+	for id, w := range c.Weights {
+		wts = append(wts, weightEntry{id: id, w: w})
 	}
 	sort.Ints(drops)
-	sort.Ints(wts)
+	sort.Slice(wts, func(i, j int) bool { return wts[i].id < wts[j].id })
 	words := []uint64{epoch, math.Float64bits(rate), uint64(len(drops)) | uint64(len(wts))<<32}
 	for _, id := range drops {
 		words = append(words, uint64(id))
 	}
-	for _, id := range wts {
-		words = append(words, uint64(id), math.Float64bits(c.Weights[id]))
+	for _, e := range wts {
+		words = append(words, uint64(e.id), math.Float64bits(e.w))
 	}
 	l.record(kindSealC, words...)
+	return drops, wts
+}
+
+// streamSnapshotV1 is a test-only copy of the streamer that wrote
+// LBSNAP01 sidecars: the header, drops and weights as in LBSNAP02,
+// then a (u64 id, f64 bid) pair per live agent in ascending id order.
+func streamSnapshotV1(w io.Writer, p *pendingSnap) error {
+	if _, err := io.WriteString(w, snapMagicV1); err != nil {
+		return err
+	}
+	sw := &snapWriter{w: w, buf: make([]byte, 0, snapBufBytes)}
+	sw.u64(p.epoch)
+	sw.u64(uint64(p.next))
+	sw.u64(p.seg)
+	sw.u64(uint64(p.off))
+	sw.u64(math.Float64bits(p.snap.Rate()))
+	sw.u64(math.Float64bits(p.snap.Sum()))
+	sw.u64(uint64(len(p.drops)) | uint64(len(p.wts))<<32)
+	sw.u64(uint64(p.live))
+	for _, id := range p.drops {
+		sw.u64(uint64(id))
+	}
+	for _, e := range p.wts {
+		sw.u64(uint64(e.id))
+		sw.u64(math.Float64bits(e.w))
+	}
+	live, k := 0, 0
+	for id := 0; id < p.next; id++ {
+		t, ok := p.snap.Value(id)
+		if k < len(p.pre) && p.pre[k].id == id {
+			t, ok = p.pre[k].t, true
+			k++
+		}
+		if ok {
+			sw.u64(uint64(id))
+			sw.u64(math.Float64bits(t))
+			live++
+		}
+	}
+	sw.flush()
+	if sw.err != nil {
+		return sw.err
+	}
+	if live != p.live {
+		return fmt.Errorf("snapshot of epoch %d has %d live entries, its seal counted %d", p.epoch, live, p.live)
+	}
+	_, err := w.Write(binary.LittleEndian.AppendUint32(sw.buf[:0], sw.crc))
+	return err
 }
 
 // parentHistory journals a seeded history of adds, rebids, leaves,
-// rate changes and plain and corrected seals in the LBWAL001 format,
-// and returns the segment image and the last sealed epoch.
-func parentHistory(t *testing.T, seed uint64) ([]byte, sealRec) {
+// rate changes and plain and corrected seals in an older format, and
+// returns the log and the last sealed epoch.
+func parentHistory(t testing.TB, seed uint64, magic string) (*parentLog, sealRec) {
 	t.Helper()
-	l := newParentLog()
+	l := newParentLog(magic)
 	r, err := registry.New(registry.Config{Rate: 30, Shards: 4, Journal: l})
 	if err != nil {
 		t.Fatal(err)
@@ -125,68 +252,155 @@ func parentHistory(t *testing.T, seed uint64) ([]byte, sealRec) {
 			}
 		}
 	}
-	return l.buf, recordSnap(r.Seal())
+	// End on a corrected seal followed by adds, rebids and leaves, so
+	// that a recovery from that epoch's sidecar replays mutations.
+	if _, err := r.SealCorrected(randCorrection(rng, live)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 12; i++ {
+		if _, err := r.Add(0.1 + 10*rng.Float64()); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Update(live[i%len(live)], 0.1+10*rng.Float64()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.Remove(live[0]); err != nil {
+		t.Fatal(err)
+	}
+	final := recordSnap(r.Seal())
+	l.closeRun()
+	return l, final
+}
+
+// checkParentLog writes seg as segment 1 of a fresh directory, with a
+// torn record appended when torn is set, plus the given sidecar files
+// (by epoch). The log must recover bitwise to final at every shard
+// count, from the newest sidecar. Open must truncate the tear, leave
+// segment 1 as the clean log was, and append to a new LBWAL003
+// segment; the directory must then recover bitwise, and when sidecars
+// were given, so must it from the newest of them once the LBSNAP02
+// sidecar written after Open is removed.
+func checkParentLog(t *testing.T, seg []byte, sidecars map[uint64][]byte, final sealRec, torn bool) {
+	t.Helper()
+	dir := t.TempDir()
+	path := filepath.Join(dir, segName(1))
+	onDisk := seg
+	if torn {
+		onDisk = append(append([]byte(nil), seg...), 25, 0, 0, 0, 1, 2, 3, 4, kindAdd, 9)
+	}
+	if err := os.WriteFile(path, onDisk, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	newest := uint64(0)
+	for epoch, b := range sidecars {
+		if err := os.WriteFile(filepath.Join(dir, snapName(epoch)), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		newest = max(newest, epoch)
+	}
+	for _, shards := range []int{1, 4, 32} {
+		r, info, err := Recover(dir, registry.Config{Rate: 1, Shards: shards})
+		if err != nil {
+			t.Fatalf("recover at %d shards: %v", shards, err)
+		}
+		if info.TornTail != torn || info.SnapshotEpoch != newest {
+			t.Fatalf("TornTail = %v from snapshot %d, want %v from %d", info.TornTail, info.SnapshotEpoch, torn, newest)
+		}
+		compareSnap(t, r.Snapshot(), final)
+	}
+
+	// With sidecars, one new snapshot lands after Open: compaction then
+	// keeps segment 1, the replay position of the sidecar recovery
+	// started from.
+	opts := Options{Sync: SyncNone}
+	if len(sidecars) > 0 {
+		opts.SnapshotEvery = 1
+	}
+	r, w, _, err := Open(dir, opts, registry.Config{Rate: 1, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareSnap(t, r.Snapshot(), final)
+	for i := 0; i < 5; i++ {
+		if _, err := r.Add(float64(i + 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	post := recordSnap(r.Seal())
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, seg) {
+		t.Fatalf("%s segment changed by Open and append (%d bytes, want %d; err %v)", seg[:8], len(got), len(seg), err)
+	}
+	next, err := os.ReadFile(filepath.Join(dir, segName(2)))
+	if err != nil {
+		t.Fatalf("appends did not land in a new segment: %v", err)
+	}
+	if string(next[:8]) != segMagic {
+		t.Fatalf("new segment magic %q, want %s", next[:8], segMagic)
+	}
+	r2, _, err := Recover(dir, registry.Config{Rate: 1, Shards: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareSnap(t, r2.Snapshot(), post)
+	if len(sidecars) == 0 {
+		return
+	}
+
+	snap := filepath.Join(dir, snapName(post.epoch))
+	if b, err := os.ReadFile(snap); err != nil || string(b[:8]) != snapMagic {
+		t.Fatalf("the snapshot written after Open is not an %s one (err %v)", snapMagic, err)
+	}
+	if err := os.Remove(snap); err != nil {
+		t.Fatal(err)
+	}
+	r3, info, err := Recover(dir, registry.Config{Rate: 1, Shards: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.SnapshotEpoch != newest {
+		t.Fatalf("recovered from snapshot %d, want the %s one of epoch %d", info.SnapshotEpoch, snapMagicV1, newest)
+	}
+	compareSnap(t, r3.Snapshot(), post)
 }
 
 // TestParentFormatLogRecovers: a log written in the LBWAL001 format
 // recovers bitwise at every shard count, clean and with a torn tail;
 // Open truncates the tear, leaves the old segment as the clean log
-// was, and appends to a new LBWAL002 segment, after which the whole
+// was, and appends to a new LBWAL003 segment, after which the whole
 // directory still recovers bitwise.
 func TestParentFormatLogRecovers(t *testing.T) {
 	for _, torn := range []bool{false, true} {
 		t.Run(fmt.Sprintf("torn=%v", torn), func(t *testing.T) {
-			seg, final := parentHistory(t, 5)
-			dir := t.TempDir()
-			path := filepath.Join(dir, segName(1))
-			onDisk := seg
-			if torn {
-				onDisk = append(append([]byte(nil), seg...), 25, 0, 0, 0, 1, 2, 3, 4, kindAdd, 9)
-			}
-			if err := os.WriteFile(path, onDisk, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			for _, shards := range []int{1, 4, 32} {
-				r, info, err := Recover(dir, registry.Config{Rate: 1, Shards: shards})
-				if err != nil {
-					t.Fatalf("recover at %d shards: %v", shards, err)
-				}
-				if info.TornTail != torn {
-					t.Fatalf("TornTail = %v, want %v", info.TornTail, torn)
-				}
-				compareSnap(t, r.Snapshot(), final)
-			}
+			l, final := parentHistory(t, 5, segMagicV1)
+			checkParentLog(t, l.buf, nil, final, torn)
+		})
+	}
+}
 
-			r, w, _, err := Open(dir, Options{Sync: SyncNone}, registry.Config{Rate: 1, Shards: 4})
-			if err != nil {
-				t.Fatal(err)
+// TestV2FormatLogRecovers is TestParentFormatLogRecovers for a log in
+// the LBWAL002 format with LBSNAP01 sidecars — the newest corrected
+// epoch's and the one before it — so recovery decodes a pre-correction
+// population and replays a tail of fixed-width run entries. After
+// Open, the LBSNAP02 sidecar it writes recovers the directory, and
+// without that file the LBSNAP01 one does, replaying the LBWAL002 and
+// LBWAL003 segments in turn.
+func TestV2FormatLogRecovers(t *testing.T) {
+	for _, torn := range []bool{false, true} {
+		t.Run(fmt.Sprintf("torn=%v", torn), func(t *testing.T) {
+			l, final := parentHistory(t, 5, segMagicV2)
+			if len(l.corrected) == 0 {
+				t.Fatal("the history sealed no corrected epoch")
 			}
-			compareSnap(t, r.Snapshot(), final)
-			for i := 0; i < 5; i++ {
-				if _, err := r.Add(float64(i + 1)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			post := recordSnap(r.Seal())
-			if err := w.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, seg) {
-				t.Fatalf("LBWAL001 segment changed by Open and append (%d bytes, want %d; err %v)", len(got), len(seg), err)
-			}
-			next, err := os.ReadFile(filepath.Join(dir, segName(2)))
-			if err != nil {
-				t.Fatalf("appends did not land in a new segment: %v", err)
-			}
-			if string(next[:8]) != "LBWAL002" {
-				t.Fatalf("new segment magic %q, want LBWAL002", next[:8])
-			}
-			r2, _, err := Recover(dir, registry.Config{Rate: 1, Shards: 8})
-			if err != nil {
-				t.Fatal(err)
-			}
-			compareSnap(t, r2.Snapshot(), post)
+			newest := l.corrected[len(l.corrected)-1]
+			checkParentLog(t, l.buf, map[uint64][]byte{
+				newest - 1: l.sidecars[newest-1],
+				newest:     l.sidecars[newest],
+			}, final, torn)
 		})
 	}
 }
@@ -203,17 +417,25 @@ func badRecord(payload []byte) []byte {
 // with an error naming the segment, the offset and the kind, and the
 // segment stays byte-identical — whether the record is the last one or
 // is followed by valid records, in the final segment or an earlier
-// one. The cases are an unknown kind, a run cut mid-entry and a run
-// holding an entry of an unknown kind.
+// one. The cases are an unknown kind, a run cut mid-entry, a run
+// holding an entry of an unknown kind, and runs whose last entry's id
+// varint is cut short, longer than needed, overflows 64 bits or names
+// an id above maxReplayID; the error also says which.
 func TestUndecodableRecordIsCorruption(t *testing.T) {
-	add := []byte{kindAdd, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f}
+	add := []byte{kindAdd, 0, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f} // id 0, bid 1
+	run := func(tail ...byte) []byte { return append(append([]byte{kindRun}, add...), tail...) }
 	for _, bad := range []struct {
 		name    string
 		payload []byte
+		why     string
 	}{
-		{"unknown-kind", append([]byte{9}, make([]byte, 16)...)},
-		{"run-cut-mid-entry", append(append([]byte{kindRun}, add...), add[:12]...)},
-		{"run-unknown-entry", append(append([]byte{kindRun}, add...), append([]byte{9}, add[1:]...)...)},
+		{"unknown-kind", append([]byte{9}, make([]byte, 16)...), "unknown record kind"},
+		{"run-cut-mid-entry", run(add[:6]...), "cut short"},
+		{"run-unknown-entry", run(append([]byte{9}, add[1:]...)...), "has kind 9"},
+		{"run-id-cut-short", run(kindRemove, 0x80), "id is cut short"},
+		{"run-id-overlong", run(kindRemove, 0x81, 0x00), "not minimally encoded"},
+		{"run-id-overflow", run(kindRemove, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f), "overflows"},
+		{"run-id-above-max", run(binary.AppendUvarint([]byte{kindRemove}, maxReplayID+1)...), "implausible agent id"},
 	} {
 		for _, where := range []string{"tail", "mid-log", "earlier-segment"} {
 			t.Run(bad.name+"/"+where, func(t *testing.T) {
@@ -258,7 +480,7 @@ func TestUndecodableRecordIsCorruption(t *testing.T) {
 				if err == nil {
 					t.Fatal("Open accepted a CRC-valid record that does not decode")
 				}
-				for _, want := range []string{segName(1), fmt.Sprintf("offset %d", off), fmt.Sprintf("kind %d", bad.payload[0])} {
+				for _, want := range []string{segName(1), fmt.Sprintf("offset %d", off), fmt.Sprintf("kind %d", bad.payload[0]), bad.why} {
 					if !strings.Contains(err.Error(), want) {
 						t.Fatalf("error %q does not name %q", err, want)
 					}

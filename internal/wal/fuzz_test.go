@@ -1,15 +1,26 @@
 package wal
 
-// Go-fuzz harness for the segment reader: arbitrary bytes are written
-// as the single segment of a log and recovered. Recovery may refuse
+// Go-fuzz harnesses for the two decoders recovery runs on what it
+// finds on disk. FuzzRecoverSegment writes arbitrary bytes as the
+// single segment of a log and recovers it: recovery may refuse
 // (corruption) or succeed on a durable prefix; it must never panic,
-// hang, or allocate absurdly. The committed corpus under
-// testdata/fuzz/FuzzRecoverSegment pins the interesting shapes: real
-// logs in the LBWAL001 format (standalone mutation records) and the
-// LBWAL002 format (run records), a truncated one, a bit-flipped one,
-// and degenerate headers.
+// hang, or allocate absurdly. Its committed corpus under
+// testdata/fuzz/FuzzRecoverSegment and the seeds below pin the
+// interesting shapes: real logs in the LBWAL001 format (standalone
+// mutation records), the LBWAL002 format (fixed-width run entries) and
+// the LBWAL003 format (uvarint ids), a truncated one, a bit-flipped
+// one, degenerate headers, and CRC-valid LBWAL003 runs whose id varint
+// is cut short, overlong or above maxReplayID. FuzzDecodeSnapshot
+// frames arbitrary sidecar bodies, after either magic, with a valid
+// CRC so that every input reaches the body decoder: decoding must
+// succeed or refuse, never panic, and what it accepts must re-encode
+// to the same bytes.
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -74,6 +85,17 @@ func FuzzRecoverSegment(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("LBWAL001garbage"))
 	f.Add([]byte("LBWAL002garbage"))
+	f.Add([]byte("LBWAL003garbage"))
+	v2, _ := parentHistory(f, 7, segMagicV2)
+	f.Add(v2.buf)
+	for _, entry := range [][]byte{
+		{kindRemove, 0x80},       // id varint cut short
+		{kindRemove, 0x81, 0x00}, // overlong: id 1 in two bytes
+		binary.AppendUvarint([]byte{kindRemove}, maxReplayID+1),
+	} {
+		seg := binary.LittleEndian.AppendUint64([]byte(segMagic), 1)
+		f.Add(append(seg, badRecord(append([]byte{kindRun}, entry...))...))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
@@ -95,6 +117,69 @@ func FuzzRecoverSegment(f *testing.F) {
 		}
 		if got := r.Seal(); got.N() != r.Live() {
 			t.Fatalf("reseal live count %d != registry live %d", got.N(), r.Live())
+		}
+	})
+}
+
+// fuzzSeedSidecars returns real sidecars of a plain and a corrected
+// epoch, each in the LBSNAP02 and the LBSNAP01 format.
+func fuzzSeedSidecars(tb testing.TB) [][]byte {
+	tb.Helper()
+	w := createManual(tb, tb.TempDir(), Options{Sync: SyncNone, SnapshotEvery: 1})
+	defer w.Close()
+	r, err := registry.New(registry.Config{Rate: 20, Shards: 2})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < 12; i++ {
+		if _, err := r.Add(1 + float64(i)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := r.Remove(3); err != nil {
+		tb.Fatal(err)
+	}
+	r.AttachJournal(w)
+	var files [][]byte
+	for _, c := range []*registry.Correction{nil, {Drop: map[int]bool{1: true}, Weights: map[int]float64{2: 0.5, 3: 0.5}}} {
+		if _, err := r.SealCorrected(c); err != nil {
+			tb.Fatal(err)
+		}
+		p := <-w.snapCh
+		for _, stream := range []func(io.Writer, *pendingSnap) error{streamSnapshot, streamSnapshotV1} {
+			var b bytes.Buffer
+			if err := stream(&b, p); err != nil {
+				tb.Fatal(err)
+			}
+			files = append(files, b.Bytes())
+		}
+	}
+	return files
+}
+
+func FuzzDecodeSnapshot(f *testing.F) {
+	for _, file := range fuzzSeedSidecars(f) {
+		if _, err := decodeSnapshot(file); err != nil {
+			f.Fatalf("a real %s sidecar does not decode: %v", file[:8], err)
+		}
+		f.Add(string(file[:8]) == snapMagicV1, file[8:len(file)-4])
+	}
+	f.Add(false, []byte{})
+	f.Add(true, []byte{})
+
+	f.Fuzz(func(t *testing.T, legacy bool, body []byte) {
+		file := []byte(snapMagic)
+		if legacy {
+			file = []byte(snapMagicV1)
+		}
+		file = append(file, body...)
+		file = binary.LittleEndian.AppendUint32(file, crc32.Checksum(body, crcTable))
+		sd, err := decodeSnapshot(file)
+		if err != nil {
+			return // refusing is a valid outcome
+		}
+		if got := encodeSnapshot(sd, legacy); !bytes.Equal(got, file) {
+			t.Fatalf("decoded sidecar re-encodes to %d bytes that differ from its %d", len(got), len(file))
 		}
 	})
 }

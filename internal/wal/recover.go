@@ -91,13 +91,13 @@ func Recover(dir string, cfg registry.Config) (*registry.Registry, *Info, error)
 	if len(segs) == 0 && len(snaps) == 0 {
 		return nil, nil, fmt.Errorf("wal: %s holds no log", dir)
 	}
-	r, info, _, _, _, err := replayLog(cfg, segs, snaps)
+	r, info, _, _, err := replayLog(cfg, segs, snaps)
 	return r, info, err
 }
 
 // tailPos is where appending resumes after a replay: the last
 // segment's sequence, the end of its last whole record, and whether
-// the segment is in the run-less LBWAL001 format.
+// the segment is in an older format (LBWAL001 or LBWAL002).
 type tailPos struct {
 	seg    uint64
 	off    int64
@@ -108,8 +108,8 @@ type tailPos struct {
 // is empty) and returns the rebuilt registry with a Writer already
 // attached as its journal, ready to serve. A torn final record is
 // truncated away so appending resumes at the last whole-record
-// boundary — in a fresh segment when the tail segment is an LBWAL001
-// one, which must not hold runs.
+// boundary — in a fresh segment when the tail segment is in an older
+// format, whose entries are encoded differently.
 func Open(dir string, opts Options, cfg registry.Config) (*registry.Registry, *Writer, *Info, error) {
 	w, err := newWriter(dir, opts)
 	if err != nil {
@@ -138,7 +138,7 @@ func Open(dir string, opts Options, cfg registry.Config) (*registry.Registry, *W
 		return r, w, &Info{Fresh: true, Epoch: 1}, nil
 	}
 
-	r, info, tail, last, prev, err := replayLog(cfg, segs, snaps)
+	r, info, tail, last, err := replayLog(cfg, segs, snaps)
 	if err != nil {
 		return fail(err)
 	}
@@ -159,7 +159,7 @@ func Open(dir string, opts Options, cfg registry.Config) (*registry.Registry, *W
 			return fail(err)
 		}
 	}
-	w.lastSnap, w.prevSnap = last, prev
+	w.lastSnap = last
 	w.start()
 	r.AttachJournal(w)
 	w.met.Recovered(info.Records, info.Bytes)
@@ -170,15 +170,16 @@ func Open(dir string, opts Options, cfg registry.Config) (*registry.Registry, *W
 // ones, and to an empty registry when the whole log is still present)
 // and replays the tail. It returns the rebuilt registry, the replay
 // report, the position appending should resume at, and the snapshot
-// refs the writer's compactor should retain.
-func replayLog(cfg registry.Config, segs []segFile, snaps []snapFile) (*registry.Registry, *Info, tailPos, snapRef, snapRef, error) {
+// the writer's compactor keeps as its retention floor — the one
+// recovery started from, the only snapshot it reads.
+func replayLog(cfg registry.Config, segs []segFile, snaps []snapFile) (*registry.Registry, *Info, tailPos, snapRef, error) {
 	var none snapRef
 	if len(segs) == 0 {
-		return nil, nil, tailPos{}, none, none, fmt.Errorf("wal: snapshots present but no segment files")
+		return nil, nil, tailPos{}, none, fmt.Errorf("wal: snapshots present but no segment files")
 	}
 	for i := 1; i < len(segs); i++ {
 		if segs[i].seq != segs[0].seq+uint64(i) {
-			return nil, nil, tailPos{}, none, none, fmt.Errorf("wal: segment gap: %d follows %d", segs[i].seq, segs[i-1].seq)
+			return nil, nil, tailPos{}, none, fmt.Errorf("wal: segment gap: %d follows %d", segs[i].seq, segs[i-1].seq)
 		}
 	}
 	var firstErr error
@@ -198,26 +199,19 @@ func replayLog(cfg registry.Config, segs []segFile, snaps []snapFile) (*registry
 			keep(err)
 			continue
 		}
-		last := snapRef{epoch: sd.epoch, seg: sd.seg}
-		var prev snapRef
-		if i > 0 {
-			if psd, err := readSnapshot(snaps[i-1].path); err == nil {
-				prev = snapRef{epoch: psd.epoch, seg: psd.seg}
-			}
-		}
-		return r, info, tail, last, prev, nil
+		return r, info, tail, snapRef{epoch: sd.epoch, seg: sd.seg}, nil
 	}
 	if segs[0].seq == 1 {
 		r, info, tail, err := tryReplay(cfg, segs, nil)
 		if err != nil {
 			keep(err)
 		} else {
-			return r, info, tail, none, none, nil
+			return r, info, tail, none, nil
 		}
 	} else {
 		keep(fmt.Errorf("wal: no usable snapshot and the log prefix is compacted (first segment %d)", segs[0].seq))
 	}
-	return nil, nil, tailPos{}, none, none, firstErr
+	return nil, nil, tailPos{}, none, firstErr
 }
 
 // tryReplay rebuilds one registry: restore the snapshot (when given),
@@ -239,18 +233,16 @@ func tryReplay(cfg registry.Config, segs []segFile, sd *snapData) (*registry.Reg
 	info := &Info{Epoch: 1}
 	startSeg, startOff := segs[0].seq, int64(segHeaderLen)
 	if sd != nil {
-		if sd.next < 0 || sd.next > maxReplayID {
-			return nil, nil, none, fmt.Errorf("wal: snapshot %d: implausible id counter %d", sd.epoch, sd.next)
-		}
-		for i, id := range sd.ids {
-			if id < 0 || id > maxReplayID {
-				return nil, nil, none, fmt.Errorf("wal: snapshot %d: implausible agent id %d", sd.epoch, id)
+		// decodeSnapshot has bounded the id counter, len(sd.t).
+		for id, t := range sd.t {
+			if math.Float64bits(t) == 0 {
+				continue
 			}
-			if err := r.RestoreAgent(id, sd.ts[i]); err != nil {
+			if err := r.RestoreAgent(id, t); err != nil {
 				return nil, nil, none, fmt.Errorf("wal: snapshot %d: %w", sd.epoch, err)
 			}
 		}
-		r.RestoreNext(sd.next)
+		r.RestoreNext(len(sd.t))
 		r.RestoreEpoch(sd.epoch - 1)
 		snap, err := r.SealCorrected(correction(sd.drops, sd.wts))
 		if err != nil {
@@ -268,32 +260,30 @@ func tryReplay(cfg registry.Config, segs []segFile, sd *snapData) (*registry.Reg
 		return nil, nil, none, fmt.Errorf("wal: snapshot %d replay position in missing segment %d", sd.epoch, startSeg)
 	}
 	idx := int(startSeg - segs[0].seq)
-	mutate := func(rec record) error {
-		switch rec.kind {
+	// decodeEntry has bounded every id by maxReplayID.
+	mutate := func(e entry) error {
+		switch e.kind {
 		case kindAdd:
-			if rec.id < 0 || rec.id > maxReplayID {
-				return fmt.Errorf("implausible agent id %d", rec.id)
-			}
-			return r.RestoreAgent(rec.id, rec.t)
+			return r.RestoreAgent(e.id, e.t)
 		case kindUpdate:
-			return r.Update(rec.id, rec.t)
+			return r.Update(e.id, e.t)
 		}
-		return r.Remove(rec.id)
+		return r.Remove(e.id)
 	}
 	apply := func(rec record) error {
 		switch rec.kind {
-		case kindAdd, kindUpdate, kindRemove:
-			return mutate(rec)
-		case kindRun:
+		case kindAdd, kindUpdate, kindRemove, kindRun:
 			// decodeRecord has checked every entry, so a torn or
 			// malformed run never applies in part.
-			for p := rec.run; len(p) > 0; p = p[entryLen(p[0]):] {
-				if err := mutate(decodeEntry(p)); err != nil {
+			for p := rec.run; len(p) > 0; {
+				e, n, _ := decodeEntry(p, rec.varint)
+				if err := mutate(e); err != nil {
 					return err
 				}
+				p = p[n:]
 			}
 		case kindRate:
-			return r.SetRate(rec.t)
+			return r.SetRate(rec.rate)
 		case kindSeal, kindSealC:
 			if rec.epoch == 0 {
 				return fmt.Errorf("seal record with epoch 0")
@@ -338,7 +328,7 @@ func tryReplay(cfg registry.Config, segs []segFile, sd *snapData) (*registry.Reg
 			break
 		}
 		magic := string(data[:8])
-		if magic != segMagic && magic != segMagicV1 {
+		if magic != segMagic && magic != segMagicV2 && magic != segMagicV1 {
 			return nil, nil, none, fmt.Errorf("wal: %s: bad segment magic", sf.path)
 		}
 		if got := binary.LittleEndian.Uint64(data[8:]); got != sf.seq {
@@ -352,14 +342,14 @@ func tryReplay(cfg registry.Config, segs []segFile, sd *snapData) (*registry.Reg
 					sd.epoch, off, sf.path, len(data))
 			}
 		}
-		off, torn, err := replayRecords(data, off, apply, info)
+		off, torn, err := replayRecords(data, off, magic == segMagic, apply, info)
 		if err != nil {
 			// A CRC-valid record that fails to decode or apply is
 			// corruption, not a torn write: a crash cannot forge a
 			// checksum.
 			return nil, nil, none, fmt.Errorf("wal: %s: %w", sf.path, err)
 		}
-		tail = tailPos{seg: sf.seq, off: off, legacy: magic == segMagicV1}
+		tail = tailPos{seg: sf.seq, off: off, legacy: magic != segMagic}
 		if torn {
 			if !last {
 				return nil, nil, none, fmt.Errorf("wal: %s: torn record in non-final segment", sf.path)
@@ -372,12 +362,13 @@ func tryReplay(cfg registry.Config, segs []segFile, sd *snapData) (*registry.Reg
 }
 
 // replayRecords walks whole records from off, applying each, and
-// returns the offset of the first byte it could not use. A structurally
+// returns the offset of the first byte it could not use; varint says
+// whether the segment's entries carry uvarint ids. A structurally
 // incomplete or checksum-failing record reports torn=true (the caller
 // decides whether that is a legal torn tail or corruption); a record
 // whose checksum holds but which fails to decode or apply is always
 // an error naming its offset and kind.
-func replayRecords(data []byte, off int64, apply func(record) error, info *Info) (int64, bool, error) {
+func replayRecords(data []byte, off int64, varint bool, apply func(record) error, info *Info) (int64, bool, error) {
 	for {
 		rem := data[off:]
 		if len(rem) == 0 {
@@ -397,7 +388,7 @@ func replayRecords(data []byte, off int64, apply func(record) error, info *Info)
 		if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(rem[4:]) {
 			return off, true, nil
 		}
-		rec, err := decodeRecord(payload)
+		rec, err := decodeRecord(payload, varint)
 		if err == nil {
 			err = apply(rec)
 		}

@@ -3,7 +3,9 @@ package wal
 // Tests for the snapshot sidecar format: the compactor streams each
 // file from the published epoch, and its bytes must be exactly those
 // the in-memory reference encoder below produces for the same
-// uncorrected population, for plain, corrected and empty epochs.
+// uncorrected population, for plain, corrected and empty epochs; and
+// the decoder must refuse a checksummed file whose counts are
+// impossible rather than trust them.
 
 import (
 	"bytes"
@@ -11,8 +13,11 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -21,21 +26,30 @@ import (
 
 // encodeSnapshot is the reference sidecar encoder: it materializes the
 // whole file in memory from a decoded snapshot, field by field in the
-// order decodeSnapshot reads them. streamSnapshot must reproduce its
-// bytes exactly.
-func encodeSnapshot(sd *snapData) []byte {
-	n := 8 + 48 + 16 + 8*len(sd.drops) + 16*len(sd.wts) + 16*len(sd.ids) + 4
-	b := make([]byte, 0, n)
-	b = append(b, snapMagic...)
+// order decodeSnapshot reads them — in the LBSNAP02 format, which
+// streamSnapshot must reproduce exactly, or with legacy set in the
+// LBSNAP01 one, whose body lists (id, bid) pairs of the live ids.
+func encodeSnapshot(sd *snapData, legacy bool) []byte {
+	live := 0
+	for _, t := range sd.t {
+		if t != 0 {
+			live++
+		}
+	}
+	magic := snapMagic
+	if legacy {
+		magic = snapMagicV1
+	}
+	b := []byte(magic)
 	b = binary.LittleEndian.AppendUint64(b, sd.epoch)
-	b = binary.LittleEndian.AppendUint64(b, uint64(sd.next))
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(sd.t)))
 	b = binary.LittleEndian.AppendUint64(b, sd.seg)
 	b = binary.LittleEndian.AppendUint64(b, uint64(sd.off))
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(sd.rate))
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(sd.s))
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(sd.drops)))
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(sd.wts)))
-	b = binary.LittleEndian.AppendUint64(b, uint64(len(sd.ids)))
+	b = binary.LittleEndian.AppendUint64(b, uint64(live))
 	for _, id := range sd.drops {
 		b = binary.LittleEndian.AppendUint64(b, uint64(id))
 	}
@@ -43,9 +57,14 @@ func encodeSnapshot(sd *snapData) []byte {
 		b = binary.LittleEndian.AppendUint64(b, uint64(e.id))
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(e.w))
 	}
-	for i, id := range sd.ids {
-		b = binary.LittleEndian.AppendUint64(b, uint64(id))
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(sd.ts[i]))
+	for id, t := range sd.t {
+		switch {
+		case !legacy:
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(t))
+		case t != 0:
+			b = binary.LittleEndian.AppendUint64(b, uint64(id))
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(t))
+		}
 	}
 	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b[8:], crcTable))
 }
@@ -110,9 +129,8 @@ func TestStreamedSnapshotMatchesReference(t *testing.T) {
 			}
 
 			want := &snapData{
-				epoch: snap.Epoch(), next: tc.agents, seg: seg, off: off,
-				rate: 20, s: snap.Sum(),
-				drops: []int{}, wts: []weightEntry{}, ids: []int{}, ts: []float64{},
+				epoch: snap.Epoch(), seg: seg, off: off, rate: 20, s: snap.Sum(),
+				drops: []int{}, wts: []weightEntry{}, t: make([]float64, tc.agents),
 			}
 			if tc.c != nil {
 				for id := range tc.c.Drop {
@@ -124,19 +142,15 @@ func TestStreamedSnapshotMatchesReference(t *testing.T) {
 				}
 				slices.SortFunc(want.wts, func(a, b weightEntry) int { return a.id - b.id })
 			}
-			for id := range bids {
-				want.ids = append(want.ids, id)
-			}
-			slices.Sort(want.ids)
-			for _, id := range want.ids {
-				want.ts = append(want.ts, bids[id])
+			for id, t := range bids {
+				want.t[id] = t
 			}
 
 			var buf bytes.Buffer
 			if err := streamSnapshot(&buf, p); err != nil {
 				t.Fatal(err)
 			}
-			if ref := encodeSnapshot(want); !bytes.Equal(buf.Bytes(), ref) {
+			if ref := encodeSnapshot(want, false); !bytes.Equal(buf.Bytes(), ref) {
 				t.Fatalf("streamed snapshot (%d bytes) differs from the reference encoding (%d bytes)", buf.Len(), len(ref))
 			}
 			got, err := decodeSnapshot(buf.Bytes())
@@ -195,5 +209,108 @@ func TestPublishedCountsSkippedSnapshot(t *testing.T) {
 	}
 	if n := len(w.snapCh); n != 0 {
 		t.Fatalf("%d captures still queued, want 0", n)
+	}
+}
+
+// forgeSnapshot frames a sidecar body — magic, then the given header
+// words and body bytes — with a valid CRC, as only a forger (or a
+// fuzzer) makes one.
+func forgeSnapshot(magic string, body []byte, words ...uint64) []byte {
+	b := []byte(magic)
+	for _, w := range words {
+		b = binary.LittleEndian.AppendUint64(b, w)
+	}
+	b = append(b, body...)
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b[8:], crcTable))
+}
+
+// TestDecodeSnapshotRefusesImpossibleCounts: a sidecar whose checksum
+// holds but whose counts cannot be true is refused before any count
+// reaches arithmetic or an allocation. The first case is 76 bytes
+// claiming 2^60 live agents: 16*nLive wraps to 0, so a length check
+// computed before bounding the count would pass it on to makeslice.
+func TestDecodeSnapshotRefusesImpossibleCounts(t *testing.T) {
+	bid := binary.LittleEndian.AppendUint64(nil, math.Float64bits(2))
+	pair := func(id uint64) []byte { return append(binary.LittleEndian.AppendUint64(nil, id), bid...) }
+	// epoch, next, seg, off, rate, s, nDrop|nWeight<<32, nLive
+	hdr := func(next, counts, live uint64) []uint64 {
+		return []uint64{9, next, 1, 16, math.Float64bits(20), math.Float64bits(0.5), counts, live}
+	}
+	for _, tc := range []struct {
+		name string
+		file []byte
+		why  string
+	}{
+		{"v1-live-2^60", forgeSnapshot(snapMagicV1, nil, hdr(4, 0, 1<<60)...), "live agents but only 4 ids"},
+		{"v2-next-2^62", forgeSnapshot(snapMagic, nil, hdr(1<<62, 0, 1<<60)...), "implausible id counter"},
+		{"v1-live-past-next", forgeSnapshot(snapMagicV1, pair(0), hdr(0, 0, 1)...), "live agents but only 0 ids"},
+		{"v2-live-past-next", forgeSnapshot(snapMagic, bid, hdr(1, 0, 2)...), "live agents but only 1 ids"},
+		{"v2-next-past-max", forgeSnapshot(snapMagic, nil, hdr(maxReplayID+1, 0, 0)...), "implausible id counter"},
+		{"v2-drops-2^32", forgeSnapshot(snapMagic, nil, hdr(0, 1<<32-1, 0)...), "correction counts"},
+		{"v2-weights-2^32", forgeSnapshot(snapMagic, nil, hdr(0, (1<<32-1)<<32, 0)...), "correction counts"},
+		{"v2-live-miscounted", forgeSnapshot(snapMagic, append(bid, make([]byte, 8)...), hdr(2, 0, 2)...), "holds 1 live bids"},
+		{"v1-next-unbacked", forgeSnapshot(snapMagicV1, nil, hdr(maxLegacyIDs+1, 0, 0)...), "implausible for 0 live"},
+		{"v1-id-past-next", forgeSnapshot(snapMagicV1, pair(4), hdr(4, 0, 1)...), "entry 0 (id 4"},
+		{"v1-ids-out-of-order", forgeSnapshot(snapMagicV1, append(pair(3), pair(1)...), hdr(4, 0, 2)...), "entry 1 (id 1"},
+		{"v1-zero-bid", forgeSnapshot(snapMagicV1, make([]byte, 16), hdr(4, 0, 1)...), "bid 0)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sd, err := decodeSnapshot(tc.file)
+			if err == nil {
+				t.Fatalf("decoded a %d-byte sidecar with impossible counts: %d ids", len(tc.file), len(sd.t))
+			}
+			if !strings.Contains(err.Error(), tc.why) {
+				t.Fatalf("error %q does not say %q", err, tc.why)
+			}
+		})
+	}
+}
+
+// TestOpenFallsBackPastForgedSnapshot: a newest sidecar whose checksum
+// holds but whose live count is 2^60, in either format, sits next to a
+// valid older one; Open must refuse it, recover from the older one and
+// replay the tail, bitwise equal to the last live epoch.
+func TestOpenFallsBackPastForgedSnapshot(t *testing.T) {
+	for _, magic := range []string{snapMagicV1, snapMagic} {
+		t.Run(magic, func(t *testing.T) {
+			dir := t.TempDir()
+			w := createManual(t, dir, Options{Sync: SyncNone, SnapshotEvery: 1})
+			r, err := registry.New(registry.Config{Rate: 20, Shards: 4, Journal: w})
+			if err != nil {
+				t.Fatal(err)
+			}
+			settle(w)
+			for i := 0; i < 50; i++ {
+				if _, err := r.Add(0.5 + float64(i%7)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			older := r.Seal().Epoch()
+			settle(w)
+			for i := 0; i < 20; i++ {
+				if err := r.Update(i, 3+float64(i%5)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			final := recordSnap(r.Seal())
+			settle(w)
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			forged := forgeSnapshot(magic, nil, final.epoch, 1<<62, 1, 16, math.Float64bits(20), 0, 0, 1<<60)
+			if err := os.WriteFile(filepath.Join(dir, snapName(final.epoch)), forged, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			r2, w2, info, err := Open(dir, Options{Sync: SyncNone}, registry.Config{Rate: 1, Shards: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w2.Close()
+			if info.SnapshotEpoch != older {
+				t.Fatalf("recovered from snapshot %d, want the older valid one, %d", info.SnapshotEpoch, older)
+			}
+			compareSnap(t, r2.Snapshot(), final)
+		})
 	}
 }

@@ -131,19 +131,21 @@ type segRecord struct {
 	entries int
 }
 
-// segmentRecords decodes every record of a segment image.
+// segmentRecords decodes every record of a segment image in the
+// writer's format.
 func segmentRecords(t *testing.T, data []byte) []segRecord {
 	t.Helper()
 	var recs []segRecord
 	for off := segHeaderLen; off < len(data); {
 		plen := int(binary.LittleEndian.Uint32(data[off:]))
-		rec, err := decodeRecord(data[off+frameLen : off+frameLen+plen])
+		rec, err := decodeRecord(data[off+frameLen:off+frameLen+plen], true)
 		if err != nil {
 			t.Fatalf("record at offset %d: %v", off, err)
 		}
 		sr := segRecord{kind: rec.kind, payload: plen, end: int64(off + frameLen + plen)}
-		for p := rec.run; len(p) > 0; p = p[entryLen(p[0]):] {
-			sr.entries++
+		for p := rec.run; len(p) > 0; sr.entries++ {
+			_, n, _ := decodeEntry(p, true)
+			p = p[n:]
 		}
 		recs = append(recs, sr)
 		off = int(sr.end)

@@ -5,7 +5,7 @@
 // epochs are bit-for-bit identical to the pre-crash ones.
 //
 // The log is a sequence of segment files (wal-<seq>.log), each opening
-// with the magic LBWAL002 and its sequence number. Every record is
+// with the magic LBWAL003 and its sequence number. Every record is
 // length-prefixed and CRC32C-framed:
 //
 //	[u32 payload length][u32 CRC32C(payload)][payload]
@@ -14,19 +14,23 @@
 // one-byte kind: a run of add/rebid/leave mutations, a rate change, or
 // a seal (plain, or corrected with the health adjustment inlined). A
 // run (kind 7) packs consecutive mutations under one header and one
-// checksum; it closes before any seal or rate record, at every
-// group-commit flush, before the segment rotates, and at runCap
-// payload bytes, which bounds what closing it costs inside a seal.
-// Appends group-commit: records accumulate in a memory buffer that is
-// written to the segment in batches, and fsync runs under a
-// configurable policy (every batch, every seal, on an interval, or
-// never). The append path allocates nothing in steady state.
+// checksum; each entry is [kind u8][uvarint id][f64 bid], the bid
+// omitted for a leave, so a rebid of one of 2^21 agents costs 12 bytes.
+// A run closes before any seal or rate record, at every group-commit
+// flush, before the segment rotates, and at runCap payload bytes,
+// which bounds what closing it costs inside a seal. Appends
+// group-commit: records accumulate in a memory buffer that is written
+// to the segment in batches, and fsync runs under a configurable
+// policy (every batch, every seal, on an interval, or never). The
+// append path allocates nothing in steady state.
 //
-// Segments with the magic LBWAL001 hold no runs: there every mutation
-// is a standalone kind 1-3 record. Recovery reads both, and Open
-// appends to a fresh LBWAL002 segment rather than to an LBWAL001
-// tail, so a reader that knows only LBWAL001 refuses a newer log on
-// its magic rather than misreading its runs.
+// Older segments stay readable. LBWAL002 segments hold runs whose
+// entries carry a fixed-width u64 id; LBWAL001 segments hold no runs,
+// every mutation being a standalone kind 1-3 record. One entry decoder
+// reads all three, keyed by the segment magic. Open appends to a fresh
+// LBWAL003 segment rather than to an older tail, so a reader that
+// knows only an older format refuses a newer log on its magic rather
+// than misreading its entries.
 //
 // Why replaying the log reproduces sealed epochs exactly: a sealed
 // epoch is a pure function of the live (id, bid) set, the rate and the
@@ -39,22 +43,25 @@
 // rate and correction) reproduces the identical snapshot — for any
 // shard count and any worker count, on both sides of the crash.
 //
-// Snapshot sidecar files (snap-<epoch>.snap) serialize the sealed
-// epoch's source state — the uncorrected live population, the id
-// counter, the rate, the correction, and the canonical S of the
-// covered epoch for a recovery self-check — plus the log position just
-// after the covering seal record. At the seal barrier the writer
-// captures only the log position and the pre-correction bids of the
-// correction's live ids; after publication a background compactor
-// streams the file from the immutable registry.Snapshot, reading every
-// other bid in place, so no per-agent copy is made under the
-// registry's locks or for the file image. Compaction keeps the two newest
-// snapshots and deletes every segment older than the one the previous
-// snapshot points into, so recovery always has a valid snapshot-plus-
-// tail even if the newest snapshot is damaged. Recovery loads the
-// newest valid snapshot, reseals, verifies S bit-for-bit, replays the
-// log tail, and truncates a torn final record (a kill -9 mid-write)
-// at the last whole-record boundary.
+// Snapshot sidecar files (snap-<epoch>.snap, magic LBSNAP02) serialize
+// the sealed epoch's source state — the uncorrected population as a
+// dense bid array, one f64 per issued id with 0 for an absent one (the
+// layout of registry.Snapshot itself), the rate, the correction, and
+// the canonical S of the covered epoch for a recovery self-check —
+// plus the log position just after the covering seal record. At the
+// seal barrier the writer captures only the log position and the
+// pre-correction bids of the correction's live ids; after publication
+// a background compactor streams the file from the immutable
+// registry.Snapshot, reading every other bid in place, so no per-agent
+// copy is made under the registry's locks or for the file image.
+// LBSNAP01 sidecars, which list (u64 id, f64 bid) pairs of live agents
+// instead, decode to the same dense form. Compaction keeps the two
+// newest snapshots and deletes every segment older than the one the
+// previous snapshot points into, so recovery always has a valid
+// snapshot-plus-tail even if the newest snapshot is damaged. Recovery
+// loads the newest valid snapshot, reseals, verifies S bit-for-bit,
+// replays the log tail, and truncates a torn final record (a kill -9
+// mid-write) at the last whole-record boundary.
 package wal
 
 import (
@@ -62,35 +69,42 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
 )
 
 // Record kinds. The on-disk values are frozen: recovery of logs
 // written by older builds depends on them. Kinds 1-3 are also the
-// entry kinds of a run, whose entries are byte-identical to those
+// entry kinds of a run, whose entries are encoded exactly as those
 // records' payloads; the writer no longer emits them standalone.
 const (
-	kindAdd    = byte(1) // u64 id, f64 t
-	kindUpdate = byte(2) // u64 id, f64 t
-	kindRemove = byte(3) // u64 id
+	kindAdd    = byte(1) // id, f64 t
+	kindUpdate = byte(2) // id, f64 t
+	kindRemove = byte(3) // id
 	kindRate   = byte(4) // f64 rate
 	kindSeal   = byte(5) // u64 epoch, f64 rate
 	kindSealC  = byte(6) // u64 epoch, f64 rate, u32 nDrop, u32 nWeight, nDrop×u64, nWeight×(u64, f64)
-	kindRun    = byte(7) // one or more entries: [kind 1|2|3][u64 id][f64 t, kinds 1-2]
+	kindRun    = byte(7) // one or more entries: [kind 1|2|3][id][f64 t, kinds 1-2]
 )
 
 const (
 	// segMagic opens every segment file the writer creates, followed by
 	// the u64 segment sequence number (the header is segHeaderLen bytes
-	// in all). segMagicV1 marks segments of the run-less format.
-	segMagic     = "LBWAL002"
+	// in all); its entries carry uvarint ids. segMagicV2 marks segments
+	// whose run entries carry u64 ids, segMagicV1 segments of the
+	// run-less format.
+	segMagic     = "LBWAL003"
+	segMagicV2   = "LBWAL002"
 	segMagicV1   = "LBWAL001"
 	segHeaderLen = 16
 	// runCap bounds a run record's payload. Every seal closes the open
 	// run under all of the registry's shard locks, so the cap bounds
 	// the checksum work a seal can inherit.
 	runCap = 4 << 10
-	// snapMagic opens every snapshot sidecar file.
-	snapMagic = "LBSNAP01"
+	// snapMagic opens every snapshot sidecar the writer creates, whose
+	// body is the dense bid array; snapMagicV1 marks sidecars listing
+	// (id, bid) pairs.
+	snapMagic   = "LBSNAP02"
+	snapMagicV1 = "LBSNAP01"
 	// frameLen is the per-record framing overhead: u32 length + u32 CRC.
 	frameLen = 8
 	// maxRecordLen bounds a decoded payload length: anything larger is
@@ -115,42 +129,77 @@ type weightEntry struct {
 // record is one decoded log record.
 type record struct {
 	kind    byte
-	id      int     // add/update/remove
-	t       float64 // add/update bid; rate for kindRate
 	epoch   uint64  // seal records
-	rate    float64 // seal records
+	rate    float64 // rate and seal records
 	drops   []int
 	weights []weightEntry
-	run     []byte // kindRun: the entries, every one checked to parse
+	run     []byte // mutations: the entries, every one checked to parse
+	varint  bool   // mutations: the entries carry uvarint ids
 }
 
-// entryLen returns the byte length of a mutation entry (or standalone
-// mutation payload) of the given kind, 0 for any other kind.
-func entryLen(kind byte) int {
-	switch kind {
-	case kindAdd, kindUpdate:
-		return 17
-	case kindRemove:
-		return 9
+// entry is one decoded mutation: its kind, its id and, for an add or
+// update, its bid.
+type entry struct {
+	kind byte
+	id   int
+	t    float64
+}
+
+// uvarintLen returns the length of v's uvarint encoding.
+func uvarintLen(v uint64) int {
+	return (bits.Len64(v|1) + 6) / 7
+}
+
+// decodeEntry parses the mutation entry (or standalone mutation
+// payload) at the front of p and returns it with its length. Its id is
+// a uvarint when varint is set (LBWAL003) and a u64 otherwise; a
+// varint that is cut short, overflows or is longer than needed, and
+// an id above maxReplayID, are errors.
+func decodeEntry(p []byte, varint bool) (entry, int, error) {
+	e := entry{kind: p[0]}
+	if e.kind != kindAdd && e.kind != kindUpdate && e.kind != kindRemove {
+		return entry{}, 0, fmt.Errorf("entry has kind %d", e.kind)
 	}
-	return 0
-}
-
-// decodeEntry parses the mutation entry at the front of p, whose kind
-// and length the caller has checked.
-func decodeEntry(p []byte) record {
-	rec := record{kind: p[0], id: int(binary.LittleEndian.Uint64(p[1:]))}
-	if rec.kind != kindRemove {
-		rec.t = math.Float64frombits(binary.LittleEndian.Uint64(p[9:]))
+	var id uint64
+	n := 1
+	if varint {
+		v, k := binary.Uvarint(p[1:])
+		switch {
+		case k == 0:
+			return entry{}, 0, fmt.Errorf("entry id is cut short")
+		case k < 0:
+			return entry{}, 0, fmt.Errorf("entry id overflows 64 bits")
+		case k > 1 && p[k] == 0:
+			return entry{}, 0, fmt.Errorf("entry id is not minimally encoded")
+		}
+		id, n = v, 1+k
+	} else {
+		if len(p) < 9 {
+			return entry{}, 0, fmt.Errorf("entry is cut short (%d of 9 id bytes)", len(p))
+		}
+		id, n = binary.LittleEndian.Uint64(p[1:]), 9
 	}
-	return rec
+	if id > maxReplayID {
+		return entry{}, 0, fmt.Errorf("implausible agent id %d", id)
+	}
+	e.id = int(id)
+	if e.kind != kindRemove {
+		if len(p) < n+8 {
+			return entry{}, 0, fmt.Errorf("entry is cut short (%d of %d bytes)", len(p), n+8)
+		}
+		e.t = math.Float64frombits(binary.LittleEndian.Uint64(p[n:]))
+		n += 8
+	}
+	return e, n, nil
 }
 
-// decodeRecord parses a CRC-verified payload. It returns an error for
-// a malformed payload (truncated fields, unknown kind, inconsistent
+// decodeRecord parses a CRC-verified payload from a segment whose
+// entries carry uvarint ids when varint is set. It returns an error
+// for a malformed payload (truncated fields, unknown kind, inconsistent
 // correction counts, a run cut mid-entry or holding an entry of
-// another kind) — the reader treats that as corruption.
-func decodeRecord(p []byte) (record, error) {
+// another kind or an undecodable id) — the reader treats that as
+// corruption.
+func decodeRecord(p []byte, varint bool) (record, error) {
 	if len(p) == 0 {
 		return record{}, fmt.Errorf("empty record payload")
 	}
@@ -158,30 +207,32 @@ func decodeRecord(p []byte) (record, error) {
 	body := p[1:]
 	switch rec.kind {
 	case kindAdd, kindUpdate, kindRemove:
-		if len(p) != entryLen(rec.kind) {
-			return record{}, fmt.Errorf("mutation record has %d payload bytes, want %d", len(p), entryLen(rec.kind))
+		// A standalone mutation replays as a run of one entry.
+		_, n, err := decodeEntry(p, varint)
+		if err != nil {
+			return record{}, fmt.Errorf("mutation record: %w", err)
 		}
-		rec = decodeEntry(p)
+		if n != len(p) {
+			return record{}, fmt.Errorf("mutation record has %d payload bytes, want %d", len(p), n)
+		}
+		rec.run, rec.varint = p, varint
 	case kindRun:
 		if len(body) == 0 {
 			return record{}, fmt.Errorf("run record holds no entries")
 		}
 		for off := 0; off < len(body); {
-			n := entryLen(body[off])
-			if n == 0 {
-				return record{}, fmt.Errorf("run entry at byte %d has kind %d", 1+off, body[off])
-			}
-			if off+n > len(body) {
-				return record{}, fmt.Errorf("run entry at byte %d is cut short (%d of %d bytes)", 1+off, len(body)-off, n)
+			_, n, err := decodeEntry(body[off:], varint)
+			if err != nil {
+				return record{}, fmt.Errorf("run entry at byte %d: %w", 1+off, err)
 			}
 			off += n
 		}
-		rec.run = body
+		rec.run, rec.varint = body, varint
 	case kindRate:
 		if len(body) != 8 {
 			return record{}, fmt.Errorf("rate record has %d payload bytes, want 8", len(body))
 		}
-		rec.t = math.Float64frombits(binary.LittleEndian.Uint64(body))
+		rec.rate = math.Float64frombits(binary.LittleEndian.Uint64(body))
 	case kindSeal:
 		if len(body) != 16 {
 			return record{}, fmt.Errorf("seal record has %d payload bytes, want 16", len(body))
@@ -200,22 +251,27 @@ func decodeRecord(p []byte) (record, error) {
 		if len(body) != want {
 			return record{}, fmt.Errorf("corrected seal record has %d payload bytes, want %d", len(body), want)
 		}
-		off := 24
-		rec.drops = make([]int, nDrop)
-		for i := range rec.drops {
-			rec.drops[i] = int(binary.LittleEndian.Uint64(body[off:]))
-			off += 8
-		}
-		rec.weights = make([]weightEntry, nWeight)
-		for i := range rec.weights {
-			rec.weights[i].id = int(binary.LittleEndian.Uint64(body[off:]))
-			rec.weights[i].w = math.Float64frombits(binary.LittleEndian.Uint64(body[off+8:]))
-			off += 16
-		}
+		rec.drops, rec.weights = decodeCorrection(body[24:], nDrop, nWeight)
 	default:
 		return record{}, fmt.Errorf("unknown record kind %d", rec.kind)
 	}
 	return rec, nil
+}
+
+// decodeCorrection parses nDrop u64 ids and then nWeight (u64 id, f64
+// weight) pairs from b, whose length the caller has checked.
+func decodeCorrection(b []byte, nDrop, nWeight int) ([]int, []weightEntry) {
+	drops := make([]int, nDrop)
+	for i := range drops {
+		drops[i] = int(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	b = b[8*nDrop:]
+	wts := make([]weightEntry, nWeight)
+	for i := range wts {
+		wts[i].id = int(binary.LittleEndian.Uint64(b[16*i:]))
+		wts[i].w = math.Float64frombits(binary.LittleEndian.Uint64(b[16*i+8:]))
+	}
+	return drops, wts
 }
 
 // segName and snapName are the on-disk file names.

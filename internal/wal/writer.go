@@ -163,8 +163,7 @@ type Writer struct {
 	appends    uint64
 	sealsSince int
 	pending    *pendingSnap
-	lastSnap   snapRef // newest durable snapshot
-	prevSnap   snapRef // the one before it (compaction retention floor)
+	lastSnap   snapRef // newest durable snapshot (compaction retention floor)
 	err        error
 	closed     bool
 
@@ -383,15 +382,19 @@ func (w *Writer) mutation(kind byte, a, b uint64) {
 	}
 }
 
-// appendEntry appends one mutation entry — kind, id a and, for an add
-// or update, bid bits b — to the open run record, and group-commits if
-// the batch threshold is reached. A run opens with the first entry and
-// closes early when the entry would take its payload past runCap or
-// the segment past SegmentBytes. It returns the bytes appended: the
-// entry, plus the run's frame header and kind byte when it opened one.
-// Called with w.mu held; allocation-free in steady state.
+// appendEntry appends one mutation entry — kind, uvarint id a and, for
+// an add or update, bid bits b — to the open run record, and
+// group-commits if the batch threshold is reached. A run opens with the
+// first entry and closes early when the entry would take its payload
+// past runCap or the segment past SegmentBytes. It returns the bytes
+// appended: the entry, plus the run's frame header and kind byte when
+// it opened one. Called with w.mu held; allocation-free in steady
+// state.
 func (w *Writer) appendEntry(kind byte, a, b uint64) int {
-	size := entryLen(kind)
+	size := 1 + uvarintLen(a)
+	if kind != kindRemove {
+		size += 8
+	}
 	n := size
 	if w.run >= 0 {
 		payload := len(w.buf) - w.run - frameLen
@@ -405,7 +408,7 @@ func (w *Writer) appendEntry(kind byte, a, b uint64) int {
 		n += frameLen + 1
 	}
 	w.buf = append(w.buf, kind)
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, a)
+	w.buf = binary.AppendUvarint(w.buf, a)
 	if kind != kindRemove {
 		w.buf = binary.LittleEndian.AppendUint64(w.buf, b)
 	}
@@ -754,7 +757,6 @@ func (w *Writer) writeSnapshot(p *pendingSnap) {
 
 	w.mu.Lock()
 	prev := w.lastSnap
-	w.prevSnap = prev
 	w.lastSnap = snapRef{epoch: p.epoch, seg: p.seg}
 	w.mu.Unlock()
 
