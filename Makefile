@@ -32,9 +32,10 @@ race:
 # need a non-race run because AllocsPerRun counts differ under the
 # instrumented allocator. The registry lines also pin the shard layout:
 # the batched-vs-serial and removed-id churn differentials, the seal
-# copy's shard- and GOMAXPROCS-independence, the partial-sum rebuild
-# cadence, the 16-byte record size guard and the seal's memory guard
-# (8 bytes per issued id, measured with TotalAlloc, so non-race too).
+# copy's shard- and GOMAXPROCS-independence, coalesced-rebid accounting
+# against a written-since-seal model, the 8-byte record size guard and
+# the seal's memory guard (8 bytes per issued id, measured with
+# TotalAlloc, so non-race too).
 # The serving line pins run framing: encode/decode and the client's
 # queue/flush/receive cycle at zero allocations, frames split at
 # MaxPayload, a Reader over mixed single and run frames (malformed
@@ -49,7 +50,7 @@ difftest:
 	$(GO) test -race -run 'TestForEachBlockSubstreamWorkerInvariance' -count=1 ./internal/parallel
 	$(GO) test -run 'TestSwarmRoundAllocFree|TestSwarmChurnSteadyStateAllocFree' -count=1 ./internal/swarm
 	$(GO) test -run 'TestSplitIntoAllocFree' -count=1 ./internal/numeric
-	$(GO) test -race -run 'TestApplyBatchDifferential|TestApplyBatchIntraBatchDependency|TestPartialRebuildCadence|TestRemovedIDChurnDifferential|TestSealedAggregateIndependentOfShardCount' -count=1 ./internal/registry
+	$(GO) test -race -run 'TestApplyBatchDifferential|TestApplyBatchIntraBatchDependency|TestCoalescedRebidAccounting|TestRemovedIDChurnDifferential|TestSealedAggregateIndependentOfShardCount' -count=1 ./internal/registry
 	$(GO) test -run 'TestApplyBatchAllocFree|TestRecordLayout|TestSealAllocBound' -count=1 ./internal/registry
 	$(GO) test -run 'TestBatchDrainAllocFree|TestWireEncodeAllocFree|TestWireDecodeAllocFree|TestFramerSplitsAtMaxPayload|TestReaderRuns|TestReaderRejectsMalformedRun|TestSingleFrameClientGetsSingleFrames|TestRunClientGetsRunFrames|TestPipelineCycleAllocFree' -count=1 ./internal/server ./internal/wire ./internal/lbclient
 
@@ -60,15 +61,17 @@ difftest:
 # the batched-vs-per-op byte-identical log differential, exact append
 # metrics, bitwise recovery of logs in the run-less LBWAL001 format and
 # in the LBWAL002 format with LBSNAP01 sidecars, a CRC-valid record
-# that does not decode refused as corruption, never truncated, and a
-# CRC-valid sidecar with impossible counts refused, with Open falling
-# back to the previous one), plus the append-path and
-# ApplyBatch-with-WAL allocation guards, the snapshot-cadence seal's
-# memory guard and the streamed snapshot's byte-identity pin against
-# the reference encoder, which run without -race because allocation
-# counts differ under the instrumented allocator.
+# that does not decode refused as corruption, never truncated, an add
+# of an id past what the log backs refused before the registry sizes
+# its tables by it, and a CRC-valid sidecar with impossible counts
+# refused, with Open falling back to the previous one), plus the
+# append-path and ApplyBatch-with-WAL allocation guards, the
+# snapshot-cadence seal's memory guard and the streamed snapshot's
+# byte-identity pin against the reference encoder, which run without
+# -race because allocation counts differ under the instrumented
+# allocator.
 wal:
-	$(GO) test -race -run 'TestRecoveryMatchesLiveHistory|TestTruncationFuzzEveryTailOffset|TestConcurrentJournalRecovery|TestConcurrentBatchJournalRecovery|TestCompactionAndSnapshotFallback|TestBatchedLogByteIdentical|TestWALMetricsExactUnderBatching|TestParentFormatLogRecovers|TestV2FormatLogRecovers|TestUndecodableRecordIsCorruption|TestDecodeSnapshotRefusesImpossibleCounts|TestOpenFallsBackPastForgedSnapshot' -count=1 ./internal/wal
+	$(GO) test -race -run 'TestRecoveryMatchesLiveHistory|TestTruncationFuzzEveryTailOffset|TestConcurrentJournalRecovery|TestConcurrentBatchJournalRecovery|TestCompactionAndSnapshotFallback|TestBatchedLogByteIdentical|TestWALMetricsExactUnderBatching|TestParentFormatLogRecovers|TestV2FormatLogRecovers|TestUndecodableRecordIsCorruption|TestReplayBoundsAddIDs|TestDecodeSnapshotRefusesImpossibleCounts|TestOpenFallsBackPastForgedSnapshot' -count=1 ./internal/wal
 	$(GO) test -run 'TestWALAppendAllocFree|TestApplyBatchWALAllocFree|TestSnapshotSealAllocBound|TestStreamedSnapshotMatchesReference' -count=1 ./internal/wal
 
 # The serving benchmark (bench/, its own module built against this one

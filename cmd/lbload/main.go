@@ -1,8 +1,10 @@
 // Command lbload is the open-loop load driver for the networked
 // serving front end (lbserve -listen): N connections each admit a
-// population of agents, then pipeline rebid traffic against the
-// server — Poisson arrivals when -rate is set, closed-loop otherwise —
-// and report sustained ops/s with p50/p99/p99.9 latency quantiles.
+// population of agents with pipelined adds, then, once every
+// connection has admitted its agents, pipeline rebid traffic against
+// the server for -duration — Poisson arrivals when -rate is set,
+// closed-loop otherwise — and report sustained ops/s with
+// p50/p99/p99.9 latency quantiles.
 //
 // Latency is measured open-loop style: a request's clock starts at its
 // *scheduled* arrival, so a server that falls behind accumulates
@@ -113,21 +115,29 @@ func main() {
 		os.Exit(1)
 	}
 
+	// The load window opens once every connection has admitted its
+	// agents (or failed to), so admission never eats into -duration.
 	results := make([]connResult, *conns)
-	var wg sync.WaitGroup
-	start := time.Now()
-	deadline := start.Add(*duration)
+	var wg, admitted sync.WaitGroup
+	var deadline time.Time
+	open := make(chan struct{})
 	for w := 0; w < *conns; w++ {
 		wg.Add(1)
+		admitted.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			results[w] = driveConn(connConfig{
-				addr: *addr, agents: *agents, deadline: deadline,
+				addr: *addr, agents: *agents, admitted: admitted.Done,
+				open: open, deadline: &deadline,
 				rate: *rate / float64(*conns), window: *window,
 				seed: *seed, worker: w,
 			})
 		}(w)
 	}
+	admitted.Wait()
+	start := time.Now()
+	deadline = start.Add(*duration)
+	close(open)
 	wg.Wait()
 	elapsed := time.Since(start)
 
@@ -192,124 +202,90 @@ func main() {
 }
 
 type connConfig struct {
-	addr     string
-	agents   int
-	deadline time.Time
+	addr   string
+	agents int
+	// admitted is called once the connection has admitted its agents
+	// or failed; open is closed when the load window starts, after
+	// *deadline (its end) is set.
+	admitted func()
+	open     <-chan struct{}
+	deadline *time.Time
 	rate     float64 // per-connection ops/s; 0 = closed loop
 	window   int
 	seed     uint64
 	worker   int
 }
 
-// driveConn runs one connection: admit the population synchronously,
-// then split into a pipelining writer and a latency-recording reader
-// joined by a FIFO token channel whose capacity is the window — the
-// channel both bounds outstanding requests and carries each request's
-// scheduled-arrival time to the reader (responses are FIFO by the
-// pipelining contract, so tokens and responses pair up exactly).
+// flushEvery is how many requests a writer queues before it flushes.
+const flushEvery = 256
+
+// admitTimeout fails a connection whose admission makes no progress:
+// its deadline moves this far ahead at every flushEvery responses.
+const admitTimeout = 10 * time.Second
+
+// driveConn runs one connection: admit the population with pipelined
+// adds, wait for the shared load window to open, then pipeline rebids
+// until the window closes, recording each response's latency from its
+// request's scheduled arrival.
 func driveConn(cfg connConfig) connResult {
 	res := connResult{}
 	c, err := lbclient.Dial(cfg.addr, 0)
 	if err != nil {
+		cfg.admitted()
 		res.err = err
 		return res
 	}
 	defer c.Close()
-	c.SetDeadline(cfg.deadline.Add(10 * time.Second))
 
 	rng := rand.New(rand.NewPCG(cfg.seed, uint64(cfg.worker)+1))
 	ids := make([]int, cfg.agents)
-	for i := range ids {
-		if ids[i], err = c.Add(0.1 + 10*rng.Float64()); err != nil {
-			res.err = err
-			return res
-		}
+	err = admit(c, ids, cfg.window, rng)
+	cfg.admitted()
+	if err != nil {
+		res.err = fmt.Errorf("admission: %w", err)
+		return res
 	}
+	<-cfg.open
+	deadline := *cfg.deadline
+	c.SetDeadline(deadline.Add(10 * time.Second))
 
-	const flushEvery = 256
-	tokens := make(chan time.Time, cfg.window)
-	writeErr := make(chan error, 1)
-	var sent int
-
-	go func() {
-		defer close(tokens)
-		gap := 0.0
-		if cfg.rate > 0 {
-			gap = 1 / cfg.rate
-		}
+	p := newPipeline(c, cfg.window)
+	gap := 0.0
+	if cfg.rate > 0 {
+		gap = 1 / cfg.rate
+	}
+	sent := 0
+	res.err = p.run(func() error {
 		next := time.Now()
-		pending := 0
-		for time.Now().Before(cfg.deadline) {
+		for time.Now().Before(deadline) {
 			if cfg.rate > 0 {
 				// Poisson arrivals: exponential gaps from the schedule,
 				// never resetting to "now" — a slow server builds a
 				// backlog instead of stretching the schedule.
 				next = next.Add(time.Duration(rng.ExpFloat64() * gap * float64(time.Second)))
 				if d := time.Until(next); d > 0 {
-					if pending > 0 {
-						if err := c.Flush(); err != nil {
-							writeErr <- err
-							return
-						}
-						pending = 0
+					if err := p.flush(); err != nil {
+						return err
 					}
 					time.Sleep(d)
 				}
 			}
-			if pending > 0 && len(tokens) == cfg.window {
-				// About to block on a full window: flush so the reader
-				// can drain it.
-				if err := c.Flush(); err != nil {
-					writeErr <- err
-					return
-				}
-				pending = 0
-			}
-			select {
-			case tokens <- next:
-			default:
-				if err := c.Flush(); err != nil {
-					writeErr <- err
-					return
-				}
-				pending = 0
-				tokens <- next
+			if err := p.put(next); err != nil {
+				return err
 			}
 			if cfg.rate == 0 {
 				next = time.Now()
 			}
 			c.QueueRebid(ids[sent%len(ids)], 0.1+10*rng.Float64())
 			sent++
-			pending++
-			if pending >= flushEvery {
-				if err := c.Flush(); err != nil {
-					writeErr <- err
-					return
-				}
-				pending = 0
+			if err := p.queued(); err != nil {
+				return err
 			}
 		}
-		if pending > 0 {
-			if err := c.Flush(); err != nil {
-				writeErr <- err
-			}
-		}
-	}()
-
-	for t0 := range tokens {
-		p, err := c.Recv()
-		if err != nil {
-			res.err = err
-			// Unblock the writer (it may be parked on a full token
-			// channel); the run is failing anyway.
-			go func() {
-				for range tokens {
-				}
-			}()
-			break
-		}
+		return nil
+	}, func(t0 time.Time, r *wire.Response) error {
 		res.hist.observe(time.Since(t0))
-		switch p.Status {
+		switch r.Status {
 		case wire.StatusOK:
 			res.ops++
 		case wire.StatusOverloaded:
@@ -317,13 +293,120 @@ func driveConn(cfg connConfig) connResult {
 		default:
 			res.errs++
 		}
-	}
-	select {
-	case err := <-writeErr:
-		if res.err == nil {
-			res.err = err
+		return nil
+	})
+	return res
+}
+
+// admit fills ids with the ids of len(ids) new agents, pipelining the
+// adds as bench/lbbench's populate does: at most window outstanding,
+// flushed every flushEvery. A connection that goes admitTimeout
+// without flushEvery responses fails, and so does an add that is not
+// answered OK.
+func admit(c *lbclient.Conn, ids []int, window int, rng *rand.Rand) error {
+	c.SetDeadline(time.Now().Add(admitTimeout))
+	p := newPipeline(c, window)
+	n := 0
+	return p.run(func() error {
+		for range ids {
+			if err := p.put(time.Time{}); err != nil {
+				return err
+			}
+			c.QueueAdd(0.1 + 10*rng.Float64())
+			if err := p.queued(); err != nil {
+				return err
+			}
 		}
+		return nil
+	}, func(_ time.Time, r *wire.Response) error {
+		if r.Status != wire.StatusOK {
+			return &wire.StatusError{Op: r.Op, Status: r.Status}
+		}
+		ids[n] = int(r.ID)
+		n++
+		if n%flushEvery == 0 {
+			c.SetDeadline(time.Now().Add(admitTimeout))
+		}
+		return nil
+	})
+}
+
+// pipeline splits a connection into a writer goroutine and a reader
+// joined by a FIFO token channel whose capacity is the window: the
+// channel both bounds outstanding requests and carries each request's
+// scheduled-arrival time to the reader (responses are FIFO by the
+// pipelining contract, so tokens and responses pair up exactly).
+type pipeline struct {
+	c       *lbclient.Conn
+	tokens  chan time.Time
+	pending int // queued, not yet flushed
+}
+
+func newPipeline(c *lbclient.Conn, window int) *pipeline {
+	return &pipeline{c: c, tokens: make(chan time.Time, window)}
+}
+
+// run calls write on a writer goroutine and read, on this one, with
+// each response and its request's token, in order. write queues each
+// request through put, the lbclient Queue call and queued; run
+// flushes what it leaves queued. The first error of either side ends
+// the run: the connection's deadline is expired so the writer stops,
+// and the remaining tokens are drained unread.
+func (p *pipeline) run(write func() error, read func(t0 time.Time, r *wire.Response) error) error {
+	writeErr := make(chan error, 1)
+	go func() {
+		defer close(p.tokens)
+		err := write()
+		if err == nil {
+			err = p.flush()
+		}
+		writeErr <- err
+	}()
+	var err error
+	for t0 := range p.tokens {
+		if err != nil {
+			continue
+		}
+		r, rerr := p.c.Recv()
+		if rerr == nil {
+			rerr = read(t0, r)
+		}
+		if rerr != nil {
+			err = rerr
+			p.c.SetDeadline(time.Now())
+		}
+	}
+	if werr := <-writeErr; err == nil {
+		err = werr
+	}
+	return err
+}
+
+// put takes a window slot for a request scheduled at t0. When the
+// window is full it flushes first, so the reader can drain it.
+func (p *pipeline) put(t0 time.Time) error {
+	select {
+	case p.tokens <- t0:
+		return nil
 	default:
 	}
-	return res
+	if err := p.flush(); err != nil {
+		return err
+	}
+	p.tokens <- t0
+	return nil
+}
+
+// queued counts one queued request and flushes every flushEvery.
+func (p *pipeline) queued() error {
+	if p.pending++; p.pending < flushEvery {
+		return nil
+	}
+	return p.flush()
+}
+
+// flush writes every queued request.
+func (p *pipeline) flush() error {
+	p.pending = 0
+	return p.c.Flush()
 }

@@ -269,8 +269,6 @@ type RegistryMetrics struct {
 	// yet — traffic the epoch protocol absorbed without any reader
 	// ever observing the intermediate value.
 	Coalesced *Counter
-	// Rebuilds counts per-shard partial-sum rebuilds (drift control).
-	Rebuilds *Counter
 	// Batches counts ApplyBatch calls (the grouped-mutation entry
 	// point); the ops inside a batch land in Adds/Updates/Removes.
 	Batches *Counter
@@ -294,7 +292,6 @@ func NewRegistryMetrics(r *Registry) *RegistryMetrics {
 		Removes:         r.Counter("lb_registry_removes_total", "agents removed from the bid registry"),
 		Updates:         r.Counter("lb_registry_updates_total", "bid updates applied"),
 		Coalesced:       r.Counter("lb_registry_coalesced_rebids_total", "rebids overwriting a bid no epoch had sealed"),
-		Rebuilds:        r.Counter("lb_registry_partial_rebuilds_total", "per-shard compensated partial-sum rebuilds"),
 		Batches:         r.Counter("lb_registry_batches_total", "grouped mutation batches applied"),
 		Epochs:          r.Counter("lb_registry_epochs_sealed_total", "epochs sealed"),
 		Live:            r.Gauge("lb_registry_live_agents", "live agents as of the last sealed epoch"),
@@ -334,14 +331,6 @@ func (m *RegistryMetrics) AppliedBatch(adds, updates, removes, coalesced int64) 
 	m.Updates.Add(updates)
 	m.Removes.Add(removes)
 	m.Coalesced.Add(coalesced)
-}
-
-// Rebuilt records one per-shard partial-sum rebuild.
-func (m *RegistryMetrics) Rebuilt() {
-	if m == nil {
-		return
-	}
-	m.Rebuilds.Inc()
 }
 
 // Sealed records one sealed epoch over n live agents, its wall-clock

@@ -98,7 +98,6 @@ func TestNilSafety(t *testing.T) {
 	o.EngineMetrics().RunDone(true, 10)
 	o.FaultMetrics().Injected("drop")
 	o.RegistryMetrics().Mutated("update", true)
-	o.RegistryMetrics().Rebuilt()
 	o.RegistryMetrics().Sealed(5, 0.01, 0.001)
 	o.Emit(Event{Kind: "x"})
 

@@ -1,6 +1,10 @@
 package registry
 
-import "repro/internal/alloc"
+import (
+	"math"
+
+	"repro/internal/alloc"
+)
 
 // Batched mutation. A networked front end that decodes thousands of
 // bid ops per wakeup would pay one lock acquisition, one metrics
@@ -16,19 +20,21 @@ import "repro/internal/alloc"
 // instead of letting them overlap. A journal without Mutations gets
 // the group's per-op calls, in op order, at the same point.
 //
-// The records' cache misses are overlapped explicitly too. Applying a
-// group is a serial chain — every op's delta feeds the shard's
-// Neumaier partial sum before the next op's — so a miss on each op's
-// record would stall the chain once per op. Instead, once the registry
-// has issued gatherMinIDs ids (records beyond a core's L2), a gather
-// pass loads the record of every op in the group right after taking
-// the shard's lock; the loads are independent, so the CPU keeps many
-// of their misses in flight at once, and the apply loop then finds
-// each record in cache. The gather runs under the lock because an add
-// may regrow the shard's record array: outside it the loads would race
-// with that write. An id admitted earlier in the same batch has no
-// record yet, and its index usually lies past the array, so each load
-// is bounds-checked; an id the group touches twice is loaded twice,
+// The records' cache misses are overlapped explicitly too. Each op of
+// a group branches on its record's bid (absent or live) and then runs
+// the bid write, the written-bit update and the journal bookkeeping
+// before the next op's record is even addressed, so the out-of-order
+// window holds only a few ops, and a miss on every op's record would
+// be taken a few at a time. Instead, once the registry has issued
+// gatherMinIDs ids (records beyond a core's L2), a gather pass loads
+// the record of every op in the group right after taking the shard's
+// lock; the loads are independent, so the CPU keeps many of their
+// misses in flight at once, and the apply loop then finds each record
+// in cache. The gather runs under the lock because an add may regrow
+// the shard's record array: outside it the loads would race with that
+// write. An id admitted earlier in the same batch has no record yet,
+// and its index usually lies past the array, so each load is
+// bounds-checked; an id the group touches twice is loaded twice,
 // which costs a cache hit.
 //
 // Semantics are exactly those of applying the ops one at a time in
@@ -196,7 +202,7 @@ func (r *Registry) ApplyBatch(ops []BatchOp, res []BatchResult, sc *BatchScratch
 
 	// Pass 2: per touched shard, lock once and apply that shard's ops
 	// in op order through the same shard mutators as Add/Update/Remove
-	// — including the coalesced-rebid stamp protocol — minus the per-op
+	// — including the written-since-seal bits — minus the per-op
 	// lock, metrics and error traffic. With a journal attached, the
 	// applied ops collect in sc.applied and are journaled in one call
 	// before the shard lock is released.
@@ -213,33 +219,31 @@ func (r *Registry) ApplyBatch(ops []BatchOp, res []BatchResult, sc *BatchScratch
 			g := sc.gather
 			for i := sc.head[s]; i >= 0; i = sc.next[i] {
 				if local := out[i].ID >> r.bits; local < len(sh.recs) {
-					g ^= sh.recs[local].stamp
+					g ^= math.Float64bits(sh.recs[local].t)
 				}
 			}
 			sc.gather = g
 		}
 		j := r.journal
-		// The epoch counter only advances with every shard lock held,
-		// so it is constant for the whole group.
-		now := r.epoch.Load()
 		sc.applied = sc.applied[:0]
 		for i := sc.head[s]; i >= 0; i = sc.next[i] {
 			op := &ops[i]
 			rr := &out[i]
 			switch op.Kind {
 			case BatchAdd:
-				sh.add(rr.ID>>r.bits, op.T, now, r.met)
+				sh.add(rr.ID>>r.bits, op.T)
 				if j != nil {
 					sc.applied = append(sc.applied, BatchOp{Kind: BatchAdd, ID: rr.ID, T: op.T})
 				}
 				adds++
 			case BatchRebid:
-				rc := sh.get(op.ID >> r.bits)
+				local := op.ID >> r.bits
+				rc := sh.get(local)
 				if rc == nil {
 					rr.Code = BatchUnknownID
 					continue
 				}
-				if sh.rebid(rc, op.T, now, r.met) {
+				if sh.rebid(rc, local, op.T) {
 					coalesced++
 				}
 				if j != nil {
@@ -252,7 +256,7 @@ func (r *Registry) ApplyBatch(ops []BatchOp, res []BatchResult, sc *BatchScratch
 					rr.Code = BatchUnknownID
 					continue
 				}
-				sh.remove(rc, r.met)
+				sh.remove(rc)
 				if j != nil {
 					sc.applied = append(sc.applied, *op)
 				}

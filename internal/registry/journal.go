@@ -185,7 +185,7 @@ func (r *Registry) RestoreAgent(id int, t float64) error {
 		sh.mu.Unlock()
 		return fmt.Errorf("registry: restore of already-live id %d", id)
 	}
-	sh.add(local, t, r.epoch.Load(), r.met)
+	sh.add(local, t)
 	sh.mu.Unlock()
 	return nil
 }

@@ -1,154 +1,30 @@
 package registry
 
-// Tests for the shard layout: one 16-byte record per issued id, and a
-// running partial rebuilt once per max(rebuildEvery, len(recs))
-// mutations. The population is at least 3·rebuildEvery so the
-// record-scaled period, not the floor, sets the cadence.
+// Tests for the shard layout: one 8-byte record and one
+// written-since-seal bit per issued id.
 
 import (
 	"math"
 	"math/rand/v2"
 	"testing"
 	"unsafe"
-
-	"repro/internal/obs"
 )
 
-// layoutPop is the population of the layout tests: enough ids that a
-// single shard's records outnumber rebuildEvery three times over.
-const layoutPop = 3*rebuildEvery + 500
+// layoutPop is the population of the layout tests: its ids fill three
+// of the seal copy's 4096-id blocks and part of a fourth, and with one
+// shard its records span 100 KiB.
+const layoutPop = 3*4096 + 500
 
 // TestRecordLayout pins the sizes the hot path is built around: a rebid
-// touches one 16-byte record, four to a cache line, and a shard's hot
+// touches one 8-byte record, eight to a cache line, and a shard's hot
 // fields fill one 64-byte line padded to two, so neighbouring shards
 // never share a line.
 func TestRecordLayout(t *testing.T) {
-	if got := unsafe.Sizeof(rec{}); got != 16 {
-		t.Errorf("sizeof(rec) = %d, want 16", got)
+	if got := unsafe.Sizeof(rec{}); got != 8 {
+		t.Errorf("sizeof(rec) = %d, want 8", got)
 	}
 	if got := unsafe.Sizeof(shard{}); got != 128 {
 		t.Errorf("sizeof(shard) = %d, want 128", got)
-	}
-}
-
-// TestPartialRebuildCadence drives one shard through rebids, leaves,
-// restores of departed ids and fresh adds, serially and through
-// ApplyBatch, and checks the rebuild counter against a model of the
-// max(rebuildEvery, len(recs)) period. With one shard, len(recs) is the
-// id counter, and only applied mutations count. The running partial
-// must stay within 1e-9 (relative) of the canonical sealed S.
-func TestPartialRebuildCadence(t *testing.T) {
-	met := obs.NewRegistryMetrics(obs.NewRegistry())
-	r, err := New(Config{Rate: 20, Shards: 1, Metrics: met})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var recs, muts, want int64
-	bump := func() {
-		muts++
-		if muts >= max(rebuildEvery, recs) {
-			muts, want = 0, want+1
-		}
-	}
-	check := func(step int) {
-		t.Helper()
-		if got := met.Rebuilds.Value(); got != want {
-			t.Fatalf("step %d: %d partial rebuilds, want %d (period max(%d, %d))", step, got, want, rebuildEvery, recs)
-		}
-		s := r.Seal().Sum()
-		if approx := r.ApproxSum(); math.Abs(approx-s) > 1e-9*s {
-			t.Fatalf("step %d: running partial %v drifted from sealed %v (rel %g)", step, approx, s, math.Abs(approx-s)/s)
-		}
-	}
-
-	rng := rand.New(rand.NewPCG(13, 7))
-	bid := func() float64 { return 0.1 + 10*rng.Float64() }
-	var live, gone []int
-	for i := 0; i < layoutPop; i++ {
-		live = append(live, mustAdd(t, r, bid()))
-		recs = int64(len(live))
-		bump()
-	}
-	check(0)
-
-	var ops []BatchOp
-	var res []BatchResult
-	sc := &BatchScratch{}
-	flush := func() {
-		res = r.ApplyBatch(ops, res[:0], sc)
-		for i, rr := range res {
-			want := BatchOK
-			if i > 0 && ops[i-1].Kind == BatchLeave {
-				want = BatchUnknownID // the rebid of the id just departed
-			}
-			if rr.Code != want {
-				t.Fatalf("batched op %d (%+v): code %v, want %v", i, ops[i], rr.Code, want)
-			}
-		}
-		ops = ops[:0]
-	}
-	for step := 1; step <= 40*rebuildEvery; step++ {
-		batched := step/1024%2 == 1 // alternate 1024-step runs of each path
-		if !batched && len(ops) > 0 {
-			flush()
-		}
-		switch p := rng.IntN(100); {
-		case p < 80:
-			id, tv := live[rng.IntN(len(live))], bid()
-			if batched {
-				ops = append(ops, BatchOp{Kind: BatchRebid, ID: id, T: tv})
-			} else if err := r.Update(id, tv); err != nil {
-				t.Fatal(err)
-			}
-			bump()
-		case p < 88:
-			j := rng.IntN(len(live))
-			id := live[j]
-			live[j] = live[len(live)-1]
-			live = live[:len(live)-1]
-			gone = append(gone, id)
-			if batched {
-				ops = append(ops, BatchOp{Kind: BatchLeave, ID: id})
-				// A rebid of the departed id later in the same batch
-				// fails and must not count toward the period.
-				ops = append(ops, BatchOp{Kind: BatchRebid, ID: id, T: 1})
-			} else if err := r.Remove(id); err != nil {
-				t.Fatal(err)
-			}
-			bump()
-		case p < 94 && len(gone) > 0 && !batched:
-			j := rng.IntN(len(gone))
-			id := gone[j]
-			gone[j] = gone[len(gone)-1]
-			gone = gone[:len(gone)-1]
-			if err := r.RestoreAgent(id, bid()); err != nil {
-				t.Fatal(err)
-			}
-			live = append(live, id)
-			bump()
-		default:
-			// With one shard every issued id has a record, so the
-			// next id is the record count.
-			if batched {
-				ops = append(ops, BatchOp{Kind: BatchAdd, T: bid()})
-			} else if id := mustAdd(t, r, bid()); id != int(recs) {
-				t.Fatalf("Add assigned id %d, want %d", id, recs)
-			}
-			live = append(live, int(recs))
-			recs++
-			bump()
-		}
-		if len(ops) >= 64 || (len(ops) > 0 && step%rebuildEvery == 0) {
-			flush()
-		}
-		if step%rebuildEvery == 0 {
-			check(step)
-		}
-	}
-	// About 160k mutations over 13-15k records: a fixed 4096 period
-	// would have rebuilt about 40 times.
-	if want < 8 {
-		t.Fatalf("only %d rebuilds modelled; the cadence went unexercised", want)
 	}
 }
 
@@ -265,7 +141,7 @@ func TestRemovedIDChurnDifferential(t *testing.T) {
 		}
 
 		for round := 0; round < 6; round++ {
-			for step := 0; step < 2*rebuildEvery; step++ {
+			for step := 0; step < 8192; step++ {
 				switch p := rng.IntN(10); {
 				case p < 6:
 					id, tv := live[rng.IntN(len(live))], bid()

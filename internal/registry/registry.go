@@ -8,15 +8,13 @@
 //
 //   - Writes are lock-striped. Agents live in power-of-two many
 //     shards (shard = id mod nShards); each shard keeps one record
-//     per local id (id / nShards) holding the bid and its write stamp,
-//     16 bytes, so a mutation touches one cache line of shard state and
-//     resolves the id with one array index, no map and no slot
-//     indirection. Each shard also keeps a compensated partial sum of
-//     1/b_i, maintained as a delta on every mutation and rebuilt from
-//     the records once per max(4096, records) mutations to cancel
-//     drift, which is O(1) amortized per mutation at any population.
-//     Concurrent mutations contend only when they hash to the same
-//     shard.
+//     per local id (id / nShards) holding just the bid, 8 bytes, and
+//     one written-since-seal bit per local id. A mutation resolves the
+//     id with one array index, no map and no slot indirection, and
+//     touches one record and one word of bits. A shard keeps no
+//     running sum: the only aggregate anything prices with is the one
+//     each seal recomputes from the bids. Concurrent mutations contend
+//     only when they hash to the same shard.
 //
 //   - Reads are lock-free. Seal freezes the current population into
 //     an immutable Snapshot — {epoch, R, S, n} plus one id-indexed
@@ -25,9 +23,7 @@
 //     the snapshot in O(1) with zero allocations and no lock, while
 //     writers keep mutating the shards underneath.
 //
-// Determinism. The sealed aggregate is NOT the sum of the per-shard
-// running partials (their value depends on the interleaving of
-// mutations): Seal recomputes S as a single Neumaier summation over
+// Determinism. Seal computes S as a single Neumaier summation over
 // the live bids in ascending id order. That reduction depends only on
 // the live (id, bid) set, so it is independent of the shard count,
 // the worker count and the mutation history — and it is exactly what
@@ -38,10 +34,10 @@
 //
 // Ids are assigned by a global monotonic counter and never recycled,
 // matching alloc.Stream, so the shard records are indexed by every id
-// ever issued: 16 bytes per id, live or departed, on top of the 8
-// bytes per id each seal allocates for the snapshot's bid array (a
-// reader computes 1/b_i from it). A departed id keeps its record and
-// its slot in every later seal, so a long-lived coordinator
+// ever issued: 8 bytes and 1 bit per id, live or departed, on top of
+// the 8 bytes per id each seal allocates for the snapshot's bid array
+// (a reader computes 1/b_i from it). A departed id keeps its record
+// and its slot in every later seal, so a long-lived coordinator
 // under heavy churn bounds the footprint by recreating the registry at
 // natural epochs (e.g. a mechanism round boundary).
 package registry
@@ -64,19 +60,12 @@ import (
 // collide, small enough that sealing's fixed per-shard work is noise.
 const DefaultShards = 32
 
-// rebuildEvery bounds the drift of a shard's running partial sum:
-// after max(rebuildEvery, len(recs)) mutations the partial is
-// recomputed from the live records with compensated summation. The
-// floor mirrors alloc.Stream; scaling the period with the records
-// keeps the rebuild scan O(1) amortized per mutation.
-const rebuildEvery = 4096
-
 // gatherMinIDs is the id count from which ApplyBatch runs its gather
 // pass (see the comment above BatchKind). The records of 1<<16 ids
-// fill 1 MiB, about one server core's L2. Below that a rebid's record
-// is an L2 hit at worst, which the apply loop's out-of-order window
-// already overlaps, so the gather would only add a walk over the
-// group: about 4 ns per op at 8k agents.
+// fill 512 KiB, half of one server core's L2. Below that a rebid's
+// record is an L2 hit at worst, which the apply loop's out-of-order
+// window already overlaps, so the gather would only add a walk over
+// the group: about 4 ns per op at 8k agents.
 const gatherMinIDs = 1 << 16
 
 // Config configures a Registry.
@@ -115,31 +104,27 @@ type Registry struct {
 	gatherMin int
 }
 
-// rec is one id's state in its shard, 16 bytes, four to a cache line.
-// t is the bid, 0 when the id is absent (a live bid is always > 0 with
-// a finite 1/t, see checkT). stamp is the epoch counter at the last
-// write, for coalesced-rebid accounting. The inverse is not stored:
-// every reader computes 1/t, which is bitwise the value a stored
-// inverse would hold.
+// rec is one id's record in its shard: the bid t, 8 bytes, eight to a
+// cache line, 0 when the id is absent (a live bid is always > 0 with a
+// finite 1/t, see checkT). The inverse is not stored: every reader
+// computes 1/t, which is bitwise the value a stored inverse would hold.
 type rec struct {
-	t     float64
-	stamp uint64
+	t float64
 }
 
-// shard is one lock stripe: the records of the ids it owns and the
-// shard's compensated running partial of Σ 1/t over its live records.
+// shard is one lock stripe: the records of the ids it owns and their
+// written-since-seal bits.
 type shard struct {
 	mu sync.Mutex
 
 	// recs is indexed by local id (id >> bits), so walking it in index
 	// order visits the shard's live ids in ascending global-id order.
 	recs []rec
-
-	// Neumaier running partial of 1/t over live records, maintained as
-	// a delta per mutation and rebuilt by bump.
-	psum, pcomp float64
-	muts        int
-	live        int
+	// written holds one bit per local id, set by every add and rebid
+	// and cleared by every seal, for coalesced-rebid accounting: a
+	// rebid that finds its bit set overwrites a bid no epoch observed.
+	written []uint64
+	live    int
 
 	// The fields above fill 64 bytes; padding to 128 keeps one shard's
 	// hot line off its neighbours' lines at any slice alignment.
@@ -202,7 +187,7 @@ func (r *Registry) Add(t float64) (int, error) {
 	sh := &r.shards[id&r.mask]
 
 	sh.mu.Lock()
-	sh.add(id>>r.bits, t, r.epoch.Load(), r.met)
+	sh.add(id>>r.bits, t)
 	if j := r.journal; j != nil {
 		j.Added(id, t)
 	}
@@ -224,7 +209,7 @@ func (r *Registry) Remove(id int) error {
 		sh.mu.Unlock()
 		return unknownID(id)
 	}
-	sh.remove(rc, r.met)
+	sh.remove(rc)
 	if j := r.journal; j != nil {
 		j.Removed(id)
 	}
@@ -250,7 +235,7 @@ func (r *Registry) Update(id int, t float64) error {
 		sh.mu.Unlock()
 		return unknownID(id)
 	}
-	coalesced := sh.rebid(rc, t, r.epoch.Load(), r.met)
+	coalesced := sh.rebid(rc, local, t)
 	if j := r.journal; j != nil {
 		j.Updated(id, t)
 	}
@@ -287,21 +272,6 @@ func (r *Registry) Live() int {
 		sh.mu.Unlock()
 	}
 	return total
-}
-
-// ApproxSum returns the delta-maintained aggregate: the per-shard
-// running partials combined in shard order. Its last bits depend on
-// the mutation interleaving — it is a monitoring value and a drift
-// cross-check for the canonical sealed S, not a pricing input.
-func (r *Registry) ApproxSum() float64 {
-	var k numeric.KahanSum
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		k.Add(sh.psum + sh.pcomp)
-		sh.mu.Unlock()
-	}
-	return k.Value()
 }
 
 // Snapshot returns the last sealed snapshot. The load is a single
@@ -352,7 +322,8 @@ func (c *Correction) validate() error {
 // Seal freezes the current population into a new immutable Snapshot,
 // publishes it, and returns it. The sealed bid array (8 bytes per
 // issued id) is allocated before any lock is taken; the shard locks
-// are then all held only for the copy of the bids into it and the
+// are then all held only for the copy of the bids into it, the reset
+// of the written-since-seal bits (1 bit per issued id) and the
 // journal's seal record — writers queue behind a seal for that
 // window, O(ids issued) work spread across cores, which
 // lb_registry_seal_hold_seconds measures. The canonical aggregate is
@@ -413,8 +384,12 @@ func (r *Registry) SealCorrected(c *Correction) (*Snapshot, error) {
 			}
 		}
 	})
+	// The copy observed every bid written so far, so the written-since-
+	// seal bits restart here.
 	for i := range r.shards {
-		live += r.shards[i].live
+		sh := &r.shards[i]
+		live += sh.live
+		clear(sh.written)
 	}
 	rate := r.Rate()
 	epoch := r.epoch.Add(1)
@@ -493,72 +468,42 @@ func (sh *shard) get(local int) *rec {
 }
 
 // add installs a live bid t at the absent local id, growing the
-// records to reach it; stamp is the current epoch counter. Called with
-// the shard lock held, like every mutator below.
-func (sh *shard) add(local int, t float64, stamp uint64, met *obs.RegistryMetrics) {
+// records and the written bits to reach it. Called with the shard lock
+// held, like every mutator below.
+func (sh *shard) add(local int, t float64) {
 	if local >= len(sh.recs) {
 		sh.recs = append(sh.recs, make([]rec, local+1-len(sh.recs))...)
+		if words := local>>6 + 1; words > len(sh.written) {
+			sh.written = append(sh.written, make([]uint64, words-len(sh.written))...)
+		}
 	}
-	sh.recs[local] = rec{t: t, stamp: stamp}
-	sh.padd(1 / t)
+	sh.recs[local].t = t
+	sh.mark(local)
 	sh.live++
-	sh.bump(met)
 }
 
-// rebid replaces live record rc's bid with t at epoch counter now. It
+// rebid replaces live record rc's bid (local id local) with t. It
 // reports whether the rebid coalesced: a predecessor written after the
 // last seal is a value no epoch ever observed, so from every reader's
 // point of view the two updates were one.
-func (sh *shard) rebid(rc *rec, t float64, now uint64, met *obs.RegistryMetrics) bool {
-	coalesced := rc.stamp == now
-	sh.padd(1 / t)
-	sh.padd(-1 / rc.t)
-	*rc = rec{t: t, stamp: now}
-	sh.bump(met)
-	return coalesced
+func (sh *shard) rebid(rc *rec, local int, t float64) bool {
+	rc.t = t
+	return sh.mark(local)
 }
 
 // remove retires live record rc.
-func (sh *shard) remove(rc *rec, met *obs.RegistryMetrics) {
-	sh.padd(-1 / rc.t)
-	*rc = rec{}
+func (sh *shard) remove(rc *rec) {
+	rc.t = 0
 	sh.live--
-	sh.bump(met)
 }
 
-// padd accumulates v into the shard's Neumaier partial.
-func (sh *shard) padd(v float64) {
-	t := sh.psum + v
-	if abs(sh.psum) >= abs(v) {
-		sh.pcomp += (sh.psum - t) + v
-	} else {
-		sh.pcomp += (v - t) + sh.psum
-	}
-	sh.psum = t
-}
-
-// bump counts a mutation and rebuilds the running partial from the
-// live records once max(rebuildEvery, len(recs)) mutations have spent
-// the drift budget: the rebuild scans len(recs) records, so scaling
-// the period with them keeps its cost O(1) amortized per mutation.
-func (sh *shard) bump(met *obs.RegistryMetrics) {
-	sh.muts++
-	if sh.muts >= max(rebuildEvery, len(sh.recs)) {
-		sh.rebuild(met)
-	}
-}
-
-// rebuild recomputes the running partial from the live records.
-func (sh *shard) rebuild(met *obs.RegistryMetrics) {
-	sh.muts = 0
-	var k numeric.KahanSum
-	for _, rc := range sh.recs {
-		if rc.t != 0 {
-			k.Add(1 / rc.t)
-		}
-	}
-	sh.psum, sh.pcomp = k.Value(), 0
-	met.Rebuilt()
+// mark sets the local id's written-since-seal bit and reports whether
+// it was already set.
+func (sh *shard) mark(local int) bool {
+	w, bit := &sh.written[local>>6], uint64(1)<<(local&63)
+	was := *w&bit != 0
+	*w |= bit
+	return was
 }
 
 // shardBits returns log2 of the shard count for the given mask.
@@ -568,13 +513,6 @@ func shardBits(mask int) int {
 		bits++
 	}
 	return bits
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 func unknownID(id int) error {

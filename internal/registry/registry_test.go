@@ -2,7 +2,10 @@ package registry
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"math/big"
+	"math/rand/v2"
 	"runtime"
 	"testing"
 	"time"
@@ -287,41 +290,262 @@ func TestSnapshotPaymentMatchesEngine(t *testing.T) {
 	}
 }
 
+// TestSnapshotPaymentMatchesBigFloat pins Payment's bonus against a
+// 400-bit big.Float evaluation of R²/(S − 1/b_i) − R²/S at the same
+// float64 S and b_i, for 2^20 and 2^24 agents bidding
+// 1 + 0.37·(i mod 31), where the bonus is a small difference of two
+// large optima. The Snapshot's fields are set directly: S is the exact
+// sum of the agents' float64 inverses rounded once, and the bid array
+// holds one agent of each of the 31 bid values.
+func TestSnapshotPaymentMatchesBigFloat(t *testing.T) {
+	const rate = 20.0
+	bf := func(x float64) *big.Float { return new(big.Float).SetPrec(400).SetFloat64(x) }
+	bids := make([]float64, 31)
+	for k := range bids {
+		bids[k] = 1 + 0.37*float64(k)
+	}
+	for _, n := range []int{1 << 20, 1 << 24} {
+		sum := bf(0)
+		for k, b := range bids {
+			count := n / len(bids)
+			if k < n%len(bids) {
+				count++
+			}
+			sum.Add(sum, new(big.Float).Mul(bf(1/b), bf(float64(count))))
+		}
+		s, _ := sum.Float64()
+		snap := &Snapshot{epoch: 1, rate: rate, s: s, n: n, t: bids}
+		r2 := new(big.Float).Mul(bf(rate), bf(rate))
+		worst := 0.0
+		for id, b := range bids {
+			comp, bonus, ok := snap.Payment(id)
+			if !ok {
+				t.Fatalf("n=%d: Payment(%d) not ok", n, id)
+			}
+			if comp != rate/s {
+				t.Fatalf("n=%d id=%d: compensation %v, want R/S = %v", n, id, comp, rate/s)
+			}
+			inv := new(big.Float).Quo(bf(1), bf(b))
+			rest := new(big.Float).Sub(bf(s), inv)
+			exact := new(big.Float).Sub(new(big.Float).Quo(r2, rest), new(big.Float).Quo(r2, bf(s)))
+			diff := new(big.Float).Sub(bf(bonus), exact)
+			rel, _ := new(big.Float).Quo(diff.Abs(diff), exact).Float64()
+			worst = max(worst, rel)
+			if rel > 1e-15 {
+				t.Errorf("n=%d id=%d (b=%v): bonus %v, exact %s: relative error %.3g", n, id, b, bonus, exact.Text('g', 20), rel)
+			}
+		}
+		t.Logf("n=%d: worst relative bonus error %.3g", n, worst)
+	}
+}
+
+// TestCoalescedRebidAccounting checks lb_registry_coalesced_rebids_total
+// against a model of "written since the last seal": adds, rebids and
+// RestoreAgent write an id, every seal (corrected or not) clears the
+// writes, and a rebid of a written id is coalesced — its predecessor
+// was never sealed. The scripted cases cover the serial and batched
+// paths, an add and a rebid of it in one batch, rebids after Seal and
+// after SealCorrected, a rebid after RestoreAgent, a leave followed by
+// a restore, and a rebid refused after a leave in the same batch; a
+// seeded random mix of all of them follows.
 func TestCoalescedRebidAccounting(t *testing.T) {
 	met := obs.NewRegistryMetrics(obs.NewRegistry())
 	r, err := New(Config{Rate: 5, Shards: 2, Metrics: met})
 	if err != nil {
 		t.Fatal(err)
 	}
+	written := map[int]bool{} // the model
+	var coalesced, updates int64
+	seals := int64(1) // New's
+	write := func(id int) { written[id] = true }
+	rebid := func(id int) {
+		if written[id] {
+			coalesced++
+		}
+		updates++
+		written[id] = true
+	}
+	check := func(step string) {
+		t.Helper()
+		if got := met.Coalesced.Value(); got != coalesced {
+			t.Fatalf("%s: coalesced = %d, want %d", step, got, coalesced)
+		}
+		if got := met.Updates.Value(); got != updates {
+			t.Fatalf("%s: updates = %d, want %d", step, got, updates)
+		}
+		if got := met.Epochs.Value(); got != seals {
+			t.Fatalf("%s: epochs = %d, want %d", step, got, seals)
+		}
+	}
+	seal := func(c *Correction) {
+		t.Helper()
+		if _, err := r.SealCorrected(c); err != nil {
+			t.Fatal(err)
+		}
+		seals++
+		clear(written)
+	}
+	update := func(id int, v float64) {
+		t.Helper()
+		if err := r.Update(id, v); err != nil {
+			t.Fatal(err)
+		}
+		rebid(id)
+	}
+	restore := func(id int, v float64) {
+		t.Helper()
+		if err := r.RestoreAgent(id, v); err != nil {
+			t.Fatal(err)
+		}
+		write(id)
+	}
+	sc := &BatchScratch{}
+	// batch applies ops and folds the applied ones into the model; a
+	// result code other than want[i] (BatchOK when want is short) fails.
+	batch := func(ops []BatchOp, want ...BatchCode) []BatchResult {
+		t.Helper()
+		res := r.ApplyBatch(ops, nil, sc)
+		for i, rr := range res {
+			code := BatchOK
+			if i < len(want) {
+				code = want[i]
+			}
+			if rr.Code != code {
+				t.Fatalf("batched op %d (%+v): code %v, want %v", i, ops[i], rr.Code, code)
+			}
+			if rr.Code != BatchOK {
+				continue
+			}
+			switch ops[i].Kind {
+			case BatchAdd:
+				write(rr.ID)
+			case BatchRebid:
+				rebid(rr.ID)
+			}
+		}
+		return res
+	}
+
+	// Serial: the first rebid after the add coalesces with it; after a
+	// seal a rebid overwrites a sealed bid; a second rebid in the same
+	// open epoch coalesces again.
 	id := mustAdd(t, r, 2)
-	// First rebid after the add, same epoch: the added bid was never
-	// sealed, so the rebid coalesces with it.
-	if err := r.Update(id, 3); err != nil {
+	write(id)
+	update(id, 3)
+	check("serial rebid after add")
+	seal(nil)
+	update(id, 4)
+	check("serial rebid after seal")
+	update(id, 5)
+	check("second serial rebid")
+	if coalesced != 2 || updates != 3 || seals != 2 {
+		t.Fatalf("model counted %d coalesced of %d updates over %d epochs, want 2 of 3 over 2", coalesced, updates, seals)
+	}
+
+	// Batched: an add and a rebid of the id it is assigned, in one
+	// batch, coalesce; so does a rebid of an id written serially.
+	next := int(r.nextID.Load())
+	res := batch([]BatchOp{{Kind: BatchAdd, T: 1}, {Kind: BatchRebid, ID: next, T: 2}, {Kind: BatchRebid, ID: id, T: 6}})
+	if res[0].ID != next {
+		t.Fatalf("batched add assigned id %d, want %d", res[0].ID, next)
+	}
+	check("batched add then rebid")
+	seal(nil)
+	batch([]BatchOp{{Kind: BatchRebid, ID: next, T: 3}})
+	check("batched rebid after Seal")
+	batch([]BatchOp{{Kind: BatchRebid, ID: next, T: 4}, {Kind: BatchRebid, ID: id, T: 7}})
+	check("batched rebids after a batched rebid")
+
+	// A corrected seal clears the writes too, whether or not it drops
+	// or discounts the id.
+	seal(&Correction{Drop: map[int]bool{id: true}, Weights: map[int]float64{next: 0.5}})
+	batch([]BatchOp{{Kind: BatchRebid, ID: id, T: 8}, {Kind: BatchRebid, ID: next, T: 5}})
+	check("batched rebids after SealCorrected")
+	update(id, 9)
+	check("serial rebid after SealCorrected")
+
+	// RestoreAgent writes the id it installs.
+	far := next + 40
+	restore(far, 2)
+	batch([]BatchOp{{Kind: BatchRebid, ID: far, T: 3}})
+	check("batched rebid after RestoreAgent")
+
+	// A leave followed by a restore: the restored bid is unsealed, so
+	// a rebid of it coalesces, across a seal between the two as well.
+	// A rebid refused after a leave in the same batch counts nothing.
+	seal(nil)
+	batch([]BatchOp{{Kind: BatchLeave, ID: far}, {Kind: BatchRebid, ID: far, T: 1}}, BatchOK, BatchUnknownID)
+	check("batched leave then rebid")
+	restore(far, 4)
+	batch([]BatchOp{{Kind: BatchRebid, ID: far, T: 5}})
+	check("batched rebid after leave and restore")
+	if err := r.Remove(next); err != nil {
 		t.Fatal(err)
 	}
-	if got := met.Coalesced.Value(); got != 1 {
-		t.Errorf("coalesced after same-epoch rebid = %d, want 1", got)
+	seal(nil)
+	restore(next, 6)
+	update(next, 7)
+	check("serial rebid after leave, seal and restore")
+
+	// A seeded mix of every path against the same model.
+	rng := rand.New(rand.NewPCG(5, 21))
+	live, gone := []int{id, next, far}, []int(nil)
+	pick := func(ids []int) (int, []int) {
+		j := rng.IntN(len(ids))
+		v := ids[j]
+		ids[j] = ids[len(ids)-1]
+		return v, ids[:len(ids)-1]
 	}
-	r.Seal()
-	// Post-seal rebid overwrites a sealed bid: not coalesced.
-	if err := r.Update(id, 4); err != nil {
-		t.Fatal(err)
+	var ops []BatchOp
+	for step := 0; step < 4000; step++ {
+		bid := 0.1 + 10*rng.Float64()
+		switch p := rng.IntN(100); {
+		case p < 50:
+			v := live[rng.IntN(len(live))]
+			if rng.IntN(2) == 0 {
+				update(v, bid)
+			} else {
+				ops = append(ops, BatchOp{Kind: BatchRebid, ID: v, T: bid})
+			}
+		case p < 62:
+			res := batch(append(ops, BatchOp{Kind: BatchAdd, T: bid}))
+			ops = ops[:0]
+			live = append(live, res[len(res)-1].ID)
+		case p < 70 && len(live) > 1:
+			batch(ops)
+			ops = ops[:0]
+			var v int
+			v, live = pick(live)
+			if err := r.Remove(v); err != nil {
+				t.Fatal(err)
+			}
+			gone = append(gone, v)
+		case p < 78 && len(gone) > 0:
+			batch(ops)
+			ops = ops[:0]
+			var v int
+			v, gone = pick(gone)
+			restore(v, bid)
+			live = append(live, v)
+		case p < 84:
+			batch(ops)
+			ops = ops[:0]
+			var c *Correction
+			if rng.IntN(2) == 0 {
+				c = &Correction{Drop: map[int]bool{live[0]: true}}
+			}
+			seal(c)
+		}
+		if len(ops) >= 16 {
+			batch(ops)
+			ops = ops[:0]
+		}
+		check(fmt.Sprintf("random step %d", step))
 	}
-	if got := met.Coalesced.Value(); got != 1 {
-		t.Errorf("coalesced after post-seal rebid = %d, want still 1", got)
-	}
-	// And a second rebid in the same open epoch coalesces again.
-	if err := r.Update(id, 5); err != nil {
-		t.Fatal(err)
-	}
-	if got := met.Coalesced.Value(); got != 2 {
-		t.Errorf("coalesced after second same-epoch rebid = %d, want 2", got)
-	}
-	if got := met.Updates.Value(); got != 3 {
-		t.Errorf("updates = %d, want 3", got)
-	}
-	if got := met.Epochs.Value(); got != 2 { // New's seal + explicit
-		t.Errorf("epochs = %d, want 2", got)
+	batch(ops)
+	check("random mix")
+	if coalesced < 100 || updates-coalesced < 100 {
+		t.Fatalf("random mix modelled %d coalesced of %d updates; want both kinds exercised", coalesced, updates)
 	}
 }
 
@@ -394,27 +618,6 @@ func TestSealGrowsForIDsIssuedWhileAllocating(t *testing.T) {
 	}
 	if got, want := snap.Sum(), st.Sealed(); math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("sealed S %v, serial stream %v", got, want)
-	}
-}
-
-func TestPartialRebuildCancelsDrift(t *testing.T) {
-	met := obs.NewRegistryMetrics(obs.NewRegistry())
-	r, err := New(Config{Rate: 5, Shards: 1, Metrics: met})
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := mustAdd(t, r, 3)
-	for i := 0; i < 3*rebuildEvery; i++ {
-		if err := r.Update(id, 0.1+float64(i%97)/7); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if met.Rebuilds.Value() == 0 {
-		t.Error("no partial rebuild after 3*rebuildEvery mutations")
-	}
-	snap := r.Seal()
-	if got := r.ApproxSum(); !numeric.AlmostEqual(got, snap.Sum(), 1e-9, 1e-12) {
-		t.Errorf("running partial %g drifted from canonical %g", got, snap.Sum())
 	}
 }
 

@@ -145,24 +145,29 @@ func (s *Snapshot) ExclusionLatency(id int) (float64, bool) {
 // Payment returns the agent's compensation-and-bonus payment under
 // the sealed epoch assuming truthful execution, in O(1): for the
 // linear model a truthful agent's compensation is l_i(x_i) = R/S and
-// its bonus is L*_{-i} − L* = R²/(S − 1/b_i) − R²/S. These closed
-// forms are algebraically equal to the mech.Engine payment run over
-// the sealed population, differing only in floating-point association
-// (the differential tests bound the gap); full sweeps that must match
-// the engine bitwise run it over Bids instead.
+// its bonus is L*_{-i} − L* = R²/(S − 1/b_i) − R²/S. The bonus is
+// evaluated as (R²/S)·((1/b_i)/(S − 1/b_i)): it is only L*/(S·b_i − 1),
+// so subtracting the two optima would multiply their rounding errors
+// by about S·b_i, while this form stays within a few ulps of the exact
+// value at any population. These closed forms are algebraically equal
+// to the mech.Engine payment run over the sealed population, differing
+// only in floating-point association (the differential tests bound
+// the gap); full sweeps that must match the engine bitwise run it over
+// Bids instead.
 func (s *Snapshot) Payment(id int) (compensation, bonus float64, ok bool) {
 	if !s.Contains(id) {
 		return 0, 0, false
 	}
 	compensation = s.rate / s.s
 	lStar := s.rate * s.rate / s.s
-	rest := s.s - 1/s.t[id]
+	inv := 1 / s.t[id]
+	rest := s.s - inv
 	if rest <= 0 {
 		if s.rate == 0 {
 			return compensation, 0, true
 		}
 		return compensation, math.Inf(1), true
 	}
-	bonus = s.rate*s.rate/rest - lStar
+	bonus = lStar * (inv / rest)
 	return compensation, bonus, true
 }

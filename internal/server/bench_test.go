@@ -21,7 +21,7 @@ import (
 // count either unjournaled or journaling into a WAL writer (SyncNone,
 // so no fsync sits in the loop). Must be 0 allocs/op.
 //
-// A host whose last-level cache holds the 1M agents' 16 MiB of records
+// A host whose last-level cache holds the 1M agents' 8 MiB of records
 // keeps them resident across windows, so the warm 1M case pays at most
 // an L2 miss per rebid. The cache=cold cases write every line of a
 // 64 MiB buffer, untimed, before each window, evicting the records

@@ -8,7 +8,8 @@ package wal
 // not decode — an unknown kind, a run cut mid-entry, holding an entry
 // of another kind or an id varint that is cut short, overflows, is not
 // minimal or names an id above maxReplayID — is an error that leaves
-// the log untouched, wherever it sits.
+// the log untouched, wherever it sits. So is an add whose id reaches
+// past what the log backs (replaySlack).
 
 import (
 	"bytes"
@@ -20,6 +21,7 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -493,5 +495,147 @@ func TestUndecodableRecordIsCorruption(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// forgedAddSegment is a one-record LBWAL003 segment whose CRC-valid run
+// holds one add, of agent id 2^40−2 at bid 1: below maxReplayID, so it
+// decodes, but backed by nothing. The same bytes are a committed
+// FuzzRecoverSegment seed (testdata/fuzz/FuzzRecoverSegment/seed-07).
+func forgedAddSegment() []byte {
+	entry := binary.AppendUvarint([]byte{kindRun, kindAdd}, maxReplayID-2)
+	entry = binary.LittleEndian.AppendUint64(entry, math.Float64bits(1))
+	seg := binary.LittleEndian.AppendUint64([]byte(segMagic), 1)
+	return append(seg, badRecord(entry)...)
+}
+
+// TestReplayBoundsAddIDs: an add may raise the id counter only to the
+// snapshot's counter plus the adds replayed so far plus replaySlack.
+// The forged segment is refused by Recover and Open, naming the
+// segment, the offset and the reason, without allocating by its id
+// and without touching the file; the committed fuzz seed holds the
+// same bytes. A real log whose ids skip exactly replaySlack ids that
+// were issued but never journaled recovers bitwise, from the log alone
+// and from a snapshot before the gap; one more skipped id is refused.
+func TestReplayBoundsAddIDs(t *testing.T) {
+	t.Run("forged", func(t *testing.T) {
+		seg := forgedAddSegment()
+		seed, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzRecoverSegment", "seed-07"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seg); string(seed) != want {
+			t.Fatalf("fuzz seed-07 is not the forged segment:\n%s\nwant\n%s", seed, want)
+		}
+		dir := t.TempDir()
+		path := filepath.Join(dir, segName(1))
+		if err := os.WriteFile(path, seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err = Recover(dir, registry.Config{Rate: 1, Shards: 4})
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatal("Recover accepted an add of id 2^40-2 from a one-record log")
+		}
+		// Loose enough for the race detector's allocator; the id alone
+		// would ask for terabytes.
+		if got := after.TotalAlloc - before.TotalAlloc; got > 16<<20 {
+			t.Fatalf("refusing the forged log allocated %d bytes", got)
+		}
+		_, _, _, err2 := Open(dir, Options{Sync: SyncNone}, registry.Config{Rate: 1, Shards: 4})
+		if err2 == nil {
+			t.Fatal("Open accepted an add of id 2^40-2 from a one-record log")
+		}
+		for _, err := range []error{err, err2} {
+			for _, want := range []string{segName(1), fmt.Sprintf("offset %d", segHeaderLen), "beyond what the log backs"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("error %q does not name %q", err, want)
+				}
+			}
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, seg) {
+			t.Fatalf("segment changed by a refused recovery (%d bytes, want %d; err %v)", len(got), len(seg), err)
+		}
+	})
+
+	// gapLog journals 3 adds, a seal whose sidecar it writes when snap
+	// is set, then skips gap ids (issued, never journaled, as when a
+	// crash loses the adds of batches in flight), then journals 2 adds,
+	// a rebid and a leave, and seals without a sidecar. It returns the
+	// final seal.
+	gapLog := func(t *testing.T, dir string, gap int, snap bool) sealRec {
+		opts := Options{Sync: SyncNone}
+		if snap {
+			opts.SnapshotEvery = 1
+		}
+		w := createManual(t, dir, opts)
+		r, err := registry.New(registry.Config{Rate: 7, Shards: 4, Journal: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		settle(w)
+		for _, v := range []float64{1, 2, 3} {
+			if _, err := r.Add(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r.Seal()
+		settle(w)
+		r.RestoreNext(3 + gap)
+		var ids []int
+		for _, v := range []float64{4, 5} {
+			id, err := r.Add(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, id)
+		}
+		if ids[0] != 3+gap {
+			t.Fatalf("first add after the gap got id %d, want %d", ids[0], 3+gap)
+		}
+		if err := r.Update(ids[0], 6); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Remove(1); err != nil {
+			t.Fatal(err)
+		}
+		final := recordSnap(r.Seal())
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return final
+	}
+	for _, snap := range []bool{false, true} {
+		name := "log-only"
+		if snap {
+			name = "from-snapshot"
+		}
+		t.Run(name+"/gap=slack", func(t *testing.T) {
+			dir := t.TempDir()
+			final := gapLog(t, dir, replaySlack, snap)
+			r, info, err := Recover(dir, registry.Config{Rate: 1, Shards: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := map[bool]uint64{false: 0, true: 2}[snap]; info.SnapshotEpoch != want {
+				t.Fatalf("recovery started from snapshot epoch %d, want %d", info.SnapshotEpoch, want)
+			}
+			compareSnap(t, r.Snapshot(), final)
+			// The id counter is restored too: the next add continues
+			// after the last journaled id.
+			if id, err := r.Add(1); err != nil || id != 3+replaySlack+2 {
+				t.Fatalf("add after recovery: id %d (err %v), want %d", id, err, 3+replaySlack+2)
+			}
+		})
+		t.Run(name+"/gap=slack+1", func(t *testing.T) {
+			dir := t.TempDir()
+			gapLog(t, dir, replaySlack+1, snap)
+			_, _, err := Recover(dir, registry.Config{Rate: 1, Shards: 4})
+			if err == nil || !strings.Contains(err.Error(), "beyond what the log backs") {
+				t.Fatalf("Recover of a log skipping replaySlack+1 ids: err %v, want a refusal", err)
+			}
+		})
 	}
 }

@@ -260,10 +260,21 @@ func tryReplay(cfg registry.Config, segs []segFile, sd *snapData) (*registry.Reg
 		return nil, nil, none, fmt.Errorf("wal: snapshot %d replay position in missing segment %d", sd.epoch, startSeg)
 	}
 	idx := int(startSeg - segs[0].seq)
-	// decodeEntry has bounded every id by maxReplayID.
+	// An add may raise the id counter only to what the log backs (see
+	// replaySlack), so a forged id is refused before the registry
+	// sizes its tables by it; decodeEntry has already bounded every id
+	// by maxReplayID.
+	idLimit := replaySlack
+	if sd != nil {
+		idLimit += len(sd.t)
+	}
 	mutate := func(e entry) error {
 		switch e.kind {
 		case kindAdd:
+			idLimit++
+			if e.id >= idLimit {
+				return fmt.Errorf("add of agent id %d beyond what the log backs (ids below %d)", e.id, idLimit)
+			}
 			return r.RestoreAgent(e.id, e.t)
 		case kindUpdate:
 			return r.Update(e.id, e.t)

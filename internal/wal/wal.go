@@ -114,6 +114,17 @@ const (
 	// size internal tables by the highest id, so an implausibly large
 	// id in a damaged log is corruption, not an allocation request.
 	maxReplayID = 1 << 40
+	// replaySlack bounds how far a replayed add may reach past the ids
+	// the log backs: recovery refuses an add whose id is at or above
+	// the snapshot's id counter (0 without a snapshot), plus the adds
+	// replayed so far (this one included), plus replaySlack. The slack
+	// covers ids a registry issued but never journaled before the
+	// process died, at most the adds of the batches in flight at the
+	// crash: 256 connections' worth at the server's default cap of
+	// 4096 ops per batch. A forged id thus costs recovery at most
+	// replaySlack ids of registry state (about 16 MiB of records and
+	// sealed bids) beyond what the log's records back.
+	replaySlack = 1 << 20
 )
 
 // crcTable is the Castagnoli polynomial (CRC32C), hardware-accelerated
