@@ -63,16 +63,20 @@ difftest:
 # in the LBWAL002 format with LBSNAP01 sidecars, a CRC-valid record
 # that does not decode refused as corruption, never truncated, an add
 # of an id past what the log backs refused before the registry sizes
-# its tables by it, and a CRC-valid sidecar with impossible counts
-# refused, with Open falling back to the previous one), plus the
-# append-path and ApplyBatch-with-WAL allocation guards, the
-# snapshot-cadence seal's memory guard and the streamed snapshot's
-# byte-identity pin against the reference encoder, which run without
-# -race because allocation counts differ under the instrumented
-# allocator.
+# its tables by it, a CRC-valid sidecar with impossible counts or a
+# broken delta chain refused, with Open falling back to an older one,
+# the delta-chain differential (every retained sidecar loads to its
+# epoch's population, and recovery survives any one damaged sidecar),
+# a failed sidecar write that leaves the journal running, and Open
+# removing a crashed sidecar write's temp file), plus the append-path
+# and ApplyBatch-with-WAL allocation guards, the snapshot-cadence
+# seal's memory guards (delta and full sidecar) and the streamed full
+# and delta snapshots' byte-identity pins against the reference
+# encoder, which run without -race because allocation counts differ
+# under the instrumented allocator.
 wal:
-	$(GO) test -race -run 'TestRecoveryMatchesLiveHistory|TestTruncationFuzzEveryTailOffset|TestConcurrentJournalRecovery|TestConcurrentBatchJournalRecovery|TestCompactionAndSnapshotFallback|TestBatchedLogByteIdentical|TestWALMetricsExactUnderBatching|TestParentFormatLogRecovers|TestV2FormatLogRecovers|TestUndecodableRecordIsCorruption|TestReplayBoundsAddIDs|TestDecodeSnapshotRefusesImpossibleCounts|TestOpenFallsBackPastForgedSnapshot' -count=1 ./internal/wal
-	$(GO) test -run 'TestWALAppendAllocFree|TestApplyBatchWALAllocFree|TestSnapshotSealAllocBound|TestStreamedSnapshotMatchesReference' -count=1 ./internal/wal
+	$(GO) test -race -run 'TestRecoveryMatchesLiveHistory|TestTruncationFuzzEveryTailOffset|TestConcurrentJournalRecovery|TestConcurrentBatchJournalRecovery|TestCompactionAndSnapshotFallback|TestBatchedLogByteIdentical|TestWALMetricsExactUnderBatching|TestParentFormatLogRecovers|TestV2FormatLogRecovers|TestUndecodableRecordIsCorruption|TestReplayBoundsAddIDs|TestDecodeSnapshotRefusesImpossibleCounts|TestOpenFallsBackPastForgedSnapshot|TestDeltaChainRecovery|TestFailedSnapshotKeepsJournaling|TestOpenRemovesStaleSnapshotTemp' -count=1 ./internal/wal
+	$(GO) test -run 'TestWALAppendAllocFree|TestApplyBatchWALAllocFree|TestSnapshotSealAllocBound|TestFullSidecarSealAllocBound|TestStreamedSnapshotMatchesReference|TestStreamedDeltaMatchesReference' -count=1 ./internal/wal
 
 # The serving benchmark (bench/, its own module built against this one
 # through a replace directive) compiles against the registry, wal and

@@ -537,10 +537,13 @@ type WALMetrics struct {
 	// Segments counts log segment files created; Compacted counts
 	// segment files deleted by snapshot compaction.
 	Segments, Compacted *Counter
-	// Snapshots counts snapshot sidecar files made durable;
+	// Snapshots counts snapshot sidecar files made durable, full and
+	// delta alike; DeltaSnapshots the deltas among them; SnapshotBytes
+	// their bytes; SnapshotErrors the sidecar writes and compactions
+	// that failed (journaling goes on, and the next sidecar is full);
 	// SnapshotsSkipped the captures dropped because the compactor was
 	// still writing the previous one.
-	Snapshots, SnapshotsSkipped *Counter
+	Snapshots, DeltaSnapshots, SnapshotBytes, SnapshotErrors, SnapshotsSkipped *Counter
 	// Recoveries counts crash recoveries run; ReplayedRecords and
 	// ReplayedBytes size the log tails they replayed.
 	Recoveries, ReplayedRecords, ReplayedBytes *Counter
@@ -572,6 +575,9 @@ func NewWALMetrics(r *Registry) *WALMetrics {
 		Segments:         r.Counter("lb_wal_segments_created_total", "log segment files created"),
 		Compacted:        r.Counter("lb_wal_segments_compacted_total", "log segment files deleted by snapshot compaction"),
 		Snapshots:        r.Counter("lb_wal_snapshots_total", "snapshot sidecar files made durable"),
+		DeltaSnapshots:   r.Counter("lb_wal_delta_snapshots_total", "delta snapshot sidecar files made durable"),
+		SnapshotBytes:    r.Counter("lb_wal_snapshot_bytes_total", "snapshot sidecar bytes made durable"),
+		SnapshotErrors:   r.Counter("lb_wal_snapshot_errors_total", "snapshot sidecar writes and compactions that failed"),
 		SnapshotsSkipped: r.Counter("lb_wal_snapshots_skipped_total", "snapshot captures dropped while the compactor wrote the previous one"),
 		Recoveries:       r.Counter("lb_wal_recoveries_total", "crash recoveries run"),
 		ReplayedRecords:  r.Counter("lb_wal_replayed_records_total", "log records replayed during recovery"),
@@ -623,13 +629,18 @@ func (m *WALMetrics) SegmentCreated() {
 	m.Segments.Inc()
 }
 
-// CompactedSegments records one durable snapshot and the n whole
-// segment files it retired.
-func (m *WALMetrics) CompactedSegments(n int) {
+// CompactedSegments records one durable snapshot sidecar of bytes
+// bytes, a delta when delta is set, and the n whole segment files its
+// compaction retired.
+func (m *WALMetrics) CompactedSegments(n int, bytes int64, delta bool) {
 	if m == nil {
 		return
 	}
 	m.Snapshots.Inc()
+	m.SnapshotBytes.Add(bytes)
+	if delta {
+		m.DeltaSnapshots.Inc()
+	}
 	m.Compacted.Add(int64(n))
 }
 

@@ -99,6 +99,13 @@ func TestNilSafety(t *testing.T) {
 	o.FaultMetrics().Injected("drop")
 	o.RegistryMetrics().Mutated("update", true)
 	o.RegistryMetrics().Sealed(5, 0.01, 0.001)
+	o.WALMetrics().AppendedBatch(3, 40)
+	o.WALMetrics().AppendSampled(1e-6)
+	o.WALMetrics().Flushed(40, true, 1e-3)
+	o.WALMetrics().SegmentCreated()
+	o.WALMetrics().CompactedSegments(2, 1<<20, true)
+	o.WALMetrics().SnapshotSkipped()
+	o.WALMetrics().Recovered(5, 100)
 	o.Emit(Event{Kind: "x"})
 
 	var tr *Trace
@@ -274,6 +281,10 @@ func TestObserverSchemaComplete(t *testing.T) {
 		"lb_registry_seal_seconds",
 		"lb_registry_seal_hold_seconds",
 		"lb_wal_snapshots_skipped_total",
+		"lb_wal_snapshots_total",
+		"lb_wal_delta_snapshots_total",
+		"lb_wal_snapshot_bytes_total",
+		"lb_wal_snapshot_errors_total",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("fresh observer export missing %s", want)

@@ -8,6 +8,7 @@ package wal
 // -race runs.
 
 import (
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -57,5 +58,48 @@ func TestSnapshotSealAllocBound(t *testing.T) {
 	}
 	if _, snaps, err := scanDir(w.dir); err != nil || len(snaps) != 2 {
 		t.Fatalf("%d snapshot files (err %v), want 2", len(snaps), err)
+	}
+}
+
+// TestFullSidecarSealAllocBound is TestSnapshotSealAllocBound for a
+// seal whose sidecar is full because every id was rebid since the
+// previous one, so the delta would be the larger: the full stream too
+// copies no population.
+func TestFullSidecarSealAllocBound(t *testing.T) {
+	const n = 1 << 17
+	w := createManual(t, t.TempDir(), Options{Sync: SyncNone, SnapshotEvery: 1})
+	defer w.Close()
+	r, err := registry.New(registry.Config{Rate: 20, Shards: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if _, err := r.Add(0.5 + float64(i%31)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.AttachJournal(w)
+	r.Seal()
+	settle(w)
+	for id := 0; id < n; id++ {
+		if err := r.Update(id, 1+float64(id%29)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := allocatedBy(func() {
+		r.Seal()
+		settle(w)
+	})
+	t.Logf("full-sidecar seal plus write: %d bytes, %.2f B/id", got, float64(got)/n)
+	if limit := uint64(8*n + 512<<10); got > limit {
+		t.Fatalf("full-sidecar seal over %d ids allocated %d bytes (%.1f B/id), want <= %d (8 B/id + 512 KiB)",
+			n, got, float64(got)/n, limit)
+	}
+	if err := w.Err(); err != nil {
+		t.Fatal(err)
+	}
+	sd, err := readSnapshot(filepath.Join(w.dir, snapName(3)))
+	if err != nil || sd.delta != nil {
+		t.Fatalf("the measured sidecar is not a full one (err %v)", err)
 	}
 }

@@ -128,9 +128,19 @@ func BenchmarkWALRecover1M(b *testing.B)  { benchmarkRecover(b, 1_000_000) }
 func BenchmarkWALRecover10M(b *testing.B) { benchmarkRecover(b, 10_000_000) }
 
 // BenchmarkWALSnapshot measures streaming and fsyncing one snapshot
-// sidecar for a 100k-agent population from its published epoch. MB/s
-// and snap-B/agent count the bytes of the file it wrote.
+// sidecar from its published epoch: in full for a 100k-agent
+// population, and as a delta for a 1M-agent one of which every eighth
+// agent rebid since the delta's base. MB/s and snap-B/agent count the
+// bytes of the file it wrote.
 func BenchmarkWALSnapshot(b *testing.B) {
+	b.Run("n=100000/full", func(b *testing.B) { benchmarkSnapshot(b, 100_000, 0) })
+	b.Run("n=1048576/delta-1of8", func(b *testing.B) { benchmarkSnapshot(b, 1<<20, 8) })
+}
+
+// benchmarkSnapshot streams the sidecar of a population of n agents:
+// in full when every is 0, and otherwise as a delta on the previous
+// capture after every every-th agent rebid.
+func benchmarkSnapshot(b *testing.B, n, every int) {
 	dir := b.TempDir()
 	w := createManual(b, dir, Options{Sync: SyncNone, SnapshotEvery: 1})
 	defer w.Close()
@@ -139,15 +149,25 @@ func BenchmarkWALSnapshot(b *testing.B) {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewPCG(3, 4))
-	for i := 0; i < 100_000; i++ {
+	for i := 0; i < n; i++ {
 		if _, err := r.Add(0.1 + 10*rng.Float64()); err != nil {
 			b.Fatal(err)
 		}
 	}
 	r.AttachJournal(w)
+	base := uint64(0)
+	if every > 0 {
+		base = r.Seal().Epoch()
+		<-w.snapCh // streaming the delta needs only the base's epoch
+		for id := 0; id < n; id += every {
+			if err := r.Update(id, 0.1+10*rng.Float64()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 	r.Seal()
 	p := <-w.snapCh
-	write := func(f io.Writer) error { return streamSnapshot(f, p) }
+	write := func(f io.Writer) error { return streamSidecar(f, p, base) }
 	path := filepath.Join(dir, "bench.snap")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

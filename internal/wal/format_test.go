@@ -25,6 +25,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/registry"
 )
@@ -280,9 +281,11 @@ func parentHistory(t testing.TB, seed uint64, magic string) (*parentLog, sealRec
 // (by epoch). The log must recover bitwise to final at every shard
 // count, from the newest sidecar. Open must truncate the tear, leave
 // segment 1 as the clean log was, and append to a new LBWAL003
-// segment; the directory must then recover bitwise, and when sidecars
-// were given, so must it from the newest of them once the LBSNAP02
-// sidecar written after Open is removed.
+// segment; the directory must then recover bitwise. When sidecars were
+// given, Open's writer seals twice: its first sidecar is an LBSNAP02
+// one and its second an LBSNAP03 delta on it, and once the LBSNAP02
+// sidecar is removed, the directory must recover bitwise from the
+// newest of the given ones.
 func checkParentLog(t *testing.T, seg []byte, sidecars map[uint64][]byte, final sealRec, torn bool) {
 	t.Helper()
 	dir := t.TempDir()
@@ -312,7 +315,7 @@ func checkParentLog(t *testing.T, seg []byte, sidecars map[uint64][]byte, final 
 		compareSnap(t, r.Snapshot(), final)
 	}
 
-	// With sidecars, one new snapshot lands after Open: compaction then
+	// With sidecars, two new snapshots land after Open: compaction then
 	// keeps segment 1, the replay position of the sidecar recovery
 	// started from.
 	opts := Options{Sync: SyncNone}
@@ -324,12 +327,21 @@ func checkParentLog(t *testing.T, seg []byte, sidecars map[uint64][]byte, final 
 		t.Fatal(err)
 	}
 	compareSnap(t, r.Snapshot(), final)
+	var seals []sealRec
 	for i := 0; i < 5; i++ {
 		if _, err := r.Add(float64(i + 1)); err != nil {
 			t.Fatal(err)
 		}
+		if i == 2 || i == 4 {
+			seals = append(seals, recordSnap(r.Seal()))
+			// Let the compactor take the capture before the next seal,
+			// so that it is not dropped.
+			for len(w.snapCh) > 0 {
+				time.Sleep(time.Millisecond)
+			}
+		}
 	}
-	post := recordSnap(r.Seal())
+	post := seals[1]
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -353,9 +365,12 @@ func checkParentLog(t *testing.T, seg []byte, sidecars map[uint64][]byte, final 
 		return
 	}
 
-	snap := filepath.Join(dir, snapName(post.epoch))
+	snap := filepath.Join(dir, snapName(seals[0].epoch))
 	if b, err := os.ReadFile(snap); err != nil || string(b[:8]) != snapMagic {
-		t.Fatalf("the snapshot written after Open is not an %s one (err %v)", snapMagic, err)
+		t.Fatalf("the first snapshot written after Open is not an %s one (err %v)", snapMagic, err)
+	}
+	if sd, err := readSnapshot(filepath.Join(dir, snapName(post.epoch))); err != nil || sd.delta == nil || sd.delta.base != seals[0].epoch {
+		t.Fatalf("the second snapshot written after Open is not a delta on the first (err %v)", err)
 	}
 	if err := os.Remove(snap); err != nil {
 		t.Fatal(err)

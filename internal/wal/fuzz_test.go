@@ -11,18 +11,22 @@ package wal
 // the LBWAL003 format (uvarint ids), a truncated one, a bit-flipped
 // one, degenerate headers, and CRC-valid LBWAL003 runs whose id varint
 // is cut short, overlong or above maxReplayID. FuzzDecodeSnapshot
-// frames arbitrary sidecar bodies, after either magic, with a valid
-// CRC so that every input reaches the body decoder: decoding must
-// succeed or refuse, never panic, and what it accepts must re-encode
-// to the same bytes.
+// frames arbitrary sidecar bodies, after any of the three magics, with
+// a valid CRC so that every input reaches the body decoder: decoding
+// must succeed or refuse, never panic, and what it accepts must
+// re-encode to the same bytes. Its committed corpus under
+// testdata/fuzz/FuzzDecodeSnapshot holds real plain and corrected
+// LBSNAP03 deltas (TestDeltaFuzzSeedsCommitted keeps them current).
 
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/registry"
@@ -122,7 +126,9 @@ func FuzzRecoverSegment(f *testing.F) {
 }
 
 // fuzzSeedSidecars returns real sidecars of a plain and a corrected
-// epoch, each in the LBSNAP02 and the LBSNAP01 format.
+// epoch, each in the LBSNAP02 and the LBSNAP01 format and as an
+// LBSNAP03 delta on the epoch before it, whose bitmap marks a rebid,
+// a leave and an add.
 func fuzzSeedSidecars(tb testing.TB) [][]byte {
 	tb.Helper()
 	w := createManual(tb, tb.TempDir(), Options{Sync: SyncNone, SnapshotEvery: 1})
@@ -140,13 +146,23 @@ func fuzzSeedSidecars(tb testing.TB) [][]byte {
 		tb.Fatal(err)
 	}
 	r.AttachJournal(w)
+	delta := func(w io.Writer, p *pendingSnap) error { return streamSidecar(w, p, p.epoch-1) }
 	var files [][]byte
-	for _, c := range []*registry.Correction{nil, {Drop: map[int]bool{1: true}, Weights: map[int]float64{2: 0.5, 3: 0.5}}} {
+	for i, c := range []*registry.Correction{nil, {Drop: map[int]bool{1: true}, Weights: map[int]float64{2: 0.5, 3: 0.5}}} {
+		if err := r.Update(5, 2.5+float64(i)); err != nil {
+			tb.Fatal(err)
+		}
+		if err := r.Remove(7 + i); err != nil {
+			tb.Fatal(err)
+		}
+		if _, err := r.Add(0.75); err != nil {
+			tb.Fatal(err)
+		}
 		if _, err := r.SealCorrected(c); err != nil {
 			tb.Fatal(err)
 		}
 		p := <-w.snapCh
-		for _, stream := range []func(io.Writer, *pendingSnap) error{streamSnapshot, streamSnapshotV1} {
+		for _, stream := range []func(io.Writer, *pendingSnap) error{streamSnapshot, streamSnapshotV1, delta} {
 			var b bytes.Buffer
 			if err := stream(&b, p); err != nil {
 				tb.Fatal(err)
@@ -157,29 +173,54 @@ func fuzzSeedSidecars(tb testing.TB) [][]byte {
 	return files
 }
 
+// snapMagics are the sidecar magics FuzzDecodeSnapshot frames bodies
+// after, indexed by its format argument modulo their count.
+var snapMagics = []string{snapMagicV1, snapMagic, snapMagicDelta}
+
 func FuzzDecodeSnapshot(f *testing.F) {
 	for _, file := range fuzzSeedSidecars(f) {
 		if _, err := decodeSnapshot(file); err != nil {
 			f.Fatalf("a real %s sidecar does not decode: %v", file[:8], err)
 		}
-		f.Add(string(file[:8]) == snapMagicV1, file[8:len(file)-4])
+		f.Add(byte(slices.Index(snapMagics, string(file[:8]))), file[8:len(file)-4])
 	}
-	f.Add(false, []byte{})
-	f.Add(true, []byte{})
+	for i := range snapMagics {
+		f.Add(byte(i), []byte{})
+	}
 
-	f.Fuzz(func(t *testing.T, legacy bool, body []byte) {
-		file := []byte(snapMagic)
-		if legacy {
-			file = []byte(snapMagicV1)
-		}
-		file = append(file, body...)
+	f.Fuzz(func(t *testing.T, format byte, body []byte) {
+		magic := snapMagics[int(format)%len(snapMagics)]
+		file := append([]byte(magic), body...)
 		file = binary.LittleEndian.AppendUint32(file, crc32.Checksum(body, crcTable))
 		sd, err := decodeSnapshot(file)
 		if err != nil {
 			return // refusing is a valid outcome
 		}
-		if got := encodeSnapshot(sd, legacy); !bytes.Equal(got, file) {
+		if got := encodeSnapshot(sd, magic == snapMagicV1); !bytes.Equal(got, file) {
 			t.Fatalf("decoded sidecar re-encodes to %d bytes that differ from its %d", len(got), len(file))
 		}
 	})
+}
+
+// TestDeltaFuzzSeedsCommitted: the committed FuzzDecodeSnapshot seeds
+// delta-plain and delta-corrected hold exactly the LBSNAP03 deltas
+// fuzzSeedSidecars streams today, so the fuzzer starts from real
+// deltas even with the in-test seeds gone.
+func TestDeltaFuzzSeedsCommitted(t *testing.T) {
+	var deltas [][]byte
+	for _, file := range fuzzSeedSidecars(t) {
+		if string(file[:8]) == snapMagicDelta {
+			deltas = append(deltas, file)
+		}
+	}
+	for i, name := range []string{"delta-plain", "delta-corrected"} {
+		seed, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzDecodeSnapshot", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := deltas[i][8 : len(deltas[i])-4]
+		if want := fmt.Sprintf("go test fuzz v1\nbyte(%q)\n[]byte(%q)\n", byte(2), body); string(seed) != want {
+			t.Fatalf("fuzz seed %s is not the real %s delta:\n%s\nwant\n%s", name, name[6:], seed, want)
+		}
+	}
 }

@@ -48,8 +48,8 @@ type snapFile struct {
 }
 
 // scanDir lists the segments and snapshots in dir. Unknown files
-// (including .tmp leftovers from a crashed snapshot write) are
-// ignored.
+// (including .tmp leftovers from a crashed snapshot write, which Open
+// removes) are ignored.
 func scanDir(dir string) ([]segFile, []snapFile, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -109,7 +109,8 @@ type tailPos struct {
 // attached as its journal, ready to serve. A torn final record is
 // truncated away so appending resumes at the last whole-record
 // boundary — in a fresh segment when the tail segment is in an older
-// format, whose entries are encoded differently.
+// format, whose entries are encoded differently. Temp files left by a
+// crash inside a sidecar write are removed first.
 func Open(dir string, opts Options, cfg registry.Config) (*registry.Registry, *Writer, *Info, error) {
 	w, err := newWriter(dir, opts)
 	if err != nil {
@@ -118,6 +119,9 @@ func Open(dir string, opts Options, cfg registry.Config) (*registry.Registry, *W
 	fail := func(err error) (*registry.Registry, *Writer, *Info, error) {
 		w.dirf.Close()
 		return nil, nil, nil, err
+	}
+	if err := w.removeTemps(); err != nil {
+		return fail(err)
 	}
 	segs, snaps, err := scanDir(dir)
 	if err != nil {
@@ -159,7 +163,7 @@ func Open(dir string, opts Options, cfg registry.Config) (*registry.Registry, *W
 			return fail(err)
 		}
 	}
-	w.lastSnap = last
+	w.lastFull = last
 	w.start()
 	r.AttachJournal(w)
 	w.met.Recovered(info.Records, info.Bytes)
@@ -168,10 +172,12 @@ func Open(dir string, opts Options, cfg registry.Config) (*registry.Registry, *W
 
 // replayLog picks the newest usable snapshot (falling back to older
 // ones, and to an empty registry when the whole log is still present)
-// and replays the tail. It returns the rebuilt registry, the replay
-// report, the position appending should resume at, and the snapshot
-// the writer's compactor keeps as its retention floor — the one
-// recovery started from, the only snapshot it reads.
+// and replays the tail. A delta sidecar is usable when its whole chain
+// back to a full sidecar loads (loadSnapshot). It returns the rebuilt
+// registry, the replay report, the position appending should resume
+// at, and the full sidecar the chain recovery started from rests on,
+// which the writer's compaction keeps until it has written a full
+// sidecar of its own and then another.
 func replayLog(cfg registry.Config, segs []segFile, snaps []snapFile) (*registry.Registry, *Info, tailPos, snapRef, error) {
 	var none snapRef
 	if len(segs) == 0 {
@@ -189,7 +195,7 @@ func replayLog(cfg registry.Config, segs []segFile, snaps []snapFile) (*registry
 		}
 	}
 	for i := len(snaps) - 1; i >= 0; i-- {
-		sd, err := readSnapshot(snaps[i].path)
+		sd, full, err := loadSnapshot(snaps, i)
 		if err != nil {
 			keep(err)
 			continue
@@ -199,7 +205,7 @@ func replayLog(cfg registry.Config, segs []segFile, snaps []snapFile) (*registry
 			keep(err)
 			continue
 		}
-		return r, info, tail, snapRef{epoch: sd.epoch, seg: sd.seg}, nil
+		return r, info, tail, full, nil
 	}
 	if segs[0].seq == 1 {
 		r, info, tail, err := tryReplay(cfg, segs, nil)

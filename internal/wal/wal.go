@@ -43,25 +43,43 @@
 // rate and correction) reproduces the identical snapshot — for any
 // shard count and any worker count, on both sides of the crash.
 //
-// Snapshot sidecar files (snap-<epoch>.snap, magic LBSNAP02) serialize
-// the sealed epoch's source state — the uncorrected population as a
+// Snapshot sidecar files (snap-<epoch>.snap) serialize the sealed
+// epoch's source state — the uncorrected population, the rate, the
+// correction, and the canonical S of the covered epoch for a recovery
+// self-check — plus the log position just after the covering seal
+// record. A full sidecar (magic LBSNAP02) holds the population as a
 // dense bid array, one f64 per issued id with 0 for an absent one (the
-// layout of registry.Snapshot itself), the rate, the correction, and
-// the canonical S of the covered epoch for a recovery self-check —
-// plus the log position just after the covering seal record. At the
-// seal barrier the writer captures only the log position and the
-// pre-correction bids of the correction's live ids; after publication
-// a background compactor streams the file from the immutable
-// registry.Snapshot, reading every other bid in place, so no per-agent
-// copy is made under the registry's locks or for the file image.
-// LBSNAP01 sidecars, which list (u64 id, f64 bid) pairs of live agents
-// instead, decode to the same dense form. Compaction keeps the two
-// newest snapshots and deletes every segment older than the one the
-// previous snapshot points into, so recovery always has a valid
-// snapshot-plus-tail even if the newest snapshot is damaged. Recovery
-// loads the newest valid snapshot, reseals, verifies S bit-for-bit,
-// replays the log tail, and truncates a torn final record (a kill -9
-// mid-write) at the last whole-record boundary.
+// layout of registry.Snapshot itself). A delta sidecar (LBSNAP03) names
+// the epoch of the sidecar it rests on, its base, and holds the same
+// header and correction, a bitmap with one bit per issued id set for
+// each id journaled since the base's capture, and one f64 per set bit.
+// The writer keeps that bitmap as it appends (one bit set per entry),
+// and at the seal barrier a capture takes it by swapping in a cleared
+// one, along with the log position and the pre-correction bids of the
+// correction's live ids; after publication a background compactor
+// streams the file from the immutable registry.Snapshot, reading each
+// bid it writes in place, so no per-agent work is done under the
+// registry's locks or for the file image. A capture dropped because
+// the compactor is busy folds its bitmap back into the next one.
+// LBSNAP01 sidecars, which list (u64 id, f64 bid) pairs of live agents,
+// decode to the same dense form as LBSNAP02 ones.
+//
+// The compactor writes a delta when the previous sidecar is durable and
+// was written by this writer, and the deltas on the last full sidecar,
+// this one included, number at most chainCap and stay smaller in bytes
+// than a full sidecar; otherwise, and so after Open and after a failed
+// sidecar, it writes a full one. How many sidecars are deltas thus
+// follows only how much of the population changed between them.
+// Compaction keeps every sidecar from the previous full sidecar on and
+// deletes every segment older than the one that sidecar points into —
+// none while only one full sidecar is known — so recovery has a valid
+// chain, or the whole log, whose tail is still there even if any one
+// sidecar is damaged. A failed sidecar write or compaction is counted
+// and does not stop the journal. Recovery loads the newest sidecar
+// whose chain back to a full sidecar holds, checking each link,
+// applies the deltas, reseals, verifies S bit-for-bit, replays the log
+// tail, and truncates a torn final record (a kill -9 mid-write) at the
+// last whole-record boundary.
 package wal
 
 import (
@@ -100,11 +118,19 @@ const (
 	// run under all of the registry's shard locks, so the cap bounds
 	// the checksum work a seal can inherit.
 	runCap = 4 << 10
-	// snapMagic opens every snapshot sidecar the writer creates, whose
-	// body is the dense bid array; snapMagicV1 marks sidecars listing
-	// (id, bid) pairs.
-	snapMagic   = "LBSNAP02"
-	snapMagicV1 = "LBSNAP01"
+	// snapMagic opens every full snapshot sidecar the writer creates,
+	// whose body is the dense bid array; snapMagicDelta opens a delta
+	// sidecar, which holds only the ids written since the sidecar it
+	// names as its base; snapMagicV1 marks sidecars listing (id, bid)
+	// pairs.
+	snapMagic      = "LBSNAP02"
+	snapMagicDelta = "LBSNAP03"
+	snapMagicV1    = "LBSNAP01"
+	// chainCap bounds the deltas written on top of one full sidecar:
+	// the compactor writes a full sidecar instead of the next delta
+	// once chainCap deltas rest on the last one, so recovery reads at
+	// most chainCap deltas past a full sidecar.
+	chainCap = 8
 	// frameLen is the per-record framing overhead: u32 length + u32 CRC.
 	frameLen = 8
 	// maxRecordLen bounds a decoded payload length: anything larger is

@@ -563,8 +563,9 @@ func TestCreateRefusesExistingLog(t *testing.T) {
 
 // TestCompactionAndSnapshotFallback drives enough traffic through a
 // small-segment log that snapshots compact the prefix away, then
-// verifies recovery — including with the newest snapshot deliberately
-// corrupted, which must fall back to the previous one.
+// verifies retention and recovery — including with the newest
+// snapshot deliberately corrupted, which must fall back to an older
+// one.
 func TestCompactionAndSnapshotFallback(t *testing.T) {
 	dir := t.TempDir()
 	w, err := Create(dir, Options{Sync: SyncNone, SegmentBytes: 4 << 10, SnapshotEvery: 2, BatchBytes: 512})
@@ -603,36 +604,50 @@ func TestCompactionAndSnapshotFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snaps) == 0 || len(snaps) > 2 {
-		t.Fatalf("retention kept %d snapshots, want 1 or 2", len(snaps))
-	}
-	// Compaction trims exactly to the fallback (older) snapshot's
-	// segment: everything before it is deleted, nothing after. Which
-	// mid-run snapshot candidates the background writer skipped is
-	// timing-dependent, but this invariant holds for whichever two
-	// survive.
-	if len(snaps) == 2 {
-		older, err := readSnapshot(snaps[0].path)
+	// Retention keeps every sidecar from the previous full one on, so
+	// the oldest retained sidecar is full and at most one other is.
+	// Compaction trims exactly to the older full sidecar's segment when
+	// two are retained — everything before it is deleted, nothing after
+	// — and keeps the log from segment 1 while one is. Which mid-run
+	// snapshot candidates the background writer skipped, and so which
+	// sidecars are deltas, is timing-dependent, but these invariants
+	// hold for whichever survive.
+	var fulls []*snapData
+	for i, s := range snaps {
+		sd, err := readSnapshot(s.path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if segs[0].seq != older.seg {
-			t.Fatalf("oldest segment %d, want compacted to fallback snapshot's segment %d", segs[0].seq, older.seg)
+		if sd.delta == nil {
+			fulls = append(fulls, sd)
+		} else if i == 0 {
+			t.Fatalf("the oldest retained sidecar, epoch %d, is a delta", sd.epoch)
 		}
 	}
+	if len(fulls) == 0 || len(fulls) > 2 {
+		t.Fatalf("retention kept %d full sidecars among %d, want 1 or 2", len(fulls), len(snaps))
+	}
+	wantSeg := uint64(1)
+	if len(fulls) == 2 {
+		wantSeg = fulls[0].seg
+	}
+	if segs[0].seq != wantSeg {
+		t.Fatalf("oldest segment %d, want %d (%d full sidecars retained)", segs[0].seq, wantSeg, len(fulls))
+	}
+	t.Logf("retained %d sidecars, %d of them full, and segments %d-%d", len(snaps), len(fulls), segs[0].seq, segs[len(segs)-1].seq)
 
-	check := func() {
+	check := func(fromSnapshot bool) {
 		t.Helper()
 		r2, info, err := Recover(dir, registry.Config{Rate: 1, Shards: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if info.SnapshotEpoch == 0 {
+		if fromSnapshot && info.SnapshotEpoch == 0 {
 			t.Fatalf("recovery did not use a snapshot")
 		}
 		compareSnap(t, r2.Snapshot(), final)
 	}
-	check()
+	check(true)
 
 	// Corrupt the newest snapshot: recovery must fall back.
 	newest := snaps[len(snaps)-1].path
@@ -644,9 +659,9 @@ func TestCompactionAndSnapshotFallback(t *testing.T) {
 	if err := os.WriteFile(newest, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if len(snaps) == 2 {
-		check()
-	}
+	// With one sidecar retained, the fallback is the whole log, which
+	// retention then keeps from segment 1.
+	check(len(snaps) > 1)
 
 	// With every snapshot gone and the prefix compacted, recovery must
 	// refuse rather than fabricate state.

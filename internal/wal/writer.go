@@ -8,7 +8,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -111,10 +113,11 @@ type snapRef struct {
 
 // pendingSnap is a snapshot capture. Sealed takes the part that only
 // the seal barrier knows — the log position after the seal record,
-// the id counter and live count, the sorted correction and the
-// pre-correction bids of its live ids — in O(correction) time;
+// the id counter and live count, the sorted correction, the
+// pre-correction bids of its live ids and the bitmap of the ids
+// journaled since the previous capture — in O(correction) time;
 // Published attaches the immutable epoch it covers; the background
-// compactor streams the file from both (see streamSnapshot).
+// compactor streams the file from both (see streamSidecar).
 type pendingSnap struct {
 	epoch uint64
 	next  int
@@ -124,7 +127,17 @@ type pendingSnap struct {
 	drops []int
 	wts   []weightEntry
 	pre   []bidEntry         // uncorrected bids of the correction's live ids, ascending id
+	dirty []uint64           // one bit per id journaled since the previous capture
 	snap  *registry.Snapshot // the published (corrected) epoch
+}
+
+// snapChain is what the compactor knows of the sidecar the next delta
+// would rest on: the newest durable sidecar this writer wrote, and the
+// deltas written since the last full one.
+type snapChain struct {
+	epoch  uint64 // 0: there is none, so the next sidecar is full
+	deltas int
+	bytes  int64 // the deltas' total size
 }
 
 // bidEntry is one (id, bid) pair.
@@ -140,14 +153,18 @@ type bidEntry struct {
 // group-commits batches to segment files, and hands snapshot captures
 // to a background compactor. A capture copies nothing per agent: at the
 // seal barrier it records the log position and the correction's
-// pre-correction bids, and the compactor reads every other bid from
-// the published Snapshot, which is immutable. It also implements
-// registry.BatchJournal, so ApplyBatch journals each shard group in
-// one call. All methods are safe for concurrent use.
+// pre-correction bids, and takes the bitmap of ids journaled since the
+// previous capture by swapping in a cleared one; the compactor reads
+// every bid it writes from the published Snapshot, which is immutable.
+// It also implements registry.BatchJournal, so ApplyBatch journals
+// each shard group in one call. All methods are safe for concurrent
+// use.
 //
-// I/O errors are sticky: the first one latches, every later append
+// Log I/O errors are sticky: the first one latches, every later append
 // becomes a no-op, and Err/Close report it. A registry keeps serving
-// on a dead WAL; the operator decides whether that is acceptable.
+// on a dead WAL; the operator decides whether that is acceptable. A
+// failed sidecar write or compaction does not latch: it is counted in
+// lb_wal_snapshot_errors_total, and journaling goes on.
 type Writer struct {
 	dir  string
 	opts Options
@@ -163,9 +180,16 @@ type Writer struct {
 	appends    uint64
 	sealsSince int
 	pending    *pendingSnap
-	lastSnap   snapRef // newest durable snapshot (compaction retention floor)
+	dirty      []uint64 // ids journaled since the last capture, one bit each; kept with SnapshotEvery > 0
+	spare      []uint64 // a cleared bitmap for the next capture to swap in
 	err        error
 	closed     bool
+
+	// The compactor's own state: only writeSnapshot touches it, apart
+	// from Open before the compactor starts.
+	chain    snapChain
+	lastFull snapRef // newest full sidecar known durable
+	prevFull snapRef // the full sidecar before it: the retention floor
 
 	snapCh chan *pendingSnap
 	stop   chan struct{}
@@ -412,8 +436,46 @@ func (w *Writer) appendEntry(kind byte, a, b uint64) int {
 	if kind != kindRemove {
 		w.buf = binary.LittleEndian.AppendUint64(w.buf, b)
 	}
+	if w.opts.SnapshotEvery > 0 {
+		w.mark(a)
+	}
 	w.maybeFlush()
 	return n
+}
+
+// mark sets id's bit in the bitmap of ids journaled since the last
+// capture, growing the bitmap to cover id. Its words past its length
+// are zero up to its capacity, so growing within the capacity only
+// reslices. Called with w.mu held.
+func (w *Writer) mark(id uint64) {
+	i := int(id >> 6)
+	if i >= len(w.dirty) {
+		w.dirty = slices.Grow(w.dirty, i+1-len(w.dirty))[:i+1]
+	}
+	w.dirty[i] |= 1 << (id & 63)
+}
+
+// fold ORs a dropped capture's bitmap into the one the next capture
+// takes, so that the next delta still covers its ids, and keeps the
+// other for reuse. Called with w.mu held.
+func (w *Writer) fold(d []uint64) {
+	if len(d) > len(w.dirty) {
+		d, w.dirty = w.dirty, d
+	}
+	for i, x := range d {
+		w.dirty[i] |= x
+	}
+	w.reuse(d)
+}
+
+// reuse clears a bitmap to its capacity and keeps it for the next
+// capture to swap in, unless a larger one is waiting. Called with w.mu
+// held.
+func (w *Writer) reuse(d []uint64) {
+	if cap(d) > cap(w.spare) {
+		clear(d[:cap(d)])
+		w.spare = d[:0]
+	}
 }
 
 // appendRate closes the open run and appends a standalone rate record
@@ -510,7 +572,9 @@ func (w *Writer) Sealed(ev registry.SealEvent) {
 				drops: drops,
 				wts:   wts,
 				pre:   preCorrection(ev.T, drops, wts),
+				dirty: w.dirty,
 			}
+			w.dirty, w.spare = w.spare, nil
 		}
 	}
 	w.maybeFlush()
@@ -521,7 +585,8 @@ func (w *Writer) Sealed(ev registry.SealEvent) {
 // a snapshot captured by Sealed gets the published epoch attached and
 // goes to the background compactor — or, when the compactor is still
 // writing the previous one, is dropped and counted in
-// lb_wal_snapshots_skipped_total.
+// lb_wal_snapshots_skipped_total, its bitmap folded back into the one
+// the next capture takes.
 func (w *Writer) Published(snap *registry.Snapshot) {
 	w.mu.Lock()
 	var p *pendingSnap
@@ -540,6 +605,9 @@ func (w *Writer) Published(snap *registry.Snapshot) {
 			// The compactor is still writing the previous snapshot;
 			// drop this capture and let the next cadence retry.
 			w.met.SnapshotSkipped()
+			w.mu.Lock()
+			w.fold(p.dirty)
+			w.mu.Unlock()
 		}
 	}
 }
@@ -726,12 +794,20 @@ func (w *Writer) snapLoop() {
 	}
 }
 
-// writeSnapshot makes one snapshot durable (tmp file, fsync, rename,
-// dir fsync) and then compacts: keep this snapshot and the previous
-// one, delete older snapshot files, and delete every segment older
-// than the segment the previous snapshot's replay position points
-// into — the retained tail always suffices to recover from either
-// kept snapshot.
+// writeSnapshot makes one sidecar durable (tmp file, fsync, rename,
+// dir fsync) and then compacts. The sidecar is a delta on the previous
+// one when that one is durable and was written by this writer, and the
+// deltas on the last full sidecar, this one included, number at most
+// chainCap and stay smaller in bytes than a full sidecar; otherwise it
+// is full. So the first sidecar after Open, and the first after a
+// failed one, is full. Compaction keeps every sidecar from the
+// previous full one on, and every segment from that sidecar's replay
+// position — from segment 1 while this writer knows of one full
+// sidecar only — so when any one sidecar is damaged, recovery still
+// has an older chain, or the whole log, whose tail is there. A sidecar
+// write or compaction that fails is counted in
+// lb_wal_snapshot_errors_total, and leaves no temp file, no delta base
+// and no retention floor behind; journaling goes on.
 func (w *Writer) writeSnapshot(p *pendingSnap) {
 	// Sync the log first: once the snapshot is durable, every byte up
 	// to its replay position (p.seg, p.off) must be durable too, or a
@@ -741,87 +817,141 @@ func (w *Writer) writeSnapshot(p *pendingSnap) {
 	if err := w.Sync(); err != nil {
 		return // already latched
 	}
-	tmp := filepath.Join(w.dir, snapName(p.epoch)+".tmp")
-	if err := writeDurable(tmp, func(f io.Writer) error { return streamSnapshot(f, p) }); err != nil {
-		w.latch(err)
+	full, delta := sidecarSizes(p)
+	base, size := uint64(0), full
+	if c := w.chain; c.epoch > 0 && c.deltas < chainCap && c.bytes+delta < full {
+		base, size = c.epoch, delta
+	}
+	err := w.writeSidecar(p, base)
+	w.mu.Lock()
+	w.reuse(p.dirty)
+	w.mu.Unlock()
+	if err != nil {
+		w.chain = snapChain{}
+		w.snapshotFailed()
 		return
 	}
-	if err := os.Rename(tmp, filepath.Join(w.dir, snapName(p.epoch))); err != nil {
-		w.latch(fmt.Errorf("wal: %w", err))
-		return
+	if base > 0 {
+		w.chain = snapChain{epoch: p.epoch, deltas: w.chain.deltas + 1, bytes: w.chain.bytes + size}
+	} else {
+		w.chain = snapChain{epoch: p.epoch}
+		w.prevFull, w.lastFull = w.lastFull, snapRef{epoch: p.epoch, seg: p.seg}
+	}
+	deleted, err := w.compact()
+	w.met.CompactedSegments(deleted, size, base > 0)
+	if err != nil {
+		w.snapshotFailed()
+	}
+}
+
+// writeSidecar streams p to its sidecar file, a delta on the sidecar of
+// epoch base when base is nonzero, through a temp file that it removes
+// if the write or the rename fails.
+func (w *Writer) writeSidecar(p *pendingSnap, base uint64) error {
+	path := filepath.Join(w.dir, snapName(p.epoch))
+	tmp := path + ".tmp"
+	if err := writeDurable(tmp, func(f io.Writer) error { return streamSidecar(f, p, base) }); err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp)
+		return fmt.Errorf("wal: %w", err)
 	}
 	if err := w.dirf.Sync(); err != nil {
-		w.latch(fmt.Errorf("wal: %w", err))
-		return
+		return fmt.Errorf("wal: %w", err)
 	}
+	return nil
+}
 
-	w.mu.Lock()
-	prev := w.lastSnap
-	w.lastSnap = snapRef{epoch: p.epoch, seg: p.seg}
-	w.mu.Unlock()
-
-	// Retention floor: with a previous snapshot, segments back to its
-	// position stay; the very first snapshot keeps its own tail only.
-	floor := p.seg
-	if prev.epoch > 0 {
-		floor = prev.seg
+// compact deletes the sidecars older than the previous full sidecar and
+// the segments before its replay position, and returns how many
+// segments it deleted. With no previous full sidecar it keeps
+// everything.
+func (w *Writer) compact() (int, error) {
+	floor := w.prevFull
+	if floor.epoch == 0 {
+		return 0, nil
 	}
 	segs, snaps, err := scanDir(w.dir)
 	if err != nil {
-		w.latch(err)
-		return
+		return 0, err
 	}
-	deleted := 0
+	deleted, removed := 0, false
 	for _, s := range segs {
-		if s.seq < floor {
-			if err := os.Remove(s.path); err != nil {
-				w.latch(fmt.Errorf("wal: %w", err))
-				return
-			}
-			deleted++
+		if s.seq >= floor.seg {
+			break
 		}
+		if err := os.Remove(s.path); err != nil {
+			return deleted, fmt.Errorf("wal: %w", err)
+		}
+		deleted++
+		removed = true
 	}
 	for _, s := range snaps {
-		if s.epoch < prev.epoch {
-			if err := os.Remove(s.path); err != nil {
-				w.latch(fmt.Errorf("wal: %w", err))
-				return
-			}
+		if s.epoch >= floor.epoch {
+			break
 		}
+		if err := os.Remove(s.path); err != nil {
+			return deleted, fmt.Errorf("wal: %w", err)
+		}
+		removed = true
 	}
-	if deleted > 0 {
+	if removed {
 		if err := w.dirf.Sync(); err != nil {
-			w.latch(fmt.Errorf("wal: %w", err))
-			return
+			return deleted, fmt.Errorf("wal: %w", err)
 		}
 	}
-	w.met.CompactedSegments(deleted)
+	return deleted, nil
 }
 
-// latch stores a background error into the sticky slot.
-func (w *Writer) latch(err error) {
-	w.mu.Lock()
-	if w.err == nil {
-		w.err = err
+// snapshotFailed counts one failed sidecar write or compaction.
+func (w *Writer) snapshotFailed() {
+	if w.met != nil {
+		w.met.SnapshotErrors.Inc()
 	}
-	w.mu.Unlock()
 }
 
-// writeDurable creates path, fills it with write and fsyncs it.
+// removeTemps deletes the snap-<epoch>.snap.tmp files that a crash
+// inside a sidecar write leaves behind, and syncs the directory if
+// there were any.
+func (w *Writer) removeTemps() error {
+	ents, err := os.ReadDir(w.dir)
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	removed := false
+	for _, e := range ents {
+		if name := e.Name(); strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".snap.tmp") {
+			if err := os.Remove(filepath.Join(w.dir, name)); err != nil {
+				return fmt.Errorf("wal: %w", err)
+			}
+			removed = true
+		}
+	}
+	if removed {
+		if err := w.dirf.Sync(); err != nil {
+			return fmt.Errorf("wal: %w", err)
+		}
+	}
+	return nil
+}
+
+// writeDurable creates path, fills it with write and fsyncs it. If
+// any step after creating it fails, it removes the file.
 func writeDurable(path string, write func(io.Writer) error) error {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	if err := write(f); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: %w", err)
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: %w", err)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
+	if err != nil {
+		os.Remove(path)
 		return fmt.Errorf("wal: %w", err)
 	}
 	return nil
