@@ -36,11 +36,12 @@ race:
 # against a written-since-seal model, the 8-byte record size guard and
 # the seal's memory guard (8 bytes per issued id, measured with
 # TotalAlloc, so non-race too).
-# The serving line pins run framing: encode/decode and the client's
-# queue/flush/receive cycle at zero allocations, frames split at
-# MaxPayload, a Reader over mixed single and run frames (malformed
-# runs rejected), and the framing a client gets back — one response
-# per frame for one request per frame, run frames for run frames.
+# The serving line pins run framing: the shared frame codec's
+# Begin/Close/Next, encode/decode and the client's queue/flush/receive
+# cycle at zero allocations, frames split at MaxPayload, a Reader over
+# mixed single and run frames (malformed runs rejected), and the
+# framing a client gets back — one response per frame for one request
+# per frame, run frames for run frames.
 difftest:
 	$(GO) test -race -run 'TestFast|TestFallback|TestEngine' -count=1 ./internal/mech
 	$(GO) test -run 'TestCompensationBonusAllocsO1|TestEngineSteadyStateZeroAllocs' -count=1 ./internal/mech
@@ -52,7 +53,7 @@ difftest:
 	$(GO) test -run 'TestSplitIntoAllocFree' -count=1 ./internal/numeric
 	$(GO) test -race -run 'TestApplyBatchDifferential|TestApplyBatchIntraBatchDependency|TestCoalescedRebidAccounting|TestRemovedIDChurnDifferential|TestSealedAggregateIndependentOfShardCount' -count=1 ./internal/registry
 	$(GO) test -run 'TestApplyBatchAllocFree|TestRecordLayout|TestSealAllocBound' -count=1 ./internal/registry
-	$(GO) test -run 'TestBatchDrainAllocFree|TestWireEncodeAllocFree|TestWireDecodeAllocFree|TestFramerSplitsAtMaxPayload|TestReaderRuns|TestReaderRejectsMalformedRun|TestSingleFrameClientGetsSingleFrames|TestRunClientGetsRunFrames|TestPipelineCycleAllocFree' -count=1 ./internal/server ./internal/wire ./internal/lbclient
+	$(GO) test -run 'TestFrameAllocFree|TestBatchDrainAllocFree|TestWireEncodeAllocFree|TestWireDecodeAllocFree|TestFramerSplitsAtMaxPayload|TestReaderRuns|TestReaderRejectsMalformedRun|TestSingleFrameClientGetsSingleFrames|TestRunClientGetsRunFrames|TestPipelineCycleAllocFree' -count=1 ./internal/frame ./internal/server ./internal/wire ./internal/lbclient
 
 # Durable-registry gate: the WAL differential suite under -race
 # (recovery vs a live alloc.Stream across 32 seeds and shard counts,

@@ -33,13 +33,14 @@
 // alloc.Stream. The differential tests pin this down.
 //
 // Ids are assigned by a global monotonic counter and never recycled,
-// matching alloc.Stream, so the shard records are indexed by every id
-// ever issued: 8 bytes and 1 bit per id, live or departed, on top of
-// the 8 bytes per id each seal allocates for the snapshot's bid array
-// (a reader computes 1/b_i from it). A departed id keeps its record
-// and its slot in every later seal, so a long-lived coordinator
-// under heavy churn bounds the footprint by recreating the registry at
-// natural epochs (e.g. a mechanism round boundary).
+// matching alloc.Stream, so everything is indexed by every id ever
+// issued. Each issued id costs 8 bytes of shard record plus one
+// written-since-seal bit, and 8 bytes in every sealed epoch's bid
+// array (a reader computes 1/b_i from it), whether it is live or
+// departed: a departed id keeps its record and its slot in every later
+// seal. Nothing bounds this by the live count, so under churn the
+// footprint grows with every add; ROADMAP.md's "Bound the footprint by
+// live agents" item tracks the fix.
 package registry
 
 import (

@@ -30,6 +30,13 @@ import (
 	"repro/internal/registry"
 )
 
+// crcTable and frameLen restate the frame format for the records and
+// sidecars these tests build by hand, so those check the shared codec
+// rather than reuse it.
+var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
+const frameLen = 8
+
 // parentLog journals a registry in one of the two formats before
 // LBWAL003, with test-only copies of the encoders that wrote them, kept
 // so that logs written that way stay pinned as recoverable. In LBWAL001

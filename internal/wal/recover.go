@@ -3,7 +3,6 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -11,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/frame"
 	"repro/internal/registry"
 )
 
@@ -391,18 +391,8 @@ func replayRecords(data []byte, off int64, varint bool, apply func(record) error
 		if len(rem) == 0 {
 			return off, false, nil
 		}
-		if len(rem) < frameLen {
-			return off, true, nil
-		}
-		plen := int(binary.LittleEndian.Uint32(rem))
-		if plen == 0 || plen > maxRecordLen {
-			return off, true, nil
-		}
-		if len(rem) < frameLen+plen {
-			return off, true, nil
-		}
-		payload := rem[frameLen : frameLen+plen]
-		if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(rem[4:]) {
+		payload, n, err := frame.Next(rem, maxRecordLen)
+		if err != nil || n == 0 {
 			return off, true, nil
 		}
 		rec, err := decodeRecord(payload, varint)
@@ -412,9 +402,9 @@ func replayRecords(data []byte, off int64, varint bool, apply func(record) error
 		if err != nil {
 			return off, false, fmt.Errorf("record at offset %d (kind %d): %w", off, payload[0], err)
 		}
-		off += int64(frameLen + plen)
+		off += int64(n)
 		info.Records++
-		info.Bytes += int64(frameLen + plen)
+		info.Bytes += int64(n)
 	}
 }
 

@@ -4,12 +4,13 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"math/bits"
 	"os"
 	"slices"
+
+	"repro/internal/frame"
 )
 
 // snapData is a decoded snapshot sidecar: the uncorrected population
@@ -219,7 +220,7 @@ func (s *snapWriter) u64(v uint64) {
 // flush writes out the buffered bytes.
 func (s *snapWriter) flush() {
 	if s.err == nil && len(s.buf) > 0 {
-		s.crc = crc32.Update(s.crc, crcTable, s.buf)
+		s.crc = frame.Update(s.crc, s.buf)
 		_, s.err = s.w.Write(s.buf)
 	}
 	s.buf = s.buf[:0]
@@ -268,7 +269,7 @@ func decodeSnapshot(b []byte) (*snapData, error) {
 	if len(body) < hdr {
 		return nil, fmt.Errorf("wal: snapshot too short (%d bytes)", len(b))
 	}
-	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(tail) {
+	if frame.Checksum(body) != binary.LittleEndian.Uint32(tail) {
 		return nil, fmt.Errorf("wal: snapshot checksum mismatch")
 	}
 	sd := &snapData{

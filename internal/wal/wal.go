@@ -5,18 +5,22 @@
 // epochs are bit-for-bit identical to the pre-crash ones.
 //
 // The log is a sequence of segment files (wal-<seq>.log), each opening
-// with the magic LBWAL003 and its sequence number. Every record is
-// length-prefixed and CRC32C-framed:
+// with the magic LBWAL003 and its sequence number. Every record is one
+// internal/frame frame, the format the wire protocol's messages travel
+// in too:
 //
 //	[u32 payload length][u32 CRC32C(payload)][payload]
 //
-// with little-endian integers throughout. The payload starts with a
-// one-byte kind: a run of add/rebid/leave mutations, a rate change, or
-// a seal (plain, or corrected with the health adjustment inlined). A
-// run (kind 7) packs consecutive mutations under one header and one
-// checksum; each entry is [kind u8][uvarint id][f64 bid], the bid
-// omitted for a leave, so a rebid of one of 2^21 agents costs 12 bytes.
-// A run closes before any seal or rate record, at every group-commit
+// with little-endian integers throughout. Here a payload holds at most
+// maxRecordLen bytes, and a frame that breaks the format or is cut
+// short is a torn record (see replayRecords), never one to apply. The
+// payload starts with a one-byte kind: a run of add/rebid/leave
+// mutations, a rate change, or a seal (plain, or corrected with the
+// health adjustment inlined). A run (kind 7) packs consecutive
+// mutations under one header and one checksum, the writer's open
+// frame; each entry is [kind u8][uvarint id][f64 bid], the bid omitted
+// for a leave, so a rebid of one of 2^21 agents costs 12 bytes. A run
+// closes before any seal or rate record, at every group-commit
 // flush, before the segment rotates, and at runCap payload bytes,
 // which bounds what closing it costs inside a seal. Appends
 // group-commit: records accumulate in a memory buffer that is written
@@ -85,9 +89,9 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"math/bits"
+	"time"
 )
 
 // Record kinds. The on-disk values are frozen: recovery of logs
@@ -118,6 +122,8 @@ const (
 	// run under all of the registry's shard locks, so the cap bounds
 	// the checksum work a seal can inherit.
 	runCap = 4 << 10
+	// syncPeriod is the fsync cadence under SyncInterval.
+	syncPeriod = 50 * time.Millisecond
 	// snapMagic opens every full snapshot sidecar the writer creates,
 	// whose body is the dense bid array; snapMagicDelta opens a delta
 	// sidecar, which holds only the ids written since the sidecar it
@@ -131,8 +137,6 @@ const (
 	// once chainCap deltas rest on the last one, so recovery reads at
 	// most chainCap deltas past a full sidecar.
 	chainCap = 8
-	// frameLen is the per-record framing overhead: u32 length + u32 CRC.
-	frameLen = 8
 	// maxRecordLen bounds a decoded payload length: anything larger is
 	// treated as log corruption rather than allocated.
 	maxRecordLen = 1 << 26
@@ -152,10 +156,6 @@ const (
 	// sealed bids) beyond what the log's records back.
 	replaySlack = 1 << 20
 )
-
-// crcTable is the Castagnoli polynomial (CRC32C), hardware-accelerated
-// on amd64/arm64.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // weightEntry is one (id, weight) pair of a corrected seal record.
 type weightEntry struct {

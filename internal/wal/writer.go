@@ -3,7 +3,6 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
@@ -14,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/frame"
 	"repro/internal/obs"
 	"repro/internal/registry"
 )
@@ -32,7 +32,7 @@ const (
 	// published epoch durable while mutations between epochs ride on
 	// the batch cadence unsynced.
 	SyncSeal
-	// SyncInterval fsyncs on a background timer (Options.SyncInterval).
+	// SyncInterval fsyncs on a background timer, every syncPeriod.
 	SyncInterval
 	// SyncNone never fsyncs; the OS page cache decides. Fastest, and a
 	// crash can lose everything the kernel had not written back.
@@ -72,9 +72,6 @@ func (p SyncPolicy) String() string {
 type Options struct {
 	// Sync is the fsync policy (default SyncBatch).
 	Sync SyncPolicy
-	// SyncInterval is the fsync cadence under SyncInterval (default
-	// 50ms).
-	SyncInterval time.Duration
 	// SegmentBytes rotates the log to a new segment file once the
 	// current one exceeds this size (default 64 MiB). Records never
 	// span segments.
@@ -92,9 +89,6 @@ type Options struct {
 
 // withDefaults fills unset options.
 func (o Options) withDefaults() Options {
-	if o.SyncInterval <= 0 {
-		o.SyncInterval = 50 * time.Millisecond
-	}
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 64 << 20
 	}
@@ -176,7 +170,7 @@ type Writer struct {
 	seg        uint64
 	segOff     int64 // flushed bytes in the current segment
 	buf        []byte
-	run        int // offset in buf of the open run record, -1 when none
+	fr         frame.Framer // the open run record's frame, if any, in buf
 	appends    uint64
 	sealsSince int
 	pending    *pendingSnap
@@ -236,7 +230,6 @@ func newWriter(dir string, opts Options) (*Writer, error) {
 		met:    opts.Metrics,
 		dirf:   dirf,
 		buf:    make([]byte, 0, opts.BatchBytes+4096),
-		run:    -1,
 		snapCh: make(chan *pendingSnap, 1),
 		stop:   make(chan struct{}),
 	}, nil
@@ -420,16 +413,10 @@ func (w *Writer) appendEntry(kind byte, a, b uint64) int {
 		size += 8
 	}
 	n := size
-	if w.run >= 0 {
-		payload := len(w.buf) - w.run - frameLen
-		if payload+size > runCap || w.segOff+int64(len(w.buf)+size) > w.opts.SegmentBytes {
-			w.closeRun()
-		}
-	}
-	if w.run < 0 {
-		w.run = w.beginRecord(1 + size)
-		w.buf = append(w.buf, kindRun)
-		n += frameLen + 1
+	if p := w.fr.Len(w.buf); p < 0 || p+size > runCap || w.segOff+int64(len(w.buf)+size) > w.opts.SegmentBytes {
+		w.beginRecord(1 + size)
+		w.buf = append(w.fr.Begin(w.buf), kindRun)
+		n += frame.HeaderLen + 1
 	}
 	w.buf = append(w.buf, kind)
 	w.buf = binary.AppendUvarint(w.buf, a)
@@ -482,22 +469,12 @@ func (w *Writer) reuse(d []uint64) {
 // holding the rate bits; it returns the framed record size. Called
 // with w.mu held.
 func (w *Writer) appendRate(bits uint64) int {
-	w.closeRun()
-	start := w.beginRecord(9)
-	w.buf = append(w.buf, kindRate)
+	w.beginRecord(9)
+	w.buf = append(w.fr.Begin(w.buf), kindRate)
 	w.buf = binary.LittleEndian.AppendUint64(w.buf, bits)
-	w.endRecord(start)
+	w.buf = w.fr.Close(w.buf)
 	w.maybeFlush()
-	return frameLen + 9
-}
-
-// closeRun seals the open run record, if any: length and CRC32C over
-// all its entries at once. Called with w.mu held.
-func (w *Writer) closeRun() {
-	if w.run >= 0 {
-		w.endRecord(w.run)
-		w.run = -1
-	}
+	return frame.HeaderLen + 9
 }
 
 // Sealed implements registry.Journal. It runs under every registry
@@ -536,8 +513,8 @@ func (w *Writer) Sealed(ev registry.SealEvent) {
 	if corrected {
 		payload = 25 + 8*len(drops) + 16*len(wts)
 	}
-	w.closeRun()
-	start := w.beginRecord(payload)
+	w.beginRecord(payload)
+	w.buf = w.fr.Begin(w.buf)
 	if corrected {
 		w.buf = append(w.buf, kindSealC)
 	} else {
@@ -556,8 +533,8 @@ func (w *Writer) Sealed(ev registry.SealEvent) {
 			w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(e.w))
 		}
 	}
-	w.endRecord(start)
-	w.met.AppendedBatch(1, frameLen+payload)
+	w.buf = w.fr.Close(w.buf)
+	w.met.AppendedBatch(1, frame.HeaderLen+payload)
 
 	if w.opts.SnapshotEvery > 0 {
 		w.sealsSince++
@@ -612,10 +589,11 @@ func (w *Writer) Published(snap *registry.Snapshot) {
 	}
 }
 
-// beginRecord rotates the segment if the framed record would overflow
-// it, then reserves the 8-byte frame header. Called with w.mu held.
-func (w *Writer) beginRecord(payload int) int {
-	rec := int64(frameLen + payload)
+// beginRecord rotates the segment, flushing and so sealing the open
+// run, if a record of payload bytes would overflow it. Called with w.mu
+// held, before the record's frame opens.
+func (w *Writer) beginRecord(payload int) {
+	rec := int64(frame.HeaderLen + payload)
 	if pos := w.segOff + int64(len(w.buf)); pos+rec > w.opts.SegmentBytes && pos > segHeaderLen {
 		w.flushLocked(w.opts.Sync == SyncBatch)
 		if w.err == nil {
@@ -624,16 +602,6 @@ func (w *Writer) beginRecord(payload int) int {
 			}
 		}
 	}
-	start := len(w.buf)
-	w.buf = append(w.buf, 0, 0, 0, 0, 0, 0, 0, 0)
-	return start
-}
-
-// endRecord fills the reserved frame header: payload length and CRC32C.
-func (w *Writer) endRecord(start int) {
-	payload := w.buf[start+frameLen:]
-	binary.LittleEndian.PutUint32(w.buf[start:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(w.buf[start+4:], crc32.Checksum(payload, crcTable))
 }
 
 // maybeFlush group-commits once the batch threshold is reached.
@@ -647,7 +615,7 @@ func (w *Writer) maybeFlush() {
 // segment file and optionally fsyncs. Called with w.mu held; errors
 // latch into w.err.
 func (w *Writer) flushLocked(sync bool) {
-	w.closeRun()
+	w.buf = w.fr.Close(w.buf)
 	if w.err != nil || len(w.buf) == 0 {
 		if sync && w.err == nil && w.f != nil {
 			if err := w.f.Sync(); err != nil {
@@ -732,8 +700,9 @@ func (w *Writer) Close() error {
 
 // Abandon simulates dying without a flush: the append buffer is
 // dropped on the floor and the files are closed as-is. Anything the
-// sync policy had not yet committed is lost — which is the point; the
-// restart demo and the tests recover from what was durable.
+// sync policy had not yet committed is lost — which is the point: it
+// is the tests' stand-in for kill -9, and they recover from what was
+// durable.
 func (w *Writer) Abandon() {
 	w.mu.Lock()
 	if w.closed {
@@ -742,7 +711,7 @@ func (w *Writer) Abandon() {
 	}
 	w.closed = true
 	w.buf = w.buf[:0]
-	w.run = -1
+	w.fr = frame.Framer{}
 	w.pending = nil
 	if w.f != nil {
 		w.f.Close()
@@ -763,7 +732,7 @@ func (w *Writer) Abandon() {
 // syncLoop is the SyncInterval timer.
 func (w *Writer) syncLoop() {
 	defer w.wg.Done()
-	tick := time.NewTicker(w.opts.SyncInterval)
+	tick := time.NewTicker(syncPeriod)
 	defer tick.Stop()
 	for {
 		select {

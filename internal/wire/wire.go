@@ -5,17 +5,20 @@
 // payment settlement) and epoch-seal notifications, over any byte
 // stream — in practice a TCP connection.
 //
-// Framing reuses the WAL's idiom. Every frame is
+// Every frame is an internal/frame frame, the format the WAL's records
+// use too:
 //
 //	[u32 payload length][u32 CRC32C(payload)][payload]
 //
-// with little-endian integers throughout and payload length in
-// (0, MaxPayload], MaxPayload = 8 KiB. A payload is a run of one or
-// more messages laid end to end, so the header and the checksum are
-// paid once per run rather than once per message. A message starts
-// with a one-byte op, then the u64 request id, then op-specific
-// fields; its length follows from its op (and, for a response, its
-// status), and a run must end exactly on a message boundary:
+// with little-endian integers throughout. Here the payload length is
+// in (0, MaxPayload], MaxPayload = 8 KiB, and a frame that breaks the
+// format is a *ProtocolError on which the server drops the connection.
+// A payload is a run of one or more messages laid end to end, so the
+// header and the checksum are paid once per run rather than once per
+// message. A message starts with a one-byte op, then the u64 request
+// id, then op-specific fields; its length follows from its op (and,
+// for a response, its status), and a run must end exactly on a
+// message boundary:
 //
 //	request            message after [op][req u64]
 //	OpAdd              f64 bid t
@@ -65,15 +68,16 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
+
+	"repro/internal/frame"
 )
 
 const (
 	// FrameLen is the per-frame overhead: u32 payload length plus u32
 	// CRC32C of the payload.
-	FrameLen = 8
+	FrameLen = frame.HeaderLen
 	// MaxPayload bounds a frame's payload, one run of messages. It is
 	// a fixed bound checked before any read: a larger length prefix is
 	// a corrupt or hostile stream, rejected before any allocation or
@@ -111,10 +115,6 @@ const (
 	StatusOverloaded = byte(3) // per-connection inflight bound exceeded; retry
 	StatusBadRequest = byte(4) // op not servable in this context
 )
-
-// crcTable is the Castagnoli polynomial (CRC32C), hardware-accelerated
-// on amd64/arm64 — the same checksum the WAL frames with.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Request is one decoded request. T doubles as the rate for OpRate.
 type Request struct {
@@ -243,34 +243,21 @@ func responseBody(op, status byte) int {
 // before the buffer is written, and before the caller reuses or
 // truncates it.
 type Framer struct {
-	Runs  bool
-	open  bool
-	start int // offset of the open frame's header in the buffer
+	Runs bool
+	fr   frame.Framer
 }
 
-// begin makes room for a size-byte message in the open frame, closing
-// a full one and reserving the header of a new one as needed.
+// begin makes room for a size-byte message in the open frame, sealing
+// a full one and opening a new one as needed.
 func (f *Framer) begin(dst []byte, size int) []byte {
-	if f.open && len(dst)-f.start-FrameLen+size > MaxPayload {
-		dst = f.Close(dst)
-	}
-	if !f.open {
-		f.open, f.start = true, len(dst)
-		dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0)
+	if n := f.fr.Len(dst); n < 0 || n+size > MaxPayload {
+		dst = f.fr.Begin(dst)
 	}
 	return dst
 }
 
 // Close seals the open frame, if any: payload length and CRC32C.
-func (f *Framer) Close(dst []byte) []byte {
-	if f.open {
-		payload := dst[f.start+FrameLen:]
-		binary.LittleEndian.PutUint32(dst[f.start:], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(dst[f.start+4:], crc32.Checksum(payload, crcTable))
-		f.open = false
-	}
-	return dst
-}
+func (f *Framer) Close(dst []byte) []byte { return f.fr.Close(dst) }
 
 // AppendRequest encodes q as one message appended to dst. It
 // allocates only when dst lacks capacity; an op that is not a request
@@ -352,24 +339,16 @@ func AppendResponse(dst []byte, p *Response) ([]byte, error) {
 // (zero or oversized length, CRC mismatch) is a *ProtocolError; the
 // scan never reads past len(b).
 func Frame(b []byte) (payload []byte, n int, err error) {
-	if len(b) < FrameLen {
-		return nil, 0, nil
+	payload, n, err = frame.Next(b, MaxPayload)
+	switch err {
+	case frame.ErrEmpty:
+		err = ErrFrameEmpty
+	case frame.ErrTooBig:
+		err = ErrFrameTooBig
+	case frame.ErrCRC:
+		err = ErrFrameCRC
 	}
-	plen := int(binary.LittleEndian.Uint32(b))
-	if plen == 0 {
-		return nil, 0, ErrFrameEmpty
-	}
-	if plen > MaxPayload {
-		return nil, 0, ErrFrameTooBig
-	}
-	if len(b) < FrameLen+plen {
-		return nil, 0, nil
-	}
-	payload = b[FrameLen : FrameLen+plen]
-	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(b[4:]) {
-		return nil, 0, ErrFrameCRC
-	}
-	return payload, FrameLen + plen, nil
+	return payload, n, err
 }
 
 // decodeRequest parses the request message at the front of p into q

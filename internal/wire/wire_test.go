@@ -408,6 +408,10 @@ func TestReaderRejectsMalformedRun(t *testing.T) {
 	}
 }
 
+// crcTable is the test's own CRC32C table, so the frames rawFrame
+// builds check the shared codec rather than reuse it.
+var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
 // rawFrame frames an arbitrary payload with a valid header and CRC.
 func rawFrame(payload []byte) []byte {
 	b := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
