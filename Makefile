@@ -41,7 +41,11 @@ race:
 # cycle at zero allocations, frames split at MaxPayload, a Reader over
 # mixed single and run frames (malformed runs rejected), and the
 # framing a client gets back — one response per frame for one request
-# per frame, run frames for run frames.
+# per frame, run frames for run frames. It also pins acknowledged runs:
+# malformed acks refused both ways, which stretches of a batch fold
+# into one ack, the ack metrics reconciled with what Recv returned,
+# the opted-in client's ack bytes, and the differential that an
+# opted-in client's Recv returns exactly what one without acks gets.
 difftest:
 	$(GO) test -race -run 'TestFast|TestFallback|TestEngine' -count=1 ./internal/mech
 	$(GO) test -run 'TestCompensationBonusAllocsO1|TestEngineSteadyStateZeroAllocs' -count=1 ./internal/mech
@@ -53,7 +57,7 @@ difftest:
 	$(GO) test -run 'TestSplitIntoAllocFree' -count=1 ./internal/numeric
 	$(GO) test -race -run 'TestApplyBatchDifferential|TestApplyBatchIntraBatchDependency|TestCoalescedRebidAccounting|TestRemovedIDChurnDifferential|TestSealedAggregateIndependentOfShardCount' -count=1 ./internal/registry
 	$(GO) test -run 'TestApplyBatchAllocFree|TestRecordLayout|TestSealAllocBound' -count=1 ./internal/registry
-	$(GO) test -run 'TestFrameAllocFree|TestBatchDrainAllocFree|TestWireEncodeAllocFree|TestWireDecodeAllocFree|TestFramerSplitsAtMaxPayload|TestReaderRuns|TestReaderRejectsMalformedRun|TestSingleFrameClientGetsSingleFrames|TestRunClientGetsRunFrames|TestPipelineCycleAllocFree' -count=1 ./internal/frame ./internal/server ./internal/wire ./internal/lbclient
+	$(GO) test -run 'TestFrameAllocFree|TestBatchDrainAllocFree|TestWireEncodeAllocFree|TestWireDecodeAllocFree|TestFramerSplitsAtMaxPayload|TestReaderRuns|TestReaderRejectsMalformedRun|TestSingleFrameClientGetsSingleFrames|TestRunClientGetsRunFrames|TestPipelineCycleAllocFree|TestAckDecodeErrors|TestAckShorter|TestAckFolding|TestAckMetricsReconcile|TestAckExpansion|TestAckOutOfOrder|TestAckClientGetsAcks|TestAckRunsInvisibleAboveRecv|TestAckConcurrentAdds' -count=1 ./internal/frame ./internal/server ./internal/wire ./internal/lbclient
 
 # Durable-registry gate: the WAL differential suite under -race
 # (recovery vs a live alloc.Stream across 32 seeds and shard counts,
@@ -179,7 +183,9 @@ bench-swarm:
 # Record the networked-serving baseline as stable JSON: frame
 # encode/decode (must hold 0 allocs/op), the server-side batch-drain
 # hot path at 8k and 1M agents with and without the WAL attached (1M
-# also cache-cold, whose untimed evictions make it the slow part), and
+# also cache-cold, whose untimed evictions make it the slow part, and
+# cache-cold with the WAL's snapshot cadence on; 8k also answering a
+# connection that opted in to acks), and
 # the loopback pipelined headline at 1 and 2 connections (the ops/s
 # custom metric must hold ≥ 1M pipelined bid ops/s).
 # benchjson -check validates the committed file parses and records the

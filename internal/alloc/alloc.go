@@ -51,9 +51,14 @@ func checkRate(rate float64) error {
 // would turn every aggregate S = Σ 1/t they enter into Inf, and S
 // minus their term into NaN). It is the one bid predicate shared by
 // the allocators, Stream and the concurrent registry.
+//
+// It decides without dividing: 1/t rounds to at most MaxFloat64
+// exactly when t > 2^-1024 (at t = 2^-1024 itself the quotient is
+// 2^1024, which overflows, and the next float up is already far
+// inside), and 1/t > 0 for positive t exactly when t is finite. NaN
+// fails both comparisons.
 func ValidT(t float64) bool {
-	inv := 1 / t
-	return t > 0 && inv > 0 && inv <= math.MaxFloat64
+	return t > 0x1p-1024 && t <= math.MaxFloat64
 }
 
 // checkT validates a latency parameter with ValidT.

@@ -3,6 +3,7 @@ package alloc
 import (
 	"errors"
 	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
@@ -90,6 +91,35 @@ func TestValidT(t *testing.T) {
 		if ValidT(b) {
 			t.Errorf("ValidT(%g) = true, want false", b)
 		}
+	}
+}
+
+// TestValidTMatchesDivision pins ValidT's comparison form against the
+// division it replaced, 1/t in (0, MaxFloat64]: on a million random
+// bit patterns, every float within 10^5 ulps of 2^-1024 (where 1/t
+// starts to overflow) on either side, and the special values.
+func TestValidTMatchesDivision(t *testing.T) {
+	division := func(t float64) bool {
+		inv := 1 / t
+		return t > 0 && inv > 0 && inv <= math.MaxFloat64
+	}
+	check := func(x float64) {
+		if got, want := ValidT(x), division(x); got != want {
+			t.Fatalf("ValidT(%g) [bits %#x] = %v, division form says %v", x, math.Float64bits(x), got, want)
+		}
+	}
+	for _, x := range []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+		math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, 1} {
+		check(x)
+	}
+	edge := math.Float64bits(0x1p-1024)
+	for d := uint64(0); d <= 100000; d++ {
+		check(math.Float64frombits(edge + d))
+		check(math.Float64frombits(edge - d))
+	}
+	rng := rand.New(rand.NewPCG(7, 8))
+	for i := 0; i < 1000000; i++ {
+		check(math.Float64frombits(rng.Uint64()))
 	}
 }
 

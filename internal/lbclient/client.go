@@ -8,8 +8,18 @@
 // helpers (Add, Rebid, Seal, ...) wrap queue+flush+recv for callers
 // that want one round trip per call.
 //
-// A Conn is not safe for concurrent use; drive one per goroutine (the
-// load driver opens many). Pipelined and synchronous styles can be
+// A Conn opts in to acknowledged runs: its first message, sent with
+// the first Flush, is a wire.OpAckRuns request with request id 0, so
+// the server may answer a run of OK adds, rebids or leaves with one
+// wire.OpAck. Recv skips the opt-in's response and expands each ack
+// into the responses it stands for, field for field what the plain
+// messages decode to, so acks are invisible above Recv. A server
+// built without OpAck drops the connection at the opt-in.
+//
+// A Conn is not safe for concurrent use, with one exception: one
+// goroutine may queue and flush while another receives, as the load
+// drivers do — the send side (Queue*, Flush, Pending) and the receive
+// side (Recv) share no state. Pipelined and synchronous styles can be
 // mixed, but a synchronous call consumes responses until its own comes
 // back — call it only when no queued requests are outstanding.
 package lbclient
@@ -55,19 +65,30 @@ func (e *ErrOutOfOrder) Error() string {
 
 // Conn is one protocol connection. Create with Dial.
 type Conn struct {
-	c    net.Conn
-	rd   *wire.Reader
-	wbuf []byte
-	fr   wire.Framer // packs queued requests into the open run frame
+	c net.Conn
 
-	nextReq  uint64 // last assigned request id (ids start at 1)
+	// The send side.
+	wbuf    []byte
+	fr      wire.Framer // packs queued requests into the open run frame
+	nextReq uint64      // last assigned request id (ids start at 1)
+
+	// The receive side.
+	rd       *wire.Reader
 	lastRecv uint64 // last response id received
+	ack      ackRun // the ack being expanded, if any
+	resp     wire.Response
 
 	// OnNotify, when set, receives pushed seal notifications (requires
 	// Subscribe). It runs inside Recv, on the caller's goroutine.
 	OnNotify func(EpochInfo)
+}
 
-	resp wire.Response
+// ackRun is what remains of a wire.OpAck being expanded: left more
+// OK responses of op, the next of which, for an add, carries id.
+type ackRun struct {
+	op   byte
+	left uint64
+	id   uint64
 }
 
 // Dial connects to a server at addr. bufSize sizes the read window
@@ -80,16 +101,22 @@ func Dial(addr string, bufSize int) (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newConn(c, bufSize), nil
+	return newConn(c, bufSize, true), nil
 }
 
 // newConn wraps an open stream with a bufSize-byte read window and
-// write buffer.
-func newConn(c net.Conn, bufSize int) *Conn {
-	return &Conn{
+// write buffer. With ackRuns set it queues the wire.OpAckRuns opt-in,
+// request id 0, as the first message: it rides in the first Flush and
+// costs no round trip of its own.
+func newConn(c net.Conn, bufSize int, ackRuns bool) *Conn {
+	conn := &Conn{
 		c: c, rd: wire.NewReader(bufSize), wbuf: make([]byte, 0, bufSize),
 		fr: wire.Framer{Runs: true},
 	}
+	if ackRuns {
+		conn.wbuf, _ = conn.fr.AppendRequest(conn.wbuf, &wire.Request{Op: wire.OpAckRuns})
+	}
+	return conn
 }
 
 // Close closes the connection.
@@ -163,10 +190,16 @@ func (c *Conn) Flush() error {
 }
 
 // Recv returns the next in-order response. Pushed seal notifications
-// (request id 0) are dispatched to OnNotify and skipped. The returned
-// pointer is the connection's scratch response, valid until the next
-// Recv. A response out of request order is an *ErrOutOfOrder.
+// (request id 0) are dispatched to OnNotify and skipped, and so is the
+// opt-in's response; an ack comes back as the responses it stands for,
+// one per call. The returned pointer is the connection's scratch
+// response, valid until the next Recv. A response out of request
+// order, or an ack whose first request id is not the next one, is an
+// *ErrOutOfOrder.
 func (c *Conn) Recv() (*wire.Response, error) {
+	if c.ack.left > 0 {
+		return c.nextAcked(), nil
+	}
 	for {
 		ok, err := c.rd.NextResponse(&c.resp)
 		if err != nil {
@@ -179,18 +212,39 @@ func (c *Conn) Recv() (*wire.Response, error) {
 			}
 			continue
 		}
-		if c.resp.Op == wire.OpSealNotify && c.resp.Req == 0 {
-			if c.OnNotify != nil {
-				c.OnNotify(epochInfo(&c.resp))
+		if c.resp.Req == 0 {
+			switch c.resp.Op {
+			case wire.OpSealNotify:
+				if c.OnNotify != nil {
+					c.OnNotify(epochInfo(&c.resp))
+				}
+				continue
+			case wire.OpAckRuns:
+				continue // the opt-in's response
 			}
-			continue
+		}
+		if c.resp.Req != c.lastRecv+1 {
+			return nil, &ErrOutOfOrder{Got: c.resp.Req, Want: c.lastRecv + 1}
+		}
+		if c.resp.Op == wire.OpAck {
+			c.ack = ackRun{op: c.resp.Acked, left: c.resp.N, id: c.resp.ID}
+			return c.nextAcked(), nil
 		}
 		c.lastRecv++
-		if c.resp.Req != c.lastRecv {
-			return nil, &ErrOutOfOrder{Got: c.resp.Req, Want: c.lastRecv}
-		}
 		return &c.resp, nil
 	}
+}
+
+// nextAcked returns the next response of the ack being expanded.
+func (c *Conn) nextAcked() *wire.Response {
+	c.lastRecv++
+	c.resp = wire.Response{Op: c.ack.op, Req: c.lastRecv}
+	if c.ack.op == wire.OpAdd {
+		c.resp.ID = c.ack.id
+		c.ack.id++
+	}
+	c.ack.left--
+	return &c.resp
 }
 
 // call runs one synchronous round trip: flush the queue, then receive

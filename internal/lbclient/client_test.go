@@ -14,7 +14,7 @@ import (
 func pipeConn(t *testing.T) (*Conn, net.Conn) {
 	t.Helper()
 	cs, ss := net.Pipe()
-	c := newConn(cs, 4096)
+	c := newConn(cs, 4096, true)
 	t.Cleanup(func() { cs.Close(); ss.Close() })
 	c.SetDeadline(time.Now().Add(10 * time.Second))
 	return c, ss

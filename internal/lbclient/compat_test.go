@@ -221,7 +221,7 @@ func TestRunClientGetsRunFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	tap := &tapConn{Conn: raw}
-	c := newConn(tap, DefaultBuf)
+	c := newConn(tap, DefaultBuf, false)
 	defer c.Close()
 	c.SetDeadline(time.Now().Add(10 * time.Second))
 	var notes []EpochInfo

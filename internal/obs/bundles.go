@@ -752,8 +752,9 @@ type ServerMetrics struct {
 	Conns      *Gauge
 	ConnsTotal *Counter
 	// Ops counts served requests by op name (add, rebid, leave, rate,
-	// seal, epoch, load, payment, ping, subscribe) plus pushed
-	// seal-notify messages under "notify".
+	// seal, epoch, load, payment, ping, subscribe, ack_runs) plus
+	// pushed seal-notify messages under "notify". A request answered
+	// inside an ack counts under its own op.
 	Ops *CounterVec
 	// BatchSize observes admission batch sizes (bid ops per
 	// registry.ApplyBatch call).
@@ -765,15 +766,18 @@ type ServerMetrics struct {
 	Overloads *Counter
 	// ProtocolErrors counts connections dropped for malformed frames.
 	ProtocolErrors *Counter
+	// AckRuns counts ack messages sent, each standing for a run of OK
+	// bid-op responses; Acked counts the requests they answered.
+	AckRuns, Acked *Counter
 
-	ops [12]*Counter // indexed by wire op byte; resolved in NewServerMetrics
+	ops [13]*Counter // indexed by wire op byte; resolved in NewServerMetrics
 }
 
-// serverOpNames maps wire op bytes (1..11) to their label values; the
+// serverOpNames maps wire op bytes (1..12) to their label values; the
 // names are part of the metric schema, not the wire format.
-var serverOpNames = [12]string{
+var serverOpNames = [13]string{
 	"", "add", "rebid", "leave", "rate", "seal", "epoch", "load",
-	"payment", "ping", "subscribe", "notify",
+	"payment", "ping", "subscribe", "notify", "ack_runs",
 }
 
 // NewServerMetrics registers the serving-front-end bundle on r.
@@ -789,6 +793,8 @@ func NewServerMetrics(r *Registry) *ServerMetrics {
 		Inflight:       r.Gauge("lb_server_inflight_reqs", "decoded requests in the last wakeup"),
 		Overloads:      r.Counter("lb_server_overload_rejections_total", "requests rejected with the overload status"),
 		ProtocolErrors: r.Counter("lb_server_protocol_errors_total", "connections dropped for malformed frames"),
+		AckRuns:        r.Counter("lb_server_ack_runs_total", "ack messages sent for runs of OK bid ops"),
+		Acked:          r.Counter("lb_server_acked_total", "requests answered inside ack messages"),
 	}
 	for op, name := range serverOpNames {
 		if name != "" {
@@ -843,6 +849,15 @@ func (m *ServerMetrics) Wakeup(n int) {
 		return
 	}
 	m.Inflight.Set(float64(n))
+}
+
+// Acks records runs ack messages answering acked requests in all.
+func (m *ServerMetrics) Acks(runs, acked int64) {
+	if m == nil {
+		return
+	}
+	m.AckRuns.Add(runs)
+	m.Acked.Add(acked)
 }
 
 // Overloaded records one StatusOverloaded rejection.

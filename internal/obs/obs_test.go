@@ -106,6 +106,13 @@ func TestNilSafety(t *testing.T) {
 	o.WALMetrics().CompactedSegments(2, 1<<20, true)
 	o.WALMetrics().SnapshotSkipped()
 	o.WALMetrics().Recovered(5, 100)
+	o.ServerMetrics().ConnOpened()
+	o.ServerMetrics().ConnClosed(true)
+	o.ServerMetrics().Served(12, 1)
+	o.ServerMetrics().Batched(3)
+	o.ServerMetrics().Wakeup(3)
+	o.ServerMetrics().Overloaded()
+	o.ServerMetrics().Acks(1, 3)
 	o.Emit(Event{Kind: "x"})
 
 	var tr *Trace
@@ -285,9 +292,34 @@ func TestObserverSchemaComplete(t *testing.T) {
 		"lb_wal_delta_snapshots_total",
 		"lb_wal_snapshot_bytes_total",
 		"lb_wal_snapshot_errors_total",
+		"lb_server_ack_runs_total",
+		"lb_server_acked_total",
+		`lb_server_ops_total{op="ack_runs"}`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("fresh observer export missing %s", want)
 		}
+	}
+}
+
+// TestServerOpsLabels: every request op the wire defines, the ack
+// opt-in (op 12) included, counts under its own label, and an op past
+// the table is dropped rather than miscounted.
+func TestServerOpsLabels(t *testing.T) {
+	m := NewServerMetrics(NewRegistry())
+	for op := byte(1); op <= 13; op++ {
+		m.Served(op, int64(op))
+	}
+	for op, name := range serverOpNames {
+		if name != "" && m.Ops.Value(name) != int64(op) {
+			t.Errorf("ops_total{op=%q} = %d, want %d", name, m.Ops.Value(name), op)
+		}
+	}
+	if serverOpNames[12] != "ack_runs" {
+		t.Errorf("op 12 is labelled %q, want ack_runs", serverOpNames[12])
+	}
+	m.Acks(2, 7)
+	if m.AckRuns.Value() != 2 || m.Acked.Value() != 7 {
+		t.Errorf("ack counters %d/%d, want 2/7", m.AckRuns.Value(), m.Acked.Value())
 	}
 }

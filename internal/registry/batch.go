@@ -38,13 +38,14 @@ import (
 // which costs a cache hit.
 //
 // Semantics are exactly those of applying the ops one at a time in
-// slice order on a single goroutine: ids are assigned in op order by
-// the same global counter, an op may reference an id admitted earlier
-// in the same batch, per-id operation order is preserved (ops on one
-// id always share a shard), and validation failures map to the same
-// conditions as the serial methods — so a sealed epoch after a batch
-// is bitwise identical to one sealed after the serial replay, which
-// the differential test pins. Ops on *different* ids may reach the
+// slice order on a single goroutine: ids are assigned in op order from
+// the same global counter (reserved once per batch, see pass 1), an op
+// may reference an id admitted earlier in the same batch, per-id
+// operation order is preserved (ops on one id always share a shard),
+// and validation failures map to the same conditions as the serial
+// methods — so a sealed epoch after a batch is bitwise identical to
+// one sealed after the serial replay, which the differential test
+// pins. Ops on *different* ids may reach the
 // journal in a different relative order than the slice, the same
 // freedom concurrent writers already have; the seal barrier and
 // recovery are order-independent across ids.
@@ -149,11 +150,17 @@ func (r *Registry) ApplyBatch(ops []BatchOp, res []BatchResult, sc *BatchScratch
 	}
 	sc.next = sc.next[:len(ops)]
 
-	// Pass 1, in op order: validate, assign add ids from the global
-	// counter (so id assignment matches the serial replay exactly), and
-	// thread each admissible op onto its shard's list. Ops that fail
-	// validation get their code here and never reach a shard.
+	// Pass 1, in op order: validate, assign add ids, and thread each
+	// admissible op onto its shard's list. Ops that fail validation get
+	// their code here and never reach a shard. The first valid add
+	// reserves the ids of every valid add in the batch with one atomic
+	// add on the global counter, and the adds take them in op order, so
+	// a batch's ids are consecutive even when other writers interleave.
+	// Id assignment matches the serial replay exactly: a rebid or leave
+	// of an id reserved for a later add passes the counter check below,
+	// but finds no record in pass 2, where the add has not yet run.
 	base := res
+	next, end := 0, 0 // ids reserved and not yet assigned: [next, end)
 	for i := range ops {
 		op := &ops[i]
 		rr := BatchResult{ID: op.ID}
@@ -164,7 +171,13 @@ func (r *Registry) ApplyBatch(ops []BatchOp, res []BatchResult, sc *BatchScratch
 				res = append(res, rr)
 				continue
 			}
-			rr.ID = int(r.nextID.Add(1) - 1)
+			if next == end {
+				n := validAdds(ops[i:])
+				end = int(r.nextID.Add(int64(n)))
+				next = end - n
+			}
+			rr.ID = next
+			next++
 		case BatchRebid:
 			if !alloc.ValidT(op.T) {
 				rr.Code = BatchBadValue
@@ -251,12 +264,13 @@ func (r *Registry) ApplyBatch(ops []BatchOp, res []BatchResult, sc *BatchScratch
 				}
 				updates++
 			case BatchLeave:
-				rc := sh.get(op.ID >> r.bits)
+				local := op.ID >> r.bits
+				rc := sh.get(local)
 				if rc == nil {
 					rr.Code = BatchUnknownID
 					continue
 				}
-				sh.remove(rc)
+				sh.remove(rc, local)
 				if j != nil {
 					sc.applied = append(sc.applied, *op)
 				}
@@ -270,4 +284,15 @@ func (r *Registry) ApplyBatch(ops []BatchOp, res []BatchResult, sc *BatchScratch
 	}
 	r.met.AppliedBatch(adds, updates, removes, coalesced)
 	return res
+}
+
+// validAdds counts the adds in ops that alloc.ValidT admits.
+func validAdds(ops []BatchOp) int {
+	n := 0
+	for i := range ops {
+		if ops[i].Kind == BatchAdd && alloc.ValidT(ops[i].T) {
+			n++
+		}
+	}
+	return n
 }

@@ -233,26 +233,40 @@ func TestApplyBatchIntraBatchDependency(t *testing.T) {
 		t.Fatal(err)
 	}
 	// id0 := add(2); rebid(id0, 4); id1 := add(8); leave(id1); then a
-	// rebid of the not-yet-assigned id1+1 must fail.
+	// rebid of the not-yet-assigned id1+1 must fail, although the batch
+	// reserved it up front for a later add. So must a rebid and a leave
+	// of id 3, reserved for the last add, before that add takes it;
+	// once it has, a rebid of it applies. Id 4 is not even reserved.
 	res := r.ApplyBatch([]BatchOp{
 		{Kind: BatchAdd, T: 2},
 		{Kind: BatchRebid, ID: 0, T: 4},
 		{Kind: BatchAdd, T: 8},
 		{Kind: BatchLeave, ID: 1},
 		{Kind: BatchRebid, ID: 2, T: 1},
+		{Kind: BatchAdd, T: -1},
+		{Kind: BatchAdd, T: 16},
+		{Kind: BatchRebid, ID: 3, T: 1},
+		{Kind: BatchLeave, ID: 3},
+		{Kind: BatchAdd, T: 32},
+		{Kind: BatchRebid, ID: 3, T: 64},
+		{Kind: BatchLeave, ID: 4},
 	}, nil, nil)
-	want := []BatchResult{{ID: 0}, {ID: 0}, {ID: 1}, {ID: 1}, {ID: 2, Code: BatchUnknownID}}
+	want := []BatchResult{{ID: 0}, {ID: 0}, {ID: 1}, {ID: 1}, {ID: 2, Code: BatchUnknownID},
+		{Code: BatchBadValue}, {ID: 2}, {ID: 3, Code: BatchUnknownID}, {ID: 3, Code: BatchUnknownID}, {ID: 3}, {ID: 3},
+		{ID: 4, Code: BatchUnknownID}}
 	for i := range want {
 		if res[i] != want[i] {
 			t.Fatalf("op %d: got %+v want %+v", i, res[i], want[i])
 		}
 	}
 	snap := r.Seal()
-	if snap.N() != 1 {
-		t.Fatalf("N=%d, want 1", snap.N())
+	if snap.N() != 3 {
+		t.Fatalf("N=%d, want 3", snap.N())
 	}
-	if v, ok := snap.Value(0); !ok || v != 4 {
-		t.Fatalf("Value(0)=%v,%v, want 4", v, ok)
+	for id, bid := range map[int]float64{0: 4, 2: 16, 3: 64} {
+		if v, ok := snap.Value(id); !ok || v != bid {
+			t.Fatalf("Value(%d)=%v,%v, want %v", id, v, ok, bid)
+		}
 	}
 }
 

@@ -134,6 +134,13 @@ type SealEvent struct {
 	// keeps only those of the correction's ids; the published Snapshot
 	// holds every other bid unchanged.
 	T []float64
+	// Written calls visit once for each id written — added, rebid or
+	// removed — since the previous seal or AttachJournal, whichever
+	// came later, in no fixed order: a read-only, allocation-free walk
+	// of the registry's written-since-seal bits, which the seal clears
+	// only after Sealed returns. Call it only during Sealed; it costs
+	// one visit per written id plus a scan of one bit per issued id.
+	Written func(visit func(id int))
 }
 
 // AttachJournal wires a journal into the registry after construction —
@@ -141,7 +148,11 @@ type SealEvent struct {
 // attaches its writer before serving resumes. The attach takes every
 // shard lock plus the seal mutex, so it linearizes against all
 // concurrent mutations and seals; mutations applied before the attach
-// are not journaled. A nil journal detaches.
+// are not journaled. The attach restarts the written-since-seal bits
+// as a seal does, so the first SealEvent.Written after it visits only
+// ids the new journal saw written; a rebid right after an attach is
+// not counted as coalesced with a write from before it. A nil journal
+// detaches.
 func (r *Registry) AttachJournal(j Journal) {
 	r.sealMu.Lock()
 	for i := range r.shards {
@@ -149,6 +160,7 @@ func (r *Registry) AttachJournal(j Journal) {
 	}
 	r.journal = batchJournal(j)
 	for i := range r.shards {
+		clear(r.shards[i].written)
 		r.shards[i].mu.Unlock()
 	}
 	r.sealMu.Unlock()

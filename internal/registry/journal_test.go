@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -18,6 +19,7 @@ type recJournal struct {
 	removes []int
 	rates   []float64
 	seals   []SealEvent
+	written [][]int // per seal, the ids SealEvent.Written visited, ascending
 	pubs    []uint64
 }
 
@@ -54,7 +56,12 @@ func (j *recJournal) Sealed(ev SealEvent) {
 	// Copy the live set out: ev.T is valid only during the call.
 	cp := ev
 	cp.T = append([]float64(nil), ev.T...)
+	cp.Written = nil
 	j.seals = append(j.seals, cp)
+	ids := []int{}
+	ev.Written(func(id int) { ids = append(ids, id) })
+	slices.Sort(ids)
+	j.written = append(j.written, ids)
 	j.mu.Unlock()
 }
 
@@ -62,6 +69,61 @@ func (j *recJournal) Published(snap *Snapshot) {
 	j.mu.Lock()
 	j.pubs = append(j.pubs, snap.Epoch())
 	j.mu.Unlock()
+}
+
+// TestSealEventWritten: SealEvent.Written visits exactly the ids
+// added, rebid or removed since the previous seal — through the serial
+// methods and ApplyBatch, failed ops left out — and, after an
+// AttachJournal, only those written since the attach.
+func TestSealEventWritten(t *testing.T) {
+	j := newRecJournal()
+	r, err := New(Config{Rate: 10, Shards: 4, Journal: j})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if _, err := r.Add(float64(1 + i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.Seal()
+	if err := r.Update(2, 5); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Remove(5); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Update(99, 5); err == nil {
+		t.Fatal("rebid of an unknown id succeeded")
+	}
+	r.ApplyBatch([]BatchOp{
+		{Kind: BatchRebid, ID: 7, T: 2},
+		{Kind: BatchLeave, ID: 8},
+		{Kind: BatchAdd, T: 3},
+		{Kind: BatchRebid, ID: 50, T: 2},
+		{Kind: BatchRebid, ID: 1, T: -1},
+		{Kind: BatchLeave, ID: 5},
+	}, nil, nil)
+	r.Seal()
+	r.Seal()
+	want := [][]int{{}, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, {2, 5, 7, 8, 10}, {}}
+	if !reflect.DeepEqual(j.written, want) {
+		t.Fatalf("written ids per seal %v, want %v", j.written, want)
+	}
+
+	r.AttachJournal(nil)
+	if err := r.Update(3, 7); err != nil {
+		t.Fatal(err)
+	}
+	j2 := newRecJournal()
+	r.AttachJournal(j2)
+	if err := r.Update(4, 7); err != nil {
+		t.Fatal(err)
+	}
+	r.Seal()
+	if want := [][]int{{4}}; !reflect.DeepEqual(j2.written, want) {
+		t.Fatalf("written ids after an attach %v, want %v", j2.written, want)
+	}
 }
 
 func TestJournalObservesMutationsAndSeals(t *testing.T) {

@@ -46,6 +46,7 @@ package registry
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -103,6 +104,9 @@ type Registry struct {
 	// gatherMin is gatherMinIDs; tests lower it to drive the gather
 	// pass at small populations.
 	gatherMin int
+	// visitWritten is writtenIDs bound once, so that handing it to
+	// every SealEvent allocates nothing.
+	visitWritten func(visit func(id int))
 }
 
 // rec is one id's record in its shard: the bid t, 8 bytes, eight to a
@@ -121,9 +125,10 @@ type shard struct {
 	// recs is indexed by local id (id >> bits), so walking it in index
 	// order visits the shard's live ids in ascending global-id order.
 	recs []rec
-	// written holds one bit per local id, set by every add and rebid
-	// and cleared by every seal, for coalesced-rebid accounting: a
-	// rebid that finds its bit set overwrites a bid no epoch observed.
+	// written holds one bit per local id, set by every add, rebid and
+	// leave and cleared by every seal (and AttachJournal). A rebid that finds its bit set
+	// overwrites a bid no epoch observed (coalesced-rebid accounting),
+	// and the journal reads the set bits at the seal (SealEvent.Written).
 	written []uint64
 	live    int
 
@@ -147,6 +152,7 @@ func New(cfg Config) (*Registry, error) {
 		pow <<= 1
 	}
 	r := &Registry{shards: make([]shard, pow), mask: pow - 1, bits: shardBits(pow - 1), met: cfg.Metrics, journal: batchJournal(cfg.Journal), gatherMin: gatherMinIDs}
+	r.visitWritten = r.writtenIDs
 	r.rateBit.Store(math.Float64bits(cfg.Rate))
 	r.Seal()
 	return r, nil
@@ -210,7 +216,7 @@ func (r *Registry) Remove(id int) error {
 		sh.mu.Unlock()
 		return unknownID(id)
 	}
-	sh.remove(rc)
+	sh.remove(rc, local)
 	if j := r.journal; j != nil {
 		j.Removed(id)
 	}
@@ -385,12 +391,8 @@ func (r *Registry) SealCorrected(c *Correction) (*Snapshot, error) {
 			}
 		}
 	})
-	// The copy observed every bid written so far, so the written-since-
-	// seal bits restart here.
 	for i := range r.shards {
-		sh := &r.shards[i]
-		live += sh.live
-		clear(sh.written)
+		live += r.shards[i].live
 	}
 	rate := r.Rate()
 	epoch := r.epoch.Add(1)
@@ -399,9 +401,12 @@ func (r *Registry) SealCorrected(c *Correction) (*Snapshot, error) {
 	// observed (see Journal). T is the uncorrected copy; the
 	// correction below turns it into the published epoch's bids.
 	if j := r.journal; j != nil {
-		j.Sealed(SealEvent{Epoch: epoch, Rate: rate, Next: maxID, Live: live, Correction: c, T: t})
+		j.Sealed(SealEvent{Epoch: epoch, Rate: rate, Next: maxID, Live: live, Correction: c, T: t, Written: r.visitWritten})
 	}
+	// The copy observed every bid written so far, so the written-since-
+	// seal bits restart here, once the journal has read them.
 	for i := range r.shards {
+		clear(r.shards[i].written)
 		r.shards[i].mu.Unlock()
 	}
 	hold := time.Since(held)
@@ -492,9 +497,12 @@ func (sh *shard) rebid(rc *rec, local int, t float64) bool {
 	return sh.mark(local)
 }
 
-// remove retires live record rc.
-func (sh *shard) remove(rc *rec) {
+// remove retires live record rc (local id local). The written bit is
+// set too, so the journal learns the id changed since the seal; no
+// rebid can coalesce with a departure, since ids are never reused.
+func (sh *shard) remove(rc *rec, local int) {
 	rc.t = 0
+	sh.mark(local)
 	sh.live--
 }
 
@@ -505,6 +513,18 @@ func (sh *shard) mark(local int) bool {
 	was := *w&bit != 0
 	*w |= bit
 	return was
+}
+
+// writtenIDs calls visit for each id whose written-since-seal bit is
+// set, shard by shard. Called with every shard lock held.
+func (r *Registry) writtenIDs(visit func(id int)) {
+	for s := range r.shards {
+		for i, x := range r.shards[s].written {
+			for ; x != 0; x &= x - 1 {
+				visit((i<<6|bits.TrailingZeros64(x))<<r.bits | s)
+			}
+		}
+	}
 }
 
 // shardBits returns log2 of the shard count for the given mask.

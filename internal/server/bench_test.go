@@ -28,22 +28,57 @@ import (
 // from the core's private caches and their pages from the TLB, as the
 // load generator sharing the server's CPU does between batches in the
 // served seal-1m workload; only there does every rebid miss cache.
+//
+// The acks=on cases answer on a connection that opted in to acks, so
+// each window's responses are one wire.OpAck instead of 4096 plain
+// messages. The snapshots=8 case gives the WAL the served benchmark's
+// snapshot cadence: the drain never seals, so it pins that journaling
+// a mutation costs the same whether snapshots are on or off.
 func BenchmarkServeBatchDrain(b *testing.B) {
-	for _, c := range []struct {
-		name   string
-		agents int
-		cold   bool
-	}{{"8k", 8 << 10, false}, {"1M", 1 << 20, false}, {"1M", 1 << 20, true}} {
-		for _, journal := range []string{"none", "wal"} {
-			name := fmt.Sprintf("agents=%s/journal=%s", c.name, journal)
-			if c.cold {
-				name += "/cache=cold"
-			}
-			b.Run(name, func(b *testing.B) {
-				benchDrain(b, c.agents, journal == "wal", c.cold)
-			})
+	var cases []drainCase
+	for _, c := range []drainCase{{agents: 8 << 10}, {agents: 1 << 20}, {agents: 1 << 20, cold: true}} {
+		for _, journal := range []bool{false, true} {
+			c.journal = journal
+			cases = append(cases, c)
 		}
 	}
+	cases = append(cases,
+		drainCase{agents: 8 << 10, acks: true},
+		drainCase{agents: 8 << 10, journal: true, acks: true},
+		drainCase{agents: 1 << 20, journal: true, cold: true, snapshots: 8})
+	for _, c := range cases {
+		b.Run(c.name(), func(b *testing.B) { benchDrain(b, c) })
+	}
+}
+
+// drainCase is one BenchmarkServeBatchDrain configuration.
+type drainCase struct {
+	agents    int
+	journal   bool // journal into a WAL writer
+	cold      bool // evict the records before each window
+	acks      bool // answer as to a connection that opted in to acks
+	snapshots int  // the WAL's SnapshotEvery
+}
+
+func (c drainCase) name() string {
+	agents := "8k"
+	if c.agents == 1<<20 {
+		agents = "1M"
+	}
+	name := fmt.Sprintf("agents=%s/journal=none", agents)
+	if c.journal {
+		name = fmt.Sprintf("agents=%s/journal=wal", agents)
+	}
+	if c.cold {
+		name += "/cache=cold"
+	}
+	if c.acks {
+		name += "/acks=on"
+	}
+	if c.snapshots > 0 {
+		name += fmt.Sprintf("/snapshots=%d", c.snapshots)
+	}
+	return name
 }
 
 // evictBytes is the size of the buffer the cache=cold drain cases
@@ -51,12 +86,13 @@ func BenchmarkServeBatchDrain(b *testing.B) {
 // reach.
 const evictBytes = 64 << 20
 
-func benchDrain(b *testing.B, agents int, journaled, cold bool) {
+func benchDrain(b *testing.B, c drainCase) {
+	agents := c.agents
 	cfg := registry.Config{Rate: 1000}
 	var w *wal.Writer
-	if journaled {
+	if c.journal {
 		var err error
-		if w, err = wal.Create(b.TempDir(), wal.Options{Sync: wal.SyncNone}); err != nil {
+		if w, err = wal.Create(b.TempDir(), wal.Options{Sync: wal.SyncNone, SnapshotEvery: c.snapshots}); err != nil {
 			b.Fatal(err)
 		}
 		cfg.Journal = w
@@ -83,10 +119,10 @@ func benchDrain(b *testing.B, agents int, journaled, cold bool) {
 		seq[i] = uint32(rng.IntN(agents))
 	}
 	var evict []byte
-	if cold {
+	if c.cold {
 		evict = make([]byte, evictBytes)
 	}
-	var bt batcher
+	bt := batcher{acks: c.acks}
 	fr := wire.Framer{Runs: true}
 	wbuf := make([]byte, 0, 1<<20)
 	var q wire.Request
@@ -98,7 +134,7 @@ func benchDrain(b *testing.B, agents int, journaled, cold bool) {
 		if left := b.N - done; left < n {
 			n = left
 		}
-		if cold {
+		if c.cold {
 			b.StopTimer()
 			for i := 0; i < len(evict); i += 64 {
 				evict[i]++

@@ -15,7 +15,11 @@
 //     of them. Once a client sends run frames (several requests under
 //     one CRC32C), the wakeup's responses go back in run frames too; a
 //     client that frames every request alone gets every response
-//     framed alone.
+//     framed alone. A client that sends wire.OpAckRuns gets each
+//     stretch of OK adds, rebids or leaves with consecutive request
+//     ids (and, for adds, consecutive assigned ids) answered by one
+//     wire.OpAck where that is shorter; every other client gets one
+//     response per request.
 //
 //   - Batched admission. Bid mutations (add/rebid/leave) decoded in a
 //     wakeup are not applied one at a time: they accumulate into a
@@ -39,6 +43,7 @@
 package server
 
 import (
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -278,6 +283,9 @@ type batcher struct {
 	req []uint64
 	res []registry.BatchResult
 	sc  registry.BatchScratch
+	// acks is set once the connection sends wire.OpAckRuns: from then
+	// on a drain answers runs of OK results with wire.OpAck messages.
+	acks bool
 }
 
 // push queues one decoded bid op.
@@ -314,14 +322,39 @@ func (b *batcher) drain(reg *registry.Registry, met *obs.ServerMetrics, fr *wire
 		return wbuf
 	}
 	b.res = reg.ApplyBatch(b.ops, b.res[:0], &b.sc)
-	var adds, rebids, leaves int64
-	for i := range b.res {
-		var p wire.Response
-		p.Op = opOf(b.ops[i].Kind)
-		p.Req = b.req[i]
+	wbuf = b.respond(met, fr, wbuf)
+	b.ops, b.req = b.ops[:0], b.req[:0]
+	return wbuf
+}
+
+// respond appends the responses to the applied batch: with acks on,
+// one wire.OpAck for each stretch of results that run finds where the
+// ack is shorter, and a plain response for every other result.
+func (b *batcher) respond(met *obs.ServerMetrics, fr *wire.Framer, wbuf []byte) []byte {
+	var served [wire.OpLeave + 1]int64 // indexed by wire op
+	var runs, acked int64
+	for i := 0; i < len(b.res); i++ {
+		op := opOf(b.ops[i].Kind)
+		if b.acks && i+1 < len(b.res) && b.res[i].Code == registry.BatchOK {
+			// A stretch too short for an ack is answered plainly, one
+			// result at a time; rescanning its tail finds it shorter.
+			if n := b.run(i); wire.AckShorter(op, n) {
+				p := wire.Response{Op: wire.OpAck, Req: b.req[i], Acked: op, N: uint64(n)}
+				if op == wire.OpAdd {
+					p.ID = uint64(b.res[i].ID)
+				}
+				wbuf, _ = fr.AppendResponse(wbuf, &p)
+				runs++
+				acked += int64(n)
+				served[op] += int64(n)
+				i += n - 1
+				continue
+			}
+		}
+		p := wire.Response{Op: op, Req: b.req[i]}
 		switch b.res[i].Code {
 		case registry.BatchOK:
-			if b.ops[i].Kind == registry.BatchAdd {
+			if op == wire.OpAdd {
 				p.ID = uint64(b.res[i].ID)
 			}
 		case registry.BatchBadValue:
@@ -332,21 +365,38 @@ func (b *batcher) drain(reg *registry.Registry, met *obs.ServerMetrics, fr *wire
 			p.Status = wire.StatusBadRequest
 		}
 		wbuf, _ = fr.AppendResponse(wbuf, &p)
-		switch b.ops[i].Kind {
-		case registry.BatchAdd:
-			adds++
-		case registry.BatchRebid:
-			rebids++
-		default:
-			leaves++
-		}
+		served[op]++
 	}
 	met.Batched(len(b.ops))
-	met.Served(wire.OpAdd, adds)
-	met.Served(wire.OpRebid, rebids)
-	met.Served(wire.OpLeave, leaves)
-	b.ops, b.req = b.ops[:0], b.req[:0]
+	met.Served(wire.OpAdd, served[wire.OpAdd])
+	met.Served(wire.OpRebid, served[wire.OpRebid])
+	met.Served(wire.OpLeave, served[wire.OpLeave])
+	met.Acks(runs, acked)
 	return wbuf
+}
+
+// run returns the length of the stretch of OK results from i, itself
+// OK, that one wire.OpAck can stand for: results of one kind whose
+// request ids are consecutive and, for adds, whose assigned ids are
+// consecutive too.
+func (b *batcher) run(i int) int {
+	kind := b.ops[i].Kind
+	j := i + 1
+	for ; j < len(b.res) && uint64(j-i) < math.MaxUint32; j++ {
+		if b.res[j].Code != registry.BatchOK || b.ops[j].Kind != kind ||
+			b.req[j-1] == math.MaxUint64 || b.req[j] != b.req[j-1]+1 ||
+			(kind == registry.BatchAdd && b.res[j].ID != b.res[j-1].ID+1) {
+			break
+		}
+	}
+	return j - i
+}
+
+// session is one connection's protocol state besides its buffers.
+type session struct {
+	bt         batcher
+	subscribed bool
+	seenSeal   uint64 // the seal generation the connection last saw
 }
 
 // handle runs one connection's read-decode-batch-respond loop until
@@ -359,10 +409,9 @@ func (s *Server) handle(conn net.Conn) {
 	// Responses are framed one per frame until the client sends a
 	// frame holding several requests.
 	var fr wire.Framer
-	var bt batcher
+	ss := session{seenSeal: s.sealGen.Load()}
+	bt := &ss.bt
 	var q wire.Request
-	subscribed := false
-	seenSeal := s.sealGen.Load()
 	protoErr := false
 
 	defer func() {
@@ -383,9 +432,9 @@ func (s *Server) handle(conn net.Conn) {
 		// Push the seal notification first so a subscriber orders it
 		// before this wakeup's responses — "the epoch you are about to
 		// act under".
-		if subscribed {
-			if g := s.sealGen.Load(); g != seenSeal {
-				seenSeal = g
+		if ss.subscribed {
+			if g := s.sealGen.Load(); g != ss.seenSeal {
+				ss.seenSeal = g
 				wbuf = appendEpoch(&fr, wbuf, wire.OpSealNotify, 0, reg.Snapshot())
 				met.Served(wire.OpSealNotify, 1)
 			}
@@ -401,7 +450,12 @@ func (s *Server) handle(conn net.Conn) {
 				break
 			}
 			fr.Runs = rd.Runs()
-			decoded++
+			// The ack opt-in rides in front of a client's first
+			// requests and takes no inflight slot, so the bound
+			// applies to those requests as it would without it.
+			if q.Op != wire.OpAckRuns {
+				decoded++
+			}
 			if decoded > s.cfg.MaxInflight {
 				// Over the inflight bound: reject without registry
 				// work, draining first so the rejection stays in
@@ -421,7 +475,7 @@ func (s *Server) handle(conn net.Conn) {
 				// Non-bid requests observe every bid op queued before
 				// them on this connection.
 				wbuf = bt.drain(reg, met, &fr, wbuf)
-				wbuf = s.serve(&q, &fr, wbuf, &subscribed, &seenSeal)
+				wbuf = s.serve(&q, &fr, wbuf, &ss)
 				met.Served(q.Op, 1)
 			}
 		}
@@ -449,14 +503,14 @@ func (s *Server) handle(conn net.Conn) {
 }
 
 // serve answers one non-bid request.
-func (s *Server) serve(q *wire.Request, fr *wire.Framer, wbuf []byte, subscribed *bool, seenSeal *uint64) []byte {
+func (s *Server) serve(q *wire.Request, fr *wire.Framer, wbuf []byte, ss *session) []byte {
 	reg := s.cfg.Registry
 	switch q.Op {
 	case wire.OpSeal:
 		snap := s.seal()
 		// The requester's own seal is answered inline; don't notify it
 		// again on the next wakeup.
-		*seenSeal = s.sealGen.Load()
+		ss.seenSeal = s.sealGen.Load()
 		return appendEpoch(fr, wbuf, wire.OpSeal, q.Req, snap)
 	case wire.OpEpoch:
 		return appendEpoch(fr, wbuf, wire.OpEpoch, q.Req, reg.Snapshot())
@@ -485,9 +539,12 @@ func (s *Server) serve(q *wire.Request, fr *wire.Framer, wbuf []byte, subscribed
 	case wire.OpPing:
 		return appendStatus(fr, wbuf, wire.OpPing, q.Req, wire.StatusOK)
 	case wire.OpSubscribe:
-		*subscribed = true
-		*seenSeal = s.sealGen.Load()
+		ss.subscribed = true
+		ss.seenSeal = s.sealGen.Load()
 		return appendStatus(fr, wbuf, wire.OpSubscribe, q.Req, wire.StatusOK)
+	case wire.OpAckRuns:
+		ss.bt.acks = true
+		return appendStatus(fr, wbuf, wire.OpAckRuns, q.Req, wire.StatusOK)
 	}
 	return appendStatus(fr, wbuf, q.Op, q.Req, wire.StatusBadRequest)
 }

@@ -87,7 +87,7 @@ func streamSnapshot(w io.Writer, p *pendingSnap) error {
 //	magic(8) | the LBSNAP02 header | base u64 | drops… | weights… |
 //	ceil(next/64) × u64 bitmap | one f64 bid per set bit | CRC32C u32
 //
-// where bit id%64 of word id/64 is set for each id journaled since the
+// where bit id%64 of word id/64 is set for each id written since the
 // base's capture (p.dirty), and each such id's uncorrected bid, or 0
 // for an absent id, is read in place as the full stream reads it, in
 // ascending id order.

@@ -56,14 +56,17 @@
 // layout of registry.Snapshot itself). A delta sidecar (LBSNAP03) names
 // the epoch of the sidecar it rests on, its base, and holds the same
 // header and correction, a bitmap with one bit per issued id set for
-// each id journaled since the base's capture, and one f64 per set bit.
-// The writer keeps that bitmap as it appends (one bit set per entry),
-// and at the seal barrier a capture takes it by swapping in a cleared
-// one, along with the log position and the pre-correction bids of the
-// correction's live ids; after publication a background compactor
-// streams the file from the immutable registry.Snapshot, reading each
-// bid it writes in place, so no per-agent work is done under the
-// registry's locks or for the file image. A capture dropped because
+// each id written since the base's capture, and one f64 per set bit.
+// The writer keeps that bitmap from the seals: each one ORs in the ids
+// the registry reports written since the previous seal
+// (registry.SealEvent.Written), so appending a mutation sets no bit.
+// At the seal barrier a capture takes the bitmap by swapping in a
+// cleared one, along with the log position and the pre-correction bids
+// of the correction's live ids; after publication a background
+// compactor streams the file from the immutable registry.Snapshot,
+// reading each bid it writes in place, so the only per-agent work under
+// the registry's locks is the visit of the ids written since the last
+// seal, and none is done for the file image. A capture dropped because
 // the compactor is busy folds its bitmap back into the next one.
 // LBSNAP01 sidecars, which list (u64 id, f64 bid) pairs of live agents,
 // decode to the same dense form as LBSNAP02 ones.

@@ -109,7 +109,7 @@ type snapRef struct {
 // the seal barrier knows — the log position after the seal record,
 // the id counter and live count, the sorted correction, the
 // pre-correction bids of its live ids and the bitmap of the ids
-// journaled since the previous capture — in O(correction) time;
+// written since the previous capture — in O(correction) time;
 // Published attaches the immutable epoch it covers; the background
 // compactor streams the file from both (see streamSidecar).
 type pendingSnap struct {
@@ -121,7 +121,7 @@ type pendingSnap struct {
 	drops []int
 	wts   []weightEntry
 	pre   []bidEntry         // uncorrected bids of the correction's live ids, ascending id
-	dirty []uint64           // one bit per id journaled since the previous capture
+	dirty []uint64           // one bit per id written since the previous capture
 	snap  *registry.Snapshot // the published (corrected) epoch
 }
 
@@ -147,7 +147,7 @@ type bidEntry struct {
 // group-commits batches to segment files, and hands snapshot captures
 // to a background compactor. A capture copies nothing per agent: at the
 // seal barrier it records the log position and the correction's
-// pre-correction bids, and takes the bitmap of ids journaled since the
+// pre-correction bids, and takes the bitmap of ids written since the
 // previous capture by swapping in a cleared one; the compactor reads
 // every bid it writes from the published Snapshot, which is immutable.
 // It also implements registry.BatchJournal, so ApplyBatch journals
@@ -174,8 +174,9 @@ type Writer struct {
 	appends    uint64
 	sealsSince int
 	pending    *pendingSnap
-	dirty      []uint64 // ids journaled since the last capture, one bit each; kept with SnapshotEvery > 0
-	spare      []uint64 // a cleared bitmap for the next capture to swap in
+	dirty      []uint64     // ids written since the last capture, one bit each; kept with SnapshotEvery > 0
+	spare      []uint64     // a cleared bitmap for the next capture to swap in
+	visitMark  func(id int) // mark, bound once so that a seal's visit allocates nothing
 	err        error
 	closed     bool
 
@@ -224,7 +225,7 @@ func newWriter(dir string, opts Options) (*Writer, error) {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
 	opts = opts.withDefaults()
-	return &Writer{
+	w := &Writer{
 		dir:    dir,
 		opts:   opts,
 		met:    opts.Metrics,
@@ -232,7 +233,9 @@ func newWriter(dir string, opts Options) (*Writer, error) {
 		buf:    make([]byte, 0, opts.BatchBytes+4096),
 		snapCh: make(chan *pendingSnap, 1),
 		stop:   make(chan struct{}),
-	}, nil
+	}
+	w.visitMark = w.mark
+	return w, nil
 }
 
 // start launches the background compactor and, under SyncInterval, the
@@ -423,19 +426,25 @@ func (w *Writer) appendEntry(kind byte, a, b uint64) int {
 	if kind != kindRemove {
 		w.buf = binary.LittleEndian.AppendUint64(w.buf, b)
 	}
-	if w.opts.SnapshotEvery > 0 {
-		w.mark(a)
-	}
 	w.maybeFlush()
 	return n
 }
 
-// mark sets id's bit in the bitmap of ids journaled since the last
-// capture, growing the bitmap to cover id. Its words past its length
-// are zero up to its capacity, so growing within the capacity only
-// reslices. Called with w.mu held.
-func (w *Writer) mark(id uint64) {
-	i := int(id >> 6)
+// markWritten ORs the ids a seal reports written since the previous
+// seal into the bitmap of ids written since the last capture. Called
+// with w.mu held.
+func (w *Writer) markWritten(ev *registry.SealEvent) {
+	if ev.Written != nil {
+		ev.Written(w.visitMark)
+	}
+}
+
+// mark sets id's bit in the dirty bitmap, growing the bitmap to cover
+// id. Its words past its length are zero up to its capacity, so
+// growing within the capacity only reslices. Called with w.mu held,
+// through the markWritten visit.
+func (w *Writer) mark(id int) {
+	i := id >> 6
 	if i >= len(w.dirty) {
 		w.dirty = slices.Grow(w.dirty, i+1-len(w.dirty))[:i+1]
 	}
@@ -481,10 +490,11 @@ func (w *Writer) appendRate(bits uint64) int {
 // shard lock — the barrier that makes the log replayable — so it only
 // encodes: it closes the open run (a checksum over at most runCap
 // bytes), then appends the seal record — a plain seal is 17 payload
-// bytes, a corrected seal inlines the sorted correction — and on the
-// snapshot cadence it captures the log position plus the
-// pre-correction bids of the correction's live ids, read from ev.T;
-// Published supplies the rest of the population. No fsync happens
+// bytes, a corrected seal inlines the sorted correction. With
+// snapshots on, it ORs the ids ev.Written visits into the dirty
+// bitmap, and on the snapshot cadence it captures the log position
+// plus the pre-correction bids of the correction's live ids, read from
+// ev.T; Published supplies the rest of the population. No fsync happens
 // here; SyncSeal defers it to Published, outside the locks.
 func (w *Writer) Sealed(ev registry.SealEvent) {
 	var drops []int
@@ -537,6 +547,7 @@ func (w *Writer) Sealed(ev registry.SealEvent) {
 	w.met.AppendedBatch(1, frame.HeaderLen+payload)
 
 	if w.opts.SnapshotEvery > 0 {
+		w.markWritten(&ev)
 		w.sealsSince++
 		if w.sealsSince >= w.opts.SnapshotEvery {
 			w.sealsSince = 0

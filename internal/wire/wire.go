@@ -31,31 +31,51 @@
 //	OpPayment          u64 id
 //	OpPing             —
 //	OpSubscribe        —
+//	OpAckRuns          —
 //
 //	response           message after [op][req u64][status]
 //	OpAdd              u64 id                      (StatusOK only)
 //	OpRebid/OpLeave    —
 //	OpRate/OpPing      —
 //	OpSubscribe        —
+//	OpAckRuns          —
 //	OpSeal/OpEpoch     u64 epoch, u64 n, f64 rate, f64 S, f64 L*
 //	OpSealNotify       u64 epoch, u64 n, f64 rate, f64 S, f64 L*
 //	OpLoad             u64 epoch, f64 x
 //	OpPayment          f64 compensation, f64 bonus
+//	OpAck              u8 op, u32 count, u64 first id (StatusOK only)
 //
 // A response with Status != StatusOK carries no body regardless of
-// op. OpSealNotify is the one server-initiated message: a subscribed
+// op. OpSealNotify is a server-initiated message: a subscribed
 // connection receives it with request id 0 when an epoch sealed since
-// the connection's previous wakeup; every other response echoes the
-// request id it answers, and responses on one connection arrive in
-// request order (the pipelining contract).
+// the connection's previous wakeup. Every other response but OpAck
+// echoes the request id it answers, and responses on one connection
+// arrive in request order (the pipelining contract).
+//
+// OpAck stands for count consecutive StatusOK responses of one op —
+// add, rebid or leave — to the requests first, first+1, …,
+// first+count−1, where first is its request id. The k-th add's id is
+// the first id plus k; for rebids and leaves the first id is 0. A
+// server sends OpAck only on a connection that opted in by sending
+// OpAckRuns (answered StatusOK like a ping; a client sends it first,
+// with request id 0), and only where one ack is shorter than the plain
+// responses it replaces: three or more rebids or leaves, two or more
+// adds. The decoder refuses an ack that stands for no run of
+// responses: a count of 0, an op other than add, rebid or leave, a
+// nonzero first id on a rebid or leave ack, a request-id or id range
+// that wraps, a non-OK status — and OpAck in a request.
 //
 // A client packs its queued requests into run frames (a Framer with
 // Runs set). The server answers in runs only once the connection has
 // sent a frame holding more than one message. A client that sends one
 // message per frame gets one response per frame back, byte for byte
 // the single-message framing of earlier builds (MaxPayload 64), so
-// such clients keep working unchanged. Those builds reject any frame
-// over 64 bytes with ErrFrameTooBig: upgrade servers before clients.
+// such clients keep working unchanged, and a client that never sends
+// OpAckRuns gets one response per request, byte for byte what servers
+// without OpAck send. Builds without run frames reject any frame over
+// 64 bytes with ErrFrameTooBig, and builds without OpAck reject
+// OpAckRuns with ErrUnknownOp; either drops the connection, so upgrade
+// servers before clients.
 //
 // Encode appends to a caller-provided buffer and decode parses into a
 // caller-provided flat struct, so both directions are allocation-free
@@ -105,7 +125,19 @@ const (
 	// 0) to subscribed connections after an epoch seals. A request
 	// carrying this op is rejected by the request decoder.
 	OpSealNotify = byte(11)
+
+	// OpAckRuns opts the connection in to OpAck responses.
+	OpAckRuns = byte(12)
+
+	// OpAck is response-only: one message standing for a run of OK
+	// add, rebid or leave responses (see the package comment). A
+	// request carrying this op is rejected by the request decoder.
+	OpAck = byte(13)
 )
+
+// ackLen is an OpAck message's length: [op][req u64][status], then
+// [acked op u8][count u32][first id u64].
+const ackLen = 23
 
 // Response statuses.
 const (
@@ -127,11 +159,13 @@ type Request struct {
 // Response is one decoded response; which fields are meaningful
 // depends on Op and Status (see the package comment). Value carries
 // L* for seal/epoch ops, x for OpLoad and the compensation for
-// OpPayment; Value2 carries the OpPayment bonus.
+// OpPayment; Value2 carries the OpPayment bonus. An OpAck carries the
+// op it acknowledges in Acked, its count in N and its first id in ID.
 type Response struct {
 	Op     byte
 	Req    uint64
 	Status byte
+	Acked  byte
 	ID     uint64
 	Epoch  uint64
 	N      uint64
@@ -160,8 +194,11 @@ var (
 	// frame: a run must end exactly on a message boundary.
 	ErrPayloadSize = &ProtocolError{"payload size does not match its op"}
 	// ErrUnknownOp rejects an op byte neither side defines (including
-	// OpSealNotify in a request, which is response-only).
+	// OpSealNotify or OpAck in a request, which are response-only).
 	ErrUnknownOp = &ProtocolError{"unknown op"}
+	// ErrBadAck rejects an OpAck that stands for no run of OK
+	// responses: see the package comment.
+	ErrBadAck = &ProtocolError{"malformed ack"}
 	// ErrBufferFull reports a Reader whose buffer is full without
 	// containing one whole frame — impossible for a well-formed peer
 	// when the buffer is at least MaxFrame bytes.
@@ -204,7 +241,7 @@ func requestBody(op byte) int {
 		return 8
 	case OpRebid:
 		return 16
-	case OpSeal, OpEpoch, OpPing, OpSubscribe:
+	case OpSeal, OpEpoch, OpPing, OpSubscribe, OpAckRuns:
 		return 0
 	}
 	return -1
@@ -217,7 +254,7 @@ func responseBody(op, status byte) int {
 	if status != StatusOK {
 		switch op {
 		case OpAdd, OpRebid, OpLeave, OpRate, OpSeal, OpEpoch, OpLoad,
-			OpPayment, OpPing, OpSubscribe, OpSealNotify:
+			OpPayment, OpPing, OpSubscribe, OpSealNotify, OpAckRuns:
 			return 0
 		}
 		return -1
@@ -225,14 +262,40 @@ func responseBody(op, status byte) int {
 	switch op {
 	case OpAdd:
 		return 8
-	case OpRebid, OpLeave, OpRate, OpPing, OpSubscribe:
+	case OpRebid, OpLeave, OpRate, OpPing, OpSubscribe, OpAckRuns:
 		return 0
 	case OpSeal, OpEpoch, OpSealNotify:
 		return 40
 	case OpLoad, OpPayment:
 		return 16
+	case OpAck:
+		return ackLen - 10
 	}
 	return -1
+}
+
+// ackValid reports whether an OpAck's fields stand for a run of OK
+// responses: a nonzero count that fits in a u32, an acked add, rebid or
+// leave, a first id of 0 unless the op is an add, and request-id and id
+// ranges that do not wrap.
+func ackValid(p *Response) bool {
+	last := p.N - 1
+	if p.Status != StatusOK || p.N == 0 || p.N > math.MaxUint32 || p.Req+last < p.Req {
+		return false
+	}
+	switch p.Acked {
+	case OpAdd:
+		return p.ID+last >= p.ID
+	case OpRebid, OpLeave:
+		return p.ID == 0
+	}
+	return false
+}
+
+// AckShorter reports whether one OpAck standing for count OK
+// responses of op is shorter than those responses sent plainly.
+func AckShorter(op byte, count int) bool {
+	return count*(10+responseBody(op, StatusOK)) > ackLen
 }
 
 // Framer appends messages to a caller-owned buffer. With Runs set it
@@ -286,8 +349,13 @@ func (f *Framer) AppendRequest(dst []byte, q *Request) ([]byte, error) {
 }
 
 // AppendResponse encodes p as one message appended to dst. It
-// allocates only when dst lacks capacity.
+// allocates only when dst lacks capacity; an op that is not a response
+// returns dst unchanged with ErrUnknownOp, and an OpAck the decoder
+// would refuse with ErrBadAck.
 func (f *Framer) AppendResponse(dst []byte, p *Response) ([]byte, error) {
+	if p.Op == OpAck && !ackValid(p) {
+		return dst, ErrBadAck
+	}
 	body := responseBody(p.Op, p.Status)
 	if body < 0 {
 		return dst, ErrUnknownOp
@@ -312,6 +380,10 @@ func (f *Framer) AppendResponse(dst []byte, p *Response) ([]byte, error) {
 		case OpPayment:
 			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(p.Value))
 			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(p.Value2))
+		case OpAck:
+			dst = append(dst, p.Acked)
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(p.N))
+			dst = binary.LittleEndian.AppendUint64(dst, p.ID)
 		}
 	}
 	if !f.Runs {
@@ -390,6 +462,9 @@ func decodeResponse(p []byte, r *Response) (int, error) {
 	op, status := p[0], p[9]
 	body := responseBody(op, status)
 	if body < 0 {
+		if op == OpAck {
+			return 0, ErrBadAck
+		}
 		return 0, ErrUnknownOp
 	}
 	if len(p) < 10+body {
@@ -415,6 +490,13 @@ func decodeResponse(p []byte, r *Response) (int, error) {
 	case OpPayment:
 		r.Value = math.Float64frombits(binary.LittleEndian.Uint64(rest))
 		r.Value2 = math.Float64frombits(binary.LittleEndian.Uint64(rest[8:]))
+	case OpAck:
+		r.Acked = rest[0]
+		r.N = uint64(binary.LittleEndian.Uint32(rest[1:]))
+		r.ID = binary.LittleEndian.Uint64(rest[5:])
+		if !ackValid(r) {
+			return 0, ErrBadAck
+		}
 	}
 	return 10 + body, nil
 }

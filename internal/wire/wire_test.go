@@ -22,6 +22,7 @@ func sampleRequests() []Request {
 		{Op: OpPayment, Req: 8, ID: 999},
 		{Op: OpPing, Req: 1 << 63},
 		{Op: OpSubscribe, Req: 10},
+		{Op: OpAckRuns, Req: 0},
 	}
 }
 
@@ -43,6 +44,10 @@ func sampleResponses() []Response {
 		{Op: OpPing, Req: 12, Status: StatusOK},
 		{Op: OpSubscribe, Req: 13, Status: StatusOK},
 		{Op: OpRebid, Req: 14, Status: StatusOverloaded},
+		{Op: OpAckRuns, Req: 0, Status: StatusOK},
+		{Op: OpAck, Req: 15, Status: StatusOK, Acked: OpAdd, N: 2, ID: 43},
+		{Op: OpAck, Req: 17, Status: StatusOK, Acked: OpRebid, N: 4096},
+		{Op: OpAck, Req: 1<<64 - 3, Status: StatusOK, Acked: OpLeave, N: 3},
 	}
 }
 
@@ -275,6 +280,99 @@ func TestDecodeErrors(t *testing.T) {
 	// AppendRequest refuses non-request ops.
 	if _, err := AppendRequest(nil, &Request{Op: OpSealNotify}); err != ErrUnknownOp {
 		t.Fatalf("append response-only op: err=%v", err)
+	}
+}
+
+// TestAckDecodeErrors: an OpAck that stands for no run of OK add,
+// rebid or leave responses is an ErrBadAck, both ways — the decoder
+// refuses its bytes and the encoder refuses to write it — and OpAck
+// or any other response-only op in a request is an ErrUnknownOp.
+func TestAckDecodeErrors(t *testing.T) {
+	good := Response{Op: OpAck, Req: 5, Status: StatusOK, Acked: OpAdd, N: 3, ID: 9}
+	msg, err := (&Framer{Runs: true}).AppendResponse(nil, &good)
+	if err != nil || len(msg) != FrameLen+ackLen {
+		t.Fatalf("good ack: %d bytes, err=%v; want %d", len(msg), err, FrameLen+ackLen)
+	}
+	msg = msg[FrameLen:]
+	var p Response
+	if m, err := decodeResponse(msg, &p); err != nil || m != ackLen || p != good {
+		t.Fatalf("good ack decodes to %+v (%d bytes, err=%v)", p, m, err)
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(b []byte)
+	}{
+		{"count-zero", func(b []byte) { binary.LittleEndian.PutUint32(b[11:], 0) }},
+		{"acked-seal", func(b []byte) { b[10] = OpSeal }},
+		{"acked-ping", func(b []byte) { b[10] = OpPing }},
+		{"acked-ack", func(b []byte) { b[10] = OpAck }},
+		{"acked-unknown", func(b []byte) { b[10] = 200 }},
+		{"rebid-with-id", func(b []byte) { b[10] = OpRebid }},
+		{"leave-with-id", func(b []byte) { b[10] = OpLeave }},
+		{"req-range-wraps", func(b []byte) { binary.LittleEndian.PutUint64(b[1:], 1<<64-2) }},
+		{"id-range-wraps", func(b []byte) { binary.LittleEndian.PutUint64(b[15:], 1<<64-2) }},
+		{"status-not-ok", func(b []byte) { b[9] = StatusUnknownID }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := append([]byte(nil), msg...)
+			tc.edit(b)
+			var p Response
+			if _, err := decodeResponse(b, &p); err != ErrBadAck {
+				t.Fatalf("decode: err=%v, want ErrBadAck", err)
+			}
+			// The same fields, handed to the encoder.
+			q := good
+			q.Req = binary.LittleEndian.Uint64(b[1:])
+			q.Status, q.Acked = b[9], b[10]
+			q.N = uint64(binary.LittleEndian.Uint32(b[11:]))
+			q.ID = binary.LittleEndian.Uint64(b[15:])
+			if out, err := AppendResponse(nil, &q); err != ErrBadAck || len(out) != 0 {
+				t.Fatalf("encode: %d bytes, err=%v, want ErrBadAck", len(out), err)
+			}
+		})
+	}
+	// The last request of an ack may be the largest id; one past it
+	// wraps. A count too large for the u32 field cannot be encoded.
+	edge := Response{Op: OpAck, Req: 1<<64 - 3, Status: StatusOK, Acked: OpRebid, N: 3}
+	if _, err := AppendResponse(nil, &edge); err != nil {
+		t.Fatalf("ack ending at the largest request id: %v", err)
+	}
+	edge.N = 4
+	if _, err := AppendResponse(nil, &edge); err != ErrBadAck {
+		t.Fatalf("ack past the largest request id: err=%v", err)
+	}
+	edge.Req, edge.N = 1, 1<<32
+	if _, err := AppendResponse(nil, &edge); err != ErrBadAck {
+		t.Fatalf("ack count over u32: err=%v", err)
+	}
+
+	// Response-only ops in a request.
+	var q Request
+	for _, op := range []byte{OpAck, OpSealNotify} {
+		b := append([]byte{op}, make([]byte, 8+ackLen)...)
+		if _, err := decodeRequest(b, &q); err != ErrUnknownOp {
+			t.Fatalf("op %d as a request: err=%v", op, err)
+		}
+		if _, err := AppendRequest(nil, &Request{Op: op}); err != ErrUnknownOp {
+			t.Fatalf("append op %d as a request: err=%v", op, err)
+		}
+	}
+}
+
+// TestAckShorter pins where an ack pays: from three rebids or leaves,
+// and from two adds.
+func TestAckShorter(t *testing.T) {
+	for _, tc := range []struct {
+		op    byte
+		count int
+		want  bool
+	}{
+		{OpRebid, 2, false}, {OpRebid, 3, true}, {OpLeave, 2, false}, {OpLeave, 3, true},
+		{OpAdd, 1, false}, {OpAdd, 2, true}, {OpRebid, 4096, true},
+	} {
+		if got := AckShorter(tc.op, tc.count); got != tc.want {
+			t.Errorf("AckShorter(%d, %d) = %v, want %v", tc.op, tc.count, got, tc.want)
+		}
 	}
 }
 
