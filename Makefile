@@ -63,7 +63,10 @@ difftest:
 # (recovery vs a live alloc.Stream across 32 seeds and shard counts,
 # the kill-9 truncation fuzz at every byte offset of the log tail, the
 # concurrent journal ordering tests for serial and ApplyBatch writers,
-# the batched-vs-per-op byte-identical log differential, exact append
+# the batched-vs-per-op byte-identical log differentials (through the
+# registry, and at the writer with groups that cross the run cap, the
+# group-commit threshold and a rotation), a log write failing
+# mid-group stopping both paths at the same entry, exact append
 # metrics, bitwise recovery of logs in the run-less LBWAL001 format and
 # in the LBWAL002 format with LBSNAP01 sidecars, a CRC-valid record
 # that does not decode refused as corruption, never truncated, an add
@@ -80,7 +83,7 @@ difftest:
 # encoder, which run without -race because allocation counts differ
 # under the instrumented allocator.
 wal:
-	$(GO) test -race -run 'TestRecoveryMatchesLiveHistory|TestTruncationFuzzEveryTailOffset|TestConcurrentJournalRecovery|TestConcurrentBatchJournalRecovery|TestCompactionAndSnapshotFallback|TestBatchedLogByteIdentical|TestWALMetricsExactUnderBatching|TestParentFormatLogRecovers|TestV2FormatLogRecovers|TestUndecodableRecordIsCorruption|TestReplayBoundsAddIDs|TestDecodeSnapshotRefusesImpossibleCounts|TestOpenFallsBackPastForgedSnapshot|TestDeltaChainRecovery|TestFailedSnapshotKeepsJournaling|TestOpenRemovesStaleSnapshotTemp' -count=1 ./internal/wal
+	$(GO) test -race -run 'TestRecoveryMatchesLiveHistory|TestTruncationFuzzEveryTailOffset|TestConcurrentJournalRecovery|TestConcurrentBatchJournalRecovery|TestCompactionAndSnapshotFallback|TestBatchedLogByteIdentical|TestLargeGroupLogByteIdentical|TestFailedWriteMidGroup|TestWALMetricsExactUnderBatching|TestParentFormatLogRecovers|TestV2FormatLogRecovers|TestUndecodableRecordIsCorruption|TestReplayBoundsAddIDs|TestDecodeSnapshotRefusesImpossibleCounts|TestOpenFallsBackPastForgedSnapshot|TestDeltaChainRecovery|TestFailedSnapshotKeepsJournaling|TestOpenRemovesStaleSnapshotTemp' -count=1 ./internal/wal
 	$(GO) test -run 'TestWALAppendAllocFree|TestApplyBatchWALAllocFree|TestSnapshotSealAllocBound|TestFullSidecarSealAllocBound|TestStreamedSnapshotMatchesReference|TestStreamedDeltaMatchesReference' -count=1 ./internal/wal
 
 # The serving benchmark (bench/, its own module built against this one
@@ -152,14 +155,16 @@ bench-dispatch:
 	@rm -f .bench_raw.txt
 	@cat BENCH_dispatch.json
 
-# Record the WAL baseline (zero-alloc append throughput, snapshot
-# streaming, the 1M-agent seal with the WAL attached and its shard-lock
-# hold p50/max, and full crash recovery of 1M- and 10M-record logs) as
-# stable JSON. Commit BENCH_wal.json to track regressions; the recovery
-# benchmarks run once each because every iteration replays the whole
-# log.
+# Record the WAL baseline (zero-alloc append throughput, per-op and in
+# Mutations groups of 1 and 128, snapshot streaming, the 1M-agent seal
+# with the WAL attached and its shard-lock hold p50/max, and full crash
+# recovery of 1M- and 10M-record logs) as stable JSON. Commit
+# BENCH_wal.json to track regressions. The append, snapshot and seal
+# cases run five times and benchjson records their medians; the
+# recovery benchmarks run once each because every iteration replays
+# the whole log.
 bench-wal:
-	$(GO) test -run '^$$' -bench 'BenchmarkWALAppend|BenchmarkWALSnapshot|BenchmarkWALSeal' -benchmem ./internal/wal > .bench_raw.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkWALAppend|BenchmarkWALSnapshot|BenchmarkWALSeal' -benchmem -count 5 ./internal/wal > .bench_raw.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkWALRecover' -benchmem -benchtime 1x -timeout 20m ./internal/wal >> .bench_raw.txt
 	$(GO) run ./cmd/benchjson < .bench_raw.txt > BENCH_wal.json
 	@rm -f .bench_raw.txt
@@ -187,12 +192,14 @@ bench-swarm:
 # cache-cold with the WAL's snapshot cadence on; 8k also answering a
 # connection that opted in to acks), and
 # the loopback pipelined headline at 1 and 2 connections (the ops/s
-# custom metric must hold ≥ 1M pipelined bid ops/s).
+# custom metric must hold ≥ 1M pipelined bid ops/s). Every case runs
+# five times and benchjson records the medians, since single runs on a
+# small VM drift by tens of percent between spells.
 # benchjson -check validates the committed file parses and records the
 # machine spec.
 bench-serve:
-	$(GO) test -run '^$$' -bench 'BenchmarkWireEncode|BenchmarkWireDecode' -benchmem ./internal/wire > .bench_raw.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkServe' -benchmem -benchtime 2s -timeout 20m ./internal/server >> .bench_raw.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkWireEncode|BenchmarkWireDecode' -benchmem -count 5 ./internal/wire > .bench_raw.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkServe' -benchmem -benchtime 2s -count 5 -timeout 60m ./internal/server >> .bench_raw.txt
 	$(GO) run ./cmd/benchjson < .bench_raw.txt > BENCH_serve.json
 	@rm -f .bench_raw.txt
 	$(GO) run ./cmd/benchjson -check BENCH_serve.json

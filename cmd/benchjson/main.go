@@ -2,7 +2,9 @@
 // into a stable JSON document on stdout, so benchmark baselines can be
 // committed and diffed (make bench > BENCH_mech.json). The output is
 // deterministic for a given input: no timestamps, benchmarks in input
-// order.
+// order. The lines that `go test -count N` repeats for one benchmark
+// of one package fold into one entry holding their medians and the
+// run count.
 package main
 
 import (
@@ -10,7 +12,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -31,6 +35,13 @@ type Result struct {
 	// Metrics holds custom b.ReportMetric values by unit (e.g. the
 	// swarm's tasks_moved_per_s and rounds_to_eps columns).
 	Metrics map[string]float64 `json:"metrics,omitempty"`
+	// Runs is the number of lines folded into this entry when the
+	// benchmark ran more than once (-count N; absent for one run).
+	// Every field above is then the median over those runs: the middle
+	// value for an odd count, the mean of the two middle values for an
+	// even one (rounded toward zero for the integer fields), and for a
+	// custom metric, over the runs that reported it.
+	Runs int `json:"runs,omitempty"`
 }
 
 // Document is the emitted JSON structure.
@@ -88,8 +99,14 @@ func parseLine(line string) (Result, bool) {
 	return r, true
 }
 
-func run(in *bufio.Scanner, out *os.File) error {
+// parse reads `go test -bench` output and folds the runs of each
+// benchmark, keyed by package and name, into one entry at the position
+// of its first run.
+func parse(in *bufio.Scanner) (Document, error) {
 	var doc Document
+	var runs [][]Result
+	index := make(map[[2]string]int) // (pkg, name) -> its runs
+	pkg := ""
 	for in.Scan() {
 		line := in.Text()
 		switch {
@@ -98,20 +115,90 @@ func run(in *bufio.Scanner, out *os.File) error {
 		case strings.HasPrefix(line, "goarch: "):
 			doc.Goarch = strings.TrimPrefix(line, "goarch: ")
 		case strings.HasPrefix(line, "pkg: "):
-			doc.Pkg = append(doc.Pkg, strings.TrimPrefix(line, "pkg: "))
+			pkg = strings.TrimPrefix(line, "pkg: ")
+			doc.Pkg = append(doc.Pkg, pkg)
 		case strings.HasPrefix(line, "cpu: "):
 			doc.CPU = strings.TrimPrefix(line, "cpu: ")
 		default:
 			if r, ok := parseLine(line); ok {
-				doc.Benchmarks = append(doc.Benchmarks, r)
+				key := [2]string{pkg, r.Name}
+				i, seen := index[key]
+				if !seen {
+					i = len(runs)
+					index[key] = i
+					runs = append(runs, nil)
+				}
+				runs[i] = append(runs[i], r)
 			}
 		}
 	}
 	if err := in.Err(); err != nil {
-		return err
+		return doc, err
 	}
-	if len(doc.Benchmarks) == 0 {
-		return fmt.Errorf("benchjson: no benchmark lines on stdin")
+	if len(runs) == 0 {
+		return doc, fmt.Errorf("benchjson: no benchmark lines on stdin")
+	}
+	for _, rs := range runs {
+		doc.Benchmarks = append(doc.Benchmarks, fold(rs))
+	}
+	return doc, nil
+}
+
+// fold returns the one entry for a benchmark's runs: the run itself
+// when there is one, and otherwise the medians described at
+// Result.Runs.
+func fold(rs []Result) Result {
+	if len(rs) == 1 {
+		return rs[0]
+	}
+	r := Result{
+		Name:        rs[0].Name,
+		Iterations:  median(rs, func(r Result) int64 { return r.Iterations }),
+		NsPerOp:     median(rs, func(r Result) float64 { return r.NsPerOp }),
+		BytesPerOp:  median(rs, func(r Result) int64 { return r.BytesPerOp }),
+		AllocsPerOp: median(rs, func(r Result) int64 { return r.AllocsPerOp }),
+		Runs:        len(rs),
+	}
+	metrics := make(map[string][]float64)
+	for _, x := range rs {
+		for unit, v := range x.Metrics {
+			metrics[unit] = append(metrics[unit], v)
+		}
+	}
+	for unit, vals := range metrics {
+		if r.Metrics == nil {
+			r.Metrics = make(map[string]float64, len(metrics))
+		}
+		r.Metrics[unit] = middle(vals)
+	}
+	return r
+}
+
+// median returns the median of field over rs.
+func median[T int64 | float64](rs []Result, field func(Result) T) T {
+	vals := make([]T, len(rs))
+	for i, r := range rs {
+		vals[i] = field(r)
+	}
+	return middle(vals)
+}
+
+// middle returns the median of vals, sorting them in place: the middle
+// value, or the mean of the two middle values for an even count
+// (rounded toward zero for integers).
+func middle[T int64 | float64](vals []T) T {
+	slices.Sort(vals)
+	n := len(vals)
+	if n%2 == 1 {
+		return vals[n/2]
+	}
+	return (vals[n/2-1] + vals[n/2]) / 2
+}
+
+func run(in *bufio.Scanner, out io.Writer) error {
+	doc, err := parse(in)
+	if err != nil {
+		return err
 	}
 	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")

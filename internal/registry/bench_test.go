@@ -51,7 +51,7 @@ func BenchmarkRegistrySnapshotRead(b *testing.B) {
 	var sink float64
 	for i := 0; i < b.N; i++ {
 		snap := r.Snapshot()
-		id := (i * 2654435761) % benchPop
+		id := int(uint32(i) * 2654435761 % benchPop)
 		x, _ := snap.Load(id)
 		e, _ := snap.ExclusionLatency(id)
 		sink += x + e

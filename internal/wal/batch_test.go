@@ -9,11 +9,13 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -57,6 +59,10 @@ func settle(w *Writer) {
 	}
 }
 
+// unassignedID is an id far past any registry counter in these tests
+// that still fits an int on 32-bit targets: a rebid of it must fail.
+const unassignedID = 1 << 30
+
 // genOps draws one batch over the ids in live: adds, rebids and
 // leaves, plus invalid ops (bad bids, unknown ids, a bad kind) that
 // must never reach the journal. Leaves are taken out of live as they
@@ -78,7 +84,7 @@ func genOps(rng *rand.Rand, live *[]int, size int) []registry.BatchOp {
 		case k == 17:
 			ops = append(ops, registry.BatchOp{Kind: registry.BatchAdd, T: math.Inf(1)})
 		case k == 18:
-			ops = append(ops, registry.BatchOp{Kind: registry.BatchRebid, ID: 1 << 40, T: 1})
+			ops = append(ops, registry.BatchOp{Kind: registry.BatchRebid, ID: unassignedID, T: 1})
 		default:
 			ops = append(ops, registry.BatchOp{Kind: registry.BatchKind(9), ID: 0, T: 1})
 		}
@@ -260,7 +266,7 @@ func TestConcurrentBatchJournalRecovery(t *testing.T) {
 					rr := res[i]
 					// genOps's invalid ops: an infinite bid, an
 					// unassigned id, an unknown kind.
-					valid := !math.IsInf(op.T, 0) && op.ID != 1<<40 && op.Kind != registry.BatchKind(9)
+					valid := !math.IsInf(op.T, 0) && op.ID != unassignedID && op.Kind != registry.BatchKind(9)
 					if (rr.Code == registry.BatchOK) != valid {
 						t.Errorf("worker %d batch %d op %d (%+v): code %d", wk, b, i, op, rr.Code)
 						continue
@@ -411,7 +417,9 @@ func TestWALMetricsExactUnderBatching(t *testing.T) {
 // WAL attached at zero allocations per ApplyBatch: grouping, the
 // per-group Mutations call and the record encoding all reuse their
 // buffers. Slot-array growth allocates, so the population is admitted
-// first and the measured batches only rebid.
+// first and the measured batches only rebid. A batch is a served
+// drain's 4096 ops, so each of the 8 shard groups, about 512 rebids or
+// 5.6 KiB of entries, crosses a run boundary.
 func TestApplyBatchWALAllocFree(t *testing.T) {
 	w, err := Create(t.TempDir(), Options{Sync: SyncNone})
 	if err != nil {
@@ -422,7 +430,7 @@ func TestApplyBatchWALAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 256
+	const n = 4096
 	ops := make([]registry.BatchOp, n)
 	for i := range ops {
 		ops[i] = registry.BatchOp{Kind: registry.BatchAdd, T: float64(i + 1)}
@@ -440,5 +448,198 @@ func TestApplyBatchWALAllocFree(t *testing.T) {
 	}
 	if err := w.Err(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// maxGroupID bounds the ids TestLargeGroupLogByteIdentical journals:
+// below recovery's maxReplayID, and an int on 32-bit targets too,
+// where the ids stop at five uvarint bytes instead of six.
+const maxGroupID = min(maxReplayID-1, math.MaxInt)
+
+// genGroup draws a group of n adds, rebids and leaves whose ids have
+// uvarint lengths of 1 to 6 bytes, about equally often, and records
+// each length it drew in lens. The writer takes any id, so the ops
+// need not name live agents.
+func genGroup(rng *rand.Rand, n int, lens map[int]bool) []registry.BatchOp {
+	ops := make([]registry.BatchOp, n)
+	for i := range ops {
+		l := 1 + rng.IntN(6)
+		lo, hi := uint64(1)<<(7*(l-1)), min(uint64(1)<<(7*l), maxGroupID+1)
+		if l == 1 || lo >= hi {
+			lo = 0
+		}
+		id := lo + rng.Uint64N(hi-lo)
+		lens[len(binary.AppendUvarint(nil, id))] = true
+		ops[i] = registry.BatchOp{Kind: registry.BatchKind(1 + rng.IntN(3)), ID: int(id), T: 0.1 + 10*rng.Float64()}
+	}
+	return ops
+}
+
+// journalPerOp journals ops through the per-op methods, as ApplyBatch
+// does for a journal without Mutations.
+func journalPerOp(w *Writer, ops []registry.BatchOp) {
+	for _, op := range ops {
+		switch op.Kind {
+		case registry.BatchAdd:
+			w.Added(op.ID, op.T)
+		case registry.BatchRebid:
+			w.Updated(op.ID, op.T)
+		case registry.BatchLeave:
+			w.Removed(op.ID)
+		}
+	}
+}
+
+// TestLargeGroupLogByteIdentical is the writer-level differential for
+// groups larger than a run. TestBatchedLogByteIdentical's segments are
+// smaller than runCap, so none of its groups meets the run cap; here
+// segments (96 KiB) and group-commit batches (20 KiB) are well above
+// it, and groups of up to 2000 entries, with ids of every uvarint
+// length up to 6 bytes, run through Mutations, one call per group, and
+// through Added/Updated/Removed, between rate changes and plain and
+// corrected seals. Every segment must be byte-identical, and some
+// Mutations call must have closed a run at the cap (it appended more
+// than runCap bytes and neither flushed nor rotated), some must have
+// flushed the buffer, and some must have rotated the segment.
+func TestLargeGroupLogByteIdentical(t *testing.T) {
+	opts := Options{Sync: SyncNone, SegmentBytes: 96 << 10, BatchBytes: 20 << 10}
+	for seed := uint64(0); seed < 4; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			batchedDir, perOpDir := t.TempDir(), t.TempDir()
+			wb := createManual(t, batchedDir, opts)
+			wp := createManual(t, perOpDir, opts)
+			rng := rand.New(rand.NewPCG(seed, 0x6c0))
+			lens := make(map[int]bool)
+			capped, flushed, rotated := false, false, false
+			for round := 0; round < 60; round++ {
+				ops := genGroup(rng, 1+rng.IntN(2000), lens)
+				seg, off := wb.seg, wb.segOff
+				_, before := wb.Tell()
+				wb.Mutations(ops)
+				_, after := wb.Tell()
+				switch {
+				case wb.seg != seg:
+					rotated = true
+				case wb.segOff != off:
+					flushed = true
+				case after-before > runCap:
+					capped = true
+				}
+				journalPerOp(wp, ops)
+				switch rng.IntN(6) {
+				case 0:
+					ev := registry.SealEvent{Epoch: uint64(round + 1), Rate: 50}
+					wb.Sealed(ev)
+					wp.Sealed(ev)
+				case 1:
+					ev := registry.SealEvent{Epoch: uint64(round + 1), Rate: 50, Correction: &registry.Correction{
+						Drop:    map[int]bool{rng.IntN(1 << 14): true},
+						Weights: map[int]float64{rng.IntN(1 << 14): 0.5},
+					}}
+					wb.Sealed(ev)
+					wp.Sealed(ev)
+				case 2:
+					rate := 1 + 100*rng.Float64()
+					wb.RateChanged(rate)
+					wp.RateChanged(rate)
+				}
+			}
+			if err := wb.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := wp.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if !capped || !flushed || !rotated {
+				t.Fatalf("Mutations calls closed a run at the cap: %v, flushed: %v, rotated: %v; want all three", capped, flushed, rotated)
+			}
+			for l := 1; l <= 6 && uint64(maxGroupID) >= 1<<(7*(l-1)); l++ {
+				if !lens[l] {
+					t.Fatalf("no id of %d uvarint bytes drawn", l)
+				}
+			}
+			got, want := readLogDir(t, batchedDir), readLogDir(t, perOpDir)
+			if len(got) != len(want) || len(want) < 3 {
+				t.Fatalf("batched log has %d files, per-op log %d; want the same, and at least 3", len(got), len(want))
+			}
+			for name, b := range want {
+				if !bytes.Equal(got[name], b) {
+					t.Fatalf("%s: batched (%d bytes) differs from per-op (%d bytes)", name, len(got[name]), len(b))
+				}
+			}
+		})
+	}
+}
+
+// TestFailedWriteMidGroup pins the rule that a log write failing inside
+// a Mutations call ends the call after the entry that raised it, where
+// the per-op methods stop too. Each writer's segment file is closed
+// under it before a group whose entries cross the group-commit
+// threshold (flush) or the segment end (rotate), so the write that
+// entry triggers fails. The batched and the per-op writer must then
+// hold the same bytes on disk and in the buffer, latch the same error,
+// and count the same appends and bytes, fewer than the group's; a
+// group after the failure must change nothing.
+func TestFailedWriteMidGroup(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"flush", Options{Sync: SyncNone, BatchBytes: 1 << 10}},
+		{"rotate", Options{Sync: SyncNone, SegmentBytes: 2 << 10, BatchBytes: 64 << 10}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewPCG(5, 6))
+			lens := make(map[int]bool)
+			prefix, group, after := genGroup(rng, 40, lens), genGroup(rng, 300, lens), genGroup(rng, 10, lens)
+			type outcome struct {
+				disk, buf       []byte
+				err             error
+				appends, nbytes int64
+			}
+			run := func(journal func(w *Writer, ops []registry.BatchOp)) outcome {
+				dir := t.TempDir()
+				opts := tc.opts
+				opts.Metrics = obs.NewWALMetrics(obs.NewRegistry())
+				w := createManual(t, dir, opts)
+				journal(w, prefix)
+				if err := w.f.Close(); err != nil {
+					t.Fatal(err)
+				}
+				journal(w, group)
+				o := outcome{buf: bytes.Clone(w.buf), err: w.Err(), appends: opts.Metrics.Appends.Value(), nbytes: opts.Metrics.AppendedBytes.Value()}
+				journal(w, after)
+				if !bytes.Equal(w.buf, o.buf) || opts.Metrics.Appends.Value() != o.appends || opts.Metrics.AppendedBytes.Value() != o.nbytes {
+					t.Fatalf("a group after the failure changed the writer")
+				}
+				if err := w.Close(); !errors.Is(err, os.ErrClosed) {
+					t.Fatalf("Close returned %v, want the latched write error", err)
+				}
+				disk, err := os.ReadFile(filepath.Join(dir, segName(1)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				o.disk = disk
+				if o.err != nil {
+					o.err = errors.New(strings.ReplaceAll(o.err.Error(), dir, "DIR"))
+				}
+				return o
+			}
+			batched := run((*Writer).Mutations)
+			perOp := run(journalPerOp)
+			if batched.err == nil || batched.err.Error() != perOp.err.Error() {
+				t.Fatalf("batched error %v, per-op error %v; want the same write error", batched.err, perOp.err)
+			}
+			if !bytes.Equal(batched.disk, perOp.disk) || !bytes.Equal(batched.buf, perOp.buf) {
+				t.Fatalf("batched wrote %d bytes and buffers %d, per-op %d and %d; want the same bytes",
+					len(batched.disk), len(batched.buf), len(perOp.disk), len(perOp.buf))
+			}
+			if batched.appends != perOp.appends || batched.nbytes != perOp.nbytes {
+				t.Fatalf("batched counted %d appends of %d bytes, per-op %d of %d", batched.appends, batched.nbytes, perOp.appends, perOp.nbytes)
+			}
+			if n := batched.appends - int64(len(prefix)); n <= 0 || n >= int64(len(group)) {
+				t.Fatalf("the failing group journaled %d of its %d entries; want the failure mid-group", n, len(group))
+			}
+		})
 	}
 }

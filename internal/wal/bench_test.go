@@ -21,28 +21,58 @@ import (
 // record's 9-byte header. SyncNone isolates the in-memory path;
 // SyncBatch adds one fsync per 256 KiB batch, the default serving
 // configuration.
+//
+// The plain cases append through Updated, one call per update. The
+// group=N cases journal the same updates through Mutations, N per
+// call: 128 is a served drain's shard group (4096 ops over 32 shards),
+// and 1 is the group of a drain holding one rebid, as between the
+// reads of read-mix. Every case writes the same log bytes.
 func BenchmarkWALAppend(b *testing.B) {
+	ops := make([]registry.BatchOp, 1024)
+	for i := range ops {
+		ops[i] = registry.BatchOp{Kind: registry.BatchRebid, ID: i, T: 1.5}
+	}
 	for _, pol := range []SyncPolicy{SyncNone, SyncBatch} {
 		b.Run(pol.String(), func(b *testing.B) {
-			dir := b.TempDir()
-			w, err := Create(dir, Options{Sync: pol})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			benchmarkAppend(b, pol, func(w *Writer, i, _ int) int {
 				w.Updated(i&1023, 1.5)
-			}
-			b.StopTimer()
-			if err := w.Close(); err != nil {
-				b.Fatal(err)
-			}
-			logBytes := logSize(b, dir)
-			b.ReportMetric(float64(logBytes)/1e6/b.Elapsed().Seconds(), "MB/s")
-			b.ReportMetric(float64(logBytes)/float64(b.N), "log-B/op")
+				return 1
+			})
 		})
+		for _, group := range []int{1, 128} {
+			b.Run(fmt.Sprintf("%s/group=%d", pol, group), func(b *testing.B) {
+				benchmarkAppend(b, pol, func(w *Writer, i, n int) int {
+					n = min(n, group)
+					w.Mutations(ops[i&1023:][:n])
+					return n
+				})
+			})
+		}
 	}
+}
+
+// benchmarkAppend times b.N updates of ids i&1023, i counting from 0,
+// into a fresh log under pol. appendFrom journals at most n of the
+// updates from the i-th on and returns how many it journaled; group
+// sizes that divide 1024 never run past id 1023 in one call.
+func benchmarkAppend(b *testing.B, pol SyncPolicy, appendFrom func(w *Writer, i, n int) int) {
+	dir := b.TempDir()
+	w, err := Create(dir, Options{Sync: pol})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; {
+		i += appendFrom(w, i, b.N-i)
+	}
+	b.StopTimer()
+	if err := w.Close(); err != nil {
+		b.Fatal(err)
+	}
+	logBytes := logSize(b, dir)
+	b.ReportMetric(float64(logBytes)/1e6/b.Elapsed().Seconds(), "MB/s")
+	b.ReportMetric(float64(logBytes)/float64(b.N), "log-B/op")
 }
 
 // logSize returns the record bytes in dir's segments, headers

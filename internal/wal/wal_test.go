@@ -744,7 +744,8 @@ func TestOpenTruncatesTornTail(t *testing.T) {
 }
 
 // TestWALAppendAllocFree pins the zero-allocation append path, per-op
-// and batched.
+// and batched, with a group of 512 rebids (about 5.6 KiB) that crosses
+// a run boundary in every call.
 func TestWALAppendAllocFree(t *testing.T) {
 	dir := t.TempDir()
 	w, err := Create(dir, Options{Sync: SyncNone})
@@ -757,6 +758,10 @@ func TestWALAppendAllocFree(t *testing.T) {
 		{Kind: registry.BatchRebid, ID: 8, T: 3},
 		{Kind: registry.BatchLeave, ID: 8},
 	}
+	long := make([]registry.BatchOp, 512)
+	for i := range long {
+		long[i] = registry.BatchOp{Kind: registry.BatchRebid, ID: 1000 + i, T: 2}
+	}
 	w.Added(7, 1.25) // warm the buffer
 	avg := testing.AllocsPerRun(2000, func() {
 		w.Added(7, 1.25)
@@ -764,6 +769,7 @@ func TestWALAppendAllocFree(t *testing.T) {
 		w.Removed(7)
 		w.RateChanged(3.5)
 		w.Mutations(group)
+		w.Mutations(long)
 	})
 	if avg != 0 {
 		t.Fatalf("append path allocates %.1f times per run, want 0", avg)

@@ -143,9 +143,11 @@ type bidEntry struct {
 // Writer is the registry.Journal implementation: it encodes every
 // mutation and seal into the append buffer under the caller's registry
 // locks (cheap: a bounds check and a memcpy; consecutive mutations
-// share one run record, whose CRC is paid once when it closes),
-// group-commits batches to segment files, and hands snapshot captures
-// to a background compactor. A capture copies nothing per agent: at the
+// share one run record, whose CRC is paid once when it closes, and a
+// batched group checks its run, group-commit and segment boundaries
+// once per run rather than once per entry), group-commits batches to
+// segment files, and hands snapshot captures to a background
+// compactor. A capture copies nothing per agent: at the
 // seal barrier it records the log position and the correction's
 // pre-correction bids, and takes the bitmap of ids written since the
 // previous capture by swapping in a cleared one; the compactor reads
@@ -328,6 +330,8 @@ func (w *Writer) RateChanged(rate float64) {
 // entries the ops' Added/Updated/Removed calls would, in op order and
 // with the same run, group-commit and rotation boundaries, under one
 // w.mu acquisition and with one metrics update for the whole call.
+// Those boundaries are checked once per run, not once per entry (see
+// appendOps), so the log bytes are the per-op methods' own.
 func (w *Writer) Mutations(ops []registry.BatchOp) {
 	w.mu.Lock()
 	if w.err != nil || w.closed {
@@ -344,26 +348,7 @@ func (w *Writer) Mutations(ops []registry.BatchOp) {
 	if samples > 0 {
 		t0 = time.Now()
 	}
-	records, bytes := 0, 0
-	for i := range ops {
-		op := &ops[i]
-		switch op.Kind {
-		case registry.BatchAdd:
-			bytes += w.appendEntry(kindAdd, uint64(op.ID), math.Float64bits(op.T))
-		case registry.BatchRebid:
-			bytes += w.appendEntry(kindUpdate, uint64(op.ID), math.Float64bits(op.T))
-		case registry.BatchLeave:
-			bytes += w.appendEntry(kindRemove, uint64(op.ID), 0)
-		default:
-			continue
-		}
-		records++
-		// A latched error ends the call where the per-op path would
-		// stop: after the entry that raised it.
-		if w.err != nil {
-			break
-		}
-	}
+	records, bytes := w.appendOps(ops)
 	w.mu.Unlock()
 	w.met.AppendedBatch(records, bytes)
 	if samples > 0 && records > 0 {
@@ -372,6 +357,49 @@ func (w *Writer) Mutations(ops []registry.BatchOp) {
 			w.met.AppendSampled(per)
 		}
 	}
+}
+
+// appendOps appends the entries of ops and returns how many it
+// appended and their bytes, framing included. It checks the run,
+// group-commit and segment boundaries once per open run, not once per
+// entry: room gives the buffer length the open run may reach before
+// any of them, and entries that fit go straight into the buffer. An
+// entry that does not fit goes through appendEntry, which opens,
+// closes, flushes and rotates exactly as for a per-op call, and the
+// room is taken again after it. A latched error ends the call where
+// the per-op path would stop: after the entry that raised it. Called
+// with w.mu held.
+func (w *Writer) appendOps(ops []registry.BatchOp) (records, bytes int) {
+	buf, end := w.buf, w.room()
+	for i := range ops {
+		op := &ops[i]
+		var kind byte
+		a, b := uint64(op.ID), uint64(0)
+		switch op.Kind {
+		case registry.BatchAdd:
+			kind, b = kindAdd, math.Float64bits(op.T)
+		case registry.BatchRebid:
+			kind, b = kindUpdate, math.Float64bits(op.T)
+		case registry.BatchLeave:
+			kind = kindRemove
+		default:
+			continue
+		}
+		records++
+		if size := entryLen(kind, a); len(buf)+size <= end {
+			buf = putEntry(buf, kind, a, b)
+			bytes += size
+			continue
+		}
+		w.buf = buf
+		bytes += w.appendEntry(kind, a, b)
+		buf, end = w.buf, w.room()
+		if w.err != nil {
+			break
+		}
+	}
+	w.buf = buf
+	return records, bytes
 }
 
 // mutation appends one mutation entry, or for kindRate a standalone
@@ -402,32 +430,64 @@ func (w *Writer) mutation(kind byte, a, b uint64) {
 	}
 }
 
-// appendEntry appends one mutation entry — kind, uvarint id a and, for
-// an add or update, bid bits b — to the open run record, and
-// group-commits if the batch threshold is reached. A run opens with the
-// first entry and closes early when the entry would take its payload
-// past runCap or the segment past SegmentBytes. It returns the bytes
+// appendEntry appends one mutation entry to the open run record, with
+// the boundary handling around it: a run opens with the first entry
+// and closes early when the entry would take its payload past runCap
+// or the segment past SegmentBytes, and the buffer group-commits once
+// the entry takes it to the batch threshold. It returns the bytes
 // appended: the entry, plus the run's frame header and kind byte when
 // it opened one. Called with w.mu held; allocation-free in steady
 // state.
 func (w *Writer) appendEntry(kind byte, a, b uint64) int {
-	size := 1 + uvarintLen(a)
-	if kind != kindRemove {
-		size += 8
-	}
+	size := entryLen(kind, a)
 	n := size
 	if p := w.fr.Len(w.buf); p < 0 || p+size > runCap || w.segOff+int64(len(w.buf)+size) > w.opts.SegmentBytes {
 		w.beginRecord(1 + size)
 		w.buf = append(w.fr.Begin(w.buf), kindRun)
 		n += frame.HeaderLen + 1
 	}
-	w.buf = append(w.buf, kind)
-	w.buf = binary.AppendUvarint(w.buf, a)
-	if kind != kindRemove {
-		w.buf = binary.LittleEndian.AppendUint64(w.buf, b)
-	}
+	w.buf = putEntry(w.buf, kind, a, b)
 	w.maybeFlush()
 	return n
+}
+
+// room returns the length the append buffer may reach by entries
+// appended to the open run without appendEntry's boundary handling:
+// the run's payload stays within runCap, the segment within
+// SegmentBytes, and the buffer one byte short of the group-commit
+// threshold, so no entry that fits would have opened, closed, flushed
+// or rotated anything. With no run open it returns 0, and the next
+// entry goes through appendEntry. Called with w.mu held.
+func (w *Writer) room() int {
+	p := w.fr.Len(w.buf)
+	if p < 0 {
+		return 0
+	}
+	end := min(len(w.buf)-p+runCap, w.opts.BatchBytes-1)
+	if seg := w.opts.SegmentBytes - w.segOff; seg < int64(end) {
+		end = int(seg)
+	}
+	return end
+}
+
+// entryLen returns the encoded length of a mutation entry of kind
+// with id a.
+func entryLen(kind byte, a uint64) int {
+	if kind == kindRemove {
+		return 1 + uvarintLen(a)
+	}
+	return 9 + uvarintLen(a)
+}
+
+// putEntry appends one mutation entry — kind, uvarint id a and, for an
+// add or update, bid bits b — to buf.
+func putEntry(buf []byte, kind byte, a, b uint64) []byte {
+	buf = append(buf, kind)
+	buf = binary.AppendUvarint(buf, a)
+	if kind != kindRemove {
+		buf = binary.LittleEndian.AppendUint64(buf, b)
+	}
+	return buf
 }
 
 // markWritten ORs the ids a seal reports written since the previous
