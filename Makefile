@@ -71,7 +71,8 @@ difftest:
 # in the LBWAL002 format with LBSNAP01 sidecars, a CRC-valid record
 # that does not decode refused as corruption, never truncated, an add
 # of an id past what the log backs refused before the registry sizes
-# its tables by it, a CRC-valid sidecar with impossible counts or a
+# its tables by it, a rebid or leave of an id no int holds refused as
+# unknown rather than wrapped onto another agent, a CRC-valid sidecar with impossible counts or a
 # broken delta chain refused, with Open falling back to an older one,
 # the delta-chain differential (every retained sidecar loads to its
 # epoch's population, and recovery survives any one damaged sidecar),
@@ -83,7 +84,7 @@ difftest:
 # encoder, which run without -race because allocation counts differ
 # under the instrumented allocator.
 wal:
-	$(GO) test -race -run 'TestRecoveryMatchesLiveHistory|TestTruncationFuzzEveryTailOffset|TestConcurrentJournalRecovery|TestConcurrentBatchJournalRecovery|TestCompactionAndSnapshotFallback|TestBatchedLogByteIdentical|TestLargeGroupLogByteIdentical|TestFailedWriteMidGroup|TestWALMetricsExactUnderBatching|TestParentFormatLogRecovers|TestV2FormatLogRecovers|TestUndecodableRecordIsCorruption|TestReplayBoundsAddIDs|TestDecodeSnapshotRefusesImpossibleCounts|TestOpenFallsBackPastForgedSnapshot|TestDeltaChainRecovery|TestFailedSnapshotKeepsJournaling|TestOpenRemovesStaleSnapshotTemp' -count=1 ./internal/wal
+	$(GO) test -race -run 'TestRecoveryMatchesLiveHistory|TestTruncationFuzzEveryTailOffset|TestConcurrentJournalRecovery|TestConcurrentBatchJournalRecovery|TestCompactionAndSnapshotFallback|TestBatchedLogByteIdentical|TestLargeGroupLogByteIdentical|TestFailedWriteMidGroup|TestWALMetricsExactUnderBatching|TestParentFormatLogRecovers|TestV2FormatLogRecovers|TestUndecodableRecordIsCorruption|TestReplayBoundsAddIDs|TestReplayRefusesWideIDs|TestDecodeSnapshotRefusesImpossibleCounts|TestOpenFallsBackPastForgedSnapshot|TestDeltaChainRecovery|TestFailedSnapshotKeepsJournaling|TestOpenRemovesStaleSnapshotTemp' -count=1 ./internal/wal
 	$(GO) test -run 'TestWALAppendAllocFree|TestApplyBatchWALAllocFree|TestSnapshotSealAllocBound|TestFullSidecarSealAllocBound|TestStreamedSnapshotMatchesReference|TestStreamedDeltaMatchesReference' -count=1 ./internal/wal
 
 # The serving benchmark (bench/, its own module built against this one

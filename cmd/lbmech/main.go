@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -78,22 +79,8 @@ func emit(a experiments.Artifact, csvDir, svgDir string) error {
 			return err
 		}
 		fmt.Println()
-		if svgDir != "" {
-			if err := os.MkdirAll(svgDir, 0o755); err != nil {
-				return err
-			}
-			f, err := os.Create(filepath.Join(svgDir, a.ID+".svg"))
-			if err != nil {
-				return err
-			}
-			if err := ch.WriteSVG(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n\n", filepath.Join(svgDir, a.ID+".svg"))
+		if err := save(svgDir, a.ID+".svg", ch.WriteSVG); err != nil {
+			return err
 		}
 	}
 	if a.Line != nil && svgDir != "" {
@@ -101,22 +88,9 @@ func emit(a experiments.Artifact, csvDir, svgDir string) error {
 		if err != nil {
 			return err
 		}
-		if err := os.MkdirAll(svgDir, 0o755); err != nil {
+		if err := save(svgDir, a.ID+"-line.svg", lc.WriteSVG); err != nil {
 			return err
 		}
-		path := filepath.Join(svgDir, a.ID+"-line.svg")
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := lc.WriteSVG(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n\n", path)
 	}
 	if a.Heat != nil {
 		hm, err := a.Heat()
@@ -127,42 +101,35 @@ func emit(a experiments.Artifact, csvDir, svgDir string) error {
 			return err
 		}
 		fmt.Println()
-		if svgDir != "" {
-			if err := os.MkdirAll(svgDir, 0o755); err != nil {
-				return err
-			}
-			path := filepath.Join(svgDir, a.ID+"-heat.svg")
-			f, err := os.Create(path)
-			if err != nil {
-				return err
-			}
-			if err := hm.WriteSVG(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n\n", path)
+		if err := save(svgDir, a.ID+"-heat.svg", hm.WriteSVG); err != nil {
+			return err
 		}
 	}
-	if csvDir != "" {
-		if err := os.MkdirAll(csvDir, 0o755); err != nil {
-			return err
-		}
-		f, err := os.Create(filepath.Join(csvDir, a.ID+".csv"))
-		if err != nil {
-			return err
-		}
-		if err := tab.WriteCSV(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n\n", filepath.Join(csvDir, a.ID+".csv"))
+	return save(csvDir, a.ID+".csv", tab.WriteCSV)
+}
+
+// save writes the file name under dir through write and reports it;
+// an empty dir writes nothing.
+func save(dir, name string, write func(io.Writer) error) error {
+	if dir == "" {
+		return nil
 	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	path := filepath.Join(dir, name)
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s\n\n", path)
 	return nil
 }
 

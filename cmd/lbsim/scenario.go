@@ -10,6 +10,7 @@ import (
 	"repro/internal/mech"
 	"repro/internal/obs"
 	"repro/internal/protocol"
+	"repro/internal/rounds"
 )
 
 // computer is one machine in a scenario file.
@@ -47,10 +48,6 @@ type scenario struct {
 	FaultSpec string `json:"faults,omitempty"`
 	// AllowDropouts tolerates agents whose bids never arrive.
 	AllowDropouts bool `json:"allow_dropouts,omitempty"`
-
-	// Faults overrides FaultSpec with an already-composed injector
-	// (the -faults flag).
-	Faults faults.Injector `json:"-"`
 
 	// Obs receives metrics and trace events from the round (the
 	// -metrics and -trace flags).
@@ -105,10 +102,8 @@ func (s *scenario) validate() error {
 			return fmt.Errorf("scenario: computer %d has negative factors", i)
 		}
 	}
-	if s.FaultSpec != "" {
-		if _, err := faults.ParseSpec(s.FaultSpec); err != nil {
-			return fmt.Errorf("scenario: %w", err)
-		}
+	if _, err := s.injector(); err != nil {
+		return fmt.Errorf("scenario: %w", err)
 	}
 	return nil
 }
@@ -131,15 +126,58 @@ func (s *scenario) strategies() []protocol.Strategy {
 	return out
 }
 
+// computerSpecs returns the population as the multi-round system's
+// computers.
+func (s *scenario) computerSpecs() []rounds.ComputerSpec {
+	out := make([]rounds.ComputerSpec, len(s.Computers))
+	for i, st := range s.strategies() {
+		out[i] = rounds.ComputerSpec{True: s.Computers[i].True, Strategy: st}
+	}
+	return out
+}
+
+// agents returns the population as the distributed round's agents,
+// named C1..Cn.
+func (s *scenario) agents() []mech.Agent {
+	out := make([]mech.Agent, len(s.Computers))
+	for i, c := range s.Computers {
+		out[i] = mech.Agent{Name: fmt.Sprintf("C%d", i+1), True: c.True,
+			Bid: c.BidFactor * c.True, Exec: c.ExecFactor * c.True}
+	}
+	return out
+}
+
+// linearOnly refuses a scenario that runner cannot run: the multi-round
+// system and the distributed round price linear latencies only, and
+// each has its own answer to an unresponsive computer in place of
+// allow_dropouts.
+func (s *scenario) linearOnly(runner string) error {
+	if s.Model != "linear" {
+		return fmt.Errorf("scenario %s: %s runs linear populations only, not %s", s.Name, runner, s.Model)
+	}
+	if s.AllowDropouts {
+		return fmt.Errorf("scenario %s: %s does not read allow_dropouts", s.Name, runner)
+	}
+	return nil
+}
+
+// injector composes the scenario's fault plan, nil when it names none.
+func (s *scenario) injector() (faults.Injector, error) {
+	if s.FaultSpec == "" {
+		return nil, nil
+	}
+	plan, err := faults.ParseSpec(s.FaultSpec)
+	if err != nil {
+		return nil, err
+	}
+	return plan, nil
+}
+
 // run executes the scenario as a full protocol round under its model.
 func (s *scenario) run() (*protocol.Result, error) {
-	inj := s.Faults
-	if inj == nil && s.FaultSpec != "" {
-		plan, err := faults.ParseSpec(s.FaultSpec)
-		if err != nil {
-			return nil, err
-		}
-		inj = plan
+	inj, err := s.injector()
+	if err != nil {
+		return nil, err
 	}
 	cfg := protocol.Config{
 		Model:         models[s.Model],

@@ -46,21 +46,29 @@ func ReplicationSweep(reps, roundsPerRep int, seed uint64) ([]ReplicationRow, er
 		pop[i] = rounds.ComputerSpec{True: tv}
 	}
 	pop[0].Strategy = protocol.FactorStrategy{BidFactor: 1, ExecFactor: 2}
+	return Sweep(rounds.Config{
+		Computers:    pop,
+		Rate:         PaperRate,
+		Rounds:       roundsPerRep,
+		JobsPerRound: 2000,
+		Seed:         seed,
+		Policy:       rounds.Policy{Strikes: 2, BanRounds: 3, ForgiveAfter: 10},
+		Faults:       faults.New(seed, faults.Drop(0.03)),
+		MaxRetries:   1,
+	}, reps, 0)
+}
+
+// Sweep runs count replications of base over workers goroutines
+// (<= 0 means GOMAXPROCS) and summarizes each one. Replication i runs
+// with a seed derived from base.Seed and, since the fault plan carries
+// its own seed, with base.Faults reseeded for i, so the sweep samples
+// different fault realizations and not just different estimation
+// noise. The rows are identical for any worker count.
+func Sweep(base rounds.Config, count, workers int) ([]ReplicationRow, error) {
 	results, err := rounds.RunReplications(rounds.Replications{
-		Base: rounds.Config{
-			Computers:    pop,
-			Rate:         PaperRate,
-			Rounds:       roundsPerRep,
-			JobsPerRound: 2000,
-			Seed:         seed,
-			Policy:       rounds.Policy{Strikes: 2, BanRounds: 3, ForgiveAfter: 10},
-			Faults:       faults.New(seed, faults.Drop(0.03)),
-			MaxRetries:   1,
-		},
-		Count: reps,
-		// Seeds drive the estimation sampling; the fault plan carries
-		// its own seed, so each replication also reseeds the plan or
-		// every replication would see the same drop schedule.
+		Base:    base,
+		Count:   count,
+		Workers: workers,
 		Vary: func(rep int, cfg *rounds.Config) {
 			cfg.Faults = faults.Reseed(cfg.Faults, uint64(rep)*0xbf58476d1ce4e5b9)
 		},
@@ -93,13 +101,9 @@ func ReplicationSweep(reps, roundsPerRep int, seed uint64) ([]ReplicationRow, er
 	return rows, nil
 }
 
-func replicationTable() (*report.Table, error) {
-	rows, err := ReplicationSweep(8, 12, 2026)
-	if err != nil {
-		return nil, err
-	}
-	t := report.NewTable(
-		"Monte Carlo replication sweep (deviator + 3% message drop, 8 replications x 12 rounds).",
+// ReplicationTable renders one row per replication under title.
+func ReplicationTable(title string, rows []ReplicationRow) *report.Table {
+	t := report.NewTable(title,
 		"Replication", "Mean latency", "Mean optimum", "Regret %", "Mean payment",
 		"Flags", "Suspensions", "Dropout rounds")
 	for _, r := range rows {
@@ -114,5 +118,15 @@ func replicationTable() (*report.Table, error) {
 			fmt.Sprintf("%d", r.DropoutRounds),
 		)
 	}
-	return t, nil
+	return t
+}
+
+func replicationTable() (*report.Table, error) {
+	rows, err := ReplicationSweep(8, 12, 2026)
+	if err != nil {
+		return nil, err
+	}
+	return ReplicationTable(
+		"Monte Carlo replication sweep (deviator + 3% message drop, 8 replications x 12 rounds).",
+		rows), nil
 }

@@ -52,13 +52,16 @@ func Next(b []byte, limit int) (payload []byte, n int, err error) {
 	if len(b) < HeaderLen {
 		return nil, 0, nil
 	}
-	plen := int(binary.LittleEndian.Uint32(b))
-	if plen == 0 {
+	claimed := binary.LittleEndian.Uint32(b)
+	if claimed == 0 {
 		return nil, 0, ErrEmpty
 	}
-	if plen > limit {
+	// Bound the length before converting it: on a 32-bit build, int of
+	// a claimed 2^31 bytes or more is negative.
+	if uint64(claimed) > uint64(limit) {
 		return nil, 0, ErrTooBig
 	}
+	plen := int(claimed)
 	if len(b) < HeaderLen+plen {
 		return nil, 0, nil
 	}

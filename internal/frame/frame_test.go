@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"math"
 	"testing"
 )
 
@@ -34,8 +35,10 @@ func TestNext(t *testing.T) {
 
 	flipped := append([]byte(nil), good...)
 	flipped[HeaderLen+4] ^= 0x10
-	overLimit := binary.LittleEndian.AppendUint32(nil, limit+1)
-	overLimit = binary.LittleEndian.AppendUint32(overLimit, 0)
+	header := func(claimed uint32) []byte {
+		return binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(nil, claimed), 0)
+	}
+	overLimit := header(limit + 1)
 	for _, tc := range []struct {
 		name    string
 		b       []byte
@@ -45,6 +48,10 @@ func TestNext(t *testing.T) {
 	}{
 		{"zero-length", append(make([]byte, HeaderLen), good...), nil, 0, ErrEmpty},
 		{"over-limit-header-only", overLimit, nil, 0, ErrTooBig},
+		// A 32-bit int holds neither claim: each must be refused from
+		// the header alone, not converted to a negative length.
+		{"claims-2^31-header-only", header(1 << 31), nil, 0, ErrTooBig},
+		{"claims-2^32-1-header-only", header(math.MaxUint32), nil, 0, ErrTooBig},
 		{"at-limit", atLimit, atLimit[HeaderLen:], len(atLimit), nil},
 		{"flipped-bit", flipped, nil, 0, ErrCRC},
 		{"followed-by-more", append(append([]byte(nil), good...), atLimit...), payload, len(good), nil},

@@ -50,6 +50,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/alloc"
 	"repro/internal/numeric"
@@ -132,9 +133,10 @@ type shard struct {
 	written []uint64
 	live    int
 
-	// The fields above fill 64 bytes; padding to 128 keeps one shard's
-	// hot line off its neighbours' lines at any slice alignment.
-	_ [64]byte
+	// The fields above fill 64 bytes with 8-byte words and 36 with
+	// 4-byte ones; padding them to 128 keeps one shard's hot line off
+	// its neighbours' lines at any slice alignment.
+	_ [128 - unsafe.Sizeof(sync.Mutex{}) - unsafe.Sizeof([]rec(nil)) - unsafe.Sizeof([]uint64(nil)) - unsafe.Sizeof(0)]byte
 }
 
 // New returns an empty registry. The zero-agent state is sealed

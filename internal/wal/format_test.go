@@ -531,6 +531,39 @@ func forgedAddSegment() []byte {
 	return append(seg, badRecord(entry)...)
 }
 
+// TestReplayRefusesWideIDs: a CRC-valid rebid or leave of id 2^32+k,
+// with agent k live, names an unknown agent on every word size, so
+// recovery refuses it by that id and never applies it to agent k (an
+// int conversion wraps it onto k on a 32-bit build).
+func TestReplayRefusesWideIDs(t *testing.T) {
+	const k = 2
+	adds := []byte{kindRun}
+	for id := uint64(0); id <= k; id++ {
+		adds = binary.AppendUvarint(append(adds, kindAdd), id)
+		adds = binary.LittleEndian.AppendUint64(adds, math.Float64bits(1+float64(id)))
+	}
+	for _, kind := range []byte{kindUpdate, kindRemove} {
+		forged := binary.AppendUvarint([]byte{kindRun, kind}, 1<<32+k)
+		if kind == kindUpdate {
+			forged = binary.LittleEndian.AppendUint64(forged, math.Float64bits(9))
+		}
+		seg := binary.LittleEndian.AppendUint64([]byte(segMagic), 1)
+		seg = append(append(seg, badRecord(adds)...), badRecord(forged)...)
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, segName(1)), seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, _, err := Recover(dir, registry.Config{Rate: 1, Shards: 4})
+		if err == nil {
+			bid, live := r.Seal().Value(k)
+			t.Fatalf("kind %d: Recover applied a mutation of id 2^32+%d (agent %d live %v, bid %g; want 3)", kind, k, k, live, bid)
+		}
+		if want := fmt.Sprint(uint64(1<<32 + k)); !strings.Contains(err.Error(), want) {
+			t.Fatalf("kind %d: error %q does not name id %s", kind, err, want)
+		}
+	}
+}
+
 // TestReplayBoundsAddIDs: an add may raise the id counter only to the
 // snapshot's counter plus the adds replayed so far plus replaySlack.
 // The forged segment is refused by Recover and Open, naming the

@@ -270,22 +270,27 @@ func tryReplay(cfg registry.Config, segs []segFile, sd *snapData) (*registry.Reg
 	// replaySlack), so a forged id is refused before the registry
 	// sizes its tables by it; decodeEntry has already bounded every id
 	// by maxReplayID.
-	idLimit := replaySlack
+	idLimit := uint64(replaySlack)
 	if sd != nil {
-		idLimit += len(sd.t)
+		idLimit += uint64(len(sd.t))
 	}
 	mutate := func(e entry) error {
-		switch e.kind {
-		case kindAdd:
+		if e.kind == kindAdd {
 			idLimit++
 			if e.id >= idLimit {
 				return fmt.Errorf("add of agent id %d beyond what the log backs (ids below %d)", e.id, idLimit)
 			}
-			return r.RestoreAgent(e.id, e.t)
-		case kindUpdate:
-			return r.Update(e.id, e.t)
+			return r.RestoreAgent(int(e.id), e.t)
 		}
-		return r.Remove(e.id)
+		// Every agent's id fits an int, so one that does not is
+		// unknown; converting it would wrap onto another agent.
+		if e.id > math.MaxInt {
+			return fmt.Errorf("mutation of unknown agent id %d", e.id)
+		}
+		if e.kind == kindUpdate {
+			return r.Update(int(e.id), e.t)
+		}
+		return r.Remove(int(e.id))
 	}
 	apply := func(rec record) error {
 		switch rec.kind {

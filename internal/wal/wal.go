@@ -178,10 +178,11 @@ type record struct {
 }
 
 // entry is one decoded mutation: its kind, its id and, for an add or
-// update, its bid.
+// update, its bid. The id stays 64-bit until replay has bounded it,
+// since an int wraps it on a 32-bit build.
 type entry struct {
 	kind byte
-	id   int
+	id   uint64
 	t    float64
 }
 
@@ -222,7 +223,7 @@ func decodeEntry(p []byte, varint bool) (entry, int, error) {
 	if id > maxReplayID {
 		return entry{}, 0, fmt.Errorf("implausible agent id %d", id)
 	}
-	e.id = int(id)
+	e.id = id
 	if e.kind != kindRemove {
 		if len(p) < n+8 {
 			return entry{}, 0, fmt.Errorf("entry is cut short (%d of %d bytes)", len(p), n+8)
