@@ -41,7 +41,11 @@ race:
 # cycle at zero allocations, frames split at MaxPayload, a Reader over
 # mixed single and run frames (malformed runs rejected), and the
 # framing a client gets back — one response per frame for one request
-# per frame, run frames for run frames. It also pins acknowledged runs:
+# per frame, run frames for run frames. It also pins the server's
+# wakeup, which walks each run in place: one window of rebids from
+# wire bytes to response bytes at zero allocations, and the seed corpus
+# of the differential against the per-message loop it replaced (same
+# response bytes, errors, journal calls, sealed epochs and metrics). It also pins acknowledged runs:
 # malformed acks refused both ways, which stretches of a batch fold
 # into one ack, the ack metrics reconciled with what Recv returned,
 # the opted-in client's ack bytes, and the differential that an
@@ -57,7 +61,7 @@ difftest:
 	$(GO) test -run 'TestSplitIntoAllocFree' -count=1 ./internal/numeric
 	$(GO) test -race -run 'TestApplyBatchDifferential|TestApplyBatchIntraBatchDependency|TestCoalescedRebidAccounting|TestRemovedIDChurnDifferential|TestSealedAggregateIndependentOfShardCount' -count=1 ./internal/registry
 	$(GO) test -run 'TestApplyBatchAllocFree|TestRecordLayout|TestSealAllocBound' -count=1 ./internal/registry
-	$(GO) test -run 'TestFrameAllocFree|TestBatchDrainAllocFree|TestWireEncodeAllocFree|TestWireDecodeAllocFree|TestFramerSplitsAtMaxPayload|TestReaderRuns|TestReaderRejectsMalformedRun|TestSingleFrameClientGetsSingleFrames|TestRunClientGetsRunFrames|TestPipelineCycleAllocFree|TestAckDecodeErrors|TestAckShorter|TestAckFolding|TestAckMetricsReconcile|TestAckExpansion|TestAckOutOfOrder|TestAckClientGetsAcks|TestAckRunsInvisibleAboveRecv|TestAckConcurrentAdds' -count=1 ./internal/frame ./internal/server ./internal/wire ./internal/lbclient
+	$(GO) test -run 'TestFrameAllocFree|TestBatchDrainAllocFree|TestServeWakeupAllocFree|FuzzServeWakeup|TestWireEncodeAllocFree|TestWireDecodeAllocFree|TestFramerSplitsAtMaxPayload|TestReaderRuns|TestReaderRejectsMalformedRun|TestSingleFrameClientGetsSingleFrames|TestRunClientGetsRunFrames|TestPipelineCycleAllocFree|TestAckDecodeErrors|TestAckShorter|TestAckFolding|TestAckMetricsReconcile|TestAckExpansion|TestAckOutOfOrder|TestAckClientGetsAcks|TestAckRunsInvisibleAboveRecv|TestAckConcurrentAdds' -count=1 ./internal/frame ./internal/server ./internal/wire ./internal/lbclient
 
 # Durable-registry gate: the WAL differential suite under -race
 # (recovery vs a live alloc.Stream across 32 seeds and shard counts,
@@ -72,7 +76,9 @@ difftest:
 # that does not decode refused as corruption, never truncated, an add
 # of an id past what the log backs refused before the registry sizes
 # its tables by it, a rebid or leave of an id no int holds refused as
-# unknown rather than wrapped onto another agent, a CRC-valid sidecar with impossible counts or a
+# unknown rather than wrapped onto another agent, a corrected seal's
+# drop or weight of such an id naming no agent, from a log record or a
+# sidecar, a CRC-valid sidecar with impossible counts or a
 # broken delta chain refused, with Open falling back to an older one,
 # the delta-chain differential (every retained sidecar loads to its
 # epoch's population, and recovery survives any one damaged sidecar),
@@ -84,7 +90,7 @@ difftest:
 # encoder, which run without -race because allocation counts differ
 # under the instrumented allocator.
 wal:
-	$(GO) test -race -run 'TestRecoveryMatchesLiveHistory|TestTruncationFuzzEveryTailOffset|TestConcurrentJournalRecovery|TestConcurrentBatchJournalRecovery|TestCompactionAndSnapshotFallback|TestBatchedLogByteIdentical|TestLargeGroupLogByteIdentical|TestFailedWriteMidGroup|TestWALMetricsExactUnderBatching|TestParentFormatLogRecovers|TestV2FormatLogRecovers|TestUndecodableRecordIsCorruption|TestReplayBoundsAddIDs|TestReplayRefusesWideIDs|TestDecodeSnapshotRefusesImpossibleCounts|TestOpenFallsBackPastForgedSnapshot|TestDeltaChainRecovery|TestFailedSnapshotKeepsJournaling|TestOpenRemovesStaleSnapshotTemp' -count=1 ./internal/wal
+	$(GO) test -race -run 'TestRecoveryMatchesLiveHistory|TestTruncationFuzzEveryTailOffset|TestConcurrentJournalRecovery|TestConcurrentBatchJournalRecovery|TestCompactionAndSnapshotFallback|TestBatchedLogByteIdentical|TestLargeGroupLogByteIdentical|TestFailedWriteMidGroup|TestWALMetricsExactUnderBatching|TestParentFormatLogRecovers|TestV2FormatLogRecovers|TestUndecodableRecordIsCorruption|TestReplayBoundsAddIDs|TestReplayRefusesWideIDs|TestWideCorrectionIDsNameNoAgent|TestDecodeSnapshotRefusesImpossibleCounts|TestOpenFallsBackPastForgedSnapshot|TestDeltaChainRecovery|TestFailedSnapshotKeepsJournaling|TestOpenRemovesStaleSnapshotTemp' -count=1 ./internal/wal
 	$(GO) test -run 'TestWALAppendAllocFree|TestApplyBatchWALAllocFree|TestSnapshotSealAllocBound|TestFullSidecarSealAllocBound|TestStreamedSnapshotMatchesReference|TestStreamedDeltaMatchesReference' -count=1 ./internal/wal
 
 # The serving benchmark (bench/, its own module built against this one
@@ -105,6 +111,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzControllerInvariants -fuzztime=30s ./internal/health
 	$(GO) test -run=^$$ -fuzz=FuzzAliasTable -fuzztime=30s ./internal/dispatch
 	$(GO) test -run=^$$ -fuzz=FuzzWireDecode -fuzztime=30s ./internal/wire
+	$(GO) test -run=^$$ -fuzz=FuzzServeWakeup -fuzztime=30s ./internal/server
 	$(GO) test -run=^$$ -fuzz=FuzzRecoverSegment -fuzztime=30s ./internal/wal
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeSnapshot -fuzztime=30s ./internal/wal
 
@@ -192,6 +199,9 @@ bench-swarm:
 # also cache-cold, whose untimed evictions make it the slow part, and
 # cache-cold with the WAL's snapshot cadence on; 8k also answering a
 # connection that opted in to acks), and
+# one connection wakeup from wire bytes to response bytes (a window of
+# 4096 rebids at 8k agents with and without the WAL, and a read-mix
+# shaped window; 0 allocs/op), and
 # the loopback pipelined headline at 1 and 2 connections (the ops/s
 # custom metric must hold ≥ 1M pipelined bid ops/s). Every case runs
 # five times and benchjson records the medians, since single runs on a

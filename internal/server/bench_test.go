@@ -1,8 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand/v2"
+	"strings"
 	"testing"
 
 	"repro/internal/lbclient"
@@ -155,6 +157,136 @@ func benchDrain(b *testing.B, c drainCase) {
 	if w != nil {
 		if err := w.Close(); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkServeWakeup measures one connection wakeup without a
+// socket: a window of 4096 requests in run frames, as lbclient frames
+// a pipeline window, read into the session's window in one Fill, then
+// walked, batched, applied and answered into response bytes. The
+// rebid cases send 4096 rebids of uniformly random agents among 8k
+// (rebid-hot's population), unjournaled and journaling into a WAL
+// writer (SyncNone); the reads=90% case is read-mix's shape, 45%
+// sealed loads and 45% payments of random agents among 8k and 10%
+// rebids, so most requests drain a batch of about one op. Every
+// connection has opted in to acks, as lbclient's do. ns/op is per
+// wakeup; ns/msg and msgs/s are per request. Must be 0 allocs/op
+// (TestServeWakeupAllocFree).
+func BenchmarkServeWakeup(b *testing.B) {
+	for _, c := range []wakeupCase{
+		{agents: 8 << 10, acks: true},
+		{agents: 8 << 10, acks: true, journal: true},
+		{agents: 8 << 10, acks: true, journal: true, reads: true},
+	} {
+		b.Run(c.name(), func(b *testing.B) {
+			w := newWakeupBench(b, c)
+			w.run(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w.run(b)
+			}
+			b.StopTimer()
+			msgs := float64(b.N) * wakeupWindow
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/msgs, "ns/msg")
+			b.ReportMetric(msgs/b.Elapsed().Seconds(), "msgs/s")
+			w.close(b)
+		})
+	}
+}
+
+// wakeupWindow is the requests per BenchmarkServeWakeup window.
+const wakeupWindow = 4096
+
+// wakeupCase is one BenchmarkServeWakeup configuration.
+type wakeupCase struct {
+	agents  int
+	journal bool // journal into a WAL writer
+	acks    bool // the connection opted in to acks
+	reads   bool // read-mix's shape instead of all rebids
+}
+
+func (c wakeupCase) name() string {
+	name := fmt.Sprintf("rebids/agents=%dk/journal=none", c.agents>>10)
+	if c.reads {
+		name = fmt.Sprintf("reads=90%%/agents=%dk/journal=none", c.agents>>10)
+	}
+	if c.journal {
+		name = strings.TrimSuffix(name, "none") + "wal"
+	}
+	return name
+}
+
+// wakeupBench is one session of a server with its window's bytes.
+type wakeupBench struct {
+	srv    *Server
+	ss     *session
+	w      *wal.Writer
+	window []byte
+	src    bytes.Reader
+	wbuf   []byte
+}
+
+func newWakeupBench(tb testing.TB, c wakeupCase) *wakeupBench {
+	cfg := registry.Config{Rate: 1000}
+	var w *wal.Writer
+	if c.journal {
+		var err error
+		if w, err = wal.Create(tb.TempDir(), wal.Options{Sync: wal.SyncNone}); err != nil {
+			tb.Fatal(err)
+		}
+		cfg.Journal = w
+	}
+	reg, err := registry.New(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ops := make([]registry.BatchOp, c.agents)
+	for i := range ops {
+		ops[i] = registry.BatchOp{Kind: registry.BatchAdd, T: 1 + float64(i%7)}
+	}
+	if res := reg.ApplyBatch(ops, nil, nil); len(res) != c.agents || res[c.agents-1].ID != c.agents-1 {
+		tb.Fatalf("admitted %d agents, want %d", len(res), c.agents)
+	}
+	reg.Seal()
+	srv := New(Config{Registry: reg, Metrics: obs.NewServerMetrics(obs.NewRegistry())})
+	ss := srv.newSession()
+	ss.bt.acks = c.acks
+	rng := rand.New(rand.NewPCG(1, 2))
+	f := wire.Framer{Runs: true}
+	var window []byte
+	for i := 0; i < wakeupWindow; i++ {
+		q := wire.Request{Op: wire.OpRebid, Req: uint64(i + 1), ID: uint64(rng.IntN(c.agents)), T: 1 + float64(i)/(1<<20)}
+		if c.reads {
+			switch k := rng.IntN(20); {
+			case k < 9:
+				q.Op, q.T = wire.OpLoad, 0
+			case k < 18:
+				q.Op, q.T = wire.OpPayment, 0
+			}
+		}
+		window, _ = f.AppendRequest(window, &q)
+	}
+	return &wakeupBench{srv: srv, ss: ss, w: w, window: f.Close(window), wbuf: make([]byte, 0, 1<<20)}
+}
+
+// run serves one window: one Fill, one wakeup.
+func (w *wakeupBench) run(tb testing.TB) {
+	w.src.Reset(w.window)
+	if n, err := w.ss.rd.Fill(&w.src); err != nil || n != len(w.window) {
+		tb.Fatalf("read %d of %d window bytes, err=%v", n, len(w.window), err)
+	}
+	var err error
+	if w.wbuf, err = w.srv.wakeup(w.ss, w.wbuf[:0]); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+func (w *wakeupBench) close(tb testing.TB) {
+	if w.w != nil {
+		if err := w.w.Close(); err != nil {
+			tb.Fatal(err)
 		}
 	}
 }

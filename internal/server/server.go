@@ -21,13 +21,17 @@
 //     wire.OpAck where that is shorter; every other client gets one
 //     response per request.
 //
-//   - Batched admission. Bid mutations (add/rebid/leave) decoded in a
-//     wakeup are not applied one at a time: they accumulate into a
-//     registry.ApplyBatch group that pays one shard-lock acquisition
-//     and one journal call per touched shard and one metrics
-//     round-trip per batch. A non-bid request (seal, query, rate)
-//     forces a drain first, so per-connection effects always apply in
-//     request order.
+//   - Batched admission. A wakeup takes each CRC-checked run from the
+//     read window once and walks its messages in place, decoding each
+//     with wire.DecodeRequest (inlined): an add, rebid or leave goes
+//     straight onto the pending batch. Bid mutations are not applied
+//     one at a time: they accumulate into a registry.ApplyBatch group
+//     that pays one shard-lock acquisition and one journal call per
+//     touched shard and one metrics round-trip per batch. A non-bid
+//     request (seal, query, rate) forces a drain first, so
+//     per-connection effects always apply in request order.
+//     FuzzServeWakeup holds the walk to a per-message reference loop:
+//     the same responses, drains, journal calls and metrics.
 //
 //   - Backpressure. A wakeup decodes at most Config.MaxInflight
 //     requests; anything beyond answers StatusOverloaded (a typed,
@@ -288,19 +292,10 @@ type batcher struct {
 	acks bool
 }
 
-// push queues one decoded bid op.
-func (b *batcher) push(q *wire.Request) {
-	var kind registry.BatchKind
-	switch q.Op {
-	case wire.OpAdd:
-		kind = registry.BatchAdd
-	case wire.OpRebid:
-		kind = registry.BatchRebid
-	case wire.OpLeave:
-		kind = registry.BatchLeave
-	}
-	b.ops = append(b.ops, registry.BatchOp{Kind: kind, ID: int(q.ID), T: q.T})
-	b.req = append(b.req, q.Req)
+// queue appends one bid op and its request id to the pending batch.
+func (b *batcher) queue(kind registry.BatchKind, req, id uint64, t float64) {
+	b.ops = append(b.ops, registry.BatchOp{Kind: kind, ID: int(id), T: t})
+	b.req = append(b.req, req)
 }
 
 // opOf maps a batch kind back to its wire op.
@@ -392,32 +387,34 @@ func (b *batcher) run(i int) int {
 	return j - i
 }
 
-// session is one connection's protocol state besides its buffers.
+// session is one connection's protocol state: its read window, its
+// response framer, its pending batch and its subscription.
 type session struct {
+	rd *wire.Reader
+	// fr frames responses one per frame until the client sends a frame
+	// holding several requests.
+	fr         wire.Framer
 	bt         batcher
 	subscribed bool
 	seenSeal   uint64 // the seal generation the connection last saw
 }
 
-// handle runs one connection's read-decode-batch-respond loop until
-// the peer closes, a deadline cuts it off, or a malformed frame
-// arrives.
+// newSession returns a connection's state at accept.
+func (s *Server) newSession() *session {
+	return &session{rd: wire.NewReader(s.cfg.ReadBuf), seenSeal: s.sealGen.Load()}
+}
+
+// handle runs one connection's read-walk-respond loop until the peer
+// closes, a deadline cuts it off, or a malformed frame arrives.
 func (s *Server) handle(conn net.Conn) {
-	reg, met := s.cfg.Registry, s.cfg.Metrics
-	rd := wire.NewReader(s.cfg.ReadBuf)
+	ss := s.newSession()
 	wbuf := make([]byte, 0, s.cfg.WriteBuf)
-	// Responses are framed one per frame until the client sends a
-	// frame holding several requests.
-	var fr wire.Framer
-	ss := session{seenSeal: s.sealGen.Load()}
-	bt := &ss.bt
-	var q wire.Request
 	protoErr := false
 
 	defer func() {
 		// Count the close first: a peer that sees the connection end
 		// then finds it (and any protocol error) in the metrics.
-		met.ConnClosed(protoErr)
+		s.cfg.Metrics.ConnClosed(protoErr)
 		conn.Close()
 		s.mu.Lock()
 		delete(s.conns, conn)
@@ -425,62 +422,15 @@ func (s *Server) handle(conn net.Conn) {
 	}()
 
 	for {
-		n, readErr := rd.Fill(conn)
+		n, readErr := ss.rd.Fill(conn)
 		if n == 0 && readErr != nil {
 			return // peer closed, deadline hit, or forced shutdown
 		}
-		// Push the seal notification first so a subscriber orders it
-		// before this wakeup's responses — "the epoch you are about to
-		// act under".
-		if ss.subscribed {
-			if g := s.sealGen.Load(); g != ss.seenSeal {
-				ss.seenSeal = g
-				wbuf = appendEpoch(&fr, wbuf, wire.OpSealNotify, 0, reg.Snapshot())
-				met.Served(wire.OpSealNotify, 1)
-			}
+		var err error
+		if wbuf, err = s.wakeup(ss, wbuf); err != nil {
+			protoErr = true
+			return
 		}
-		decoded := 0
-		for {
-			ok, err := rd.NextRequest(&q)
-			if err != nil {
-				protoErr = true
-				return
-			}
-			if !ok {
-				break
-			}
-			fr.Runs = rd.Runs()
-			// The ack opt-in rides in front of a client's first
-			// requests and takes no inflight slot, so the bound
-			// applies to those requests as it would without it.
-			if q.Op != wire.OpAckRuns {
-				decoded++
-			}
-			if decoded > s.cfg.MaxInflight {
-				// Over the inflight bound: reject without registry
-				// work, draining first so the rejection stays in
-				// request order.
-				wbuf = bt.drain(reg, met, &fr, wbuf)
-				wbuf = appendStatus(&fr, wbuf, q.Op, q.Req, wire.StatusOverloaded)
-				met.Overloaded()
-				continue
-			}
-			switch q.Op {
-			case wire.OpAdd, wire.OpRebid, wire.OpLeave:
-				bt.push(&q)
-				if len(bt.ops) >= s.cfg.MaxBatch {
-					wbuf = bt.drain(reg, met, &fr, wbuf)
-				}
-			default:
-				// Non-bid requests observe every bid op queued before
-				// them on this connection.
-				wbuf = bt.drain(reg, met, &fr, wbuf)
-				wbuf = s.serve(&q, &fr, wbuf, &ss)
-				met.Served(q.Op, 1)
-			}
-		}
-		wbuf = fr.Close(bt.drain(reg, met, &fr, wbuf))
-		met.Wakeup(decoded)
 		if len(wbuf) > 0 {
 			if _, err := conn.Write(wbuf); err != nil {
 				return
@@ -502,8 +452,98 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
+// wakeup answers every whole run in the session's read window,
+// appending the responses to wbuf: one connection wakeup, without the
+// socket. It walks each CRC-checked run once, in place: an add, rebid
+// or leave goes straight onto the pending batch, and any other request
+// drains the batch first and is served. The batch also drains when it
+// holds MaxBatch ops and at the end of the wakeup; past MaxInflight
+// requests, each one drains the batch and is answered
+// StatusOverloaded. A malformed frame or message returns its
+// *wire.ProtocolError, on which the connection drops unanswered.
+func (s *Server) wakeup(ss *session, wbuf []byte) ([]byte, error) {
+	reg, met := s.cfg.Registry, s.cfg.Metrics
+	maxBatch, maxInflight := s.cfg.MaxBatch, s.cfg.MaxInflight
+	bt, fr := &ss.bt, &ss.fr
+	wbuf = s.notify(ss, wbuf)
+	decoded := 0
+	for {
+		run, err := ss.rd.NextRun()
+		if err != nil {
+			return wbuf, err
+		}
+		if len(run) == 0 {
+			break
+		}
+		for len(run) > 0 {
+			q, n, err := wire.DecodeRequest(run)
+			if err != nil {
+				return wbuf, err
+			}
+			if n < len(run) && !fr.Runs {
+				// A frame holding several requests: answer in runs
+				// from this request on.
+				fr.Runs = true
+			}
+			run = run[n:]
+			// The ack opt-in rides in front of a client's first
+			// requests and takes no inflight slot, so the bound
+			// applies to those requests as it would without it.
+			if q.Op != wire.OpAckRuns {
+				decoded++
+			}
+			if decoded > maxInflight {
+				// Over the inflight bound: reject without registry
+				// work, draining first so the rejection stays in
+				// request order.
+				wbuf = bt.drain(reg, met, fr, wbuf)
+				wbuf = appendStatus(fr, wbuf, q.Op, q.Req, wire.StatusOverloaded)
+				met.Overloaded()
+				continue
+			}
+			switch q.Op {
+			case wire.OpRebid:
+				bt.queue(registry.BatchRebid, q.Req, q.ID, q.T)
+			case wire.OpAdd:
+				bt.queue(registry.BatchAdd, q.Req, q.ID, q.T)
+			case wire.OpLeave:
+				bt.queue(registry.BatchLeave, q.Req, q.ID, q.T)
+			default:
+				// Non-bid requests observe every bid op queued before
+				// them on this connection.
+				wbuf = bt.drain(reg, met, fr, wbuf)
+				wbuf = s.serve(q, fr, wbuf, ss)
+				met.Served(q.Op, 1)
+				continue
+			}
+			if len(bt.ops) >= maxBatch {
+				wbuf = bt.drain(reg, met, fr, wbuf)
+			}
+		}
+	}
+	wbuf = fr.Close(bt.drain(reg, met, fr, wbuf))
+	met.Wakeup(decoded)
+	return wbuf, nil
+}
+
+// notify pushes a seal notification to a subscribed connection when an
+// epoch sealed since its last wakeup. It goes first, so a subscriber
+// orders it before the wakeup's responses — "the epoch you are about
+// to act under".
+func (s *Server) notify(ss *session, wbuf []byte) []byte {
+	if !ss.subscribed {
+		return wbuf
+	}
+	if g := s.sealGen.Load(); g != ss.seenSeal {
+		ss.seenSeal = g
+		wbuf = appendEpoch(&ss.fr, wbuf, wire.OpSealNotify, 0, s.cfg.Registry.Snapshot())
+		s.cfg.Metrics.Served(wire.OpSealNotify, 1)
+	}
+	return wbuf
+}
+
 // serve answers one non-bid request.
-func (s *Server) serve(q *wire.Request, fr *wire.Framer, wbuf []byte, ss *session) []byte {
+func (s *Server) serve(q wire.Request, fr *wire.Framer, wbuf []byte, ss *session) []byte {
 	reg := s.cfg.Registry
 	switch q.Op {
 	case wire.OpSeal:

@@ -22,6 +22,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -146,21 +147,21 @@ func (l *parentLog) Published(snap *registry.Snapshot) {
 
 // sealed appends a plain seal record, or a corrected one inlining the
 // correction sorted by id, and returns the sorted correction.
-func (l *parentLog) sealed(epoch uint64, rate float64, c *registry.Correction) ([]int, []weightEntry) {
+func (l *parentLog) sealed(epoch uint64, rate float64, c *registry.Correction) ([]uint64, []weightEntry) {
 	if c == nil || len(c.Drop)+len(c.Weights) == 0 {
 		l.record(kindSeal, epoch, math.Float64bits(rate))
 		return nil, nil
 	}
-	var drops []int
+	var drops []uint64
 	var wts []weightEntry
 	for id := range c.Drop {
-		drops = append(drops, id)
+		drops = append(drops, uint64(id))
 	}
 	for id, w := range c.Weights {
-		wts = append(wts, weightEntry{id: id, w: w})
+		wts = append(wts, weightEntry{id: uint64(id), w: w})
 	}
-	sort.Ints(drops)
-	sort.Slice(wts, func(i, j int) bool { return wts[i].id < wts[j].id })
+	sort.Slice(drops, func(i, j int) bool { return int64(drops[i]) < int64(drops[j]) })
+	sort.Slice(wts, func(i, j int) bool { return int64(wts[i].id) < int64(wts[j].id) })
 	words := []uint64{epoch, math.Float64bits(rate), uint64(len(drops)) | uint64(len(wts))<<32}
 	for _, id := range drops {
 		words = append(words, uint64(id))
@@ -561,6 +562,87 @@ func TestReplayRefusesWideIDs(t *testing.T) {
 		if want := fmt.Sprint(uint64(1<<32 + k)); !strings.Contains(err.Error(), want) {
 			t.Fatalf("kind %d: error %q does not name id %s", kind, err, want)
 		}
+	}
+}
+
+// TestWideCorrectionIDsNameNoAgent: a corrected seal's drop and weight
+// ids are u64 on disk, and one above math.MaxInt names no agent on any
+// word size (a 32-bit build used to wrap 2^32+k onto agent k). After
+// adds of ids 0–2, a CRC-valid corrected seal that drops id 2^32+1 and
+// weights id 2^63+2 by 0.5 recovers the three agents unchanged, from a
+// log record and from a sidecar's correction alike; a weight outside
+// (0, 1] under an id above math.MaxInt is still refused (a sidecar
+// holding one is passed over).
+func TestWideCorrectionIDsNameNoAgent(t *testing.T) {
+	const wideDrop, wideWeight = 1<<32 + 1, 1<<63 + 2
+	bids := []float64{1, 2, 3}
+	ref, err := registry.New(registry.Config{Rate: 20, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	adds := []byte{kindRun}
+	for id, b := range bids {
+		adds = binary.AppendUvarint(append(adds, kindAdd), uint64(id))
+		adds = binary.LittleEndian.AppendUint64(adds, math.Float64bits(b))
+		if _, err := ref.Add(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := ref.Seal()
+	check := func(t *testing.T, dir string, weight float64, sidecar bool) {
+		t.Helper()
+		r, info, err := Recover(dir, registry.Config{Rate: 1, Shards: 4})
+		if weight > 1 {
+			// The log refuses the record; recovery passes over the
+			// sidecar, to the log behind it.
+			if err == nil && (!sidecar || info.SnapshotEpoch != 0) {
+				t.Fatalf("recovered a weight of %g under id 2^63+2", weight)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sidecar && info.SnapshotEpoch != 1 {
+			t.Fatalf("recovered from snapshot %d, want the sidecar of epoch 1", info.SnapshotEpoch)
+		}
+		got := r.Snapshot()
+		if got.Epoch() != 1 || !slices.Equal(got.IDs(nil), []int{0, 1, 2}) || !slices.Equal(got.Bids(nil), bids) ||
+			math.Float64bits(got.Sum()) != math.Float64bits(want.Sum()) {
+			t.Fatalf("recovered epoch %d, ids %v, bids %v, S %v; want epoch 1, ids [0 1 2], bids %v, S %v",
+				got.Epoch(), got.IDs(nil), got.Bids(nil), got.Sum(), bids, want.Sum())
+		}
+	}
+	segHeader := binary.LittleEndian.AppendUint64([]byte(segMagic), 1)
+	for _, weight := range []float64{0.5, 2} {
+		t.Run(fmt.Sprintf("log/weight=%g", weight), func(t *testing.T) {
+			seal := binary.LittleEndian.AppendUint64([]byte{kindSealC}, 1)
+			seal = binary.LittleEndian.AppendUint64(seal, math.Float64bits(20))
+			seal = binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(seal, 1), 1)
+			seal = binary.LittleEndian.AppendUint64(seal, wideDrop)
+			seal = binary.LittleEndian.AppendUint64(seal, wideWeight)
+			seal = binary.LittleEndian.AppendUint64(seal, math.Float64bits(weight))
+			seg := append(append(append([]byte(nil), segHeader...), badRecord(adds)...), badRecord(seal)...)
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, segName(1)), seg, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			check(t, dir, weight, false)
+		})
+		t.Run(fmt.Sprintf("sidecar/weight=%g", weight), func(t *testing.T) {
+			sd := &snapData{
+				epoch: 1, seg: 1, off: int64(len(segHeader)), rate: 20, s: want.Sum(),
+				drops: []uint64{wideDrop}, wts: []weightEntry{{id: wideWeight, w: weight}}, t: bids,
+			}
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, segName(1)), segHeader, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, snapName(1)), encodeSnapshot(sd, false), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			check(t, dir, weight, true)
+		})
 	}
 }
 

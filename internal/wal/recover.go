@@ -415,7 +415,11 @@ func replayRecords(data []byte, off int64, varint bool, apply func(record) error
 
 // correction rebuilds a registry.Correction from decoded drop and
 // weight lists (nil when both are empty, making the seal a plain one).
-func correction(drops []int, wts []weightEntry) *registry.Correction {
+// This is where the u64 ids meet agents: an id above math.MaxInt names
+// no agent, on any word size, so it drops and weights nothing. Its
+// weight is still checked: one outside (0, 1] goes in under id -1,
+// which no agent has either, for SealCorrected to refuse.
+func correction(drops []uint64, wts []weightEntry) *registry.Correction {
 	if len(drops) == 0 && len(wts) == 0 {
 		return nil
 	}
@@ -423,13 +427,20 @@ func correction(drops []int, wts []weightEntry) *registry.Correction {
 	if len(drops) > 0 {
 		c.Drop = make(map[int]bool, len(drops))
 		for _, id := range drops {
-			c.Drop[id] = true
+			if id <= math.MaxInt {
+				c.Drop[int(id)] = true
+			}
 		}
 	}
 	if len(wts) > 0 {
 		c.Weights = make(map[int]float64, len(wts))
 		for _, e := range wts {
-			c.Weights[e.id] = e.w
+			switch {
+			case e.id <= math.MaxInt:
+				c.Weights[int(e.id)] = e.w
+			case !(e.w > 0 && e.w <= 1):
+				c.Weights[-1] = e.w
+			}
 		}
 	}
 	return c

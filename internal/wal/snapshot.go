@@ -25,7 +25,7 @@ type snapData struct {
 	off   int64
 	rate  float64
 	s     float64
-	drops []int
+	drops []uint64
 	wts   []weightEntry
 	t     []float64 // id-indexed uncorrected bid, one per issued id; 0 = absent
 	delta *snapDelta
@@ -112,10 +112,10 @@ func streamSidecar(w io.Writer, p *pendingSnap, base uint64) error {
 		sw.u64(base)
 	}
 	for _, id := range p.drops {
-		sw.u64(uint64(id))
+		sw.u64(id)
 	}
 	for _, e := range p.wts {
-		sw.u64(uint64(e.id))
+		sw.u64(e.id)
 		sw.u64(math.Float64bits(e.w))
 	}
 	var err error
@@ -230,16 +230,16 @@ func (s *snapWriter) flush() {
 // live there, in ascending id order: with the published (corrected)
 // epoch, all a snapshot needs to restore the uncorrected population.
 // An id both dropped and weighted appears once.
-func preCorrection(t []float64, drops []int, wts []weightEntry) []bidEntry {
-	ids := append([]int(nil), drops...)
+func preCorrection(t []float64, drops []uint64, wts []weightEntry) []bidEntry {
+	ids := append([]uint64(nil), drops...)
 	for _, e := range wts {
 		ids = append(ids, e.id)
 	}
 	slices.Sort(ids)
 	var pre []bidEntry
 	for _, id := range slices.Compact(ids) {
-		if id >= 0 && id < len(t) && t[id] != 0 {
-			pre = append(pre, bidEntry{id: id, t: t[id]})
+		if id < uint64(len(t)) && t[id] != 0 {
+			pre = append(pre, bidEntry{id: int(id), t: t[id]})
 		}
 	}
 	return pre

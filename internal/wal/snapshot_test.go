@@ -100,12 +100,14 @@ func deltaOf(base uint64, next int, bids map[int]float64, written map[int]bool) 
 
 // sortedCorrection returns a correction's drops and weights sorted by
 // id, as a sidecar holds them (empty, not nil, when there are none).
-func sortedCorrection(c *registry.Correction) ([]int, []weightEntry) {
-	drops, wts := []int{}, []weightEntry{}
+func sortedCorrection(c *registry.Correction) ([]uint64, []weightEntry) {
+	drops, wts := []uint64{}, []weightEntry{}
 	if c != nil {
-		drops = sortedKeys(c.Drop)
+		for _, id := range sortedKeys(c.Drop) {
+			drops = append(drops, uint64(id))
+		}
 		for _, id := range sortedKeys(c.Weights) {
-			wts = append(wts, weightEntry{id: id, w: c.Weights[id]})
+			wts = append(wts, weightEntry{id: uint64(id), w: c.Weights[id]})
 		}
 	}
 	return drops, wts
@@ -294,18 +296,9 @@ func TestStreamedSnapshotMatchesReference(t *testing.T) {
 
 			want := &snapData{
 				epoch: snap.Epoch(), seg: seg, off: off, rate: 20, s: snap.Sum(),
-				drops: []int{}, wts: []weightEntry{}, t: make([]float64, tc.agents),
+				t: make([]float64, tc.agents),
 			}
-			if tc.c != nil {
-				for id := range tc.c.Drop {
-					want.drops = append(want.drops, id)
-				}
-				slices.Sort(want.drops)
-				for id, wt := range tc.c.Weights {
-					want.wts = append(want.wts, weightEntry{id: id, w: wt})
-				}
-				slices.SortFunc(want.wts, func(a, b weightEntry) int { return a.id - b.id })
-			}
+			want.drops, want.wts = sortedCorrection(tc.c)
 			for id, t := range bids {
 				want.t[id] = t
 			}

@@ -161,8 +161,11 @@ const (
 )
 
 // weightEntry is one (id, weight) pair of a corrected seal record.
+// Correction ids are u64 on disk and stay 64-bit in memory until
+// recovery matches them to agents (see correction), so a 32-bit build
+// reads the same ids a 64-bit one does.
 type weightEntry struct {
-	id int
+	id uint64
 	w  float64
 }
 
@@ -171,7 +174,7 @@ type record struct {
 	kind    byte
 	epoch   uint64  // seal records
 	rate    float64 // rate and seal records
-	drops   []int
+	drops   []uint64
 	weights []weightEntry
 	run     []byte // mutations: the entries, every one checked to parse
 	varint  bool   // mutations: the entries carry uvarint ids
@@ -301,15 +304,15 @@ func decodeRecord(p []byte, varint bool) (record, error) {
 
 // decodeCorrection parses nDrop u64 ids and then nWeight (u64 id, f64
 // weight) pairs from b, whose length the caller has checked.
-func decodeCorrection(b []byte, nDrop, nWeight int) ([]int, []weightEntry) {
-	drops := make([]int, nDrop)
+func decodeCorrection(b []byte, nDrop, nWeight int) ([]uint64, []weightEntry) {
+	drops := make([]uint64, nDrop)
 	for i := range drops {
-		drops[i] = int(binary.LittleEndian.Uint64(b[8*i:]))
+		drops[i] = binary.LittleEndian.Uint64(b[8*i:])
 	}
 	b = b[8*nDrop:]
 	wts := make([]weightEntry, nWeight)
 	for i := range wts {
-		wts[i].id = int(binary.LittleEndian.Uint64(b[16*i:]))
+		wts[i].id = binary.LittleEndian.Uint64(b[16*i:])
 		wts[i].w = math.Float64frombits(binary.LittleEndian.Uint64(b[16*i+8:]))
 	}
 	return drops, wts

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -8,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -118,7 +118,7 @@ type pendingSnap struct {
 	live  int    // uncorrected live count: the file's entry count
 	seg   uint64 // replay position: first byte after the covering seal record
 	off   int64
-	drops []int
+	drops []uint64
 	wts   []weightEntry
 	pre   []bidEntry         // uncorrected bids of the correction's live ids, ascending id
 	dirty []uint64           // one bit per id written since the previous capture
@@ -557,21 +557,23 @@ func (w *Writer) appendRate(bits uint64) int {
 // ev.T; Published supplies the rest of the population. No fsync happens
 // here; SyncSeal defers it to Published, outside the locks.
 func (w *Writer) Sealed(ev registry.SealEvent) {
-	var drops []int
+	var drops []uint64
 	var wts []weightEntry
 	corrected := false
 	if c := ev.Correction; c != nil && (len(c.Drop) > 0 || len(c.Weights) > 0) {
 		corrected = true
-		drops = make([]int, 0, len(c.Drop))
+		// Both lists go in the order of the registry's signed ids, as
+		// the log has always held them.
+		drops = make([]uint64, 0, len(c.Drop))
 		for id := range c.Drop {
-			drops = append(drops, id)
+			drops = append(drops, uint64(id))
 		}
-		sort.Ints(drops)
+		slices.SortFunc(drops, bySignedID)
 		wts = make([]weightEntry, 0, len(c.Weights))
 		for id, wt := range c.Weights {
-			wts = append(wts, weightEntry{id: id, w: wt})
+			wts = append(wts, weightEntry{id: uint64(id), w: wt})
 		}
-		sort.Slice(wts, func(i, j int) bool { return wts[i].id < wts[j].id })
+		slices.SortFunc(wts, func(a, b weightEntry) int { return bySignedID(a.id, b.id) })
 	}
 
 	w.mu.Lock()
@@ -596,10 +598,10 @@ func (w *Writer) Sealed(ev registry.SealEvent) {
 		w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(len(drops)))
 		w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(len(wts)))
 		for _, id := range drops {
-			w.buf = binary.LittleEndian.AppendUint64(w.buf, uint64(id))
+			w.buf = binary.LittleEndian.AppendUint64(w.buf, id)
 		}
 		for _, e := range wts {
-			w.buf = binary.LittleEndian.AppendUint64(w.buf, uint64(e.id))
+			w.buf = binary.LittleEndian.AppendUint64(w.buf, e.id)
 			w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(e.w))
 		}
 	}
@@ -627,6 +629,10 @@ func (w *Writer) Sealed(ev registry.SealEvent) {
 	}
 	w.maybeFlush()
 }
+
+// bySignedID orders two correction ids as the registry's int ids they
+// were converted from.
+func bySignedID(a, b uint64) int { return cmp.Compare(int64(a), int64(b)) }
 
 // Published implements registry.Journal: the deferred I/O half of a
 // seal, outside the registry's shard locks. SyncSeal commits here, and

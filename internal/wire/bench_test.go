@@ -44,8 +44,8 @@ func BenchmarkWireEncode(b *testing.B) {
 
 // BenchmarkWireDecode measures the frame-scan + decode hot path, per
 // message: a frame of its own (scan, CRC, decode), and a 4096-message
-// run read through a Reader, which checks each frame's CRC once. Must
-// be 0 allocs/op.
+// run walked through a Reader, which checks each frame's CRC once and
+// hands out its messages with NextRun. Must be 0 allocs/op.
 func BenchmarkWireDecode(b *testing.B) {
 	b.Run("frame", func(b *testing.B) {
 		frame, err := AppendRequest(nil, &Request{Op: OpRebid, Req: 1, ID: 42, T: 2.5})
@@ -59,7 +59,7 @@ func BenchmarkWireDecode(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := decodeRequest(payload, &q); err != nil {
+			if q, _, err = DecodeRequest(payload); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -77,18 +77,28 @@ func BenchmarkWireDecode(b *testing.B) {
 		rd := NewReader(len(run))
 		src := &chunkReader{chunk: len(run)}
 		var q Request
+		var msgs []byte
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ok, err := rd.NextRequest(&q)
-			if err != nil {
+			if len(msgs) == 0 {
+				var err error
+				if msgs, err = rd.NextRun(); err != nil {
+					b.Fatal(err)
+				}
+				if len(msgs) == 0 {
+					src.data, src.off = run, 0
+					rd.Fill(src)
+					i--
+					continue
+				}
+			}
+			var n int
+			var err error
+			if q, n, err = DecodeRequest(msgs); err != nil {
 				b.Fatal(err)
 			}
-			if !ok {
-				src.data, src.off = run, 0
-				rd.Fill(src)
-				i--
-			}
+			msgs = msgs[n:]
 		}
 		if q.ID != 42 {
 			b.Fatal("decode corrupted")

@@ -84,8 +84,7 @@ func FuzzWireDecode(f *testing.F) {
 func checkRequestRun(t *testing.T, payload, frame []byte) {
 	var msgs []Request
 	for p := payload; len(p) > 0; {
-		var q Request
-		m, err := decodeRequest(p, &q)
+		q, m, err := DecodeRequest(p)
 		if err != nil {
 			if _, ok := err.(*ProtocolError); !ok {
 				t.Fatalf("request decode returned untyped error %T: %v", err, err)

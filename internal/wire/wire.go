@@ -77,12 +77,14 @@
 // OpAckRuns with ErrUnknownOp; either drops the connection, so upgrade
 // servers before clients.
 //
-// Encode appends to a caller-provided buffer and decode parses into a
-// caller-provided flat struct, so both directions are allocation-free
-// in steady state (pinned by AllocsPerRun guards). The decoder is
-// fuzzed against truncated, corrupt and oversized frames and runs: it
-// returns typed *ProtocolError values and never panics or reads
-// outside the frame it was handed.
+// Encode appends to a caller-provided buffer, a request decodes into a
+// flat struct returned by value and a response into a caller-provided
+// one, so both directions are allocation-free in steady state (pinned
+// by AllocsPerRun guards). A server takes each run from a Reader once
+// (NextRun) and walks its messages in place with DecodeRequest. The
+// decoder is fuzzed against truncated, corrupt and oversized frames
+// and runs: it returns typed *ProtocolError values and never panics or
+// reads outside the frame it was handed.
 package wire
 
 import (
@@ -233,16 +235,52 @@ func StatusString(s byte) string {
 	return fmt.Sprintf("status %d", s)
 }
 
+// requestLayout is one request op's message layout: [op][req u64],
+// then the op's u64 id if it has one, then its f64 (a bid, or the rate
+// of OpRate) if it has one. A field the op lacks is read from the
+// request id's bytes and masked to zero, so decoding takes no branch
+// per field.
+type requestLayout struct {
+	n      uint8 // message length; 0 for a byte that is not a request op
+	id, t  uint8 // offsets of the id and the f64 (1 when absent)
+	idMask uint64
+	tMask  uint64
+	// err refuses a message of this op that is shorter than n bytes:
+	// ErrPayloadSize, or ErrUnknownOp for a byte that is not an op.
+	err error
+}
+
+// requestLayouts maps every byte to its request layout.
+var requestLayouts = func() (ls [256]requestLayout) {
+	for op := range ls {
+		ls[op].err = ErrUnknownOp
+	}
+	for _, r := range []struct {
+		op        byte
+		id, value bool // whether the op carries a u64 id, an f64
+	}{
+		{OpAdd, false, true}, {OpRebid, true, true}, {OpLeave, true, false},
+		{OpRate, false, true}, {OpSeal, false, false}, {OpEpoch, false, false},
+		{OpLoad, true, false}, {OpPayment, true, false}, {OpPing, false, false},
+		{OpSubscribe, false, false}, {OpAckRuns, false, false},
+	} {
+		l := requestLayout{n: 9, id: 1, t: 1, err: ErrPayloadSize}
+		if r.id {
+			l.id, l.idMask, l.n = l.n, math.MaxUint64, l.n+8
+		}
+		if r.value {
+			l.t, l.tMask, l.n = l.n, math.MaxUint64, l.n+8
+		}
+		ls[r.op] = l
+	}
+	return ls
+}()
+
 // requestBody returns the op-specific byte count after [op][req u64],
 // or -1 for an op that is not a request.
 func requestBody(op byte) int {
-	switch op {
-	case OpAdd, OpRate, OpLeave, OpLoad, OpPayment:
-		return 8
-	case OpRebid:
-		return 16
-	case OpSeal, OpEpoch, OpPing, OpSubscribe, OpAckRuns:
-		return 0
+	if n := requestLayouts[op].n; n != 0 {
+		return int(n) - 9
 	}
 	return -1
 }
@@ -423,34 +461,24 @@ func Frame(b []byte) (payload []byte, n int, err error) {
 	return payload, n, err
 }
 
-// decodeRequest parses the request message at the front of p into q
-// and returns its length.
-func decodeRequest(p []byte, q *Request) (int, error) {
+// DecodeRequest parses the request message at the front of p and
+// returns it with its length. With requestLayouts it is the one
+// decoder of the request layouts in the package comment, and it is
+// small enough to inline into a loop that walks a run.
+func DecodeRequest(p []byte) (q Request, n int, err error) {
 	if len(p) < 9 {
-		return 0, ErrPayloadSize
+		return q, 0, ErrPayloadSize
 	}
-	op := p[0]
-	body := requestBody(op)
-	if body < 0 {
-		return 0, ErrUnknownOp
+	l := &requestLayouts[p[0]]
+	if n = int(l.n); len(p) < n || n == 0 {
+		return q, 0, l.err
 	}
-	if len(p) < 9+body {
-		return 0, ErrPayloadSize
-	}
-	q.Op = op
-	q.Req = binary.LittleEndian.Uint64(p[1:])
-	q.ID, q.T = 0, 0
-	rest := p[9:]
-	switch op {
-	case OpAdd, OpRate:
-		q.T = math.Float64frombits(binary.LittleEndian.Uint64(rest))
-	case OpRebid:
-		q.ID = binary.LittleEndian.Uint64(rest)
-		q.T = math.Float64frombits(binary.LittleEndian.Uint64(rest[8:]))
-	case OpLeave, OpLoad, OpPayment:
-		q.ID = binary.LittleEndian.Uint64(rest)
-	}
-	return 9 + body, nil
+	return Request{
+		Op:  p[0],
+		Req: binary.LittleEndian.Uint64(p[1:]),
+		ID:  binary.LittleEndian.Uint64(p[l.id:]) & l.idMask,
+		T:   math.Float64frombits(binary.LittleEndian.Uint64(p[l.t:]) & l.tMask),
+	}, n, nil
 }
 
 // decodeResponse parses the response message at the front of p into r
@@ -502,18 +530,17 @@ func decodeResponse(p []byte, r *Response) (int, error) {
 }
 
 // Reader scans messages out of a byte stream through a fixed sliding
-// window: Fill reads more bytes from the source, and NextRequest or
-// NextResponse decodes the next message, checking each frame's CRC
-// once, when its first message is read. The two-call shape lets a
-// server drain every complete message a wakeup delivered before
+// window: Fill reads more bytes from the source, and NextRun hands out
+// the next run of messages, checking its frame's CRC once, or
+// NextResponse decodes the next response message. The two-call shape
+// lets a server walk every complete run a wakeup delivered before
 // paying the next read syscall.
 type Reader struct {
 	buf  []byte
 	r, w int
 	// end is the end of the current frame's payload: r < end while a
 	// run is partly read, and r then points at its next message.
-	end  int
-	runs bool
+	end int
 }
 
 // NewReader returns a Reader with an n-byte window (minimum MaxFrame,
@@ -549,10 +576,6 @@ func (rd *Reader) Fill(src io.Reader) (int, error) {
 	return n, err
 }
 
-// Runs reports whether any frame read so far carried more than one
-// message.
-func (rd *Reader) Runs() bool { return rd.runs }
-
 // frame returns the unread part of the current run, scanning the next
 // frame once the current one is used up. An empty result with a nil
 // error means the window holds no whole frame (call Fill).
@@ -568,25 +591,24 @@ func (rd *Reader) frame() ([]byte, error) {
 	return rd.buf[rd.r:rd.end], nil
 }
 
-// NextRequest decodes the next request message into q. It returns
+// NextRun returns the unread messages of the next run and consumes
+// them: the CRC-checked payload of the next whole frame in the window,
+// or the rest of a run NextResponse has partly read. The caller walks
+// the messages itself (DecodeRequest decodes one request); a run holds
+// one message or several, laid end to end. The slice aliases the
+// window, so it is valid until the next Fill. An empty result with a
+// nil error means the window holds no further whole frame (call Fill);
+// a frame that breaks the format is a *ProtocolError.
+func (rd *Reader) NextRun() ([]byte, error) {
+	run, err := rd.frame()
+	rd.r += len(run)
+	return run, err
+}
+
+// NextResponse decodes the next response message into p. It returns
 // false with a nil error when the window holds no further whole frame
 // (call Fill). A malformed message anywhere in a frame is a
 // *ProtocolError.
-func (rd *Reader) NextRequest(q *Request) (bool, error) {
-	run, err := rd.frame()
-	if len(run) == 0 {
-		return false, err
-	}
-	n, err := decodeRequest(run, q)
-	if err != nil {
-		return false, err
-	}
-	rd.advance(n, len(run))
-	return true, nil
-}
-
-// NextResponse decodes the next response message into p, as
-// NextRequest does for requests.
 func (rd *Reader) NextResponse(p *Response) (bool, error) {
 	run, err := rd.frame()
 	if len(run) == 0 {
@@ -596,15 +618,6 @@ func (rd *Reader) NextResponse(p *Response) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	rd.advance(n, len(run))
-	return true, nil
-}
-
-// advance consumes an n-byte message from a run that had left bytes
-// unread.
-func (rd *Reader) advance(n, left int) {
 	rd.r += n
-	if n < left {
-		rd.runs = true
-	}
+	return true, nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -61,9 +62,9 @@ func TestRequestRoundTrip(t *testing.T) {
 		if err != nil || n != len(buf) {
 			t.Fatalf("Frame: n=%d err=%v (want %d, nil)", n, err, len(buf))
 		}
-		var got Request
-		if m, err := decodeRequest(payload, &got); err != nil || m != len(payload) {
-			t.Fatalf("decodeRequest(%+v): %d of %d bytes, err=%v", q, m, len(payload), err)
+		got, m, err := DecodeRequest(payload)
+		if err != nil || m != len(payload) {
+			t.Fatalf("DecodeRequest(%+v): %d of %d bytes, err=%v", q, m, len(payload), err)
 		}
 		if got != q {
 			t.Fatalf("round trip: got %+v want %+v", got, q)
@@ -93,8 +94,7 @@ func TestRequestRoundTrip(t *testing.T) {
 		t.Fatalf("run Frame: n=%d err=%v (want %d, nil)", n, err, len(run))
 	}
 	for i, want := range reqs {
-		var got Request
-		m, err := decodeRequest(payload, &got)
+		got, m, err := DecodeRequest(payload)
 		if err != nil || got != want {
 			t.Fatalf("run message %d: got %+v err=%v, want %+v", i, got, err, want)
 		}
@@ -192,8 +192,7 @@ func TestFramerSplitsAtMaxPayload(t *testing.T) {
 			t.Fatalf("frame %d closed at %d payload bytes with room for another rebid", frames, len(payload))
 		}
 		for len(payload) > 0 {
-			var q Request
-			k, err := decodeRequest(payload, &q)
+			q, k, err := DecodeRequest(payload)
 			if err != nil || q.Req != next {
 				t.Fatalf("frame %d: request %d err=%v, want %d", frames, q.Req, err, next)
 			}
@@ -244,7 +243,6 @@ func TestFrameErrors(t *testing.T) {
 }
 
 func TestDecodeErrors(t *testing.T) {
-	var q Request
 	var p Response
 
 	// Response-only op in a request.
@@ -253,7 +251,7 @@ func TestDecodeErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := decodeRequest(payload, &q); err != ErrUnknownOp {
+	if _, _, err := DecodeRequest(payload); err != ErrUnknownOp {
 		t.Fatalf("OpSealNotify as request: err=%v", err)
 	}
 
@@ -261,13 +259,13 @@ func TestDecodeErrors(t *testing.T) {
 	// message, which TestReaderRejectsMalformedRun rejects.
 	add, _ := AppendRequest(nil, &Request{Op: OpAdd, Req: 1, T: 1})
 	payload, _, _ = Frame(add)
-	if _, err := decodeRequest(payload[:len(payload)-1], &q); err != ErrPayloadSize {
+	if _, _, err := DecodeRequest(payload[:len(payload)-1]); err != ErrPayloadSize {
 		t.Fatalf("truncated add: err=%v", err)
 	}
-	if m, err := decodeRequest(append(append([]byte(nil), payload...), 0), &q); err != nil || m != len(payload) {
+	if _, m, err := DecodeRequest(append(append([]byte(nil), payload...), 0)); err != nil || m != len(payload) {
 		t.Fatalf("trailing byte: consumed %d, err=%v; want %d, nil", m, err, len(payload))
 	}
-	if _, err := decodeRequest(nil, &q); err != ErrPayloadSize {
+	if _, _, err := DecodeRequest(nil); err != ErrPayloadSize {
 		t.Fatalf("empty: err=%v", err)
 	}
 
@@ -347,10 +345,9 @@ func TestAckDecodeErrors(t *testing.T) {
 	}
 
 	// Response-only ops in a request.
-	var q Request
 	for _, op := range []byte{OpAck, OpSealNotify} {
 		b := append([]byte{op}, make([]byte, 8+ackLen)...)
-		if _, err := decodeRequest(b, &q); err != ErrUnknownOp {
+		if _, _, err := DecodeRequest(b); err != ErrUnknownOp {
 			t.Fatalf("op %d as a request: err=%v", op, err)
 		}
 		if _, err := AppendRequest(nil, &Request{Op: op}); err != ErrUnknownOp {
@@ -376,6 +373,27 @@ func TestAckShorter(t *testing.T) {
 	}
 }
 
+// walkRuns reads every whole run in rd's window with NextRun and
+// decodes each run's requests in turn, as a server wakeup does. It
+// returns the requests and the number each run held.
+func walkRuns(rd *Reader) (got []Request, lens []int, err error) {
+	for {
+		run, err := rd.NextRun()
+		if len(run) == 0 {
+			return got, lens, err
+		}
+		k := 0
+		for ; len(run) > 0; k++ {
+			q, n, err := DecodeRequest(run)
+			if err != nil {
+				return got, lens, err
+			}
+			got, run = append(got, q), run[n:]
+		}
+		lens = append(lens, k)
+	}
+}
+
 // TestReaderStream feeds a concatenated stream through a Reader in
 // adversarially small chunks and checks every frame comes out intact
 // and in order.
@@ -394,19 +412,14 @@ func TestReaderStream(t *testing.T) {
 		src := &chunkReader{data: stream, chunk: chunk}
 		var got []Request
 		for {
-			var q Request
-			ok, err := rd.NextRequest(&q)
+			more, _, err := walkRuns(rd)
 			if err != nil {
-				t.Fatalf("chunk %d: NextRequest: %v", chunk, err)
+				t.Fatalf("chunk %d: NextRun: %v", chunk, err)
 			}
-			if !ok {
-				n, err := rd.Fill(src)
-				if n == 0 && err != nil {
-					break // EOF
-				}
-				continue
+			got = append(got, more...)
+			if n, err := rd.Fill(src); n == 0 && err != nil {
+				break // EOF
 			}
-			got = append(got, q)
 		}
 		if len(got) != len(reqs) {
 			t.Fatalf("chunk %d: got %d frames, want %d", chunk, len(got), len(reqs))
@@ -420,9 +433,10 @@ func TestReaderStream(t *testing.T) {
 }
 
 // TestReaderRuns reads a stream of single frames and run frames through
-// a Reader: every message comes out in order, Runs turns true at the
-// first frame holding several messages, and a Fill between two
-// messages of a run keeps the rest of the run readable.
+// a Reader: every message comes out in order, and each NextRun hands
+// out exactly one frame's messages, however the stream was cut. A Fill
+// between two responses of a run keeps the rest of the run readable,
+// by NextResponse and by NextRun.
 func TestReaderRuns(t *testing.T) {
 	reqs := sampleRequests()
 	var stream []byte
@@ -436,31 +450,21 @@ func TestReaderRuns(t *testing.T) {
 	}
 	stream = f.Close(stream)
 	want := append(append([]Request(nil), reqs[:3]...), reqs...)
+	wantLens := []int{1, 1, 1, len(reqs)}
 
 	for _, chunk := range []int{1, 5, single, len(stream)} {
 		rd := NewReader(0)
 		src := &chunkReader{data: stream, chunk: chunk}
 		var got []Request
+		var lens []int
 		for {
-			var q Request
-			ok, err := rd.NextRequest(&q)
+			more, k, err := walkRuns(rd)
 			if err != nil {
-				t.Fatalf("chunk %d: NextRequest: %v", chunk, err)
+				t.Fatalf("chunk %d: NextRun: %v", chunk, err)
 			}
-			if !ok {
-				n, err := rd.Fill(src)
-				if n == 0 && err != nil {
-					break
-				}
-				continue
-			}
-			got = append(got, q)
-			if rd.Runs() != (len(got) > 3) {
-				t.Fatalf("chunk %d: Runs() = %v after %d messages", chunk, rd.Runs(), len(got))
-			}
-			// Fill mid-run: the unread messages must survive it.
-			if len(got) == 5 {
-				rd.Fill(src)
+			got, lens = append(got, more...), append(lens, k...)
+			if n, err := rd.Fill(src); n == 0 && err != nil {
+				break
 			}
 		}
 		if len(got) != len(want) {
@@ -470,6 +474,60 @@ func TestReaderRuns(t *testing.T) {
 			if got[i] != want[i] {
 				t.Fatalf("chunk %d: message %d: got %+v want %+v", chunk, i, got[i], want[i])
 			}
+		}
+		if !slices.Equal(lens, wantLens) {
+			t.Fatalf("chunk %d: runs of %v messages, want %v", chunk, lens, wantLens)
+		}
+	}
+
+	// A response run read partly, then a Fill, then the rest.
+	resps := sampleResponses()
+	fr := Framer{Runs: true}
+	var run []byte
+	for i := range resps {
+		run, _ = fr.AppendResponse(run, &resps[i])
+	}
+	run = fr.Close(run)
+	for _, rest := range []string{"NextResponse", "NextRun"} {
+		rd := NewReader(0)
+		src := &chunkReader{data: append(append([]byte(nil), run...), run...), chunk: len(run) + 3}
+		rd.Fill(src)
+		var got []Response
+		for len(got) < 2 {
+			var p Response
+			if ok, err := rd.NextResponse(&p); !ok || err != nil {
+				t.Fatalf("%s: response %d: ok=%v err=%v", rest, len(got), ok, err)
+			}
+			got = append(got, p)
+		}
+		rd.Fill(src) // compacts the window under the partly read run
+		if rest == "NextRun" {
+			b, err := rd.NextRun()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for len(b) > 0 {
+				var p Response
+				n, err := decodeResponse(b, &p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, b = append(got, p), b[n:]
+			}
+		}
+		for len(got) < len(resps) {
+			var p Response
+			if ok, err := rd.NextResponse(&p); !ok || err != nil {
+				t.Fatalf("%s: response %d: ok=%v err=%v", rest, len(got), ok, err)
+			}
+			got = append(got, p)
+		}
+		if !slices.Equal(got, resps) {
+			t.Fatalf("%s: got %+v, want %+v", rest, got, resps)
+		}
+		// The second copy of the run is whole in the window.
+		if b, err := rd.NextRun(); err != nil || len(b) != len(run)-FrameLen {
+			t.Fatalf("%s: next run %d bytes, err=%v; want %d", rest, len(b), err, len(run)-FrameLen)
 		}
 	}
 }
@@ -495,12 +553,9 @@ func TestReaderRejectsMalformedRun(t *testing.T) {
 			if _, err := rd.Fill(&chunkReader{data: frame, chunk: len(frame)}); err != nil {
 				t.Fatal(err)
 			}
-			var q Request
-			if ok, err := rd.NextRequest(&q); !ok || err != nil || q.Req != 1 {
-				t.Fatalf("first message: ok=%v err=%v q=%+v", ok, err, q)
-			}
-			if ok, err := rd.NextRequest(&q); ok || err != tc.want {
-				t.Fatalf("bad message: ok=%v err=%v, want %v", ok, err, tc.want)
+			got, lens, err := walkRuns(rd)
+			if len(got) != 1 || got[0].Req != 1 || lens != nil || err != tc.want {
+				t.Fatalf("got %+v in runs %v, err=%v; want the first message, then %v", got, lens, err, tc.want)
 			}
 		})
 	}
@@ -591,7 +646,7 @@ func TestWireDecodeAllocFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := decodeRequest(payload, &q); err != nil {
+		if q, _, err = DecodeRequest(payload); err != nil {
 			t.Fatal(err)
 		}
 		payload, _, err = Frame(stream[n1:])
@@ -603,6 +658,9 @@ func TestWireDecodeAllocFree(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("decode allocates %.1f/op, want 0", n)
+	}
+	if q.ID != 4 || p.Epoch != 3 {
+		t.Fatalf("decoded %+v and %+v", q, p)
 	}
 
 	f := Framer{Runs: true}
@@ -618,10 +676,19 @@ func TestWireDecodeAllocFree(t *testing.T) {
 		if _, err := rd.Fill(src); err != nil {
 			t.Fatal(err)
 		}
+		b, err := rd.NextRun()
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i := 0; i < 64; i++ {
-			if ok, err := rd.NextRequest(&q); !ok || err != nil {
-				t.Fatalf("run message %d: ok=%v err=%v", i, ok, err)
+			q, m, err := DecodeRequest(b)
+			if err != nil || q.Req != uint64(i+1) {
+				t.Fatalf("run message %d: request %d, err=%v", i, q.Req, err)
 			}
+			b = b[m:]
+		}
+		if len(b) != 0 {
+			t.Fatalf("%d bytes left after the run", len(b))
 		}
 	}); n != 0 {
 		t.Fatalf("run decode allocates %.1f/op, want 0", n)
