@@ -117,11 +117,11 @@ fuzz:
 
 # Chaos gate: the supervise fault-plan matrix, the health controller's
 # 32-seed replication suite (ejection budgets, zero false positives,
-# replay-identical corrected epochs), and the lbserve -health demo
+# replay-identical corrected epochs), and lbsim's -health runner
 # under a crash+flap plan as an end-to-end smoke.
 chaos:
 	$(GO) test -race -run 'TestChaos' -count=1 ./internal/supervise ./internal/health
-	$(GO) run ./cmd/lbserve -health -plan 'crash=1,flap=3@8:0.75' -ticks 60 -fault-until 35
+	$(GO) run ./cmd/lbsim -scenario cmd/lbsim/testdata/health8.json -health 60 -faults 'crash=1,flap=3@8:0.75' -fault-until 35
 
 # Record the payment-engine and parallel-distribution baselines as
 # stable JSON (commit BENCH_mech.json to track regressions).

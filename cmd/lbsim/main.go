@@ -1,7 +1,7 @@
 // Command lbsim is the in-process simulation driver. It builds one
 // population, the paper's 16 computers with C1 playing a Table 2
 // experiment (-experiment) or a JSON scenario file (-scenario), and
-// runs it through one of three runners:
+// runs it through one of four runners:
 //
 //   - by default, one message-level protocol round on a discrete-event
 //     cluster: bid collection, allocation, simulated execution,
@@ -15,7 +15,15 @@
 //   - with -topology star|chain|binary, one distributed round over that
 //     spanning tree under a supervisor that classifies each failure,
 //     excludes misbehaving or unreachable nodes and retries
-//     (-max-attempts, -deadline), printing its RoundReport trace.
+//     (-max-attempts, -deadline), printing its RoundReport trace;
+//   - with -health N, N ticks of the serving health control loop
+//     (internal/health): each computer declares its true value, a
+//     seeded synthetic source reports its execution values with the
+//     fault plan active from tick 5 up to -fault-until, and the
+//     controller verifies them every tick, degrading, ejecting,
+//     probing and reinstating computers and sealing corrected registry
+//     epochs; it prints every state transition, a state table every
+//     -health-every ticks and a final census.
 //
 // Usage:
 //
@@ -25,6 +33,8 @@
 //	lbsim -experiment True2 -jobs 20000 -rounds 20 -faults drop=0.05,crash=7 -retries 2
 //	lbsim -experiment True2 -jobs 2000 -rounds 200 -replications 32 -workers 0
 //	lbsim -scenario cmd/lbsim/testdata/tree12.json -topology binary -faults drop=0.1,byz=5@1.2
+//	lbsim -scenario cmd/lbsim/testdata/health8.json -health 80
+//	lbsim -scenario cmd/lbsim/testdata/health8.json -health 60 -faults crash=1,flap=3@8:0.75 -fault-until 35
 //
 // A scenario file looks like:
 //
@@ -37,9 +47,12 @@
 //	}
 //
 // With -scenario, the -jobs, -seed, -faults and -dropouts flags that are
-// set on the command line override the file's values. The -rounds and
-// -topology runners take linear scenarios without allow_dropouts, and
-// the -topology runner reads neither jobs nor seed.
+// set on the command line override the file's values. The -rounds,
+// -topology and -health runners take linear scenarios without
+// allow_dropouts. The -topology runner reads neither jobs nor seed,
+// and the -health runner reads no jobs and refuses a computer whose
+// factors are not 1, since there the fault plan decides who
+// misbehaves.
 //
 // -faults, -metrics, -trace, -cpuprofile and -memprofile apply to every
 // runner; any other flag the chosen runner does not read is a usage
@@ -71,13 +84,14 @@ const (
 	oneRound = "the protocol round"
 	multi    = "-rounds"
 	tree     = "-topology"
+	loop     = "-health"
 )
 
 // readBy lists the runners that read each runner-specific flag; the
-// flags missing here are read by all three.
+// flags missing here are read by all four.
 var readBy = map[string][]string{
 	"jobs":         {oneRound, multi},
-	"seed":         {oneRound, multi},
+	"seed":         {oneRound, multi, loop},
 	"dropouts":     {oneRound},
 	"rounds":       {multi},
 	"strikes":      {multi},
@@ -88,6 +102,9 @@ var readBy = map[string][]string{
 	"topology":     {tree},
 	"max-attempts": {tree},
 	"deadline":     {tree},
+	"health":       {loop},
+	"fault-until":  {loop},
+	"health-every": {loop},
 }
 
 // errUsage marks a command line that no runner accepts: main exits 2 on
@@ -127,6 +144,9 @@ func run(args []string, w io.Writer) error {
 	topology := fs.String("topology", "", "run one supervised distributed round over this spanning tree: star, chain or binary")
 	maxAttempts := fs.Int("max-attempts", 6, "with -topology, the supervisor's retry budget")
 	deadline := fs.Float64("deadline", 0, "with -topology, per-attempt deadline in simulated seconds (0 = none)")
+	ticks := fs.Int("health", 0, "run the population through this many ticks of the health control loop")
+	faultUntil := fs.Int("fault-until", 45, "with -health, the first tick the faults are repaired (0 = never)")
+	healthEvery := fs.Int("health-every", 20, "with -health, ticks between state tables (0 = final only)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil
@@ -141,14 +161,17 @@ func run(args []string, w io.Writer) error {
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
+	// Every runner but the default is named after the flag that
+	// selects it.
 	runner := oneRound
-	switch {
-	case set["rounds"] && set["topology"]:
-		return usage("give at most one of -rounds and -topology")
-	case set["rounds"]:
-		runner = multi
-	case set["topology"]:
-		runner = tree
+	for _, r := range []string{multi, tree, loop} {
+		if !set[r[1:]] {
+			continue
+		}
+		if runner != oneRound {
+			return usage("give at most one of -rounds, -topology and -health")
+		}
+		runner = r
 	}
 	unread := ""
 	fs.Visit(func(f *flag.Flag) {
@@ -245,6 +268,10 @@ func run(args []string, w io.Writer) error {
 		fmt.Fprintln(w)
 		acceptedTable(rep).Render(w)
 		return nil
+	case loop:
+		if err := runHealth(w, s, *ticks, *faultUntil, *healthEvery, ob); err != nil {
+			return err
+		}
 	default:
 		s.Obs = ob
 		res, err := s.run()

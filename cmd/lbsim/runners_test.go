@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,8 +14,11 @@ import (
 	"repro/internal/distmech"
 	"repro/internal/experiments"
 	"repro/internal/faults"
+	"repro/internal/health"
 	"repro/internal/mech"
+	"repro/internal/obs"
 	"repro/internal/protocol"
+	"repro/internal/registry"
 	"repro/internal/rounds"
 	"repro/internal/supervise"
 )
@@ -37,6 +42,21 @@ func plan(t *testing.T, spec string) faults.Injector {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// loadFile loads a scenario file.
+func loadFile(t *testing.T, path string) *scenario {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	s, err := loadScenario(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 // TestRoundsRunsThePaperSystem pins the -rounds runner on experiment
@@ -98,15 +118,7 @@ func TestRoundsRunsThePaperSystem(t *testing.T) {
 // the accepted allocation, or only the trace when the round fails.
 func TestTopologyRunsTheTreePopulation(t *testing.T) {
 	const path = "testdata/tree12.json"
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := loadScenario(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := loadFile(t, path)
 	agents := make([]mech.Agent, 12)
 	for i := range agents {
 		tv := 1 + 0.15*float64(i)
@@ -202,9 +214,152 @@ func TestReplicationsWorkerInvariant(t *testing.T) {
 	}
 }
 
+// demoConfig is the configuration of the health chaos demo the
+// -health runner took over: what the demo's flags set.
+type demoConfig struct {
+	ticks      int
+	plan       string
+	faultUntil int
+	seed       uint64
+	shards     int
+	every      int
+	metrics    bool
+}
+
+// demo is the health chaos demo as it ran before it was an lbsim
+// runner: computer i of 8 declares 2 + 0.5·i at R = 20, and the fault
+// plan is active from tick 5.
+func demo(t *testing.T, cfg demoConfig, w io.Writer) {
+	t.Helper()
+	const computers, faultFrom = 8, 5
+	p, err := faults.ParseSpec(cfg.plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var inj faults.Injector
+	if p != nil {
+		inj = faults.Reseed(p, cfg.seed)
+	}
+	var ob *obs.Observer
+	if cfg.metrics {
+		ob = obs.New(0)
+	}
+	reg, err := registry.New(registry.Config{Rate: 20, Shards: cfg.shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := health.NewSource(cfg.seed, inj, health.SourceConfig{FaultFrom: faultFrom, FaultUntil: cfg.faultUntil})
+	ctl := health.New(health.Config{}, reg, ob)
+	for i := 0; i < computers; i++ {
+		declared := 2 + 0.5*float64(i)
+		id, err := reg.Add(declared)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src.Add(id, declared)
+		if err := ctl.Track(id, declared); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	hc := ctl.Config()
+	fmt.Fprintf(w, "Health control loop: %d computers, %d ticks, plan %q active [%d, %s).\n",
+		computers, cfg.ticks, cfg.plan, faultFrom, untilLabel(cfg.faultUntil))
+	fmt.Fprintf(w, "Policy: max_fails %d/%d ticks, fail_timeout %d, recover streak %d, slow-start %.2f over %d ticks.\n\n",
+		hc.MaxFails, hc.FailWindow, hc.FailTimeout, hc.RecoverStreak, hc.SlowStartWeight, hc.SlowStartTicks)
+	var sealed *registry.Snapshot
+	corrected := 0
+	for tick := 1; tick <= cfg.ticks; tick++ {
+		rep := ctl.Tick(src.Tick(tick))
+		for _, tr := range rep.Transitions {
+			z := "-"
+			if !math.IsNaN(tr.Z) {
+				z = fmt.Sprintf("z=%.1f", tr.Z)
+			}
+			fmt.Fprintf(w, "tick %3d  computer %d  %s -> %s  (%s %s)\n",
+				tr.Tick, tr.ID, tr.From, tr.To, tr.Reason, z)
+		}
+		if rep.Sealed != nil {
+			sealed = rep.Sealed
+			corrected++
+		}
+		if cfg.every > 0 && tick%cfg.every == 0 {
+			stateTable(ctl, sealed, tick).Render(w)
+			fmt.Fprintln(w)
+		}
+	}
+	if cfg.every <= 0 || cfg.ticks%cfg.every != 0 {
+		stateTable(ctl, sealed, cfg.ticks).Render(w)
+	}
+	healthy := 0
+	for _, id := range ctl.Tracked() {
+		if st, _, _ := ctl.State(id); st == health.Healthy {
+			healthy++
+		}
+	}
+	epoch := uint64(0)
+	if sealed != nil {
+		epoch = sealed.Epoch()
+	}
+	fmt.Fprintf(w, "\n%d/%d computers healthy after %d ticks; %d corrected epochs sealed (last epoch %d).\n",
+		healthy, computers, cfg.ticks, corrected, epoch)
+	if ob != nil {
+		fmt.Fprintln(w)
+		if err := ob.Dump(w, true, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestHealthRunsTheDemo pins the -health runner on health8.json to the
+// chaos demo it replaced: the file holds the demo's eight computers,
+// rate, seed and default plan, and each command line prints what the
+// demo printed for the same settings, at any registry shard count.
+func TestHealthRunsTheDemo(t *testing.T) {
+	const path = "testdata/health8.json"
+	const defaultPlan = "crash=1,stall=3@0.5:1,byz=5@1.6,flap=6@8:0.75"
+	s := loadFile(t, path)
+	if len(s.Computers) != 8 || s.Rate != 20 || s.Seed != 1 || s.FaultSpec != defaultPlan {
+		t.Fatalf("health8.json: %d computers, R=%g, seed %d, faults %q; want 8, 20, 1, %q",
+			len(s.Computers), s.Rate, s.Seed, s.FaultSpec, defaultPlan)
+	}
+	for i, c := range s.Computers {
+		if want := 2 + 0.5*float64(i); math.Float64bits(c.True) != math.Float64bits(want) || c.BidFactor != 1 || c.ExecFactor != 1 {
+			t.Fatalf("computer %d: %+v, want true value %v bitwise and unit factors", i, c, want)
+		}
+	}
+	for _, tc := range []struct {
+		args []string
+		cfg  demoConfig
+	}{
+		{[]string{"-health", "80"},
+			demoConfig{ticks: 80, plan: defaultPlan, faultUntil: 45, seed: 1, every: 20}},
+		{[]string{"-health", "60", "-faults", "crash=1,flap=3@8:0.75", "-fault-until", "35"},
+			demoConfig{ticks: 60, plan: "crash=1,flap=3@8:0.75", faultUntil: 35, seed: 1, shards: 1, every: 20}},
+		{[]string{"-health", "120", "-seed", "7", "-health-every", "0", "-fault-until", "0"},
+			demoConfig{ticks: 120, plan: defaultPlan, seed: 7, shards: 64}},
+		{[]string{"-health", "60", "-faults", "crash=1,flap=3@8:0.75", "-fault-until", "35", "-metrics"},
+			demoConfig{ticks: 60, plan: "crash=1,flap=3@8:0.75", faultUntil: 35, seed: 1, every: 20, metrics: true}},
+		{[]string{"-health", "70", "-faults", "crash=1,flap=4@6:0.75", "-fault-until", "40", "-health-every", "7"},
+			demoConfig{ticks: 70, plan: "crash=1,flap=4@6:0.75", faultUntil: 40, seed: 1, every: 7}},
+	} {
+		args := append([]string{"-scenario", path}, tc.args...)
+		got, err := lbsim(args...)
+		if err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		var want strings.Builder
+		demo(t, tc.cfg, &want)
+		if got != want.String() {
+			t.Errorf("%v: output differs from the demo:\n%s\nwant:\n%s", args, got, want.String())
+		}
+	}
+}
+
 // TestRunnerRefusals pins the command lines no runner accepts: a flag
-// its runner does not read, both runners at once, and populations the
-// linear-only -rounds and -topology runners cannot run.
+// its runner does not read, two runners at once, populations the
+// linear-only -rounds, -topology and -health runners cannot run, and
+// a fault plan naming a computer outside the population.
 func TestRunnerRefusals(t *testing.T) {
 	for _, args := range [][]string{
 		{"-strikes", "3"},
@@ -219,6 +374,14 @@ func TestRunnerRefusals(t *testing.T) {
 		{"-topology", "chain", "-workers", "2"},
 		{"-max-attempts", "2"},
 		{"-no-such-flag"},
+		{"-health", "5", "-jobs", "10"},
+		{"-health", "5", "-dropouts"},
+		{"-health", "5", "-strikes", "3"},
+		{"-fault-until", "5"},
+		{"-health-every", "5"},
+		{"-health-every", "5", "-rounds", "5"},
+		{"-health", "5", "-rounds", "5"},
+		{"-health", "5", "-topology", "star"},
 	} {
 		out, err := lbsim(args...)
 		if !errors.Is(err, errUsage) || out != "" {
@@ -231,13 +394,36 @@ func TestRunnerRefusals(t *testing.T) {
 		"computers": [{"true": 1}, {"true": 2}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	factor := filepath.Join(t.TempDir(), "factor.json")
+	if err := os.WriteFile(factor, []byte(`{"name": "f", "rate": 6,
+		"computers": [{"true": 1}, {"true": 2, "exec_factor": 2}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	refused := [][]string{
+		{"-health", "0"},
+		{"-scenario", factor, "-health", "5"},
+		{"-experiment", "True2", "-health", "5"},
+	}
 	for _, path := range []string{"testdata/mm1.json", dropouts} {
-		for _, runner := range [][]string{{"-rounds", "2"}, {"-topology", "star"}} {
-			args := append([]string{"-scenario", path}, runner...)
-			out, err := lbsim(args...)
-			if err == nil || errors.Is(err, errUsage) || out != "" {
-				t.Errorf("%v: err %v with %d bytes of report, want a scenario error and none", args, err, len(out))
-			}
+		for _, runner := range [][]string{{"-rounds", "2"}, {"-topology", "star"}, {"-health", "2"}} {
+			refused = append(refused, append([]string{"-scenario", path}, runner...))
+		}
+	}
+	for _, args := range refused {
+		out, err := lbsim(args...)
+		if err == nil || errors.Is(err, errUsage) || out != "" {
+			t.Errorf("%v: err %v with %d bytes of report, want a scenario error and none", args, err, len(out))
+		}
+	}
+
+	for _, args := range [][]string{
+		{"-health", "10", "-faults", "crash=99"},
+		{"-scenario", "testdata/health8.json", "-health", "10", "-faults", "stall=8@0.5:1"},
+	} {
+		out, err := lbsim(args...)
+		var re *faults.RangeError
+		if !errors.As(err, &re) || out != "" {
+			t.Errorf("%v: err %v with %d bytes of report, want a *faults.RangeError and none", args, err, len(out))
 		}
 	}
 }

@@ -4,8 +4,8 @@ package health
 // turns a faults.Plan into the estimate streams the Controller would
 // see from live traffic, so every state transition — degradation,
 // ejection, probing, slow-start recovery — can be replayed bitwise
-// from (seed, plan, declared values) alone. The chaos tests and the
-// lbserve -health demo are built on it.
+// from (seed, plan, declared values) alone. The chaos tests and
+// lbsim's -health runner are built on it.
 
 import (
 	"math"
@@ -15,19 +15,23 @@ import (
 	"repro/internal/faults"
 )
 
-// SourceConfig tunes the synthetic observation stream. The zero value
-// gets defaults.
+// The synthetic observation stream's fixed shape.
+const (
+	// noise is the relative sampling noise of a healthy observation:
+	// estimates land within ~1% of truth.
+	noise = 0.01
+	// samples is the pseudo sample count behind each estimate; the
+	// standard error shrinks as 1/sqrt(samples).
+	samples = 64
+	// slowdown is the realized-latency multiplier of a stalled or
+	// flapping-in-stalled-phase computer: it executes 50% slower than
+	// declared.
+	slowdown = 1.5
+)
+
+// SourceConfig sets the fault window of the synthetic observation
+// stream. The zero value gets defaults.
 type SourceConfig struct {
-	// Noise is the relative sampling noise of a healthy observation
-	// (default 0.01: estimates land within ~1% of truth).
-	Noise float64
-	// Samples is the pseudo sample count behind each estimate
-	// (default 64); the standard error shrinks as 1/sqrt(Samples).
-	Samples int
-	// Slowdown is the realized-latency multiplier of a stalled or
-	// flapping-in-stalled-phase computer (default 1.5: it executes 50%
-	// slower than declared).
-	Slowdown float64
 	// FaultFrom is the first control tick (1-based) at which the fault
 	// plan is active (default 1: faulty from the start). Before it,
 	// every computer behaves honestly — use it to let the controller
@@ -41,15 +45,6 @@ type SourceConfig struct {
 }
 
 func (c SourceConfig) withDefaults() SourceConfig {
-	if c.Noise <= 0 || math.IsNaN(c.Noise) {
-		c.Noise = 0.01
-	}
-	if c.Samples <= 1 {
-		c.Samples = 64
-	}
-	if c.Slowdown <= 1 || math.IsNaN(c.Slowdown) {
-		c.Slowdown = 1.5
-	}
 	if c.FaultFrom <= 0 {
 		c.FaultFrom = 1
 	}
@@ -99,7 +94,7 @@ func (s *Source) Active(tick int) bool {
 // Tick produces the tick's observations in ascending-id order. Crashed
 // and silent computers produce none (the controller counts the silent
 // tick as a timeout); stalled and flapping-in-phase computers report
-// Slowdown-inflated latency; Byzantine computers report latency
+// slowdown-inflated latency; Byzantine computers report latency
 // inflated by their claim factor. The returned slice is reused across
 // calls.
 func (s *Source) Tick(tick int) []Observation {
@@ -112,29 +107,29 @@ func (s *Source) Tick(tick int) []Observation {
 			case faults.NodeCrashed, faults.NodeSilent:
 				continue // no response: the controller sees a timeout
 			case faults.NodeStalled:
-				factor = s.cfg.Slowdown
+				factor = slowdown
 			case faults.NodeByzantine:
 				if cf := s.inj.ClaimFactor(id); cf > 1 {
 					factor = cf
 				} else {
-					factor = s.cfg.Slowdown
+					factor = slowdown
 				}
 			case faults.NodeFlapping:
 				if faults.FlapStalled(s.inj, id, tick) {
-					factor = s.cfg.Slowdown
+					factor = slowdown
 				}
 			}
 		}
 		truth := s.declared[id] * factor
 		g := gauss(s.seed, uint64(id), uint64(tick))
-		value := truth * (1 + s.cfg.Noise*g)
-		se := truth * s.cfg.Noise / math.Sqrt(float64(s.cfg.Samples))
+		value := truth * (1 + noise*g)
+		se := truth * noise / math.Sqrt(samples)
 		s.buf = append(s.buf, Observation{
 			ID: id,
 			Est: estimate.Estimate{
 				Value:  value,
 				StdErr: se,
-				N:      s.cfg.Samples,
+				N:      samples,
 				Lo:     value - 1.959963984540054*se,
 				Hi:     value + 1.959963984540054*se,
 			},

@@ -22,7 +22,7 @@ func (b *batcher) push(q *wire.Request) {
 	case wire.OpLeave:
 		kind = registry.BatchLeave
 	}
-	b.ops = append(b.ops, registry.BatchOp{Kind: kind, ID: int(q.ID), T: q.T})
+	b.ops = append(b.ops, registry.BatchOp{Kind: kind, ID: agentID(q.ID), T: q.T})
 	b.req = append(b.req, q.Req)
 }
 

@@ -294,8 +294,18 @@ type batcher struct {
 
 // queue appends one bid op and its request id to the pending batch.
 func (b *batcher) queue(kind registry.BatchKind, req, id uint64, t float64) {
-	b.ops = append(b.ops, registry.BatchOp{Kind: kind, ID: int(id), T: t})
+	b.ops = append(b.ops, registry.BatchOp{Kind: kind, ID: agentID(id), T: t})
 	b.req = append(b.req, req)
+}
+
+// agentID maps a wire id to a registry id. An id no int holds (one
+// above math.MaxInt, which a 32-bit build can receive) becomes -1,
+// which names no agent, instead of wrapping onto another agent's id.
+func agentID(id uint64) int {
+	if id > math.MaxInt {
+		return -1
+	}
+	return int(id)
 }
 
 // opOf maps a batch kind back to its wire op.
@@ -556,7 +566,7 @@ func (s *Server) serve(q wire.Request, fr *wire.Framer, wbuf []byte, ss *session
 		return appendEpoch(fr, wbuf, wire.OpEpoch, q.Req, reg.Snapshot())
 	case wire.OpLoad:
 		snap := reg.Snapshot()
-		x, ok := snap.Load(int(q.ID))
+		x, ok := snap.Load(agentID(q.ID))
 		if !ok {
 			return appendStatus(fr, wbuf, wire.OpLoad, q.Req, wire.StatusUnknownID)
 		}
@@ -564,7 +574,7 @@ func (s *Server) serve(q wire.Request, fr *wire.Framer, wbuf []byte, ss *session
 		wbuf, _ = fr.AppendResponse(wbuf, &p)
 		return wbuf
 	case wire.OpPayment:
-		comp, bonus, ok := reg.Snapshot().Payment(int(q.ID))
+		comp, bonus, ok := reg.Snapshot().Payment(agentID(q.ID))
 		if !ok {
 			return appendStatus(fr, wbuf, wire.OpPayment, q.Req, wire.StatusUnknownID)
 		}

@@ -184,6 +184,8 @@ func randomStream(seed uint64, n int) []byte {
 				q.T = math.NaN()
 			case 2:
 				q.ID = 1<<63 + 5
+			case 3:
+				q.ID = 1<<32 + 1 // agent 1's id plus 2^32
 			}
 			if q.Op == wire.OpRate {
 				q.T *= 100
@@ -385,5 +387,45 @@ func TestServeWakeupAllocFree(t *testing.T) {
 		if len(w.wbuf) == 0 {
 			t.Fatalf("acks %v: the wakeup answered nothing", acks)
 		}
+	}
+}
+
+// TestWakeupWideIDsNameNoAgent pins that a wire id no int holds on a
+// 32-bit build names no agent there either: with agents 0–2 admitted
+// and sealed, a rebid, leave, load and payment of id 2^32+1 are each
+// answered unknown id, on any word size, and agent 1 keeps its bid.
+func TestWakeupWideIDsNameNoAgent(t *testing.T) {
+	const wide = 1<<32 + 1
+	e := encoder{}
+	e.run(append(adds(1, 3), wire.Request{Op: wire.OpSeal, Req: 4})...)
+	e.run(
+		wire.Request{Op: wire.OpRebid, Req: 5, ID: wide, T: 9},
+		wire.Request{Op: wire.OpLeave, Req: 6, ID: wide},
+		wire.Request{Op: wire.OpLoad, Req: 7, ID: wide},
+		wire.Request{Op: wire.OpPayment, Req: 8, ID: wide},
+		wire.Request{Op: wire.OpLoad, Req: 9, ID: 1},
+	)
+	w := newWakeupSide(t, 255, 255, nil, e.b)
+	if _, err := w.ss.rd.Fill(w.src); err != nil {
+		t.Fatal(err)
+	}
+	out, err := w.srv.wakeup(w.ss, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := decodeAll(t, out)
+	if len(got) != 9 {
+		t.Fatalf("got %d responses %+v, want 9", len(got), got)
+	}
+	for _, p := range got[4:8] {
+		if p.Status != wire.StatusUnknownID {
+			t.Errorf("op %d of id 2^32+1 (request %d): status %d, want unknown id", p.Op, p.Req, p.Status)
+		}
+	}
+	if p := got[8]; p.Op != wire.OpLoad || p.Status != wire.StatusOK {
+		t.Errorf("load of agent 1: %+v, want an OK load", p)
+	}
+	if bid, ok := w.reg.Seal().Value(1); !ok || bid != 2 {
+		t.Errorf("agent 1 after the wide-id requests: bid %v, live %v; want 2, live", bid, ok)
 	}
 }
