@@ -57,7 +57,7 @@ func runHealth(w io.Writer, s *scenario, ticks, faultUntil, every int, ob *obs.O
 		return err
 	}
 	src := health.NewSource(s.Seed, inj, health.SourceConfig{FaultFrom: faultFrom, FaultUntil: faultUntil})
-	ctl := health.New(health.Config{}, reg, ob)
+	ctl := health.New(reg, ob)
 	for _, c := range s.Computers {
 		id, err := reg.Add(c.True)
 		if err != nil {
@@ -69,11 +69,10 @@ func runHealth(w io.Writer, s *scenario, ticks, faultUntil, every int, ob *obs.O
 		}
 	}
 
-	hc := ctl.Config()
 	fmt.Fprintf(w, "Health control loop: %d computers, %d ticks, plan %q active [%d, %s).\n",
 		len(s.Computers), ticks, s.FaultSpec, faultFrom, untilLabel(faultUntil))
 	fmt.Fprintf(w, "Policy: max_fails %d/%d ticks, fail_timeout %d, recover streak %d, slow-start %.2f over %d ticks.\n\n",
-		hc.MaxFails, hc.FailWindow, hc.FailTimeout, hc.RecoverStreak, hc.SlowStartWeight, hc.SlowStartTicks)
+		health.MaxFails, health.FailWindow, health.FailTimeout, health.RecoverStreak, health.SlowStartWeight, health.SlowStartTicks)
 
 	var sealed *registry.Snapshot
 	corrected := 0

@@ -47,12 +47,13 @@
 //	}
 //
 // With -scenario, the -jobs, -seed, -faults and -dropouts flags that are
-// set on the command line override the file's values. The -rounds,
-// -topology and -health runners take linear scenarios without
-// allow_dropouts. The -topology runner reads neither jobs nor seed,
-// and the -health runner reads no jobs and refuses a computer whose
-// factors are not 1, since there the fault plan decides who
-// misbehaves.
+// set on the command line override the file's values, also when they
+// set the zero value: an empty -faults runs no plan, and
+// -dropouts=false tolerates no dropouts. The -rounds, -topology and
+// -health runners take linear scenarios without allow_dropouts. The
+// -topology runner reads neither jobs nor seed, and the -health runner
+// reads no jobs and refuses a computer whose factors are not 1, since
+// there the fault plan decides who misbehaves.
 //
 // -faults, -metrics, -trace, -cpuprofile and -memprofile apply to every
 // runner; any other flag the chosen runner does not read is a usage
@@ -190,11 +191,11 @@ func run(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if *faultSpec != "" {
+	if set["faults"] {
 		s.FaultSpec = *faultSpec
 	}
-	if *dropouts {
-		s.AllowDropouts = true
+	if set["dropouts"] {
+		s.AllowDropouts = *dropouts
 	}
 	if runner != oneRound {
 		if err := s.linearOnly(runner); err != nil {

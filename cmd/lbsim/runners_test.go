@@ -249,7 +249,7 @@ func demo(t *testing.T, cfg demoConfig, w io.Writer) {
 		t.Fatal(err)
 	}
 	src := health.NewSource(cfg.seed, inj, health.SourceConfig{FaultFrom: faultFrom, FaultUntil: cfg.faultUntil})
-	ctl := health.New(health.Config{}, reg, ob)
+	ctl := health.New(reg, ob)
 	for i := 0; i < computers; i++ {
 		declared := 2 + 0.5*float64(i)
 		id, err := reg.Add(declared)
@@ -262,11 +262,10 @@ func demo(t *testing.T, cfg demoConfig, w io.Writer) {
 		}
 	}
 
-	hc := ctl.Config()
 	fmt.Fprintf(w, "Health control loop: %d computers, %d ticks, plan %q active [%d, %s).\n",
 		computers, cfg.ticks, cfg.plan, faultFrom, untilLabel(cfg.faultUntil))
 	fmt.Fprintf(w, "Policy: max_fails %d/%d ticks, fail_timeout %d, recover streak %d, slow-start %.2f over %d ticks.\n\n",
-		hc.MaxFails, hc.FailWindow, hc.FailTimeout, hc.RecoverStreak, hc.SlowStartWeight, hc.SlowStartTicks)
+		health.MaxFails, health.FailWindow, health.FailTimeout, health.RecoverStreak, health.SlowStartWeight, health.SlowStartTicks)
 	var sealed *registry.Snapshot
 	corrected := 0
 	for tick := 1; tick <= cfg.ticks; tick++ {
@@ -353,6 +352,48 @@ func TestHealthRunsTheDemo(t *testing.T) {
 		if got != want.String() {
 			t.Errorf("%v: output differs from the demo:\n%s\nwant:\n%s", args, got, want.String())
 		}
+	}
+}
+
+// TestHealthEjectsTheFlapper pins the shipped health policy against
+// a flapper whose healthy phase is 3 ticks (period 6, half duty): the
+// recover streak outlasts the healthy phase, so computer 6 is ejected
+// instead of healing every cycle.
+func TestHealthEjectsTheFlapper(t *testing.T) {
+	out, err := lbsim("-scenario", "testdata/health8.json", "-health", "80", "-faults", "flap=6@6:0.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "computer 6  degraded -> ejected  (two-strike") {
+		t.Errorf("flapping computer 6 never ejected:\n%s", out)
+	}
+}
+
+// TestFlagsClearTheScenarioFile pins that a flag set on the command
+// line overrides the scenario file even when it sets the zero value:
+// an empty -faults runs without the file's plan, and -dropouts=false makes
+// a silent agent abort a scenario that allows dropouts.
+func TestFlagsClearTheScenarioFile(t *testing.T) {
+	out, err := lbsim("-scenario", "testdata/health8.json", "-health", "10", "-faults", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, `plan "" active`) || strings.Contains(out, "->") {
+		t.Errorf("-faults '' kept the file's plan:\n%s", out)
+	}
+
+	path := filepath.Join(t.TempDir(), "dropouts.json")
+	if err := os.WriteFile(path, []byte(`{"name": "d", "rate": 6, "jobs": 2000, "allow_dropouts": true,
+		"faults": "silent=2", "computers": [{"true": 1}, {"true": 2}, {"true": 3}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err = lbsim("-scenario", path)
+	if err != nil || !strings.Contains(out, "dropped agents: C3\n") {
+		t.Errorf("the file's allow_dropouts: err %v, report:\n%s", err, out)
+	}
+	out, err = lbsim("-scenario", path, "-dropouts=false")
+	if err == nil || errors.Is(err, errUsage) || !strings.Contains(err.Error(), "agent C3 failed to bid") || out != "" {
+		t.Errorf("-dropouts=false: err %v with %d bytes of report, want C3's failure to bid and none", err, len(out))
 	}
 }
 

@@ -4,6 +4,11 @@
 // here the mechanism *estimates* each computer's execution value ť
 // from the per-job latencies it observes, with confidence intervals,
 // and tests the estimate against the computer's declared value.
+//
+// There is one verification test, Verify, and one policy for it: an
+// estimate fails when it exceeds the declaration by more than the
+// margin (5%) at a one-sided z above zThreshold (3). The protocol
+// round and the health control loop both call it.
 package estimate
 
 import (
@@ -13,9 +18,6 @@ import (
 
 	"repro/internal/stats"
 )
-
-// ln2 is used by the robust median-based estimator.
-const ln2 = 0.6931471805599453
 
 // Estimate is a point estimate of an execution value ť with a normal-
 // approximation confidence interval.
@@ -50,34 +52,6 @@ func FromFlowDelays(delays []float64, x float64) (Estimate, error) {
 		Value:  v,
 		StdErr: se,
 		N:      s.N(),
-		Lo:     v - z95*se,
-		Hi:     v + z95*se,
-	}, nil
-}
-
-// FromFlowDelaysRobust estimates ť from the sample median, which for
-// exponential delays with mean ť*x sits at ť*x*ln2. It resists
-// contamination by outliers (e.g. a node occasionally stalling),
-// trading ~25% statistical efficiency for robustness. The reported
-// standard error uses the asymptotic variance of the exponential
-// median.
-func FromFlowDelaysRobust(delays []float64, x float64) (Estimate, error) {
-	if len(delays) == 0 {
-		return Estimate{}, errors.New("estimate: no observations")
-	}
-	if x <= 0 || math.IsNaN(x) {
-		return Estimate{}, fmt.Errorf("estimate: invalid arrival rate %g", x)
-	}
-	med := stats.Median(delays)
-	v := med / (x * ln2)
-	// Asymptotic: sd(median) = 1/(2 f(m) sqrt(n)) with f the density at
-	// the median; for Exp(rate λ), f(m) = λ/2, so sd = 1/(λ sqrt(n)).
-	// Here λ = 1/(ť x), estimated by the point estimate itself.
-	se := v / math.Sqrt(float64(len(delays)))
-	return Estimate{
-		Value:  v,
-		StdErr: se,
-		N:      len(delays),
 		Lo:     v - z95*se,
 		Hi:     v + z95*se,
 	}, nil
@@ -134,10 +108,10 @@ type Verdict struct {
 	Estimated float64
 	// Declared is the value the computer bid.
 	Declared float64
-	// ZScore is (estimated - declared) / stderr.
+	// ZScore is (estimated - declared*(1+margin)) / stderr.
 	ZScore float64
 	// Deviating is true when the estimate exceeds the declaration by
-	// more than the chosen significance threshold — the computer
+	// more than the margin at a z above zThreshold — the computer
 	// executed slower than it promised.
 	Deviating bool
 	// Invalid is true when the verdict could not be computed: the
@@ -158,22 +132,24 @@ func isFinite(f float64) bool {
 	return !math.IsNaN(f) && !math.IsInf(f, 0)
 }
 
-// Verify tests whether est is statistically above declared at the
-// given one-sided z threshold (e.g. 3 for ~0.1% false positives).
-// Only slower-than-declared execution counts as deviation, mirroring
-// the paper's ť >= t assumption.
-func Verify(est Estimate, declared, zThreshold float64) Verdict {
-	return VerifyWithMargin(est, declared, zThreshold, 0)
-}
+// The verification policy.
+const (
+	// zThreshold is the one-sided z a failing estimate must exceed
+	// (~0.1% false positives per test).
+	zThreshold = 3
+	// margin is the practical-significance margin: only an excess over
+	// declared*(1+margin) counts. With very large samples a
+	// statistically significant excess can be operationally
+	// meaningless (estimator bias under measurement faults is on the
+	// order of the contamination fraction), so slowdowns under 5% are
+	// not worth punishing.
+	margin = 0.05
+)
 
-// VerifyWithMargin additionally requires *practical* significance: the
-// estimate must exceed declared*(1+margin) at the z threshold, not
-// just declared. With very large samples a statistically significant
-// excess can be operationally meaningless (estimator bias under
-// measurement faults is on the order of the contamination fraction),
-// so production deployments should set a margin reflecting the
-// smallest slowdown worth punishing.
-func VerifyWithMargin(est Estimate, declared, zThreshold, margin float64) Verdict {
+// Verify tests whether est exceeds declared*(1+margin) at a one-sided
+// z above zThreshold. Only slower-than-declared execution counts as
+// deviation, mirroring the paper's ť >= t assumption.
+func Verify(est Estimate, declared float64) Verdict {
 	v := Verdict{Estimated: est.Value, Declared: declared}
 	threshold := declared * (1 + margin)
 	// A NaN anywhere in the z-score makes every comparison below

@@ -19,11 +19,9 @@ type Transport struct {
 	Eng *sim.Engine
 	// Inj decides message fates; nil injects nothing.
 	Inj Injector
-	// Hop is the base per-message latency in simulated seconds.
+	// Hop is the base per-message latency in simulated seconds; a
+	// duplicate copy arrives Hop/2 after the first delivery.
 	Hop float64
-	// DupLag is the extra delay of a duplicate copy beyond the first
-	// delivery (default Hop/2).
-	DupLag float64
 	// Obs counts injected faults by kind; nil disables (free).
 	Obs *obs.FaultMetrics
 
@@ -74,11 +72,7 @@ func (t *Transport) Send(from, to int, kind string, deliver func()) {
 	t.Delivered++
 	if d.Duplicate {
 		t.Obs.Injected("duplicate")
-		lag := t.DupLag
-		if lag <= 0 {
-			lag = t.Hop / 2
-		}
-		t.Eng.Schedule(delay+lag, deliver)
+		t.Eng.Schedule(delay+t.Hop/2, deliver)
 		t.Delivered++
 		t.Duplicated++
 	}

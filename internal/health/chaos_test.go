@@ -40,15 +40,11 @@ func chaosRun(t *testing.T, seed uint64, shards int) (transcript, epochs string,
 		t.Fatal(err)
 	}
 	src := NewSource(seed, chaosPlan(seed), SourceConfig{FaultFrom: 5, FaultUntil: 60})
-	// RecoverStreak must exceed the flapping computer's healthy
-	// half-phase (period 6, duty 0.5 → 3 clean ticks per cycle), or the
-	// flapper heals from suspect/degraded every cycle and oscillates
-	// forever instead of being ejected — exactly the situation the
-	// hysteresis knobs exist for.
-	c = New(Config{
-		MaxFails: 3, FailWindow: 6, FailTimeout: 8, RecoverStreak: 4,
-		SlowStartTicks: 6,
-	}, reg, nil)
+	// The shipped policy, no override: RecoverStreak exceeds the
+	// flapping computer's healthy half-phase (period 6, duty 0.5 → 3
+	// clean ticks per cycle), so the flapper cannot heal from
+	// suspect/degraded every cycle and is ejected.
+	c = New(reg, nil)
 
 	for i := 0; i < 12; i++ {
 		declared := 2 + 0.5*float64(i)
@@ -88,16 +84,23 @@ func chaosRun(t *testing.T, seed uint64, shards int) (transcript, epochs string,
 	return tlog.String(), elog.String(), c
 }
 
-// TestChaosReplications is the acceptance gate: across 32 seeded
-// replications the controller ejects every faulty computer within the
-// detection budget, never degrades or ejects an honest one, and
-// reinstates every repaired computer through the slow-start ramp back
-// to full weight.
+// TestChaosReplications is the acceptance gate of the shipped policy:
+// across 32 seeded replications, at registry shard counts 1, 4 and 32,
+// the controller ejects every faulty computer within the detection
+// budget, never degrades or ejects an honest one, and reinstates every
+// repaired computer through the slow-start ramp back to full weight.
 func TestChaosReplications(t *testing.T) {
 	for seed := uint64(1); seed <= 32; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			transcript, _, c := chaosRun(t, seed, 4)
+			transcript, epochs, c := chaosRun(t, seed, 4)
+			// The gate holds at every shard count: 1 and 32 shards
+			// replay the 4-shard run bitwise.
+			for _, shards := range []int{1, 32} {
+				if tr, ep, _ := chaosRun(t, seed, shards); tr != transcript || ep != epochs {
+					t.Fatalf("shards %d: transition log or corrected-epoch stream differs from 4 shards", shards)
+				}
+			}
 
 			// Parse ejection and reinstatement ticks per computer out of
 			// the transition transcript.
@@ -143,7 +146,8 @@ func TestChaosReplications(t *testing.T) {
 			// budget: faults start at tick 5; two failing max_fails
 			// windows back to back bound the two-strike path, with the
 			// flapping computer allowed its healthy half-phases.
-			budget := map[string]int{"crash": 5 + 2*6, "stall": 5 + 2*6, "byzantine": 5 + 2*6, "flap": 5 + 4*6}
+			steady := 5 + 2*FailWindow
+			budget := map[string]int{"crash": steady, "stall": steady, "byzantine": steady, "flap": 5 + 4*FailWindow}
 			for id, role := range chaosFaulty {
 				at, ok := ejectedAt[id]
 				if !ok {

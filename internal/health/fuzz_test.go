@@ -1,6 +1,7 @@
 package health
 
 import (
+	"bytes"
 	"math"
 	"testing"
 )
@@ -9,11 +10,9 @@ import (
 // machine. Anything outside it is a bug.
 var allowedEdges = map[[2]State]bool{
 	{Healthy, Suspect}:  true, // verify-fail
-	{Healthy, Ejected}:  true, // audit-two-strike
 	{Suspect, Degraded}: true, // max-fails
 	{Suspect, Healthy}:  true, // recovered
-	{Suspect, Ejected}:  true, // audit-two-strike
-	{Degraded, Ejected}: true, // two-strike or audit
+	{Degraded, Ejected}: true, // two-strike
 	{Degraded, Healthy}: true, // recovered
 	{Ejected, Probing}:  true, // fail-timeout
 	{Probing, Ejected}:  true, // probe-fail / probe-timeout
@@ -21,28 +20,29 @@ var allowedEdges = map[[2]State]bool{
 }
 
 // FuzzControllerInvariants drives a controller with arbitrary
-// observation / silence / audit sequences and checks the structural
-// invariants ISSUE.md pins: no invalid state is ever reachable, the
-// serving weight stays in (0, 1], every transition follows an allowed
-// edge, ejection holds for at least FailTimeout ticks, and
-// reinstatement needs at least RecoverStreak probe ticks (the
-// hysteresis floor — no instant flap back to serving).
+// observation / silence sequences and checks the structural invariants
+// of the state machine: no invalid state is ever reachable, the serving
+// weight stays in (0, 1], every transition follows an allowed edge,
+// ejection holds for at least FailTimeout ticks, and reinstatement
+// needs at least RecoverStreak probe ticks (the hysteresis floor — no
+// instant flap back to serving).
 func FuzzControllerInvariants(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add([]byte{9, 9, 9, 0, 0, 0, 9, 9, 9, 0, 0, 0})
 	f.Add([]byte{255, 128, 64, 32, 16, 8, 4, 2, 1})
 	f.Add([]byte("degrade me, probe me, bring me back"))
+	// The whole arc under the shipped policy: two failing windows
+	// eject, passes through the hold-down and the probe streak
+	// reinstate, and the slow-start ramp runs out.
+	arc := bytes.Repeat([]byte{1}, 2*MaxFails)
+	arc = append(arc, bytes.Repeat([]byte{0}, FailTimeout+RecoverStreak+SlowStartTicks)...)
+	f.Add(arc)
 
 	f.Fuzz(func(t *testing.T, events []byte) {
 		if len(events) > 512 {
 			events = events[:512]
 		}
-		cfg := Config{
-			MaxFails: 2, FailWindow: 4, FailTimeout: 3, RecoverStreak: 2,
-			SlowStartTicks: 3,
-		}
-		c := New(cfg, nil, nil)
-		eff := c.Config()
+		c := New(nil, nil)
 		const id = 5
 		if err := c.Track(id, 10); err != nil {
 			t.Fatal(err)
@@ -59,9 +59,8 @@ func FuzzControllerInvariants(f *testing.F) {
 			case 2: // dead band
 				obs = []Observation{obsAt(id, 10, 2)}
 			case 3: // silent tick
-			case 4: // audit strike plus a pass
-				_ = c.Audit(id)
-				obs = []Observation{obsAt(id, 10, -2)}
+			case 4: // a pass and a dead-band estimate in one tick
+				obs = []Observation{obsAt(id, 10, -2), obsAt(id, 10, 2)}
 			case 5: // invalid measurement
 				obs = []Observation{{ID: id, Est: obsAt(id, 10, 0).Est}}
 				obs[0].Est.StdErr = -1
@@ -88,18 +87,18 @@ func FuzzControllerInvariants(f *testing.F) {
 				case tr.To == Ejected:
 					ejectedAt, probingAt = tr.Tick, -1
 				case tr.From == Ejected && tr.To == Probing:
-					if ejectedAt >= 0 && tr.Tick-ejectedAt < eff.FailTimeout {
+					if ejectedAt >= 0 && tr.Tick-ejectedAt < FailTimeout {
 						t.Fatalf("hold-down violated: ejected at %d, probing at %d, fail_timeout %d",
-							ejectedAt, tr.Tick, eff.FailTimeout)
+							ejectedAt, tr.Tick, FailTimeout)
 					}
 					probingAt = tr.Tick
 				case tr.From == Probing && tr.To == Healthy:
-					if probingAt >= 0 && tr.Tick-probingAt < eff.RecoverStreak {
+					if probingAt >= 0 && tr.Tick-probingAt < RecoverStreak {
 						t.Fatalf("hysteresis violated: probing at %d, reinstated at %d, streak %d",
-							probingAt, tr.Tick, eff.RecoverStreak)
+							probingAt, tr.Tick, RecoverStreak)
 					}
-					if weight > eff.SlowStartWeight {
-						t.Fatalf("reinstated at weight %g > slow-start cap %g", weight, eff.SlowStartWeight)
+					if weight > SlowStartWeight {
+						t.Fatalf("reinstated at weight %g > slow-start cap %g", weight, SlowStartWeight)
 					}
 				}
 			}

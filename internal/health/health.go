@@ -7,27 +7,30 @@
 // A Controller consumes per-computer realized-latency estimates
 // (estimate.Estimate streams, fed from live traffic or a synthetic
 // probe Source), verifies each against the computer's declared value
-// with estimate.VerifyWithMargin, and runs a per-computer state
-// machine:
+// with estimate.Verify, and runs a per-computer state machine:
 //
 //	healthy → suspect → degraded → ejected → probing → healthy
 //
-// with nginx-style max_fails / fail_timeout semantics: a computer that
-// fails verification MaxFails times inside a FailWindow-tick sliding
-// window is degraded (its capacity discounted), a second failing
-// window — or two audit strikes fed from supervise.Classify verdicts —
-// ejects it, an ejected computer sits out FailTimeout ticks before
-// being probed, and a probed computer that passes RecoverStreak
-// consecutive checks is reinstated at a capped weight that ramps back
-// to full over SlowStartTicks control intervals.
+// with nginx-style max_fails / fail_timeout semantics and one policy,
+// the constants below: a computer that fails verification MaxFails (3)
+// times inside a FailWindow (6) tick sliding window is degraded (its
+// capacity halved), a second failing window ejects it, an ejected
+// computer sits out FailTimeout (8) ticks before being probed, and a
+// probed computer that passes RecoverStreak (4) consecutive checks is
+// reinstated at SlowStartWeight (0.25) and ramps back to full weight
+// over SlowStartTicks (6) control intervals. These are the settings
+// the 32-seed chaos gate (chaos_test.go) verifies.
 //
 // Trip and recovery are deliberately asymmetric (hysteresis): a fail
-// requires the estimate to exceed declared·(1+Margin) at z > ZTrip,
-// while a recovery credit requires z < ZRecover with ZRecover < ZTrip.
-// Observations landing between the two thresholds are a dead band that
-// neither strikes nor heals, so a computer hovering at the boundary —
-// or flapping deterministically, see faults.Flap — cannot oscillate
-// the control loop at observation frequency.
+// requires estimate.Verify to flag the estimate (more than 5% above
+// the declaration at z > 3), while a recovery credit requires
+// z < zRecover (1). Observations landing between the two thresholds
+// are a dead band that neither strikes nor heals, so a computer
+// hovering at the boundary cannot oscillate the control loop at
+// observation frequency. A computer flapping deterministically (see
+// faults.Flap) can heal only in a healthy phase of at least
+// RecoverStreak ticks, so a flapper healthy for at most 3 ticks per
+// cycle never heals between its bad phases.
 //
 // On every tick whose state or weights changed, the controller seals a
 // corrected registry epoch (registry.SealCorrected) with degraded and
@@ -45,14 +48,12 @@
 package health
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
 	"repro/internal/estimate"
 	"repro/internal/obs"
 	"repro/internal/registry"
-	"repro/internal/supervise"
 )
 
 // State is one computer's position in the serving state machine.
@@ -95,91 +96,37 @@ func (s State) String() string {
 // NumStates is the size of the state space (for table-driven tests).
 const NumStates = 5
 
-// Config tunes the control loop. The zero value gets production-ish
-// defaults; see each field.
-type Config struct {
-	// ZTrip is the one-sided z threshold a verification failure must
-	// exceed (default 3, ~0.1% per-observation false positives).
-	ZTrip float64
-	// ZRecover is the z threshold a recovery credit must stay under
-	// (default 1). Values >= ZTrip are clamped to ZTrip/2: recovery
-	// must be strictly harder than not-failing or hysteresis is lost.
-	ZRecover float64
-	// Margin is the practical-significance margin passed to
-	// estimate.VerifyWithMargin (default 0.05: slowdowns under 5% are
-	// not worth punishing).
-	Margin float64
+// The control policy.
+const (
 	// MaxFails is the nginx max_fails analog: verification failures
-	// inside one FailWindow before the computer is degraded
-	// (default 3).
-	MaxFails int
+	// inside one FailWindow before the computer is degraded.
+	MaxFails = 3
 	// FailWindow is the sliding window, in control ticks, over which
-	// fails accumulate (default 8).
-	FailWindow int
-	// AuditStrikes is the two-strike audit policy: supervised-round
-	// audit flags (supervise.Classify verdicts) before immediate
-	// ejection from any state (default 2).
-	AuditStrikes int
+	// fails accumulate.
+	FailWindow = 6
 	// FailTimeout is the nginx fail_timeout analog: ticks an ejected
-	// computer sits out before the controller starts probing it
-	// (default 10).
-	FailTimeout int
-	// RecoverStreak is how many consecutive recovery credits — probes
-	// under z < ZRecover — reinstate a probing computer, or heal a
-	// suspect/degraded one (default 3).
-	RecoverStreak int
-	// DegradedWeight is the capacity factor of a degraded computer
-	// (default 0.5).
-	DegradedWeight float64
+	// computer sits out before the controller starts probing it.
+	FailTimeout = 8
+	// RecoverStreak is how many consecutive recovery credits — checks
+	// under z < zRecover — reinstate a probing computer, or heal a
+	// suspect or degraded one. It must exceed a flapping computer's
+	// healthy phase, or the flapper can heal every cycle instead of
+	// being ejected.
+	RecoverStreak = 4
 	// SlowStartWeight is the capped weight a reinstated computer
-	// re-enters at (default 0.25).
-	SlowStartWeight float64
+	// re-enters at.
+	SlowStartWeight = 0.25
 	// SlowStartTicks is how many control ticks the weight takes to
-	// ramp from SlowStartWeight back to 1 (default 8).
-	SlowStartTicks int
-}
+	// ramp from SlowStartWeight back to 1.
+	SlowStartTicks = 6
 
-func (c Config) withDefaults() Config {
-	if c.ZTrip <= 0 {
-		c.ZTrip = 3
-	}
-	if c.ZRecover <= 0 {
-		c.ZRecover = 1
-	}
-	if c.ZRecover >= c.ZTrip {
-		c.ZRecover = c.ZTrip / 2
-	}
-	if c.Margin < 0 || math.IsNaN(c.Margin) {
-		c.Margin = 0
-	} else if c.Margin == 0 {
-		c.Margin = 0.05
-	}
-	if c.MaxFails <= 0 {
-		c.MaxFails = 3
-	}
-	if c.FailWindow <= 0 {
-		c.FailWindow = 8
-	}
-	if c.AuditStrikes <= 0 {
-		c.AuditStrikes = 2
-	}
-	if c.FailTimeout <= 0 {
-		c.FailTimeout = 10
-	}
-	if c.RecoverStreak <= 0 {
-		c.RecoverStreak = 3
-	}
-	if c.DegradedWeight <= 0 || c.DegradedWeight > 1 || math.IsNaN(c.DegradedWeight) {
-		c.DegradedWeight = 0.5
-	}
-	if c.SlowStartWeight <= 0 || c.SlowStartWeight > 1 || math.IsNaN(c.SlowStartWeight) {
-		c.SlowStartWeight = 0.25
-	}
-	if c.SlowStartTicks <= 0 {
-		c.SlowStartTicks = 8
-	}
-	return c
-}
+	// zRecover is the z threshold a recovery credit must stay under;
+	// it sits below estimate.Verify's trip threshold of 3, leaving the
+	// dead band between them.
+	zRecover = 1
+	// degradedWeight is the capacity factor of a degraded computer.
+	degradedWeight = 0.5
+)
 
 // Observation is one realized-latency estimate for one computer,
 // delivered to the controller at a control tick. Estimates for
@@ -201,8 +148,8 @@ type Transition struct {
 	// From and To are the states.
 	From, To State
 	// Reason is the canonical cause: verify-fail, max-fails,
-	// two-strike, audit-two-strike, recovered, fail-timeout,
-	// probe-fail, probe-timeout, reinstated.
+	// two-strike, recovered, fail-timeout, probe-fail, probe-timeout,
+	// reinstated.
 	Reason string
 	// Z is the z-score of the deciding observation (NaN when the
 	// transition was not observation-driven).
@@ -229,14 +176,12 @@ type machine struct {
 
 	failTicks    []int // ticks of recent verification fails (pruned to the window)
 	streak       int   // consecutive recovery credits
-	auditStrikes int
-	ejectedAt    int // tick of the last ejection
-	reinstatedAt int // tick of the last slow-start reinstatement, -1 when none
+	ejectedAt    int   // tick of the last ejection
+	reinstatedAt int   // tick of the last slow-start reinstatement, -1 when none
 }
 
 // Controller is the health control loop. See the package comment.
 type Controller struct {
-	cfg  Config
 	reg  *registry.Registry
 	met  *obs.HealthMetrics
 	tr   *obs.Observer
@@ -252,11 +197,10 @@ type Controller struct {
 
 // New returns a controller over reg (which may be nil for a pure
 // state-machine use, e.g. tests or sources that manage their own
-// allocation). met receives the HealthMetrics bundle; ob the trace
-// events. Both may be nil.
-func New(cfg Config, reg *registry.Registry, ob *obs.Observer) *Controller {
+// allocation). ob receives the HealthMetrics bundle and the trace
+// events; it may be nil.
+func New(reg *registry.Registry, ob *obs.Observer) *Controller {
 	return &Controller{
-		cfg:  cfg.withDefaults(),
 		reg:  reg,
 		met:  ob.HealthMetrics(),
 		tr:   ob,
@@ -265,9 +209,6 @@ func New(cfg Config, reg *registry.Registry, ob *obs.Observer) *Controller {
 		seen: map[int]int{},
 	}
 }
-
-// Config returns the effective (defaulted) configuration.
-func (c *Controller) Config() Config { return c.cfg }
 
 // Track registers a computer with the controller: its registry id and
 // the execution value it declared (the bid its verification is tested
@@ -315,36 +256,6 @@ func (c *Controller) State(id int) (State, float64, bool) {
 // Tracked returns the tracked ids in ascending order. The slice is
 // owned by the controller.
 func (c *Controller) Tracked() []int { return c.ids }
-
-// ErrUntracked reports audit feedback for an untracked computer.
-var ErrUntracked = errors.New("health: untracked computer")
-
-// Audit feeds one supervised-round audit strike for a computer,
-// sharing supervise.Classify's verdict semantics: an audit flag is
-// definitive evidence (a payment over-claim caught red-handed), so
-// AuditStrikes of them eject immediately from any state at the next
-// Tick, bypassing the statistical max_fails path.
-func (c *Controller) Audit(id int) error {
-	m, ok := c.byID[id]
-	if !ok {
-		return ErrUntracked
-	}
-	m.auditStrikes++
-	return nil
-}
-
-// ApplyVerdict feeds a supervise.Classify verdict into the audit
-// path: every roster-local index in v.ExcludeAudit is translated
-// through ids (the roster's registry ids) and counted as an audit
-// strike. Unknown or out-of-range indices are skipped, mirroring the
-// classifier's own sanitization.
-func (c *Controller) ApplyVerdict(v supervise.Verdict, ids []int) {
-	for _, local := range v.ExcludeAudit {
-		if local >= 0 && local < len(ids) {
-			_ = c.Audit(ids[local]) // untracked roster members are not ours to judge
-		}
-	}
-}
 
 // Tick runs one control interval: verifies the tick's observations,
 // steps every machine (ascending id order), and — when any state or

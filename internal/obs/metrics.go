@@ -5,11 +5,12 @@
 // bounded structured Event trace ring.
 //
 // Every metric type is nil-receiver-safe and allocation-free on the
-// record path, so instrumented hot paths (the mech payment engine,
-// the fault transport) cost nothing when observability is disabled: a
+// record path, so instrumented hot paths (the server's wakeup, the
+// fault transport) cost nothing when observability is disabled: a
 // nil *Counter, nil bundle or nil *Observer turns every record call
-// into a branch and a return. The allocation guards in internal/mech
-// pin this property down with testing.AllocsPerRun.
+// into a branch and a return. The server's wakeup allocation guard
+// records its metrics and still pins 0 allocations with
+// testing.AllocsPerRun.
 package obs
 
 import (

@@ -95,7 +95,6 @@ func TestNilSafety(t *testing.T) {
 	o.SuperviseMetrics().AttemptDone("deadline")
 	o.SuperviseMetrics().RetryScheduled(0.1)
 	o.SuperviseMetrics().Excluded("audit", 2)
-	o.EngineMetrics().RunDone(true, 10)
 	o.FaultMetrics().Injected("drop")
 	o.RegistryMetrics().Mutated("update", true)
 	o.RegistryMetrics().Sealed(5, 0.01, 0.001)
@@ -248,7 +247,7 @@ func TestConcurrentRecording(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				o.Round.AddMessages(1, 0, 0)
 				o.Supervise.RetryScheduled(0.01)
-				o.Engine.RunDone(w%2 == 0, 3)
+				o.Health.Transitioned("two-strike", w%2 == 0, false)
 				o.Faults.Injected("drop")
 				o.Emit(Event{Layer: "test", Kind: "tick", Node: w})
 			}
@@ -258,8 +257,8 @@ func TestConcurrentRecording(t *testing.T) {
 	if got := o.Round.MessagesSent.Value(); got != 1600 {
 		t.Errorf("messages sent = %d, want 1600", got)
 	}
-	if got := o.Engine.Payments.Value(); got != 4800 {
-		t.Errorf("payments = %d, want 4800", got)
+	if got := o.Health.Ejections.Value(); got != 800 {
+		t.Errorf("ejections = %d, want 800", got)
 	}
 	if got := o.Faults.Injections.Value("drop"); got != 1600 {
 		t.Errorf("drops = %d, want 1600", got)
@@ -281,7 +280,6 @@ func TestObserverSchemaComplete(t *testing.T) {
 		"lb_round_timeouts_total",
 		"lb_round_audit_flags_total",
 		"lb_supervise_retries_total",
-		"lb_mech_engine_runs_total",
 		"lb_fault_injections_total",
 		"lb_registry_epochs_sealed_total",
 		"lb_registry_coalesced_rebids_total",

@@ -59,21 +59,14 @@ type Engine struct {
 var errNeedTwoAgents = errors.New("protocol: need at least two agents")
 
 // ModelError reports a Config.Model the round cannot run: the round
-// simulates linear flow nodes and M/M/1 queues only, and it has a
-// robust estimator for the linear model only.
+// simulates linear flow nodes and M/M/1 queues only.
 type ModelError struct {
 	// Model names the rejected model.
 	Model string
-	// Robust is set when the model is supported but RobustEstimator
-	// was requested with it.
-	Robust bool
 }
 
 // Error implements error.
 func (e *ModelError) Error() string {
-	if e.Robust {
-		return fmt.Sprintf("protocol: no robust estimator for the %s model", e.Model)
-	}
 	return fmt.Sprintf("protocol: unsupported model %s (want linear or mm1)", e.Model)
 }
 
@@ -106,9 +99,6 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 	if _, linear := model.(mech.LinearModel); !linear && !mm1 {
 		return nil, &ModelError{Model: model.Name()}
 	}
-	if mm1 && cfg.RobustEstimator {
-		return nil, &ModelError{Model: model.Name(), Robust: true}
-	}
 	if err := faults.CheckNodes(cfg.Faults, n); err != nil {
 		return nil, err
 	}
@@ -118,14 +108,6 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 		if mm1 {
 			jobs = 50000
 		}
-	}
-	zth := cfg.ZThreshold
-	if zth <= 0 {
-		zth = 3
-	}
-	margin := cfg.MarginFrac
-	if margin <= 0 {
-		margin = 0.05
 	}
 	if cfg.Strategies != nil && len(cfg.Strategies) != n {
 		return nil, fmt.Errorf("protocol: %d strategies for %d agents", len(cfg.Strategies), n)
@@ -298,11 +280,8 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 			estimates[i] = estimate.Estimate{Value: agents[i].Bid, N: 0}
 		} else {
 			estFn := estimate.FromFlowDelays
-			switch {
-			case mm1:
+			if mm1 {
 				estFn = estimate.FromMM1Sojourns
-			case cfg.RobustEstimator:
-				estFn = estimate.FromFlowDelaysRobust
 			}
 			est, err := estFn(samples, x[i])
 			if err != nil {
@@ -310,7 +289,7 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 			}
 			estimates[i] = est
 		}
-		verdicts[i] = estimate.VerifyWithMargin(estimates[i], agents[i].Bid, zth, margin)
+		verdicts[i] = estimate.Verify(estimates[i], agents[i].Bid)
 		if verdicts[i].Invalid {
 			met.VerdictInvalid()
 			cfg.Obs.Emit(obs.Event{

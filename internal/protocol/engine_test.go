@@ -20,7 +20,7 @@ func TestEngineReuseMatchesFreshRuns(t *testing.T) {
 		{
 			Trues:      []float64{2, 2, 2},
 			Strategies: []Strategy{FactorStrategy{BidFactor: 1.5, ExecFactor: 1}, nil, nil},
-			Rate:       2, Jobs: 1500, Seed: 22, RobustEstimator: true,
+			Rate:       2, Jobs: 1500, Seed: 22,
 		},
 		{
 			Trues: []float64{1, 1, 4, 4, 6},

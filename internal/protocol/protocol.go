@@ -6,8 +6,11 @@
 //  2. each agent reports its (possibly false) bid,
 //  3. the coordinator computes the PR allocation and assigns loads,
 //  4. the allocated jobs are executed on a simulated cluster while
-//     the coordinator observes per-job latencies and estimates each
-//     agent's actual execution value ť (the verification step), and
+//     the coordinator observes per-job latencies, estimates each
+//     agent's actual execution value ť and verifies it against the
+//     bid with estimate.Verify, the one verification policy (an
+//     estimate more than 5% above the bid at z > 3 flags the agent),
+//     and
 //  5. the coordinator computes compensation-and-bonus payments from
 //     the estimates and delivers them.
 //
@@ -205,9 +208,6 @@ type Config struct {
 	Jobs int
 	// Seed drives all randomness in the round.
 	Seed uint64
-	// ZThreshold is the verification z-score above which an agent is
-	// flagged as deviating (default 3).
-	ZThreshold float64
 	// RecordMessages keeps the full message log.
 	RecordMessages bool
 	// AllowDropouts makes the coordinator tolerate agents that fail
@@ -215,18 +215,6 @@ type Config struct {
 	// recomputed over the responsive agents. Without it a silent
 	// agent aborts the round with an error.
 	AllowDropouts bool
-	// RobustEstimator switches the verification step from the
-	// mean-based estimator to the median-based one, which resists
-	// contaminated observations (e.g. nodes that occasionally stall)
-	// at ~25% statistical efficiency cost. Linear model only.
-	RobustEstimator bool
-	// MarginFrac is the practical-significance margin of the
-	// verification test: an agent is flagged only when its estimated
-	// execution value exceeds its bid by this fraction at the z
-	// threshold (default 0.05). Without a margin, very large samples
-	// flag operationally meaningless excesses such as the small bias
-	// robust estimators carry under contamination.
-	MarginFrac float64
 	// Faults injects faults into the round (see package faults): nodes
 	// marked crashed or silent never bid, stalled nodes corrupt the
 	// coordinator's latency observations, and the unreliable message

@@ -145,7 +145,6 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 			Rate:       rate,
 			Jobs:       jobs,
 			Seed:       cfg.Seed + uint64(round)*0x9e3779b9,
-			ZThreshold: pol.ZThreshold,
 			Obs:        cfg.Obs,
 		}
 		var pres *protocol.Result

@@ -21,8 +21,6 @@ type Policy struct {
 	Strikes int
 	// BanRounds is the suspension length in rounds (default 3).
 	BanRounds int
-	// ZThreshold is the verification significance threshold (default 3).
-	ZThreshold float64
 	// ForgiveAfter resets a computer's strike count when it has gone
 	// that many rounds without a flag (0 = strikes never decay).
 	// Without decay a rare false positive would count against an
@@ -36,9 +34,6 @@ func (p Policy) withDefaults() Policy {
 	}
 	if p.BanRounds <= 0 {
 		p.BanRounds = 3
-	}
-	if p.ZThreshold <= 0 {
-		p.ZThreshold = 3
 	}
 	return p
 }

@@ -81,9 +81,6 @@ func Quantile(xs []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Median returns the sample median of xs.
-func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
-
 // RelErr returns |got-want| / max(|want|, eps): the relative error of
 // got against a reference value, guarded against a zero reference.
 func RelErr(got, want float64) float64 {

@@ -64,7 +64,7 @@ func TestQuantile(t *testing.T) {
 	if got := Quantile(xs, 1); got != 5 {
 		t.Errorf("q1 = %v", got)
 	}
-	if got := Median(xs); got != 3 {
+	if got := Quantile(xs, 0.5); got != 3 {
 		t.Errorf("median = %v", got)
 	}
 	if got := Quantile(xs, 0.25); got != 2 {

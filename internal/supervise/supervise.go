@@ -7,6 +7,11 @@
 // exclusion and degradation decision is reported in a structured,
 // deterministic RoundReport.
 //
+// The policy is fixed: an audit flag excludes a node at once, a node
+// missing from two attempts is excluded as unreachable, and the
+// backoff starts at 0.05 s and doubles per attempt up to 5 s. Only
+// the retry budget and the per-attempt deadline are Options.
+//
 // The supervisor is what turns the one-shot mechanism of the paper
 // into something deployable: Theorem 3.1's truthfulness only binds if
 // a round actually completes (bids collected, allocation
@@ -167,64 +172,40 @@ func sanitizeNodes(nodes []int, n int) []int {
 	return out
 }
 
-// Backoff is a deterministic exponential backoff schedule.
-type Backoff struct {
-	// Base is the delay before the second attempt (default 0.05s).
-	Base float64
-	// Factor multiplies the delay per further attempt (default 2).
-	Factor float64
-	// Max caps the delay (default 5s).
-	Max float64
-}
+// The supervision policy.
+const (
+	// quorum is the minimum serving set: the exclusion optimum
+	// R^2/(S - 1/b_i) needs at least one other agent.
+	quorum = 2
+	// unreachableStrikes is how many attempts a node must be missing
+	// from before it is excluded. Message loss is schedule-dependent,
+	// so one miss is weak evidence; an audit flag by contrast is
+	// definitive and excludes immediately.
+	unreachableStrikes = 2
+	// The retry backoff starts at backoffBase seconds and grows by
+	// backoffFactor per further attempt, capped at backoffMax.
+	backoffBase   = 0.05
+	backoffFactor = 2
+	backoffMax    = 5
+)
 
-func (b Backoff) withDefaults() Backoff {
-	if b.Base <= 0 {
-		b.Base = 0.05
+// backoff returns the delay scheduled after the 0-based attempt (so
+// backoff(0) follows the first attempt).
+func backoff(attempt int) float64 {
+	d := backoffBase
+	for i := 0; i < attempt && d < backoffMax; i++ {
+		d *= backoffFactor
 	}
-	if b.Factor <= 1 {
-		b.Factor = 2
-	}
-	if b.Max <= 0 {
-		b.Max = 5
-	}
-	return b
-}
-
-// Delay returns the backoff before attempt number attempt+1 (so
-// Delay(0) follows the first attempt).
-func (b Backoff) Delay(attempt int) float64 {
-	b = b.withDefaults()
-	d := b.Base
-	for i := 0; i < attempt; i++ {
-		d *= b.Factor
-		if d >= b.Max {
-			return b.Max
-		}
-	}
-	if d > b.Max {
-		d = b.Max
-	}
-	return d
+	return min(d, backoffMax)
 }
 
 // Options configures the supervisor.
 type Options struct {
 	// MaxAttempts bounds the retry loop (default 6).
 	MaxAttempts int
-	// Quorum is the minimum serving set size (default and floor 2 —
-	// the exclusion optimum R^2/(S - 1/b_i) needs at least one other
-	// agent).
-	Quorum int
-	// Backoff is the retry backoff schedule.
-	Backoff Backoff
 	// Deadline is the per-attempt simulated-time budget passed to the
 	// round (0 = none).
 	Deadline float64
-	// UnreachableStrikes is how many attempts a node must be missing
-	// from before it is excluded (default 2). Message loss is
-	// schedule-dependent, so one miss is weak evidence; an audit flag
-	// by contrast is definitive and excludes immediately.
-	UnreachableStrikes int
 	// Obs receives supervisor metrics and trace events and is threaded
 	// into every attempt's round (see package obs). Nil disables all
 	// instrumentation.
@@ -235,13 +216,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxAttempts <= 0 {
 		o.MaxAttempts = 6
 	}
-	if o.Quorum < 2 {
-		o.Quorum = 2
-	}
-	if o.UnreachableStrikes <= 0 {
-		o.UnreachableStrikes = 2
-	}
-	o.Backoff = o.Backoff.withDefaults()
 	return o
 }
 
@@ -462,8 +436,8 @@ func Run(cfg distmech.Config, opts Options) (*Report, error) {
 
 	missStrikes := map[int]int{}
 	for attempt := 0; attempt < opts.MaxAttempts; attempt++ {
-		if len(alive) < opts.Quorum {
-			return report, &QuorumError{Alive: len(alive), Quorum: opts.Quorum}
+		if len(alive) < quorum {
+			return report, &QuorumError{Alive: len(alive), Quorum: quorum}
 		}
 		sub := base
 		sub.Tree = subTopology(cfg.Tree, alive)
@@ -533,7 +507,7 @@ func Run(cfg distmech.Config, opts Options) (*Report, error) {
 		// non-retryable failure, an unreachable one cannot happen
 		// (it starts every round). Audit flags exclude immediately;
 		// unreachability is schedule-dependent, so a node is excluded
-		// only once it has been missing UnreachableStrikes times.
+		// only once it has been missing unreachableStrikes times.
 		rec.ExcludedAudit = translate(v.ExcludeAudit, alive)
 		unreachable := translate(v.ExcludeUnreachable, alive)
 		// The classifier speaks in roster-local indices; the report
@@ -546,7 +520,7 @@ func Run(cfg distmech.Config, opts Options) (*Report, error) {
 		}
 		for _, orig := range unreachable {
 			missStrikes[orig]++
-			if missStrikes[orig] >= opts.UnreachableStrikes {
+			if missStrikes[orig] >= unreachableStrikes {
 				rec.ExcludedUnreachable = append(rec.ExcludedUnreachable, orig)
 			}
 		}
@@ -575,7 +549,7 @@ func Run(cfg distmech.Config, opts Options) (*Report, error) {
 		alive = without(alive, append(append([]int(nil), rec.ExcludedAudit...), rec.ExcludedUnreachable...))
 
 		if attempt+1 < opts.MaxAttempts {
-			rec.Backoff = opts.Backoff.Delay(attempt)
+			rec.Backoff = backoff(attempt)
 			report.TotalBackoff += rec.Backoff
 			met.RetryScheduled(rec.Backoff)
 			opts.Obs.Emit(obs.Event{

@@ -228,16 +228,11 @@ func TestExhaustedIsTyped(t *testing.T) {
 }
 
 func TestBackoffSchedule(t *testing.T) {
-	b := Backoff{}
 	wants := []float64{0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 5, 5}
 	for i, want := range wants {
-		if got := b.Delay(i); math.Abs(got-want) > 1e-12 {
-			t.Errorf("Delay(%d) = %v, want %v", i, got, want)
+		if got := backoff(i); math.Abs(got-want) > 1e-12 {
+			t.Errorf("backoff(%d) = %v, want %v", i, got, want)
 		}
-	}
-	c := Backoff{Base: 1, Factor: 3, Max: 4}
-	if c.Delay(0) != 1 || c.Delay(1) != 3 || c.Delay(2) != 4 {
-		t.Errorf("custom schedule: %v %v %v", c.Delay(0), c.Delay(1), c.Delay(2))
 	}
 }
 
